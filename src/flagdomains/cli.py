@@ -4,13 +4,16 @@ Subcommands: describe, theorem1, period, verify, levi. Output is JSON on
 stdout (one document, or one JSON line per check for verify); --pretty
 switches to a human readable rendering. Exit codes: 0 analysis ran
 (whatever the verdict), 2 bad request, 3 malformed JSON, 4 parameter out
-of bounds, 5 infeasible degeneration shape.
+of bounds, 5 infeasible degeneration shape, 141 stdout closed before the
+output was written (as for a process that SIGPIPE ends, e.g. under
+`| head`).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .chevalley import jacobi_violations, structure_constants, verify_bracket_identities
@@ -26,6 +29,7 @@ from .leviform import DefiningFunction, levi_analyze
 from .matrixrep import (
     eligible_conjugation_pairs,
     fundamental_rep,
+    make_check,
     verify_cayley_conjugation,
     verify_fixed_point,
 )
@@ -37,6 +41,7 @@ EXIT_USAGE = 2
 EXIT_BAD_JSON = 3
 EXIT_OUT_OF_BOUNDS = 4
 EXIT_INFEASIBLE = 5
+EXIT_CLOSED_STDOUT = 141
 
 MAX_RANK = 6
 MAX_WEIGHT = 10
@@ -229,23 +234,17 @@ def _iter_verify_checks(args):
             name = str(rs.lie_type) if rs.lie_type else f"rank{rs.rank}"
             cc = structure_constants(rs)
             report = verify_bracket_identities(cc)
-            yield {
-                "claim": f"chevalley-string-brackets {name}",
-                "residual": float(len(report.violations)),
-                "tolerance": 0.5,
-                "pass": report.ok,
-                "sign": None,
-                "info": {"pairs": len(report.entries)},
-            }
-            bad = jacobi_violations(cc)
-            yield {
-                "claim": f"chevalley-jacobi {name}",
-                "residual": float(len(bad)),
-                "tolerance": 0.5,
-                "pass": not bad,
-                "sign": None,
-                "info": None,
-            }
+            yield make_check(
+                claim=f"chevalley-string-brackets {name}",
+                residual=len(report.violations),
+                tolerance=0.5,
+                info={"pairs": len(report.entries)},
+            ).to_json_dict()
+            yield make_check(
+                claim=f"chevalley-jacobi {name}",
+                residual=len(jacobi_violations(cc)),
+                tolerance=0.5,
+            ).to_json_dict()
     if suite in ("all", "prop33"):
         systems = (
             [rs for rs, _ in custom]
@@ -279,14 +278,11 @@ def _iter_verify_checks(args):
             report = check_pseudoconcavity(rs, e)
             name = str(rs.lie_type) if rs.lie_type else f"rank{rs.rank}"
             if not report.witnesses:
-                yield {
-                    "claim": f"fixed-point witness exists {name} grading {list(e.coeffs)}",
-                    "residual": 1.0,
-                    "tolerance": 0.5,
-                    "pass": False,
-                    "sign": None,
-                    "info": None,
-                }
+                yield make_check(
+                    claim=f"fixed-point witness exists {name} grading {list(e.coeffs)}",
+                    residual=1.0,
+                    tolerance=0.5,
+                ).to_json_dict()
                 continue
             rep = fundamental_rep(rs)
             for beta in report.witnesses:
@@ -398,7 +394,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        # a reader that went away surfaces here rather than at interpreter exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # send the unflushed rest to devnull so the exit flush cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_CLOSED_STDOUT
     except BadJSONError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_JSON

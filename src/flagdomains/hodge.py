@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import expm
 
-from .matrixrep import NumericCheck, make_check
+from .matrixrep import NumericCheck, make_check, shear_product
 
 TOL_SL2 = 1e-12
 
@@ -398,8 +397,10 @@ def _sl2_model(kind: str):
 def sl2_cayley_checks(kind: str, tolerance: float = TOL_SL2) -> list[NumericCheck]:
     """All closed-form identities for d = exp(i pi/4 (N+ + N)), one check each."""
     nplus, y, nmat = _sl2_model(kind)
-    d = expm(1j * (math.pi / 4) * (nplus + nmat))
-    d_inv = expm(-1j * (math.pi / 4) * (nplus + nmat))
+    # (i N+, Y, -i N) is an sl2 triple, so d is the rotation by pi/4 in it
+    t, s = math.tan(math.pi / 8), math.sin(math.pi / 4)
+    d = shear_product(1j * nplus, -1j * nmat, t, s)
+    d_inv = shear_product(1j * nplus, -1j * nmat, -t, -s)
     dim = d.shape[0]
     v = np.zeros(dim, dtype=complex)
     v[0] = 1.0

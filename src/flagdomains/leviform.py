@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import null_space
 
 GRADIENT_TOL = 1e-8
 STEP_SCALE = 1e-4
@@ -157,9 +156,8 @@ def levi_analyze(f: DefiningFunction) -> LeviReport:
     if gnorm < GRADIENT_TOL:
         raise ValueError("gradient vanishes at z0; not a smooth boundary point")
     hess = _complex_hessian(f.func, z0, step)
-    plane = null_space(grad.reshape(1, -1))
-    if plane.shape[1] != f.n - 1:
-        raise AssertionError("analytic tangent plane has unexpected dimension")
+    # the right singular vectors after the first span the kernel of grad
+    plane = np.linalg.svd(grad.reshape(1, -1))[2][1:].conj().T
     # the form is sum H_{kl} w_k conj(w_l); in the v* M v convention its
     # matrix is the transpose of the mixed-derivative table
     restricted = plane.conj().T @ hess.T @ plane

@@ -150,9 +150,6 @@ class RootSystem:
     def rank(self) -> int:
         return len(self.cartan)
 
-    def contains(self, a: Root) -> bool:
-        return a in self.roots
-
     def check_member(self, a: Root) -> None:
         if a not in self.roots:
             raise ValueError(f"{a} is not a root of this system")

@@ -1,8 +1,20 @@
 """Command line behavior: payloads, exit codes, determinism, round trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-from flagdomains.cli import main
+import flagdomains
+from flagdomains.cli import EXIT_CLOSED_STDOUT, main
+
+SRC = str(Path(flagdomains.__file__).resolve().parents[1])
+
+
+def child_env():
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
 
 
 def run_cli(capsys, *argv):
@@ -180,3 +192,41 @@ def test_pretty_output_smoke(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "lemma41", "--pretty")
     assert code == 0
     assert out.startswith("PASS")
+
+
+def test_prop33_residuals_are_exactly_zero(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify", "--suite", "prop33", "--family", "B", "--rank", "4"
+    )
+    assert code == 0
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert len(lines) == 288
+    assert all(line["residual"] == 0.0 and line["pass"] for line in lines)
+    assert all(line["info"]["target"] == line["info"]["expected"] for line in lines)
+
+
+def test_closed_stdout_exits_cleanly():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "flagdomains", "verify", "--suite", "prop33",
+         "--family", "B", "--rank", "3"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=child_env(),
+    )
+    # closing the read end before the first write makes every write fail
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == EXIT_CLOSED_STDOUT
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err
+
+
+def test_cli_import_loads_no_scipy():
+    probe = (
+        "import sys, flagdomains.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, env=child_env(), timeout=60, check=True,
+    ).stdout
+    assert out.strip() == "[]"

@@ -1,5 +1,6 @@
 """Matrix realizations, Cayley matrices and the numeric certificates."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,9 +13,11 @@ from flagdomains.chevalley import structure_constants
 from flagdomains.matrixrep import (
     cayley_matrix,
     eligible_conjugation_pairs,
+    exp_nilpotent,
     flag_residual,
     fundamental_rep,
     invariant_form,
+    shear_product,
     verify_cayley_conjugation,
     verify_fixed_point,
 )
@@ -28,6 +31,10 @@ from flagdomains.rootsys import (
 )
 
 REP_SYSTEMS = CLASSICAL
+# every supported family at every rank up to the CLI bound
+ORACLE_SYSTEMS = [
+    (f, r) for f, low in (("A", 1), ("B", 2), ("C", 2), ("D", 3)) for r in range(low, 7)
+]
 
 
 @pytest.fixture(scope="module")
@@ -134,6 +141,28 @@ def test_exponential_inverse(key, systems, reps):
         assert np.linalg.norm(expm(arg) @ expm(-arg) - eye) < 1e-12
 
 
+@pytest.mark.parametrize("key", ORACLE_SYSTEMS, ids=lambda k: f"{k[0]}{k[1]}")
+def test_unipotent_factors_match_expm(key):
+    rs = build_root_system(LieType(*key))
+    rep = fundamental_rep(rs)
+    eye = np.eye(rep.dim)
+    for a in rs.sorted_roots():
+        xa, xna = rep.x[a], rep.x[-a]
+        assert not (xa @ xa @ xa).any()
+        assert np.linalg.norm(exp_nilpotent(xa) - expm(xa)) < 1e-12
+        weyl = shear_product(xa, xna, 1, 1)
+        assert np.linalg.norm(weyl - expm((math.pi / 2) * (xa - xna))) < 1e-12
+        assert np.array_equal(weyl @ shear_product(xa, xna, -1, -1), eye)
+        assert np.linalg.norm(cayley_matrix(rep, a) - expm((math.pi / 4) * (xna - xa))) < 1e-12
+
+
+def test_exp_nilpotent_rejects_non_nilpotent(reps):
+    rep = reps[("A", 2)]
+    a = root((1, 1))
+    with pytest.raises(ValueError):
+        exp_nilpotent(rep.x[a] - rep.x[-a])
+
+
 @pytest.mark.parametrize("key", [("A", 2), ("A", 3), ("B", 2), ("C", 2), ("D", 4)])
 def test_cayley_conjugation_all_eligible_pairs(key, systems, reps):
     rs = systems[key]
@@ -157,6 +186,21 @@ def test_cayley_conjugation_examples(a2, c2, reps):
     chk = verify_cayley_conjugation(rep_c2, root((0, -1)), root((1, 1)))
     assert chk.info["target"] == [2, 1]
     assert chk.info["string"] == [0, 2]
+
+
+@pytest.mark.parametrize("key", [("B", 2), ("C", 3)])
+def test_cayley_conjugation_fails_on_a_swapped_endpoint(key, systems, reps):
+    rs = systems[key]
+    rep = reps[key]
+    for a, b in eligible_conjugation_pairs(rs):
+        chk = verify_cayley_conjugation(rep, a, b)
+        expected = root(tuple(chk.info["expected"]))
+        other = next(g for g in rs.sorted_roots() if g not in (a, b, -b, expected))
+        x = dict(rep.x)
+        x[expected], x[other] = rep.x[other], rep.x[expected]
+        chk = verify_cayley_conjugation(dataclasses.replace(rep, x=x), a, b)
+        assert not chk.passed, (a, b)
+        assert chk.info["target"] is None and chk.sign is None
 
 
 def test_cayley_conjugation_preconditions(reps):
