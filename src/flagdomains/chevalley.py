@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .rootsys import (
     Root,
@@ -35,18 +35,25 @@ class ChevalleyConstants:
     rs: RootSystem
     table: dict
 
+    @cached_property
+    def by_index(self) -> tuple[tuple[int, ...], ...]:
+        """c(a, b) over the indices of ``rs.index``; 0 where a + b is no root."""
+        idx = self.rs.index
+        n = len(idx.roots)
+        out = [[0] * n for _ in range(n)]
+        for (a, b), v in self.table.items():
+            i, j = idx.pos[a], idx.pos[b]
+            out[i][j] = v
+            out[idx.neg[i]][idx.neg[j]] = -v
+        return tuple(map(tuple, out))
+
     def constant(self, a: Root, b: Root) -> int:
         """c(a, b) for roots a, b; zero when a + b is not a root."""
-        self.rs.check_member(a)
-        self.rs.check_member(b)
-        s = a + b
-        if s.is_zero:
+        idx = self.rs.index
+        i, j = idx.of(a), idx.of(b)
+        if i == idx.neg[j]:
             raise ValueError("a + b = 0; that bracket is a Cartan element")
-        if s not in self.rs.roots:
-            return 0
-        if s.is_positive:
-            return self.table[(a, b)]
-        return -self.table[(-a, -b)]
+        return self.by_index[i][j]
 
     def pairs(self):
         """All stored (a, b, value) triples in a deterministic order."""
@@ -65,73 +72,71 @@ class ChevalleyConstants:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
-@lru_cache(maxsize=None)
+# as many tables as from_cartan_matrix keeps systems
+@lru_cache(maxsize=32)
 def structure_constants(rs: RootSystem) -> ChevalleyConstants:
     """Build the constants table with the extraspecial sign convention."""
-    pos = rs.sorted_positive()
-    order = {a: i for i, a in enumerate(pos)}
+    idx = rs.index
+    roots, add, neg, l2, half = idx.roots, idx.add, idx.neg, idx.length2, idx.half
+    # Indices from `half` on are the positive roots in height order.
+    special: dict[tuple[int, int], int] = {}
 
-    special: dict[tuple[Root, Root], int] = {}
-
-    def down_extent(a: Root, b: Root) -> int:
-        k = 0
-        while (a - (k + 1) * b) in rs.roots:
-            k += 1
-        return k
-
-    def lookup(a: Root, b: Root) -> int:
+    def lookup(a: int, b: int) -> int:
         # Valid whenever a + b is a root and every positive pair with a
         # lower height sum is already in `special`.
-        if a.is_positive and b.is_positive:
-            return special[(a, b)] if order[a] < order[b] else -special[(b, a)]
-        na, nb = -a, -b
-        if na.is_positive and nb.is_positive:
+        if a >= half and b >= half:
+            return special[(a, b)] if a < b else -special[(b, a)]
+        na, nb = neg[a], neg[b]
+        if na >= half and nb >= half:
             return -lookup(na, nb)
-        if not a.is_positive:
+        if a < half:
             return -lookup(b, a)
         # a > 0 > b; rewrite through the triple (a, b, c) with a+b+c = 0,
         # where c(a,b)/(c,c) = c(b,c)/(a,a) = c(c,a)/(b,b).
-        s = a + b
-        c = -s
-        if s.is_positive:
-            val = Fraction(-lookup(nb, s)) * rs.length2(c) / rs.length2(a)
+        s = add[a][b]
+        c = neg[s]
+        if s >= half:
+            val = Fraction(-lookup(nb, s)) * l2[c] / l2[a]
         else:
-            val = Fraction(lookup(c, a)) * rs.length2(c) / rs.length2(b)
+            val = Fraction(lookup(c, a)) * l2[c] / l2[b]
         if val.denominator != 1 or val == 0:
-            raise ArithmeticError(f"inconsistent structure constant for ({a}, {b})")
+            raise ArithmeticError(
+                f"inconsistent structure constant for ({roots[a]}, {roots[b]})"
+            )
         return int(val)
 
-    for g in pos:
-        if g.height < 2:
+    for g in range(half, len(roots)):
+        if roots[g].height < 2:
             continue
         pairs = []
-        for a in pos:
-            if order[a] >= order[g]:
-                break
-            b = g - a
-            if b in rs.positive_roots and order[a] < order[b]:
+        for a in range(half, g):
+            b = add[g][neg[a]]
+            if b >= half and a < b:
                 pairs.append((a, b))
         if not pairs:
-            raise AssertionError(f"no special pair sums to {g}")
+            raise AssertionError(f"no special pair sums to {roots[g]}")
         a1, b1 = pairs[0]
-        special[(a1, b1)] = down_extent(a1, b1) + 1
+        special[(a1, b1)] = root_string(rs, roots[a1], roots[b1]).r + 1
         for a, b in pairs[1:]:
-            t = Fraction(0)
-            if (a1 - a) in rs.roots:
-                t += lookup(-a, a1) * lookup(a1 - a, b1)
-            if (b1 - a) in rs.roots:
-                t += lookup(b1, -a) * lookup(b1 - a, a1)
-            val = t * rs.length2(g) / (rs.length2(b) * special[(a1, b1)])
+            t = 0
+            d = add[a1][neg[a]]
+            if d >= 0:
+                t += lookup(neg[a], a1) * lookup(d, b1)
+            d = add[b1][neg[a]]
+            if d >= 0:
+                t += lookup(b1, neg[a]) * lookup(d, a1)
+            val = Fraction(t) * l2[g] / (l2[b] * special[(a1, b1)])
             if val.denominator != 1 or val == 0:
-                raise ArithmeticError(f"inconsistent structure constant for ({a}, {b})")
+                raise ArithmeticError(
+                    f"inconsistent structure constant for ({roots[a]}, {roots[b]})"
+                )
             special[(a, b)] = int(val)
 
     table: dict[tuple[Root, Root], int] = {}
-    for a in rs.sorted_roots():
-        for b in rs.sorted_roots():
-            s = a + b
-            if s in rs.roots and s.is_positive:
-                table[(a, b)] = lookup(a, b)
+    for a in range(len(roots)):
+        for b, s in enumerate(add[a]):
+            if s >= half:
+                table[(roots[a], roots[b])] = lookup(a, b)
     return ChevalleyConstants(rs=rs, table=table)
 
 
@@ -187,104 +192,114 @@ def verify_bracket_identities(cc: ChevalleyConstants) -> BracketReport:
     pairs with a (0, 2) string must additionally satisfy
     c(b, a+b) c(-b, a+2b) = 2.
     """
-    rs = cc.rs
+    idx = cc.rs.index
+    roots, add, neg = idx.roots, idx.add, idx.neg
+    c = cc.by_index
     entries = []
     chains = []
-    for a in rs.sorted_roots():
-        for b in rs.sorted_roots():
-            if a == b or a == -b:
+    for a in range(len(roots)):
+        for b in range(len(roots)):
+            if a == b or a == neg[b]:
                 continue
-            st = root_string(rs, a, b)
-            expected = st.q * (st.r + 1)
-            if (a + b) in rs.roots:
-                coeff = cc.constant(b, a) * cc.constant(-b, a + b)
-            else:
-                coeff = 0
-            entries.append(StringBracketEntry(a, b, coeff, expected))
-            if (st.r, st.q) == (0, 2):
-                prod = cc.constant(b, a + b) * cc.constant(-b, a + 2 * b)
-                chains.append(ChainEntry(a, b, prod))
+            r, q = idx.extents(a, b)
+            up = add[a][b]
+            coeff = c[b][a] * c[neg[b]][up] if up >= 0 else 0
+            entries.append(StringBracketEntry(roots[a], roots[b], coeff, q * (r + 1)))
+            if r == 0 and q == 2:
+                prod = c[b][up] * c[neg[b]][add[up][b]]
+                chains.append(ChainEntry(roots[a], roots[b], prod))
     return BracketReport(tuple(entries), tuple(chains))
 
 
-# Abstract bracket algebra over the basis {x^a} union {H^{s_i}}; elements
-# are dicts mapping basis symbols to Fractions.
+def _bracket_rows(cc: ChevalleyConstants) -> list[list[tuple]]:
+    """The bracket on the basis {x^a} then {H^{s_i}} as sparse rows.
 
-def _add_into(acc: dict, sym, val: Fraction) -> None:
-    cur = acc.get(sym, Fraction(0)) + val
-    if cur:
-        acc[sym] = cur
-    else:
-        acc.pop(sym, None)
-
-
-def _basis_bracket(cc: ChevalleyConstants, s1, s2) -> dict:
+    Basis index p < len(roots) is x^{roots[p]}, and len(roots) + i is
+    H^{s_i}; ``out[p][q]`` lists the (m, coefficient) terms of [e_p, e_q].
+    """
     rs = cc.rs
-    kind1, data1 = s1
-    kind2, data2 = s2
-    out: dict = {}
-    if kind1 == "x" and kind2 == "x":
-        a, b = data1, data2
-        s = a + b
-        if s.is_zero:
-            for i, coef in enumerate(coroot_coefficients(rs, a)):
-                if coef:
-                    _add_into(out, ("h", i), Fraction(coef))
-        elif s in rs.roots:
-            _add_into(out, ("x", s), Fraction(cc.constant(a, b)))
-        return out
-    if kind1 == "h" and kind2 == "x":
-        i, a = data1, data2
-        pairing = sum(c * rs.cartan[j][i] for j, c in enumerate(a.coeffs))
-        if pairing:
-            _add_into(out, ("x", a), Fraction(pairing))
-        return out
-    if kind1 == "x" and kind2 == "h":
-        inner = _basis_bracket(cc, s2, s1)
-        return {sym: -v for sym, v in inner.items()}
+    idx = rs.index
+    roots, add, neg = idx.roots, idx.add, idx.neg
+    c = cc.by_index
+    n_roots = len(roots)
+    n = n_roots + rs.rank
+    out: list[list[tuple]] = [[()] * n for _ in range(n)]
+    for p, a in enumerate(roots):
+        row = out[p]
+        for q, s in enumerate(add[p]):
+            if s >= 0:
+                if c[p][q]:
+                    row[q] = ((s, c[p][q]),)
+            elif q == neg[p]:
+                row[q] = tuple(
+                    (n_roots + i, v)
+                    for i, v in enumerate(coroot_coefficients(rs, a))
+                    if v
+                )
+        for i in range(rs.rank):
+            pairing = sum(v * rs.cartan[j][i] for j, v in enumerate(a.coeffs))
+            if pairing:
+                out[n_roots + i][p] = ((p, pairing),)
+                row[n_roots + i] = ((p, -pairing),)
     return out
-
-
-def abstract_bracket(cc: ChevalleyConstants, e1: dict, e2: dict) -> dict:
-    """Bilinear extension of the basis bracket to free-module elements."""
-    out: dict = {}
-    for s1, v1 in e1.items():
-        for s2, v2 in e2.items():
-            for sym, v in _basis_bracket(cc, s1, s2).items():
-                _add_into(out, sym, v1 * v2 * v)
-    return out
-
-
-def basis_symbols(cc: ChevalleyConstants) -> list:
-    syms = [("x", a) for a in cc.rs.sorted_roots()]
-    syms.extend(("h", i) for i in range(cc.rs.rank))
-    return syms
 
 
 def jacobi_violations(cc: ChevalleyConstants) -> list:
-    """Triples of basis symbols whose cyclic double brackets do not cancel."""
-    syms = basis_symbols(cc)
+    """Triples of basis symbols whose cyclic double brackets do not cancel.
+
+    A symbol is ("x", root) or ("h", i). Triples come in basis order
+    (roots in height order, then the simple coroots), each as i < j < k,
+    sorted lexicographically.
+    """
+    out = _bracket_rows(cc)
+    n = len(out)
+    rows = [[(q, v) for q, v in enumerate(row) if v] for row in out]
+    # pre[m]: the pairs p < q whose bracket has an e_m term, with its coefficient
+    pre: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for p in range(n):
+        for q, v in rows[p]:
+            if p < q:
+                for m, coef in v:
+                    pre[m].append((p, q, coef))
+    syms = [("x", a) for a in cc.rs.index.roots]
+    syms.extend(("h", i) for i in range(cc.rs.rank))
     violations = []
-    for i, s1 in enumerate(syms):
-        e1 = {s1: Fraction(1)}
-        for j in range(i + 1, len(syms)):
-            s2 = syms[j]
-            e2 = {s2: Fraction(1)}
-            b12 = _basis_bracket(cc, s1, s2)
-            for k in range(j + 1, len(syms)):
-                s3 = syms[k]
-                e3 = {s3: Fraction(1)}
-                total: dict = {}
-                for sym, v in abstract_bracket(cc, b12, e3).items():
-                    _add_into(total, sym, v)
-                for sym, v in abstract_bracket(
-                    cc, _basis_bracket(cc, s2, s3), e1
-                ).items():
-                    _add_into(total, sym, v)
-                for sym, v in abstract_bracket(
-                    cc, _basis_bracket(cc, s3, s1), e2
-                ).items():
-                    _add_into(total, sym, v)
-                if total:
-                    violations.append((s1, s2, s3))
+    for i in range(n):
+        # acc[(j * n + k) * n + t]: coefficient of e_t in the cyclic sum of (i, j, k)
+        acc: dict[int, int] = {}
+        # [[e_i, e_j], e_k]
+        for j, v in rows[i]:
+            if j <= i:
+                continue
+            for m, c1 in v:
+                for k, w in rows[m]:
+                    if k <= j:
+                        continue
+                    base = (j * n + k) * n
+                    for t, c2 in w:
+                        acc[base + t] = acc.get(base + t, 0) + c1 * c2
+        # [[e_j, e_k], e_i]
+        for m in range(n):
+            w = out[m][i]
+            if not w:
+                continue
+            for j, k, c1 in pre[m]:
+                if j <= i:
+                    continue
+                base = (j * n + k) * n
+                for t, c2 in w:
+                    acc[base + t] = acc.get(base + t, 0) + c1 * c2
+        # [[e_k, e_i], e_j]
+        for k in range(i + 1, n):
+            for m, c1 in out[k][i]:
+                for j, w in rows[m]:
+                    if j >= k:
+                        break
+                    if j <= i:
+                        continue
+                    base = (j * n + k) * n
+                    for t, c2 in w:
+                        acc[base + t] = acc.get(base + t, 0) + c1 * c2
+        bad = sorted({key // n for key, v in acc.items() if v})
+        violations.extend((syms[i], syms[jk // n], syms[jk % n]) for jk in bad)
     return violations

@@ -114,6 +114,9 @@ def _resolve_system(spec: dict):
     if cartan is not None:
         if isinstance(cartan, str):
             cartan = _parse_json(cartan, "--cartan")
+        # enumeration can run for a long time, so the bound comes first
+        if isinstance(cartan, list) and len(cartan) > MAX_RANK:
+            raise OutOfBoundsError(f"rank {len(cartan)} exceeds the bound {MAX_RANK}")
         rs = from_cartan_matrix(cartan)
         if rank is not None and int(rank) != rs.rank:
             raise ValueError("--rank disagrees with the Cartan matrix size")

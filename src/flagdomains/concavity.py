@@ -101,8 +101,14 @@ def analyze_string_condition(
         raise ValueError(
             f"alpha {alpha} is not a noncompact root of negative grading"
         )
+    return _string_verdict(rs, e, beta, alpha)
+
+
+def _string_verdict(
+    rs: RootSystem, e: GradingElement, beta: Root, alpha: Root
+) -> StringVerdict:
     st = root_string(rs, alpha, beta)
-    endpoint = alpha + st.q * beta
+    endpoint = st.members[-1]
     endpoint_in_p = e.value(endpoint) >= 0
     if (st.r, st.q) == (0, 1):
         if endpoint_in_p:
@@ -128,24 +134,32 @@ def analyze_string_condition(
     )
 
 
-def check_pseudoconcavity(rs: RootSystem, e: GradingElement) -> ConcavityReport:
-    """Sweep all compact roots for one that certifies every noncompact
-    negative root, and report the witnesses with full detail."""
+def _height_order(roots) -> list[Root]:
+    return sorted(roots, key=lambda a: (a.height, a.coeffs))
+
+
+def _sweep_inputs(rs: RootSystem, e: GradingElement) -> tuple[list[Root], list[Root]]:
+    """The compact roots and the noncompact negative roots, in sweep order."""
     check_grading(rs, e)
     if e.is_zero:
         raise ValueError("trivial grading defines no proper parabolic")
     if any(n < 0 for n in e.coeffs):
         raise ValueError("grading coefficients must be nonnegative")
     table = classify_roots(rs, e)
-    alphas = sorted(
-        noncompact_negative_roots(rs, e), key=lambda a: (a.height, a.coeffs)
+    return (
+        _height_order(table.compact),
+        _height_order(noncompact_negative_roots(rs, e)),
     )
+
+
+def check_pseudoconcavity(rs: RootSystem, e: GradingElement) -> ConcavityReport:
+    """Sweep all compact roots for one that certifies every noncompact
+    negative root, and report the witnesses with full detail."""
+    betas, alphas = _sweep_inputs(rs, e)
     detail: dict[Root, tuple[StringVerdict, ...]] = {}
     witnesses = []
-    for beta in sorted(table.compact, key=lambda b: (b.height, b.coeffs)):
-        verdicts = tuple(
-            analyze_string_condition(rs, e, beta, alpha) for alpha in alphas
-        )
+    for beta in betas:
+        verdicts = tuple(_string_verdict(rs, e, beta, alpha) for alpha in alphas)
         detail[beta] = verdicts
         if all(v.verdict is not VerdictKind.FAIL for v in verdicts):
             witnesses.append(beta)
@@ -155,3 +169,19 @@ def check_pseudoconcavity(rs: RootSystem, e: GradingElement) -> ConcavityReport:
         noncompact_negatives=tuple(alphas),
         detail=detail,
     )
+
+
+def witness_alphas(rs: RootSystem, e: GradingElement, beta: Root) -> tuple[Root, ...]:
+    """The noncompact negative roots, in sweep order, once beta is shown to
+    certify each of them; only beta's own strings are examined.
+
+    Raises ValueError for the gradings check_pseudoconcavity refuses and
+    when beta is not one of its witnesses.
+    """
+    betas, alphas = _sweep_inputs(rs, e)
+    if beta not in betas or any(
+        _string_verdict(rs, e, beta, alpha).verdict is VerdictKind.FAIL
+        for alpha in alphas
+    ):
+        raise ValueError(f"beta {beta} is not a witness for grading {e}")
+    return tuple(alphas)

@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from .chevalley import ChevalleyConstants, structure_constants
-from .concavity import check_pseudoconcavity
+from .concavity import witness_alphas
 from .rootsys import (
     GradingElement,
     Root,
@@ -371,29 +371,26 @@ def verify_fixed_point(
     rs = rep.rs
     if not 0.0 <= eps <= 1.0:
         raise ValueError("eps must lie in [0, 1]")
-    report = check_pseudoconcavity(rs, e)
-    if beta not in report.witnesses:
-        raise ValueError(f"beta {beta} is not a witness for grading {e}")
+    alphas = witness_alphas(rs, e, beta)
     xi = np.eye(rep.dim, dtype=complex)
-    for alpha in report.noncompact_negatives:
+    for alpha in alphas:
         xi = xi @ exp_nilpotent(eps * rep.x[alpha])
     res = flag_residual(rep, e, _weyl_conjugation(rep, beta, xi))
     return make_check(
         claim=f"cayley-fixed-point beta={beta} eps={eps}",
         residual=res,
         tolerance=tolerance,
-        info={"alphas": [list(a.coeffs) for a in report.noncompact_negatives]},
+        info={"alphas": [list(a.coeffs) for a in alphas]},
     )
 
 
 def eligible_conjugation_pairs(rs: RootSystem) -> list[tuple[Root, Root]]:
     """All ordered (a, b) with a != +-b whose b-string has shape (0,1)/(0,2)."""
-    pairs = []
-    for a in rs.sorted_roots():
-        for b in rs.sorted_roots():
-            if a == b or a == -b:
-                continue
-            st = root_string(rs, a, b)
-            if (st.r, st.q) in ((0, 1), (0, 2)):
-                pairs.append((a, b))
-    return pairs
+    idx = rs.index
+    n = len(idx.roots)
+    return [
+        (idx.roots[a], idx.roots[b])
+        for a in range(n)
+        for b in range(n)
+        if a != b and a != idx.neg[b] and idx.extents(a, b) in ((0, 1), (0, 2))
+    ]

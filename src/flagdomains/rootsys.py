@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 FAMILIES = ("A", "B", "C", "D")
 
@@ -132,12 +132,72 @@ class RootString:
     members: tuple[Root, ...]
 
 
+@dataclass(frozen=True, eq=False)
+class RootIndex:
+    """The roots of one system as integers, with the tables hot paths walk.
+
+    ``roots`` is in height order, negatives first, so index i is positive
+    exactly when i >= ``half``; ``pos`` inverts it. ``add[i][j]`` is the
+    index of roots[i] + roots[j], or -1 when the sum is not a root, ``neg[i]``
+    the index of -roots[i], and ``length2[i]`` the squared length.
+    """
+
+    roots: tuple[Root, ...]
+    pos: dict[Root, int]
+    add: tuple[tuple[int, ...], ...]
+    neg: tuple[int, ...]
+    length2: tuple[Fraction, ...]
+
+    @property
+    def half(self) -> int:
+        return len(self.roots) // 2
+
+    def of(self, a: Root) -> int:
+        """The index of a, or ValueError when a is not a root."""
+        try:
+            return self.pos[a]
+        except KeyError:
+            raise ValueError(f"{a} is not a root of this system") from None
+
+    def walk(self, i: int, j: int) -> list[int]:
+        """Indices of roots[i] + n roots[j] for n = 1, 2, ... while those are roots."""
+        add = self.add
+        out = []
+        k = add[i][j]
+        while k >= 0:
+            out.append(k)
+            k = add[k][j]
+        return out
+
+    def extents(self, i: int, j: int) -> tuple[int, int]:
+        """(r, q) of the roots[j]-string through roots[i], for i != j, neg[j]."""
+        return len(self.walk(i, self.neg[j])), len(self.walk(i, j))
+
+
+def _build_index(rs: "RootSystem") -> RootIndex:
+    roots = tuple(rs.sorted_roots())
+    # Coefficients of a sum of two roots lie in [-2m, 2m], so this linear
+    # code is injective on them and the code of a + b is code(a) + code(b).
+    base = 4 * max(abs(c) for a in roots for c in a.coeffs) + 1
+    codes = [sum(c * base**k for k, c in enumerate(a.coeffs)) for a in roots]
+    where = {code: i for i, code in enumerate(codes)}
+    add = tuple(tuple(where.get(ci + cj, -1) for cj in codes) for ci in codes)
+    return RootIndex(
+        roots=roots,
+        pos={a: i for i, a in enumerate(roots)},
+        add=add,
+        neg=tuple(where[-code] for code in codes),
+        length2=tuple(rs.length2(a) for a in roots),
+    )
+
+
 @dataclass(frozen=True)
 class RootSystem:
     """A finite root system with exact inner-product data.
 
     ``lengths`` holds the squared length of each simple root; long roots
     are normalized to squared length 2 within each irreducible component.
+    ``index`` is built on first use and kept on the instance.
     """
 
     lie_type: LieType | None
@@ -163,14 +223,12 @@ class RootSystem:
     def inner(self, a: Root, b: Root) -> Fraction:
         """Symmetrized bilinear form (a, b), exact."""
         total = Fraction(0)
-        for i, ai in enumerate(a.coeffs):
-            if not ai:
-                continue
-            for j, bj in enumerate(b.coeffs):
-                if not bj:
-                    continue
-                total += Fraction(ai * bj * self.cartan[i][j]) * self.lengths[j] / 2
-        return total
+        for j, bj in enumerate(b.coeffs):
+            if bj:
+                # the integer pairing of a with the simple coroot of s_j
+                pairing = sum(ai * self.cartan[i][j] for i, ai in enumerate(a.coeffs))
+                total += bj * pairing * self.lengths[j]
+        return total / 2
 
     def length2(self, a: Root) -> Fraction:
         return self.inner(a, a)
@@ -191,6 +249,10 @@ class RootSystem:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
+
+    @cached_property
+    def index(self) -> RootIndex:
+        return _build_index(self)
 
 
 def check_grading(rs: RootSystem, e: GradingElement) -> None:
@@ -244,7 +306,8 @@ def from_cartan_matrix(cartan) -> RootSystem:
     return _build_cached(normalized)
 
 
-@lru_cache(maxsize=None)
+# 32 systems: every classical system up to rank 6, with room to spare
+@lru_cache(maxsize=32)
 def _build_cached(cartan: tuple[tuple[int, ...], ...]) -> RootSystem:
     _validate_cartan(cartan)
     lengths = _symmetrizer(cartan)
@@ -371,18 +434,14 @@ def cartan_integer(rs: RootSystem, a: Root, b: Root) -> int:
 
 def root_string(rs: RootSystem, a: Root, b: Root) -> RootString:
     """The b-string through a, with down and up extents (r, q)."""
-    rs.check_member(a)
-    rs.check_member(b)
-    if a == b or a == -b:
+    idx = rs.index
+    i, j = idx.of(a), idx.of(b)
+    if i == j or i == idx.neg[j]:
         raise ValueError("the string through a in direction b needs a != +-b")
-    q = 0
-    while (a + (q + 1) * b) in rs.roots:
-        q += 1
-    r = 0
-    while (a - (r + 1) * b) in rs.roots:
-        r += 1
-    members = tuple(a + n * b for n in range(-r, q + 1))
-    return RootString(r=r, q=q, members=members)
+    down = idx.walk(i, idx.neg[j])
+    up = idx.walk(i, j)
+    members = tuple(idx.roots[k] for k in [*reversed(down), i, *up])
+    return RootString(r=len(down), q=len(up), members=members)
 
 
 def graded_pieces(rs: RootSystem, e: GradingElement) -> dict[int, frozenset[Root]]:

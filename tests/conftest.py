@@ -5,7 +5,12 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from flagdomains.rootsys import LieType, build_root_system, from_cartan_matrix
+from flagdomains.rootsys import (
+    LieType,
+    build_root_system,
+    from_cartan_matrix,
+    standard_cartan,
+)
 
 CLASSICAL = [
     ("A", 1),
@@ -17,6 +22,23 @@ CLASSICAL = [
     ("C", 3),
     ("D", 4),
 ]
+
+# every supported family at every rank up to the CLI bound
+ORACLE_SYSTEMS = [
+    (f, r) for f, low in (("A", 1), ("B", 2), ("C", 2), ("D", 3)) for r in range(low, 7)
+]
+
+
+def relabelled_cartan(t: LieType, perm) -> list[list[int]]:
+    """The Cartan matrix of t with simple root i renamed perm[i]."""
+    m = standard_cartan(t)
+    inv = {p: i for i, p in enumerate(perm)}
+    n = len(m)
+    return [[m[inv[i]][inv[j]] for j in range(n)] for i in range(n)]
+
+
+# B4 with its simple roots renamed; no standard labeling matches it
+RELABELLED_B4 = relabelled_cartan(LieType("B", 4), (2, 0, 3, 1))
 
 
 @pytest.fixture(scope="session")

@@ -1,15 +1,23 @@
-"""Independent euclidean-coordinate models of the classical root systems.
+"""Independent models used as oracles for the package.
 
-Used as oracles: roots are generated directly in orthonormal coordinates,
-without touching the package's Cartan-matrix enumeration, and compared
-after translating simple-root coefficient vectors into the same
-coordinates.
+Euclidean coordinates: roots are generated directly in orthonormal
+coordinates, without touching the package's Cartan-matrix enumeration,
+and compared after translating simple-root coefficient vectors into the
+same coordinates.
+
+Root arithmetic: the root-string, structure-constant, bracket-identity,
+eligible-pair and Jacobi computations written with `Root` objects,
+`Fraction` inner products and dict-based brackets, the slow paths that
+the package's indexed tables replace.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+
+from flagdomains.chevalley import ChevalleyConstants
+from flagdomains.rootsys import coroot_coefficients
 
 
 def euclid_simple_roots(family: str, rank: int) -> list[tuple[int, ...]]:
@@ -91,3 +99,205 @@ def euclid_cartan_integer(a: tuple[int, ...], b: tuple[int, ...]) -> int:
     val = Fraction(2 * dot_ab, dot_bb)
     assert val.denominator == 1
     return int(val)
+
+
+def reference_string(rs, a, b) -> tuple[int, int, tuple]:
+    """(r, q, members) of the b-string through a, by root arithmetic."""
+    q = 0
+    while (a + (q + 1) * b) in rs.roots:
+        q += 1
+    r = 0
+    while (a - (r + 1) * b) in rs.roots:
+        r += 1
+    return r, q, tuple(a + n * b for n in range(-r, q + 1))
+
+
+def reference_constant(cc, a, b) -> int:
+    """c(a, b) read from the table: stored for positive sums, derived for negative."""
+    s = a + b
+    if s not in cc.rs.roots:
+        return 0
+    if s.is_positive:
+        return cc.table[(a, b)]
+    return -cc.table[(-a, -b)]
+
+
+def reference_structure_table(rs) -> dict:
+    """The extraspecial-sign constants table, by root arithmetic."""
+    pos = rs.sorted_positive()
+    order = {a: i for i, a in enumerate(pos)}
+
+    special: dict = {}
+
+    def down_extent(a, b) -> int:
+        k = 0
+        while (a - (k + 1) * b) in rs.roots:
+            k += 1
+        return k
+
+    def lookup(a, b) -> int:
+        if a.is_positive and b.is_positive:
+            return special[(a, b)] if order[a] < order[b] else -special[(b, a)]
+        na, nb = -a, -b
+        if na.is_positive and nb.is_positive:
+            return -lookup(na, nb)
+        if not a.is_positive:
+            return -lookup(b, a)
+        s = a + b
+        c = -s
+        if s.is_positive:
+            val = Fraction(-lookup(nb, s)) * rs.length2(c) / rs.length2(a)
+        else:
+            val = Fraction(lookup(c, a)) * rs.length2(c) / rs.length2(b)
+        assert val.denominator == 1 and val != 0
+        return int(val)
+
+    for g in pos:
+        if g.height < 2:
+            continue
+        pairs = []
+        for a in pos:
+            if order[a] >= order[g]:
+                break
+            b = g - a
+            if b in rs.positive_roots and order[a] < order[b]:
+                pairs.append((a, b))
+        a1, b1 = pairs[0]
+        special[(a1, b1)] = down_extent(a1, b1) + 1
+        for a, b in pairs[1:]:
+            t = Fraction(0)
+            if (a1 - a) in rs.roots:
+                t += lookup(-a, a1) * lookup(a1 - a, b1)
+            if (b1 - a) in rs.roots:
+                t += lookup(b1, -a) * lookup(b1 - a, a1)
+            val = t * rs.length2(g) / (rs.length2(b) * special[(a1, b1)])
+            assert val.denominator == 1 and val != 0
+            special[(a, b)] = int(val)
+
+    table = {}
+    for a in rs.sorted_roots():
+        for b in rs.sorted_roots():
+            s = a + b
+            if s in rs.roots and s.is_positive:
+                table[(a, b)] = lookup(a, b)
+    return table
+
+
+def reference_bracket_entries(cc) -> tuple[list, list]:
+    """(alpha, beta, coefficient, expected) string-identity entries and
+    (alpha, beta, product) double-step chains, by root arithmetic."""
+    rs = cc.rs
+    entries = []
+    chains = []
+    for a in rs.sorted_roots():
+        for b in rs.sorted_roots():
+            if a == b or a == -b:
+                continue
+            r, q, _ = reference_string(rs, a, b)
+            if (a + b) in rs.roots:
+                coeff = reference_constant(cc, b, a) * reference_constant(cc, -b, a + b)
+            else:
+                coeff = 0
+            entries.append((a, b, coeff, q * (r + 1)))
+            if (r, q) == (0, 2):
+                prod = reference_constant(cc, b, a + b) * reference_constant(
+                    cc, -b, a + 2 * b
+                )
+                chains.append((a, b, prod))
+    return entries, chains
+
+
+def reference_eligible_pairs(rs) -> list:
+    """Ordered (a, b), a != +-b, whose b-string through a has shape (0,1)/(0,2)."""
+    pairs = []
+    for a in rs.sorted_roots():
+        for b in rs.sorted_roots():
+            if a == b or a == -b:
+                continue
+            r, q, _ = reference_string(rs, a, b)
+            if (r, q) in ((0, 1), (0, 2)):
+                pairs.append((a, b))
+    return pairs
+
+
+# Abstract bracket algebra over the basis {x^a} union {H^{s_i}}; elements
+# are dicts mapping basis symbols to Fractions.
+
+def _add_into(acc: dict, sym, val: Fraction) -> None:
+    cur = acc.get(sym, Fraction(0)) + val
+    if cur:
+        acc[sym] = cur
+    else:
+        acc.pop(sym, None)
+
+
+def _basis_bracket(cc: ChevalleyConstants, s1, s2) -> dict:
+    rs = cc.rs
+    kind1, data1 = s1
+    kind2, data2 = s2
+    out: dict = {}
+    if kind1 == "x" and kind2 == "x":
+        a, b = data1, data2
+        s = a + b
+        if s.is_zero:
+            for i, coef in enumerate(coroot_coefficients(rs, a)):
+                if coef:
+                    _add_into(out, ("h", i), Fraction(coef))
+        elif s in rs.roots:
+            _add_into(out, ("x", s), Fraction(cc.constant(a, b)))
+        return out
+    if kind1 == "h" and kind2 == "x":
+        i, a = data1, data2
+        pairing = sum(c * rs.cartan[j][i] for j, c in enumerate(a.coeffs))
+        if pairing:
+            _add_into(out, ("x", a), Fraction(pairing))
+        return out
+    if kind1 == "x" and kind2 == "h":
+        inner = _basis_bracket(cc, s2, s1)
+        return {sym: -v for sym, v in inner.items()}
+    return out
+
+
+def abstract_bracket(cc: ChevalleyConstants, e1: dict, e2: dict) -> dict:
+    """Bilinear extension of the basis bracket to free-module elements."""
+    out: dict = {}
+    for s1, v1 in e1.items():
+        for s2, v2 in e2.items():
+            for sym, v in _basis_bracket(cc, s1, s2).items():
+                _add_into(out, sym, v1 * v2 * v)
+    return out
+
+
+def basis_symbols(cc: ChevalleyConstants) -> list:
+    syms = [("x", a) for a in cc.rs.sorted_roots()]
+    syms.extend(("h", i) for i in range(cc.rs.rank))
+    return syms
+
+
+def jacobi_violations(cc: ChevalleyConstants) -> list:
+    """Triples of basis symbols whose cyclic double brackets do not cancel."""
+    syms = basis_symbols(cc)
+    violations = []
+    for i, s1 in enumerate(syms):
+        e1 = {s1: Fraction(1)}
+        for j in range(i + 1, len(syms)):
+            s2 = syms[j]
+            e2 = {s2: Fraction(1)}
+            b12 = _basis_bracket(cc, s1, s2)
+            for k in range(j + 1, len(syms)):
+                s3 = syms[k]
+                e3 = {s3: Fraction(1)}
+                total: dict = {}
+                for sym, v in abstract_bracket(cc, b12, e3).items():
+                    _add_into(total, sym, v)
+                for sym, v in abstract_bracket(
+                    cc, _basis_bracket(cc, s2, s3), e1
+                ).items():
+                    _add_into(total, sym, v)
+                for sym, v in abstract_bracket(
+                    cc, _basis_bracket(cc, s3, s1), e2
+                ).items():
+                    _add_into(total, sym, v)
+                if total:
+                    violations.append((s1, s2, s3))
+    return violations

@@ -2,14 +2,27 @@
 
 import pytest
 
-from conftest import CLASSICAL
+from conftest import CLASSICAL, ORACLE_SYSTEMS, RELABELLED_B4
+from lie_oracles import (
+    jacobi_violations as jacobi_scan,
+    reference_bracket_entries,
+    reference_constant,
+    reference_structure_table,
+)
 
 from flagdomains.chevalley import (
+    ChevalleyConstants,
     jacobi_violations,
     structure_constants,
     verify_bracket_identities,
 )
-from flagdomains.rootsys import LieType, build_root_system, root, root_string
+from flagdomains.rootsys import (
+    LieType,
+    build_root_system,
+    from_cartan_matrix,
+    root,
+    root_string,
+)
 
 RANK_LE_4 = CLASSICAL + [("A", 4), ("B", 4), ("C", 4), ("D", 3)]
 
@@ -119,3 +132,49 @@ def test_json_dump_golden(a2):
         ((1, 1), (0, -1)): -1,
         ((0, -1), (1, 1)): 1,
     }
+
+
+@pytest.mark.parametrize("family,rank", RANK_LE_4)
+def test_jacobi_matches_the_scan(family, rank):
+    cc = structure_constants(build_root_system(LieType(family, rank)))
+    assert jacobi_violations(cc) == jacobi_scan(cc) == []
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4)])
+@pytest.mark.parametrize("mode", ["flipped", "zeroed"])
+def test_jacobi_matches_the_scan_on_a_broken_table(family, rank, mode):
+    rs = build_root_system(LieType(family, rank))
+    cc = structure_constants(rs)
+    keys = list(cc.table)
+    for key in (keys[0], keys[len(keys) // 2], keys[-1]):
+        table = dict(cc.table)
+        table[key] = -table[key] if mode == "flipped" else 0
+        broken = ChevalleyConstants(rs, table)
+        found = jacobi_violations(broken)
+        assert found, key
+        assert found == jacobi_scan(broken), key
+
+
+def _assert_matches_root_arithmetic(rs):
+    cc = structure_constants(rs)
+    assert cc.table == reference_structure_table(rs)
+    for a in rs.sorted_roots():
+        for b in rs.sorted_roots():
+            if a != -b:
+                assert cc.constant(a, b) == reference_constant(cc, a, b)
+    report = verify_bracket_identities(cc)
+    entries, chains = reference_bracket_entries(cc)
+    assert [(e.alpha, e.beta, e.coefficient, e.expected) for e in report.entries] == entries
+    assert [(e.alpha, e.beta, e.product) for e in report.chain_entries] == chains
+
+
+@pytest.mark.parametrize("key", ORACLE_SYSTEMS, ids=lambda k: f"{k[0]}{k[1]}")
+def test_constants_and_brackets_match_root_arithmetic(key):
+    _assert_matches_root_arithmetic(build_root_system(LieType(*key)))
+
+
+def test_constants_and_brackets_match_root_arithmetic_relabelled():
+    rs = from_cartan_matrix(RELABELLED_B4)
+    assert rs.lie_type is None
+    _assert_matches_root_arithmetic(rs)
+    assert jacobi_violations(structure_constants(rs)) == []

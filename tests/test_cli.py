@@ -230,3 +230,14 @@ def test_cli_import_loads_no_scipy():
         capture_output=True, text=True, env=child_env(), timeout=60, check=True,
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_rank_bound_comes_before_enumeration():
+    # not of finite type; enumerating it first would not finish
+    cartan = [[2 if i == j else -2 for j in range(7)] for i in range(7)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "flagdomains", "describe", "--cartan", json.dumps(cartan)],
+        capture_output=True, text=True, env=child_env(), timeout=10,
+    )
+    assert proc.returncode == 4
+    assert proc.stdout == "" and "Traceback" not in proc.stderr

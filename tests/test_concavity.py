@@ -1,5 +1,6 @@
 """The string criterion: worked examples, brute-force soundness, symmetry."""
 
+import re
 from itertools import product
 
 import pytest
@@ -8,6 +9,7 @@ from flagdomains.concavity import (
     VerdictKind,
     analyze_string_condition,
     check_pseudoconcavity,
+    witness_alphas,
 )
 from flagdomains.realform import classify_roots, noncompact_negative_roots
 from flagdomains.rootsys import (
@@ -178,3 +180,22 @@ def test_detail_covers_all_compact_roots(c2):
     n_alphas = len(noncompact_negative_roots(c2, e))
     for verdicts in report.detail.values():
         assert len(verdicts) == n_alphas
+
+
+@pytest.mark.parametrize("family,rank", RANK_LE_3 + [("D", 4)])
+def test_witness_alphas_agrees_with_the_sweep(family, rank):
+    rs = build_root_system(LieType(family, rank))
+    for bits in product((0, 1), repeat=rs.rank):
+        if not any(bits):
+            continue
+        e = grading(bits)
+        report = check_pseudoconcavity(rs, e)
+        for beta in rs.sorted_roots():
+            if beta in report.witnesses:
+                assert witness_alphas(rs, e, beta) == report.noncompact_negatives
+            else:
+                message = re.escape(f"beta {beta} is not a witness for grading {e}")
+                with pytest.raises(ValueError, match=message):
+                    witness_alphas(rs, e, beta)
+    with pytest.raises(ValueError, match="trivial grading"):
+        witness_alphas(rs, grading((0,) * rs.rank), rs.sorted_roots()[0])

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import CLASSICAL
+from conftest import CLASSICAL, ORACLE_SYSTEMS, RELABELLED_B4
+from lie_oracles import reference_eligible_pairs
 
 from flagdomains.chevalley import structure_constants
 from flagdomains.matrixrep import (
@@ -31,10 +32,6 @@ from flagdomains.rootsys import (
 )
 
 REP_SYSTEMS = CLASSICAL
-# every supported family at every rank up to the CLI bound
-ORACLE_SYSTEMS = [
-    (f, r) for f, low in (("A", 1), ("B", 2), ("C", 2), ("D", 3)) for r in range(low, 7)
-]
 
 
 @pytest.fixture(scope="module")
@@ -131,14 +128,15 @@ def test_cayley_matrix_a1():
     assert abs(c2_o[0]) < 1e-12 and abs(abs(c2_o[1]) - 1.0) < 1e-12
 
 
-@pytest.mark.parametrize("key", REP_SYSTEMS)
-def test_exponential_inverse(key, systems, reps):
-    rs = systems[key]
-    rep = reps[key]
+@pytest.mark.parametrize("key", ORACLE_SYSTEMS)
+def test_exponential_inverse(key):
+    # root vectors have dyadic entries, so exp(x) exp(-x) = I holds bit for bit
+    rs = build_root_system(LieType(*key))
+    rep = fundamental_rep(rs)
     eye = np.eye(rep.dim)
     for a in rs.sorted_roots():
-        arg = (math.pi / 4) * (rep.x[-a] - rep.x[a])
-        assert np.linalg.norm(expm(arg) @ expm(-arg) - eye) < 1e-12
+        x = rep.x[a]
+        assert np.array_equal(exp_nilpotent(x) @ exp_nilpotent(-x), eye)
 
 
 @pytest.mark.parametrize("key", ORACLE_SYSTEMS, ids=lambda k: f"{k[0]}{k[1]}")
@@ -228,6 +226,27 @@ def test_fixed_point_certificates(reps):
         assert chk.passed and chk.residual < 1e-9
 
 
+def test_fixed_point_examines_only_the_witness_strings(monkeypatch):
+    from flagdomains import concavity
+
+    calls = []
+    original = concavity.root_string
+
+    def counting(rs, a, b):
+        calls.append(b)
+        return original(rs, a, b)
+
+    monkeypatch.setattr(concavity, "root_string", counting)
+    rs = build_root_system(LieType("B", 4))
+    rep = fundamental_rep(rs)
+    e = grading((0, 1, 0, 0))
+    beta = root((1, 2, 2, 2))
+    chk = verify_fixed_point(rep, e, beta, 0.5)
+    assert chk.passed
+    # one string per noncompact negative root, all in beta's direction
+    assert len(calls) == len(chk.info["alphas"]) and set(calls) == {beta}
+
+
 def test_fixed_point_rejects_non_witness(reps):
     rep = reps[("C", 2)]
     with pytest.raises(ValueError):
@@ -272,3 +291,15 @@ def test_rep_requires_detected_family():
     assert g2.lie_type is None
     with pytest.raises(ValueError):
         fundamental_rep(g2)
+
+
+@pytest.mark.parametrize("key", ORACLE_SYSTEMS, ids=lambda k: f"{k[0]}{k[1]}")
+def test_eligible_pairs_match_root_arithmetic(key):
+    rs = build_root_system(LieType(*key))
+    assert eligible_conjugation_pairs(rs) == reference_eligible_pairs(rs)
+
+
+def test_eligible_pairs_match_root_arithmetic_relabelled():
+    rs = from_cartan_matrix(RELABELLED_B4)
+    assert rs.lie_type is None
+    assert eligible_conjugation_pairs(rs) == reference_eligible_pairs(rs)

@@ -6,11 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CLASSICAL
-from lie_oracles import euclid_cartan_integer, euclid_roots, to_euclid
+from itertools import islice, permutations
 
+from conftest import CLASSICAL, ORACLE_SYSTEMS, RELABELLED_B4, relabelled_cartan
+from lie_oracles import euclid_cartan_integer, euclid_roots, reference_string, to_euclid
+
+from flagdomains.chevalley import structure_constants
 from flagdomains.rootsys import (
     LieType,
+    _build_cached,
     build_root_system,
     cartan_integer,
     from_cartan_matrix,
@@ -124,6 +128,66 @@ def test_string_extents_equal_cartan_integer(family, rank):
             assert st.r - st.q == cartan_integer(rs, a, b)
             mirrored = root_string(rs, -a, b)
             assert (mirrored.r, mirrored.q) == (st.q, st.r)
+
+
+def _assert_strings_match_root_arithmetic(rs):
+    for a in rs.sorted_roots():
+        for b in rs.sorted_roots():
+            if a == b or a == -b:
+                continue
+            st = root_string(rs, a, b)
+            assert (st.r, st.q, st.members) == reference_string(rs, a, b)
+
+
+@pytest.mark.parametrize("key", ORACLE_SYSTEMS, ids=lambda k: f"{k[0]}{k[1]}")
+def test_root_strings_match_root_arithmetic(key):
+    _assert_strings_match_root_arithmetic(build_root_system(LieType(*key)))
+
+
+def test_root_strings_match_root_arithmetic_relabelled():
+    rs = from_cartan_matrix(RELABELLED_B4)
+    assert rs.lie_type is None
+    _assert_strings_match_root_arithmetic(rs)
+
+
+def test_index_tables(so5_labeled):
+    idx = so5_labeled.index
+    assert list(idx.roots) == so5_labeled.sorted_roots()
+    assert all(idx.pos[a] == i for i, a in enumerate(idx.roots))
+    for i, a in enumerate(idx.roots):
+        assert idx.roots[idx.neg[i]] == -a
+        assert idx.length2[i] == so5_labeled.length2(a)
+        assert (i >= idx.half) == a.is_positive
+        for j, b in enumerate(idx.roots):
+            s = idx.add[i][j]
+            assert (s >= 0) == ((a + b) in so5_labeled.roots)
+            if s >= 0:
+                assert idx.roots[s] == a + b
+
+
+def test_index_is_built_on_first_use():
+    rs = from_cartan_matrix(relabelled_cartan(LieType("C", 3), (1, 2, 0)))
+    assert "index" not in vars(rs)
+    root_string(rs, *rs.simple_roots()[:2])
+    assert "index" in vars(rs)
+
+
+def test_caches_stay_bounded():
+    size = _build_cached.cache_info().maxsize
+    assert size >= 32 and structure_constants.cache_info().maxsize >= 32
+    # distinct relabellings of A5, more of them than either cache keeps
+    a5 = LieType("A", 5)
+    matrices = {
+        tuple(map(tuple, relabelled_cartan(a5, p))) for p in islice(permutations(range(5)), 200)
+    }
+    assert len(matrices) > size + 8
+    for m in sorted(matrices)[: size + 8]:
+        structure_constants(from_cartan_matrix(m))
+    assert _build_cached.cache_info().currsize <= size
+    assert (
+        structure_constants.cache_info().currsize
+        <= structure_constants.cache_info().maxsize
+    )
 
 
 def test_graded_pieces_a1():
