@@ -61,11 +61,9 @@ def main():
         show(f"sl2 Cayley closed forms, type {kind}",
              verify_sl2_cayley_forms(kind).to_json_dict())
 
-    import numpy as np
-
-    ball = DefiningFunction.from_callable(
-        3, lambda z: float(np.sum(np.abs(z) ** 2).real) - 1.0, [1, 0, 0]
-    )
+    # |z|^2 - 1 on C^3
+    terms = [{"c": 1, "z": e, "zbar": e} for e in ([1, 0, 0], [0, 1, 0], [0, 0, 1])]
+    ball = DefiningFunction.from_polynomial(3, [1, 0, 0], terms + [{"c": -1}])
     show("Levi form on the unit sphere from inside", levi_analyze(ball).to_json_dict())
 
 

@@ -15,7 +15,6 @@ through the sign normalization.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -54,22 +53,6 @@ class ChevalleyConstants:
         if i == idx.neg[j]:
             raise ValueError("a + b = 0; that bracket is a Cartan element")
         return self.by_index[i][j]
-
-    def pairs(self):
-        """All stored (a, b, value) triples in a deterministic order."""
-        for (a, b) in sorted(self.table, key=lambda ab: (ab[0].coeffs, ab[1].coeffs)):
-            yield a, b, self.table[(a, b)]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "pairs": [
-                {"a": list(a.coeffs), "b": list(b.coeffs), "value": v}
-                for a, b, v in self.pairs()
-            ]
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 # as many tables as from_cartan_matrix keeps systems

@@ -95,16 +95,24 @@ def _merged(args: argparse.Namespace, keys: tuple[str, ...]) -> dict:
     return merged
 
 
+def _as_int(value, what: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{what} must be an integer") from exc
+
+
 def _parse_int_list(value, what: str) -> tuple[int, ...]:
     if value is None:
         raise ValueError(f"missing {what}")
     if isinstance(value, str):
-        parts = [p for p in value.replace(" ", "").split(",") if p]
+        value = [p for p in value.replace(" ", "").split(",") if p]
+    if isinstance(value, list):
         try:
-            return tuple(int(p) for p in parts)
-        except ValueError as exc:
-            raise ValueError(f"{what} must be a comma separated integer list") from exc
-    return tuple(int(v) for v in value)
+            return tuple(int(v) for v in value)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"{what} must be a comma separated integer list")
 
 
 def _resolve_system(spec: dict):
@@ -118,12 +126,12 @@ def _resolve_system(spec: dict):
         if isinstance(cartan, list) and len(cartan) > MAX_RANK:
             raise OutOfBoundsError(f"rank {len(cartan)} exceeds the bound {MAX_RANK}")
         rs = from_cartan_matrix(cartan)
-        if rank is not None and int(rank) != rs.rank:
+        if rank is not None and _as_int(rank, "--rank") != rs.rank:
             raise ValueError("--rank disagrees with the Cartan matrix size")
     else:
         if family is None or rank is None:
             raise ValueError("need --family and --rank, or --cartan")
-        rs = build_root_system(LieType(str(family).upper(), int(rank)))
+        rs = build_root_system(LieType(str(family).upper(), _as_int(rank, "--rank")))
     if rs.rank > MAX_RANK:
         raise OutOfBoundsError(f"rank {rs.rank} exceeds the bound {MAX_RANK}")
     return rs
@@ -186,7 +194,7 @@ def _cmd_period(args) -> int:
     spec = _merged(args, ("weight", "h", "degeneration"))
     if spec.get("weight") is None:
         raise ValueError("missing --weight")
-    weight = int(spec["weight"])
+    weight = _as_int(spec["weight"], "--weight")
     if not 0 <= weight <= MAX_WEIGHT:
         raise OutOfBoundsError(f"weight must lie in [0, {MAX_WEIGHT}]")
     hvals = _parse_int_list(spec.get("h"), "--h")
@@ -198,6 +206,8 @@ def _cmd_period(args) -> int:
         deg = spec["degeneration"]
         if isinstance(deg, str):
             deg = _parse_json(deg, "--degeneration")
+        if not isinstance(deg, dict):
+            raise ValueError("--degeneration must be a JSON object")
         only = DegenerationSpec(kind=deg.get("kind"), p0=deg.get("p0"))
     payload = period_report(h, only)
     pretty = [
@@ -312,20 +322,10 @@ def _cmd_levi(args) -> int:
         raise ValueError("levi needs --input FILE or --spec JSON")
     if not isinstance(data, dict):
         raise BadJSONError("levi input must be a JSON object")
-    n = int(data.get("n", 0))
+    n = _as_int(data.get("n", 0), "n")
     if not 1 <= n <= MAX_LEVI_N:
         raise OutOfBoundsError(f"dimension n must lie in [1, {MAX_LEVI_N}]")
-    z0_raw = data.get("z0")
-    if z0_raw is None or len(z0_raw) != n:
-        raise ValueError("z0 must be a length-n list of [re, im] pairs or numbers")
-    z0 = [
-        complex(v[0], v[1]) if isinstance(v, (list, tuple)) else complex(v)
-        for v in z0_raw
-    ]
-    terms = data.get("terms")
-    if not isinstance(terms, list):
-        raise ValueError("terms must be a list of monomial objects")
-    f = DefiningFunction.from_polynomial(n, z0, terms)
+    f = DefiningFunction.from_polynomial(n, data.get("z0"), data.get("terms"))
     report = levi_analyze(f)
     payload = report.to_json_dict()
     pretty = [

@@ -10,7 +10,6 @@ downstream matrix certificates.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 
@@ -82,9 +81,6 @@ class ConcavityReport:
                 )
             ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def analyze_string_condition(

@@ -9,7 +9,6 @@ quarter-turn Cayley element built from an sl2 triple.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -147,6 +146,8 @@ class DegenerationSpec:
             raise ValueError("type I needs a pivot p0")
         if self.kind == "II" and self.p0 is not None:
             raise ValueError("type II takes no pivot")
+        if self.p0 is not None and not isinstance(self.p0, int):
+            raise ValueError("the pivot p0 must be an integer")
 
     def label(self) -> str:
         return f"I(p0={self.p0})" if self.kind == "I" else "II"
@@ -494,7 +495,3 @@ def period_report(
         "grading_values": eigs,
         "degenerations": degenerations,
     }
-
-
-def to_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True)

@@ -1,70 +1,78 @@
-"""Numeric Levi form analysis at smooth boundary points.
+"""Exact Levi form analysis at smooth boundary points.
 
-The complex Hessian of a real defining function is estimated with central
-finite differences in the underlying real coordinates, restricted to the
-analytic tangent plane at the reference point, and its eigenvalues decide
-whether the point is pseudoconcave from inside the sublevel set.
+The defining function is the real part of a polynomial in z and conj(z).
+Its gradient and complex Hessian at the reference point are the
+closed-form Wirtinger derivatives of its monomials; the Hessian is
+restricted to the analytic tangent plane there, and the eigenvalues of
+the restriction decide whether the point is pseudoconcave from inside
+the sublevel set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 GRADIENT_TOL = 1e-8
-STEP_SCALE = 1e-4
 ZERO_EIGEN_REL = 1e-6
+
+# c * prod z_k^{e_k} * prod conj(z_k)^{f_k} as (c, e, f)
+Term = tuple[complex, tuple[int, ...], tuple[int, ...]]
+
+
+def _complex(value, what: str) -> complex:
+    try:
+        if isinstance(value, (list, tuple)):
+            re, im = value
+            return complex(re, im)
+        return complex(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{what} must be a number or an [re, im] pair") from exc
+
+
+def _exponents(value, n: int) -> tuple[int, ...]:
+    if isinstance(value, (list, tuple)) and len(value) == n:
+        try:
+            return tuple(int(v) for v in value)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError("term exponents must be length-n lists of integers")
 
 
 @dataclass(frozen=True, eq=False)
 class DefiningFunction:
-    """A real scalar field on C^n with a marked boundary point."""
+    """The real part of a polynomial on C^n, with a marked boundary point."""
 
     n: int
-    func: Callable[[np.ndarray], float]
+    terms: tuple[Term, ...]
     z0: np.ndarray
-
-    @classmethod
-    def from_callable(cls, n: int, func, z0) -> "DefiningFunction":
-        return cls(n=n, func=func, z0=np.asarray(z0, dtype=complex))
 
     @classmethod
     def from_polynomial(cls, n: int, z0, terms) -> "DefiningFunction":
         """Build from coefficient data; each term is c * prod z^e * prod conj(z)^f.
 
         ``terms`` is a list of {"c": number or [re, im], "z": [e_1..e_n],
-        "zbar": [f_1..f_n]}. The sum is assumed real valued; its real part
-        is used.
+        "zbar": [f_1..f_n]} with integer exponents, and ``z0`` a length-n
+        list of numbers or [re, im] pairs. The sum is assumed real valued;
+        its real part is used.
         """
-        parsed = []
-        for term in terms:
-            c = term.get("c", 1)
-            if isinstance(c, (list, tuple)):
-                c = complex(c[0], c[1])
-            else:
-                c = complex(c)
-            ze = tuple(int(v) for v in term.get("z", [0] * n))
-            be = tuple(int(v) for v in term.get("zbar", [0] * n))
-            if len(ze) != n or len(be) != n:
-                raise ValueError("term exponent lists must have length n")
-            parsed.append((c, ze, be))
-
-        def func(z: np.ndarray) -> float:
-            zb = np.conj(z)
-            total = 0j
-            for c, ze, be in parsed:
-                val = c
-                for k in range(n):
-                    if ze[k]:
-                        val *= z[k] ** ze[k]
-                    if be[k]:
-                        val *= zb[k] ** be[k]
-                total += val
-            return float(total.real)
-
-        return cls(n=n, func=func, z0=np.asarray(z0, dtype=complex))
+        if not isinstance(z0, (list, tuple, np.ndarray)) or len(z0) != n:
+            raise ValueError("z0 must be a length-n list of [re, im] pairs or numbers")
+        if not isinstance(terms, (list, tuple)) or not all(
+            isinstance(term, dict) for term in terms
+        ):
+            raise ValueError("terms must be a list of monomial objects")
+        parsed = tuple(
+            (
+                _complex(term.get("c", 1), "a coefficient"),
+                _exponents(term.get("z", [0] * n), n),
+                _exponents(term.get("zbar", [0] * n), n),
+            )
+            for term in terms
+        )
+        point = np.array([_complex(v, "a z0 entry") for v in z0], dtype=complex)
+        return cls(n=n, terms=parsed, z0=point)
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,77 +93,65 @@ class LeviReport:
         }
 
 
-def _shift(z0: np.ndarray, coord: int, delta: float) -> np.ndarray:
-    # coord indexes the 2n real coordinates: 2k is Re z_k, 2k+1 is Im z_k
-    z = z0.copy()
-    if coord % 2 == 0:
-        z[coord // 2] += delta
-    else:
-        z[coord // 2] += 1j * delta
-    return z
+def _monomial(c: complex, e, f, z, zb) -> complex:
+    # zero exponents are skipped, so z^0 = 1 also where z = 0
+    for zk, zbk, a, b in zip(z, zb, e, f):
+        if a:
+            c *= zk**a
+        if b:
+            c *= zbk**b
+    return c
 
 
-def _wirtinger_gradient(func, z0: np.ndarray, step: float) -> np.ndarray:
-    n = len(z0)
-    grad = np.zeros(n, dtype=complex)
-    for k in range(n):
-        dx = (func(_shift(z0, 2 * k, step)) - func(_shift(z0, 2 * k, -step))) / (
-            2 * step
-        )
-        dy = (func(_shift(z0, 2 * k + 1, step)) - func(_shift(z0, 2 * k + 1, -step))) / (
-            2 * step
-        )
-        grad[k] = 0.5 * (dx - 1j * dy)
-    return grad
+def _lowered(e: tuple[int, ...], k: int) -> tuple[int, ...]:
+    return e[:k] + (e[k] - 1,) + e[k + 1 :]
 
 
-def _real_hessian(func, z0: np.ndarray, step: float) -> np.ndarray:
-    n2 = 2 * len(z0)
-    f0 = func(z0)
-    hess = np.zeros((n2, n2))
-    for a in range(n2):
-        hess[a, a] = (
-            func(_shift(z0, a, step)) - 2 * f0 + func(_shift(z0, a, -step))
-        ) / step**2
-        for b in range(a + 1, n2):
-            pp = func(_shift(_shift(z0, a, step), b, step))
-            pm = func(_shift(_shift(z0, a, step), b, -step))
-            mp = func(_shift(_shift(z0, a, -step), b, step))
-            mm = func(_shift(_shift(z0, a, -step), b, -step))
-            hess[a, b] = hess[b, a] = (pp - pm - mp + mm) / (4 * step**2)
-    return hess
+def _derivatives(f: DefiningFunction) -> tuple[np.ndarray, np.ndarray]:
+    """Wirtinger gradient and complex Hessian of Re P at z0, in closed form.
 
-
-def _complex_hessian(func, z0: np.ndarray, step: float) -> np.ndarray:
-    n = len(z0)
-    real = _real_hessian(func, z0, step)
-    hess = np.zeros((n, n), dtype=complex)
-    for k in range(n):
-        for ell in range(n):
-            xx = real[2 * k, 2 * ell]
-            yy = real[2 * k + 1, 2 * ell + 1]
-            xy = real[2 * k, 2 * ell + 1]
-            yx = real[2 * k + 1, 2 * ell]
-            hess[k, ell] = 0.25 * ((xx + yy) + 1j * (xy - yx))
-    return 0.5 * (hess + hess.conj().T)
+    For a term c z^e conj(z)^f of P, d_k P gets c e_k z^{e-d_k} conj(z)^f
+    and d_k dbar_l P gets c e_k f_l z^{e-d_k} conj(z)^{f-d_l}. For
+    Re P = (P + conj P)/2 the gradient is (P_k + conj(P_kbar))/2 and the
+    Hessian is the Hermitian part of the mixed table P_{k lbar}.
+    """
+    n = f.n
+    # Python complex: 0 ** -1 raises ZeroDivisionError where numpy gives inf
+    z = [complex(v) for v in f.z0]
+    zb = [v.conjugate() for v in z]
+    dz = np.zeros(n, dtype=complex)
+    dzb = np.zeros(n, dtype=complex)
+    mixed = np.zeros((n, n), dtype=complex)
+    for c, e, fb in f.terms:
+        ls = [ell for ell in range(n) if fb[ell]]
+        for k in range(n):
+            if e[k]:
+                ce, ek = c * e[k], _lowered(e, k)
+                dz[k] += _monomial(ce, ek, fb, z, zb)
+                for ell in ls:
+                    mixed[k, ell] += _monomial(ce * fb[ell], ek, _lowered(fb, ell), z, zb)
+        for ell in ls:
+            dzb[ell] += _monomial(c * fb[ell], e, _lowered(fb, ell), z, zb)
+    if not all(np.isfinite(a).all() for a in (dz, dzb, mixed)):
+        raise ValueError("the derivatives at z0 are not finite")
+    return 0.5 * (dz + dzb.conj()), 0.5 * (mixed + mixed.conj().T)
 
 
 def levi_analyze(f: DefiningFunction) -> LeviReport:
     """Eigenvalues of the Levi form on the analytic tangent plane at z0.
 
-    Raises when the gradient vanishes at z0, since the level set is not a
-    smooth boundary there. Eigenvalues below 1e-6 of the Hessian norm are
-    reported as exact zeros.
+    Raises when a negative exponent meets a zero coordinate of z0 or the
+    derivatives there are not finite, and when the gradient vanishes at z0,
+    since the level set is not a smooth boundary there. Eigenvalues below
+    1e-6 of the Hessian norm are reported as exact zeros.
     """
-    z0 = np.asarray(f.z0, dtype=complex)
-    if len(z0) != f.n:
-        raise ValueError("z0 must have length n")
-    step = STEP_SCALE * (1.0 + float(np.linalg.norm(z0)))
-    grad = _wirtinger_gradient(f.func, z0, step)
+    try:
+        grad, hess = _derivatives(f)
+    except ZeroDivisionError:
+        raise ValueError("a negative exponent meets a zero coordinate of z0") from None
     gnorm = float(np.linalg.norm(grad))
     if gnorm < GRADIENT_TOL:
         raise ValueError("gradient vanishes at z0; not a smooth boundary point")
-    hess = _complex_hessian(f.func, z0, step)
     # the right singular vectors after the first span the kernel of grad
     plane = np.linalg.svd(grad.reshape(1, -1))[2][1:].conj().T
     # the form is sum H_{kl} w_k conj(w_l); in the v* M v convention its

@@ -218,9 +218,7 @@ def invariant_form(rep: MatrixRealization) -> np.ndarray | None:
 
 
 def fundamental_rep(
-    rs: RootSystem,
-    cc: ChevalleyConstants | None = None,
-    max_rank: int = DEFAULT_MAX_RANK,
+    rs: RootSystem, cc: ChevalleyConstants | None = None
 ) -> MatrixRealization:
     """Defining representation with root vectors matching the abstract table."""
     t = rs.lie_type
@@ -229,8 +227,8 @@ def fundamental_rep(
             "matrix realization needs a system whose Cartan matrix matches a "
             "standard classical labeling"
         )
-    if t.rank > max_rank:
-        raise ValueError(f"rank {t.rank} exceeds the supported bound {max_rank}")
+    if t.rank > DEFAULT_MAX_RANK:
+        raise ValueError(f"rank {t.rank} exceeds the supported bound {DEFAULT_MAX_RANK}")
     if cc is None:
         cc = structure_constants(rs)
     dim, xs, ys, hs = _BUILDERS[t.family](t.rank)

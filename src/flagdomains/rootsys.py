@@ -26,9 +26,6 @@ _ROOT_COUNT = {
     "D": lambda r: 2 * r * (r - 1),
 }
 
-# Enumeration guard; classical heights stay well below this for rank <= 6.
-_MAX_HEIGHT = 64
-
 
 @dataclass(frozen=True)
 class LieType:
@@ -302,7 +299,10 @@ def from_cartan_matrix(cartan) -> RootSystem:
     and symmetrizable. The family label is recovered when the matrix
     equals a standard one.
     """
-    normalized = tuple(tuple(int(x) for x in row) for row in cartan)
+    try:
+        normalized = tuple(tuple(int(x) for x in row) for row in cartan)
+    except (TypeError, ValueError) as exc:
+        raise ValueError("Cartan matrix must be a list of integer rows") from exc
     return _build_cached(normalized)
 
 
@@ -311,6 +311,8 @@ def from_cartan_matrix(cartan) -> RootSystem:
 def _build_cached(cartan: tuple[tuple[int, ...], ...]) -> RootSystem:
     _validate_cartan(cartan)
     lengths = _symmetrizer(cartan)
+    if not _positive_definite(cartan, lengths):
+        raise ValueError("matrix does not define a finite root system")
     positives = _positive_roots(cartan)
     roots = frozenset(positives) | frozenset(-a for a in positives)
     lie_type = _detect_family(cartan)
@@ -382,13 +384,36 @@ def _symmetrizer(cartan: tuple[tuple[int, ...], ...]) -> tuple[Fraction, ...]:
     return tuple(lengths)
 
 
+def _positive_definite(
+    cartan: tuple[tuple[int, ...], ...], lengths: tuple[Fraction, ...]
+) -> bool:
+    """Whether the symmetrized matrix C[i][j] lengths[j] is positive definite.
+
+    A symmetrizable Cartan matrix is of finite type exactly when this holds
+    (Kac, Infinite-Dimensional Lie Algebras, ch. 4). Elimination without
+    row exchanges leaves the ratios of consecutive leading minors as pivots.
+    """
+    r = len(cartan)
+    m = [[c * lengths[j] for j, c in enumerate(row)] for row in cartan]
+    for k in range(r):
+        if m[k][k] <= 0:
+            return False
+        for i in range(k + 1, r):
+            factor = m[i][k] / m[k][k]
+            for j in range(k + 1, r):
+                m[i][j] -= factor * m[k][j]
+    return True
+
+
 def _positive_roots(cartan: tuple[tuple[int, ...], ...]) -> list[Root]:
-    """Level-by-level closure of the simple roots under string extension."""
+    """Level-by-level closure of the simple roots under string extension.
+
+    It terminates only for a matrix of finite type, which callers check first.
+    """
     r = len(cartan)
     simples = [Root(tuple(1 if j == i else 0 for j in range(r))) for i in range(r)]
     known: set[Root] = set(simples)
     current: set[Root] = set(simples)
-    height = 1
     while current:
         nxt: set[Root] = set()
         for a in current:
@@ -405,9 +430,6 @@ def _positive_roots(cartan: tuple[tuple[int, ...], ...]) -> list[Root]:
                         nxt.add(cand)
         known |= nxt
         current = nxt
-        height += 1
-        if height > _MAX_HEIGHT:
-            raise ValueError("matrix does not define a finite root system")
     return sorted(known, key=lambda a: (a.height, a.coeffs))
 
 

@@ -5,6 +5,10 @@ coordinates, without touching the package's Cartan-matrix enumeration,
 and compared after translating simple-root coefficient vectors into the
 same coordinates.
 
+Height-bounded enumeration: the package's level-by-level closure of the
+simple roots with the height guard that used to be its only test of
+finite type.
+
 Root arithmetic: the root-string, structure-constant, bracket-identity,
 eligible-pair and Jacobi computations written with `Root` objects,
 `Fraction` inner products and dict-based brackets, the slow paths that
@@ -17,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from flagdomains.chevalley import ChevalleyConstants
-from flagdomains.rootsys import coroot_coefficients
+from flagdomains.rootsys import Root, coroot_coefficients
 
 
 def euclid_simple_roots(family: str, rank: int) -> list[tuple[int, ...]]:
@@ -99,6 +103,33 @@ def euclid_cartan_integer(a: tuple[int, ...], b: tuple[int, ...]) -> int:
     val = Fraction(2 * dot_ab, dot_bb)
     assert val.denominator == 1
     return int(val)
+
+
+def positive_roots_within(cartan, max_height: int = 64) -> list[Root] | None:
+    """The positive roots of a Cartan matrix, or None past ``max_height``."""
+    r = len(cartan)
+    simples = [Root(tuple(1 if j == i else 0 for j in range(r))) for i in range(r)]
+    known: set[Root] = set(simples)
+    current: set[Root] = set(simples)
+    height = 1
+    while current:
+        nxt: set[Root] = set()
+        for a in current:
+            for i, s in enumerate(simples):
+                pairing = sum(c * cartan[j][i] for j, c in enumerate(a.coeffs))
+                down = 0
+                probe = a - s
+                while probe in known:
+                    down += 1
+                    probe = probe - s
+                if down - pairing >= 1 and a + s not in known:
+                    nxt.add(a + s)
+        known |= nxt
+        current = nxt
+        height += 1
+        if height > max_height:
+            return None
+    return sorted(known, key=lambda a: (a.height, a.coeffs))
 
 
 def reference_string(rs, a, b) -> tuple[int, int, tuple]:

@@ -190,29 +190,24 @@ def test_c10_group_formulas_and_dimension():
 
 
 def test_c11_levi_suite():
+    def modulus(k, c):
+        unit = [1 if i == k else 0 for i in range(3)]
+        return {"c": c, "z": unit, "zbar": unit}
+
     def ball(sign):
-        return DefiningFunction.from_callable(
-            3,
-            lambda z: sign * (float(np.sum(np.abs(z) ** 2).real) - 1.0),
-            [1, 0, 0],
-        )
+        terms = [modulus(k, sign) for k in range(3)] + [{"c": -sign}]
+        return DefiningFunction.from_polynomial(3, [1, 0, 0], terms)
 
     inside = levi_analyze(ball(1.0))
     assert inside.negatives == 0 and not inside.pseudoconcave_point
-    assert np.allclose(inside.eigenvalues, [1.0, 1.0], atol=1e-6)
+    assert np.allclose(inside.eigenvalues, [1.0, 1.0], rtol=0, atol=1e-12)
     outside = levi_analyze(ball(-1.0))
     assert outside.negatives == 2 and outside.pseudoconcave_point
-    assert np.allclose(outside.eigenvalues, [-1.0, -1.0], atol=1e-6)
+    assert np.allclose(outside.eigenvalues, [-1.0, -1.0], rtol=0, atol=1e-12)
     lam2, lam3 = -2.0, 3.0
-    normal = levi_analyze(
-        DefiningFunction.from_callable(
-            3,
-            lambda z: float(
-                2 * z[0].real + lam2 * abs(z[1]) ** 2 + lam3 * abs(z[2]) ** 2
-            ),
-            [0, 0, 0],
-        )
-    )
+    # 2 Re z_1 + lam2 |z_2|^2 + lam3 |z_3|^2
+    terms = [{"c": 2, "z": [1, 0, 0]}, modulus(1, lam2), modulus(2, lam3)]
+    normal = levi_analyze(DefiningFunction.from_polynomial(3, [0, 0, 0], terms))
     assert normal.negatives == 1 and normal.pseudoconcave_point
-    assert np.allclose(normal.eigenvalues, [lam2, lam3], atol=1e-6)
-    done(11, "Levi signatures for ball, complement and normal form within 1e-6")
+    assert np.allclose(normal.eigenvalues, [lam2, lam3], rtol=0, atol=1e-12)
+    done(11, "Levi signatures for ball, complement and normal form within 1e-12")

@@ -1,10 +1,17 @@
 """Command line behavior: payloads, exit codes, determinism, round trips."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import flagdomains
 from flagdomains.cli import EXIT_CLOSED_STDOUT, main
@@ -241,3 +248,84 @@ def test_rank_bound_comes_before_enumeration():
     )
     assert proc.returncode == 4
     assert proc.stdout == "" and "Traceback" not in proc.stderr
+
+
+MALFORMED_LEVI = '{"n": 2, "z0": [[0, 0], [1, 0]], "terms": %s}'
+PERIOD_W2 = ["period", "--weight", "2", "--h", "1,1,1"]
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["describe", "--cartan", "5"], "list of integer rows"),
+        (["describe", "--cartan", "[1,2]"], "list of integer rows"),
+        (["levi", "--spec", '{"n": 2, "z0": 5, "terms": []}'], "z0 must be"),
+        (["levi", "--spec", MALFORMED_LEVI % "[5]"], "terms must be"),
+        (["levi", "--spec", MALFORMED_LEVI % '[{"c": 1, "z": 5}]'], "exponents must be"),
+        (
+            ["levi", "--spec", MALFORMED_LEVI % '[{"c": 1, "z": [-1, 0]}, {"c": 1, "z": [0, 1]}]'],
+            "negative exponent meets a zero coordinate",
+        ),
+        (
+            ["levi", "--spec", '{"n": 1, "z0": [1e200], "terms": [{"c": 1e200, "z": [1], "zbar": [1]}]}'],
+            "derivatives at z0 are not finite",
+        ),
+        (["levi", "--spec", '{"n": [2], "z0": [0, 0], "terms": []}'], "n must be an integer"),
+        (PERIOD_W2 + ["--degeneration", "5"], "must be a JSON object"),
+        (PERIOD_W2 + ["--degeneration", '{"kind": "I", "p0": "x"}'], "p0 must be an integer"),
+    ],
+    ids=["cartan-scalar", "cartan-flat", "z0-scalar", "term-not-object",
+         "exponent-not-list", "negative-exponent-at-zero", "derivative-overflow",
+         "n-not-integer", "degeneration-scalar", "pivot-not-integer"],
+)
+def test_malformed_input_exits_2_without_traceback(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
+def test_vacuous_theorem1_verdict(capsys):
+    # grading (2,2) makes every root compact: no noncompact root constrains
+    # the sweep, so every compact root is a witness and the verdict is true
+    code, out, _ = run_cli(capsys, "theorem1", "--family", "A", "--rank", "2",
+                           "--grading", "2,2")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["satisfied"] is True
+    assert doc["noncompact_negatives"] == [] and doc["noncompact_roots"] == []
+    assert doc["witnesses"] == doc["compact_roots"] and len(doc["witnesses"]) == 6
+
+
+def test_reproduce_examples_script_runs():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_examples.py"
+    proc = subprocess.run(
+        [sys.executable, str(script)],
+        capture_output=True, text=True, env=child_env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "== Levi form on the unit sphere from inside" in proc.stdout
+
+
+@given(
+    rows=st.integers(1, 6).flatmap(
+        lambda r: st.lists(
+            st.lists(st.integers(-3, 2), min_size=r, max_size=r), min_size=r, max_size=r
+        )
+    ),
+    two_on_diagonal=st.booleans(),
+)
+@settings(max_examples=100, deadline=None)
+def test_any_small_integer_matrix_ends_cleanly_in_bounded_time(rows, two_on_diagonal):
+    cartan = [
+        [2 if two_on_diagonal and i == j else v for j, v in enumerate(row)]
+        for i, row in enumerate(rows)
+    ]
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["describe", "--cartan", json.dumps(cartan)])
+    assert time.perf_counter() - start < 2.0
+    assert code in (0, 2)
+    assert (code == 0) == (err.getvalue() == "")

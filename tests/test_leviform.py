@@ -1,19 +1,50 @@
-"""Finite-difference Levi form analysis."""
+"""Levi form analysis from closed-form Wirtinger derivatives."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from levi_oracle import fd_levi_analyze, polynomial_value
 
 from flagdomains.leviform import DefiningFunction, levi_analyze
 
 
+def unit(n, k):
+    return [1 if i == k else 0 for i in range(n)]
+
+
+def modulus_terms(coeffs):
+    """Terms of sum_k c_k |z_k|^2."""
+    n = len(coeffs)
+    return [{"c": c, "z": unit(n, k), "zbar": unit(n, k)} for k, c in enumerate(coeffs)]
+
+
+def hermitian_terms(h):
+    """Terms of conj(z)^T H z = sum_{k,l} H_kl conj(z_k) z_l."""
+    n = len(h)
+    return [
+        {"c": [h[k, ell].real, h[k, ell].imag], "z": unit(n, ell), "zbar": unit(n, k)}
+        for k in range(n)
+        for ell in range(n)
+    ]
+
+
+def linear_terms(b):
+    """Terms of 2 Re(b . z), whose Wirtinger gradient is b everywhere."""
+    n = len(b)
+    return [{"c": [2 * bk.real, 2 * bk.imag], "z": unit(n, k)} for k, bk in enumerate(b)]
+
+
 def sphere(n, sign=1.0, radius=1.0):
-    return DefiningFunction.from_callable(
-        n,
-        lambda z: sign * (float(np.sum(np.abs(z) ** 2).real) - radius),
-        [radius] + [0.0] * (n - 1),
+    return DefiningFunction.from_polynomial(
+        n, [radius] + [0.0] * (n - 1), modulus_terms([sign] * n) + [{"c": -sign * radius}]
     )
+
+
+def normal_form(lam2, lam3, scale=1.0):
+    """scale * (2 Re z_1 + lam2 |z_2|^2 + lam3 |z_3|^2) as terms."""
+    linear = linear_terms(np.array([scale, 0, 0], dtype=complex))
+    return linear + modulus_terms([0, scale * lam2, scale * lam3])
 
 
 def test_ball_boundary_not_pseudoconcave():
@@ -21,32 +52,27 @@ def test_ball_boundary_not_pseudoconcave():
     assert len(report.eigenvalues) == 2
     assert report.negatives == 0
     assert not report.pseudoconcave_point
-    assert np.allclose(report.eigenvalues, [1.0, 1.0], atol=1e-6)
+    assert np.allclose(report.eigenvalues, [1.0, 1.0], rtol=0, atol=1e-12)
 
 
 def test_ball_complement_pseudoconcave():
     report = levi_analyze(sphere(3, sign=-1.0))
     assert report.negatives == 2
     assert report.pseudoconcave_point
-    assert np.allclose(report.eigenvalues, [-1.0, -1.0], atol=1e-6)
+    assert np.allclose(report.eigenvalues, [-1.0, -1.0], rtol=0, atol=1e-12)
 
 
 def test_normal_form_mixed_signature():
     lam2, lam3 = -2.5, 0.75
-
-    def phi(z):
-        return float(2 * z[0].real + lam2 * abs(z[1]) ** 2 + lam3 * abs(z[2]) ** 2)
-
-    report = levi_analyze(DefiningFunction.from_callable(3, phi, [0, 0, 0]))
+    f = DefiningFunction.from_polynomial(3, [0, 0, 0], normal_form(lam2, lam3))
+    report = levi_analyze(f)
     assert report.negatives == 1
     assert report.pseudoconcave_point
-    assert np.allclose(report.eigenvalues, [lam2, lam3], atol=1e-6)
+    assert np.allclose(report.eigenvalues, [lam2, lam3], rtol=0, atol=1e-12)
 
 
 def test_vanishing_gradient_rejected():
-    f = DefiningFunction.from_callable(
-        2, lambda z: float(np.sum(np.abs(z) ** 2).real), [0, 0]
-    )
+    f = DefiningFunction.from_polynomial(2, [0, 0], modulus_terms([1, 1]))
     with pytest.raises(ValueError):
         levi_analyze(f)
 
@@ -56,28 +82,18 @@ def test_quadratic_hessian_accuracy():
     n = 3
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     herm = 0.5 * (a + a.conj().T)
-
-    def phi(z):
-        w = np.asarray(z)
-        return float((2 * w[0].real) + (w.conj() @ herm @ w).real)
-
-    report = levi_analyze(DefiningFunction.from_callable(n, phi, [0] * n))
+    terms = linear_terms(np.array(unit(n, 0), dtype=complex)) + hermitian_terms(herm)
+    report = levi_analyze(DefiningFunction.from_polynomial(n, [0] * n, terms))
     # restrict exactly: the plane is w[0] = 0
     exact = np.linalg.eigvalsh(herm[1:, 1:])
-    assert np.allclose(sorted(report.eigenvalues), sorted(exact), atol=1e-6)
+    assert np.allclose(sorted(report.eigenvalues), sorted(exact), rtol=0, atol=1e-12)
 
 
 @given(scale=st.floats(min_value=0.1, max_value=10.0))
 @settings(max_examples=20, deadline=None)
 def test_signature_invariant_under_positive_scaling(scale):
-    lam2, lam3 = -1.5, 2.0
-
-    def phi(z):
-        return float(
-            scale * (2 * z[0].real + lam2 * abs(z[1]) ** 2 + lam3 * abs(z[2]) ** 2)
-        )
-
-    report = levi_analyze(DefiningFunction.from_callable(3, phi, [0, 0, 0]))
+    terms = normal_form(-1.5, 2.0, scale)
+    report = levi_analyze(DefiningFunction.from_polynomial(3, [0, 0, 0], terms))
     assert report.negatives == 1
     assert sum(1 for v in report.eigenvalues if v > 0) == 1
 
@@ -85,20 +101,15 @@ def test_signature_invariant_under_positive_scaling(scale):
 def test_signature_invariant_under_unitary_change():
     lam = np.array([-1.0, 0.5, 2.0])
     rng = np.random.default_rng(11)
-
-    def base(z):
-        w = np.asarray(z)
-        return float(2 * w[0].real + np.sum(lam * np.abs(w) ** 2))
-
-    base_report = levi_analyze(DefiningFunction.from_callable(3, base, [0, 0, 0]))
+    # base(w) = 2 Re w_1 + sum_k lam_k |w_k|^2
+    base_terms = linear_terms(np.array([1, 0, 0], dtype=complex)) + modulus_terms(lam)
+    base_report = levi_analyze(DefiningFunction.from_polynomial(3, [0, 0, 0], base_terms))
     for _ in range(5):
         raw = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         u, _ = np.linalg.qr(raw)
-
-        def rotated(z, u=u):
-            return base(u @ np.asarray(z))
-
-        report = levi_analyze(DefiningFunction.from_callable(3, rotated, [0, 0, 0]))
+        # base(u z): 2 Re (u z)_1 + conj(z)^T (u^H diag(lam) u) z
+        terms = linear_terms(u[0]) + hermitian_terms(u.conj().T @ np.diag(lam) @ u)
+        report = levi_analyze(DefiningFunction.from_polynomial(3, [0, 0, 0], terms))
         assert report.negatives + sum(1 for v in report.eigenvalues if v > 0) == 2
         # full signature on the respective tangent planes can differ only by
         # the plane; the count of negative directions of the ambient form is
@@ -107,15 +118,17 @@ def test_signature_invariant_under_unitary_change():
 
 
 def test_polynomial_mode_matches_callback():
-    terms = [
-        {"c": 1, "z": [1, 0, 0], "zbar": [1, 0, 0]},
-        {"c": 1, "z": [0, 1, 0], "zbar": [0, 1, 0]},
-        {"c": 1, "z": [0, 0, 1], "zbar": [0, 0, 1]},
-        {"c": -1},
-    ]
-    f = DefiningFunction.from_polynomial(3, [1, 0, 0], terms)
+    f = sphere(3)
+
+    def ball(z):
+        return float(np.sum(np.abs(z) ** 2).real) - 1.0
+
+    rng = np.random.default_rng(3)
+    for _ in range(10):
+        z = rng.normal(size=3) + 1j * rng.normal(size=3)
+        assert abs(polynomial_value(f)(z) - ball(z)) < 1e-12
     report = levi_analyze(f)
-    direct = levi_analyze(sphere(3))
+    direct = fd_levi_analyze(ball, f.z0)
     assert np.allclose(report.eigenvalues, direct.eigenvalues, atol=1e-9)
     assert report.negatives == direct.negatives
 
@@ -123,3 +136,62 @@ def test_polynomial_mode_matches_callback():
 def test_polynomial_validation():
     with pytest.raises(ValueError):
         DefiningFunction.from_polynomial(2, [0, 0], [{"c": 1, "z": [1], "zbar": [0, 0]}])
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8))
+@settings(max_examples=40, deadline=None)
+def test_hermitian_form_plus_linear_term_is_exact(seed, n):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    herm = 0.5 * (a + a.conj().T)
+    b = rng.normal(size=n) + 1j * rng.normal(size=n)
+    # the tangent plane is {w : b . w = 0}; an orthonormal basis of it is the
+    # complement of conj(b) in a QR factorization, independent of the SVD
+    q = np.linalg.qr(np.column_stack([b.conj(), np.eye(n)[:, : n - 1]]))[0][:, 1:]
+    exact = np.linalg.eigvalsh(q.conj().T @ herm @ q)
+    norm = float(np.linalg.norm(herm))
+    # eigenvalues within the zero threshold are reported as 0.0; tested above
+    assume(np.min(np.abs(exact)) > 1e-5 * norm)
+    f = DefiningFunction.from_polynomial(n, [0] * n, linear_terms(b) + hermitian_terms(herm))
+    report = levi_analyze(f)
+    assert np.allclose(report.eigenvalues, exact, rtol=0, atol=1e-12 * (1 + norm))
+    assert report.negatives == int(np.sum(exact < 0))
+    assert abs(report.gradient_norm - np.linalg.norm(b)) <= 1e-12 * np.linalg.norm(b)
+
+
+def random_polynomial(rng, n):
+    """A real polynomial P + conj P of degree up to 4, some exponents negative."""
+    terms = []
+    for _ in range(int(rng.integers(3, 8))):
+        e = [int(v) for v in rng.integers(-1, 3, size=n)]
+        f = [int(v) for v in rng.integers(0, 3, size=n)]
+        c = complex(rng.normal(), rng.normal())
+        terms.append({"c": [c.real, c.imag], "z": e, "zbar": f})
+        terms.append({"c": [c.real, -c.imag], "z": f, "zbar": e})
+    return terms
+
+
+def test_closed_form_matches_finite_differences():
+    rng = np.random.default_rng(2024)
+    for _ in range(30):
+        n = int(rng.integers(2, 5))
+        # off the origin, every coordinate of modulus in [0.8, 1.2]; the
+        # tolerance bounds the oracle's own truncation error, which grows
+        # with the degree and with 1/|z| for the negative exponents
+        z0 = rng.uniform(0.8, 1.2, size=n) * np.exp(2j * np.pi * rng.uniform(size=n))
+        f = DefiningFunction.from_polynomial(n, list(z0), random_polynomial(rng, n))
+        report = levi_analyze(f)
+        oracle = fd_levi_analyze(polynomial_value(f), z0)
+        scale = 1.0 + max(abs(v) for v in report.eigenvalues)
+        assert np.allclose(report.eigenvalues, oracle.eigenvalues, rtol=0, atol=1e-6 * scale)
+        assert abs(report.gradient_norm - oracle.gradient_norm) <= 1e-6 * report.gradient_norm
+
+
+def test_negative_exponent_at_a_zero_coordinate_rejected():
+    terms = [{"c": 1, "z": [-1, 0]}, {"c": 1, "z": [0, 1]}]
+    with pytest.raises(ValueError, match="negative exponent"):
+        levi_analyze(DefiningFunction.from_polynomial(2, [0, 1], terms))
+    # the power rule holds at any nonzero point: Re(1/z_1) + |z_2|^2 at (1, 0)
+    terms = [{"c": 1, "z": [-1, 0]}, {"c": 1, "z": [0, 1], "zbar": [0, 1]}]
+    report = levi_analyze(DefiningFunction.from_polynomial(2, [1, 0], terms))
+    assert report.eigenvalues == (1.0,) and report.gradient_norm == 0.5

@@ -1,15 +1,22 @@
 """Root enumeration, strings, gradings and parabolic data."""
 
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from itertools import islice, permutations
+from itertools import islice, permutations, product
 
 from conftest import CLASSICAL, ORACLE_SYSTEMS, RELABELLED_B4, relabelled_cartan
-from lie_oracles import euclid_cartan_integer, euclid_roots, reference_string, to_euclid
+from lie_oracles import (
+    euclid_cartan_integer,
+    euclid_roots,
+    positive_roots_within,
+    reference_string,
+    to_euclid,
+)
 
 from flagdomains.chevalley import structure_constants
 from flagdomains.rootsys import (
@@ -271,6 +278,48 @@ def test_invalid_cartan_matrices():
     with pytest.raises(ValueError):
         # affine A1 tilde, not finite type
         from_cartan_matrix([[2, -2], [-2, 2]])
+
+
+@pytest.mark.parametrize("rank", [3, 4])
+def test_nonfinite_type_rejected_before_enumeration(rank):
+    # all off-diagonals -2: symmetrizable, not of finite type; enumerating the
+    # rank-4 matrix up to the old height guard took over 30 s
+    cartan = [[2 if i == j else -2 for j in range(rank)] for i in range(rank)]
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="does not define a finite root system"):
+        from_cartan_matrix(cartan)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("family,rank", ORACLE_SYSTEMS)
+def test_classical_systems_pass_the_finite_type_check(family, rank):
+    rs = build_root_system(LieType(family, rank))
+    assert len(rs.roots) == EXPECTED_COUNTS[family](rank)
+
+
+def test_g2_passes_the_finite_type_check():
+    g2 = from_cartan_matrix([[2, -1], [-3, 2]])
+    assert g2.lie_type is None and len(g2.roots) == 12
+
+
+def test_finite_type_check_agrees_with_enumeration():
+    verdicts = []
+    for a, b in product((0, -1, -2, -3), repeat=2):
+        if (a == 0) != (b == 0):
+            continue  # not a Cartan matrix: the zero pattern is not symmetric
+        cartan = [[2, a], [b, 2]]
+        enumerated = positive_roots_within(cartan)
+        try:
+            rs = from_cartan_matrix(cartan)
+        except ValueError:
+            rs = None
+        assert (rs is None) == (enumerated is None), cartan
+        if rs is not None:
+            assert sorted(rs.positive_roots) == sorted(enumerated)
+        verdicts.append(rs is not None)
+    # A1xA1, A2, and B2 and G2 in both orientations; affine A1 and three
+    # hyperbolic matrices
+    assert verdicts.count(True) == 6 and verdicts.count(False) == 4
 
 
 def test_override_matches_family(c2, so5_labeled):
