@@ -28,13 +28,11 @@ from .hodge import (
     limit_diamond,
     period_report,
     verify_sl2_cayley_forms,
-    weight_eigenvalues,
 )
 from .leviform import DefiningFunction, LeviReport, levi_analyze
 from .matrixrep import (
     MatrixRealization,
     NumericCheck,
-    cayley_matrix,
     flag_residual,
     fundamental_rep,
     verify_cayley_conjugation,
@@ -51,7 +49,6 @@ from .rootsys import (
     build_root_system,
     cartan_integer,
     from_cartan_matrix,
-    graded_pieces,
     grading,
     parabolic_data,
     root,

@@ -34,7 +34,7 @@ from .matrixrep import (
     verify_fixed_point,
 )
 from .realform import classify_roots
-from .rootsys import LieType, build_root_system, from_cartan_matrix, grading
+from .rootsys import LieType, build_root_system, exact_int, from_cartan_matrix, grading
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -95,23 +95,16 @@ def _merged(args: argparse.Namespace, keys: tuple[str, ...]) -> dict:
     return merged
 
 
-def _as_int(value, what: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{what} must be an integer") from exc
-
-
 def _parse_int_list(value, what: str) -> tuple[int, ...]:
     if value is None:
         raise ValueError(f"missing {what}")
-    if isinstance(value, str):
-        value = [p for p in value.replace(" ", "").split(",") if p]
-    if isinstance(value, list):
-        try:
-            return tuple(int(v) for v in value)
-        except (TypeError, ValueError):
-            pass
+    try:
+        if isinstance(value, str):
+            return tuple(int(p) for p in value.replace(" ", "").split(",") if p)
+        if isinstance(value, list):
+            return tuple(exact_int(v) for v in value)
+    except ValueError:
+        pass
     raise ValueError(f"{what} must be a comma separated integer list")
 
 
@@ -126,14 +119,15 @@ def _resolve_system(spec: dict):
         if isinstance(cartan, list) and len(cartan) > MAX_RANK:
             raise OutOfBoundsError(f"rank {len(cartan)} exceeds the bound {MAX_RANK}")
         rs = from_cartan_matrix(cartan)
-        if rank is not None and _as_int(rank, "--rank") != rs.rank:
+        if rank is not None and exact_int(rank, "--rank") != rs.rank:
             raise ValueError("--rank disagrees with the Cartan matrix size")
     else:
         if family is None or rank is None:
             raise ValueError("need --family and --rank, or --cartan")
-        rs = build_root_system(LieType(str(family).upper(), _as_int(rank, "--rank")))
-    if rs.rank > MAX_RANK:
-        raise OutOfBoundsError(f"rank {rs.rank} exceeds the bound {MAX_RANK}")
+        t = LieType(str(family).upper(), exact_int(rank, "--rank"))
+        if t.rank > MAX_RANK:
+            raise OutOfBoundsError(f"rank {t.rank} exceeds the bound {MAX_RANK}")
+        rs = build_root_system(t)
     return rs
 
 
@@ -194,7 +188,7 @@ def _cmd_period(args) -> int:
     spec = _merged(args, ("weight", "h", "degeneration"))
     if spec.get("weight") is None:
         raise ValueError("missing --weight")
-    weight = _as_int(spec["weight"], "--weight")
+    weight = exact_int(spec["weight"], "--weight")
     if not 0 <= weight <= MAX_WEIGHT:
         raise OutOfBoundsError(f"weight must lie in [0, {MAX_WEIGHT}]")
     hvals = _parse_int_list(spec.get("h"), "--h")
@@ -208,7 +202,8 @@ def _cmd_period(args) -> int:
             deg = _parse_json(deg, "--degeneration")
         if not isinstance(deg, dict):
             raise ValueError("--degeneration must be a JSON object")
-        only = DegenerationSpec(kind=deg.get("kind"), p0=deg.get("p0"))
+        p0 = deg.get("p0")
+        only = DegenerationSpec(deg.get("kind"), None if p0 is None else exact_int(p0, "p0"))
     payload = period_report(h, only)
     pretty = [
         f"group: {payload['group']['family']} {tuple(payload['group']['parameters'])}"
@@ -322,7 +317,7 @@ def _cmd_levi(args) -> int:
         raise ValueError("levi needs --input FILE or --spec JSON")
     if not isinstance(data, dict):
         raise BadJSONError("levi input must be a JSON object")
-    n = _as_int(data.get("n", 0), "n")
+    n = exact_int(data.get("n", 0), "n")
     if not 1 <= n <= MAX_LEVI_N:
         raise OutOfBoundsError(f"dimension n must lie in [1, {MAX_LEVI_N}]")
     f = DefiningFunction.from_polynomial(n, data.get("z0"), data.get("terms"))

@@ -13,9 +13,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .matrixrep import NumericCheck, make_check, shear_product
+from .matrixrep import NumericCheck, make_check
+from .rootsys import exact_int
 
 TOL_SL2 = 1e-12
 
@@ -48,7 +47,7 @@ class HodgeNumbers:
     @classmethod
     def from_descending(cls, weight: int, values) -> "HodgeNumbers":
         """Build from [h^{n,0}, ..., h^{0,n}] as used on the command line."""
-        vals = tuple(int(v) for v in values)
+        vals = tuple(exact_int(v) for v in values)
         return cls(weight=weight, h=tuple(reversed(vals)))
 
     def hp(self, p: int) -> int:
@@ -121,15 +120,6 @@ def grading_values_on_V(h: HodgeNumbers) -> dict[int, Fraction]:
     """Eigenvalue (2p - n)/2 of the Hodge grading element in bidegree (p, n-p)."""
     n = h.weight
     return {p: Fraction(2 * p - n, 2) for p in range(n + 1)}
-
-
-def weight_eigenvalues(h: HodgeNumbers) -> tuple[Fraction, ...]:
-    """Grading eigenvalues repeated with multiplicity, descending."""
-    values = grading_values_on_V(h)
-    out: list[Fraction] = []
-    for p in range(h.weight, -1, -1):
-        out.extend([values[p]] * h.hp(p))
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -382,6 +372,8 @@ def _sl2_model(kind: str):
     Type I uses the two-dimensional representation (the highest vector has
     Y-eigenvalue 1), type II the three-dimensional one (eigenvalue 2).
     """
+    import numpy as np
+
     if kind == "I":
         nminus = np.array([[0, 0], [1, 0]], dtype=complex)
         nplus = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -397,11 +389,19 @@ def _sl2_model(kind: str):
 
 def sl2_cayley_checks(kind: str, tolerance: float = TOL_SL2) -> list[NumericCheck]:
     """All closed-form identities for d = exp(i pi/4 (N+ + N)), one check each."""
+    import numpy as np
+
     nplus, y, nmat = _sl2_model(kind)
-    # (i N+, Y, -i N) is an sl2 triple, so d is the rotation by pi/4 in it
+
+    def shear_product(t, s):
+        # exp(t e) exp(-s f) exp(t e) for e = i N+, f = -i N; e^3 = f^3 = 0
+        outer, inner = [np.eye(len(y)) + m + m @ m / 2 for m in (t * 1j * nplus, s * 1j * nmat)]
+        return outer @ inner @ outer
+
+    # (i N+, Y, -i N) is an sl2 triple, so the shear product with
+    # t = tan(theta/2), s = sin(theta) is the rotation by theta = pi/4 in it
     t, s = math.tan(math.pi / 8), math.sin(math.pi / 4)
-    d = shear_product(1j * nplus, -1j * nmat, t, s)
-    d_inv = shear_product(1j * nplus, -1j * nmat, -t, -s)
+    d, d_inv = shear_product(t, s), shear_product(-t, -s)
     dim = d.shape[0]
     v = np.zeros(dim, dtype=complex)
     v[0] = 1.0

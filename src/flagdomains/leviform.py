@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
+from .rootsys import exact_int
 
 GRADIENT_TOL = 1e-8
 ZERO_EIGEN_REL = 1e-6
@@ -34,7 +34,7 @@ def _complex(value, what: str) -> complex:
 def _exponents(value, n: int) -> tuple[int, ...]:
     if isinstance(value, (list, tuple)) and len(value) == n:
         try:
-            return tuple(int(v) for v in value)
+            return tuple(exact_int(v) for v in value)
         except (TypeError, ValueError):
             pass
     raise ValueError("term exponents must be length-n lists of integers")
@@ -57,6 +57,8 @@ class DefiningFunction:
         list of numbers or [re, im] pairs. The sum is assumed real valued;
         its real part is used.
         """
+        import numpy as np
+
         if not isinstance(z0, (list, tuple, np.ndarray)) or len(z0) != n:
             raise ValueError("z0 must be a length-n list of [re, im] pairs or numbers")
         if not isinstance(terms, (list, tuple)) or not all(
@@ -115,6 +117,8 @@ def _derivatives(f: DefiningFunction) -> tuple[np.ndarray, np.ndarray]:
     Re P = (P + conj P)/2 the gradient is (P_k + conj(P_kbar))/2 and the
     Hessian is the Hermitian part of the mixed table P_{k lbar}.
     """
+    import numpy as np
+
     n = f.n
     # Python complex: 0 ** -1 raises ZeroDivisionError where numpy gives inf
     z = [complex(v) for v in f.z0]
@@ -145,6 +149,8 @@ def levi_analyze(f: DefiningFunction) -> LeviReport:
     since the level set is not a smooth boundary there. Eigenvalues below
     1e-6 of the Hessian norm are reported as exact zeros.
     """
+    import numpy as np
+
     try:
         grad, hess = _derivatives(f)
     except ZeroDivisionError:

@@ -1,30 +1,30 @@
-"""Fundamental matrix realizations and Cayley transform certificates.
+"""Fundamental matrix realizations and exact Cayley transform certificates.
 
 sl(r+1) acts on C^{r+1}; sp(2r) preserves J = [[0, I], [-I, 0]]; so(2r+1)
 and so(2r) preserve the symmetric pairing with blocks [[0, I], [I, 0]]
 plus a trailing 1 in the odd case. Only the simple root vectors are
 written down by hand; every other root vector is produced by bracketing
 and dividing by the structure constant, so the realization reproduces the
-abstract table sign for sign. All entries are dyadic rationals, hence
-exact in double precision.
+abstract table sign for sign. A matrix is a sparse map from (row, column)
+to an exact int or Fraction; every root vector has at most two nonzero
+entries, each in {+-1/2, +-1, +-2}.
 
-The numeric checks certify that conjugation by the squared Cayley matrix
-of a compact root maps root vectors onto string endpoints, and that the
-conjugated neighborhood generators remain block-triangular for the
-grading filtration, which is membership in the parabolic subgroup.
-Every root vector is nilpotent, so each group element is a product of
-unipotent factors summed as terminating power series; the squared Cayley
-matrix is the Weyl element exp(x^b) exp(-x^{-b}) exp(x^b), whose unit
-shears keep every entry dyadic and every conjugation bit-exact.
+The certificates conjugate by the squared Cayley matrix of a compact root
+b, the Weyl element w_b = exp(x^b) exp(-x^{-b}) exp(x^b), Tits' lift of
+the reflection in b. In this weight basis w_b is monomial (Steinberg,
+Lectures on Chevalley Groups, section 3): it sends e_j to s_j e_{p(j)} for
+a permutation p and scalars s_j in {+-1/2, +-1, +-2}, kept per root as p
+and 2 s. Ad(w_b) moves entry (k, l) of a matrix to (p(k), p(l)) scaled by
+s_k / s_l, so a conjugation check compares a few integers, and the
+fixed-point check, with eps read exactly from its decimal text, is exact.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
+from functools import cached_property
 
 from .chevalley import ChevalleyConstants, structure_constants
 from .concavity import witness_alphas
@@ -33,12 +33,10 @@ from .rootsys import (
     Root,
     RootSystem,
     check_grading,
-    coroot_coefficients,
     grading_cartan_coefficients,
     root_string,
 )
 
-TOL_BRACKET = 1e-12
 TOL_CONJUGATION = 1e-9
 
 DEFAULT_MAX_RANK = 6
@@ -78,24 +76,111 @@ def make_check(claim, residual, tolerance, sign=None, info=None) -> NumericCheck
     )
 
 
+def product(a: dict, b: dict) -> dict:
+    """The product of two sparse matrices, without zero entries."""
+    rows: dict[int, list] = {}
+    for (k, l), v in b.items():
+        rows.setdefault(k, []).append((l, v))
+    out: dict = {}
+    for (i, k), u in a.items():
+        for l, v in rows.get(k, ()):
+            out[i, l] = out.get((i, l), 0) + u * v
+    return {key: v for key, v in out.items() if v}
+
+
+def _sum(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for key, v in b.items():
+        out[key] = out.get(key, 0) + v
+    return {key: v for key, v in out.items() if v}
+
+
+def _scaled(m: dict, c) -> dict:
+    return {key: c * v for key, v in m.items()} if c else {}
+
+
+def _bracket(m: dict, n: dict, c: int) -> dict:
+    """(mn - nm) / c."""
+    return _scaled(_sum(product(m, n), _scaled(product(n, m), -1)), Fraction(1, c))
+
+
+def _exp_minus_one(x: dict, dim: int) -> dict:
+    """exp(x) - 1 of a nilpotent dim x dim matrix, its terminating series."""
+    out, term = {}, x
+    for k in range(2, dim + 2):
+        out = _sum(out, term)
+        term = _scaled(product(term, x), Fraction(1, k))
+        if not term:
+            return out
+    raise ValueError("matrix is not nilpotent")
+
+
+def exp_nilpotent(x: dict, dim: int) -> dict:
+    """exp(x) of a nilpotent dim x dim matrix, summed as its terminating
+    power series; ValueError when x is not nilpotent."""
+    return _sum({(i, i): 1 for i in range(dim)}, _exp_minus_one(x, dim))
+
+
+def _twice(v) -> int:
+    d = 2 * Fraction(v)
+    if d.denominator != 1:
+        raise ArithmeticError(f"{v} is not a multiple of 1/2")
+    return int(d)
+
+
+@dataclass(frozen=True)
+class WeylElement:
+    """A monomial matrix: e_j goes to (twice[j] / 2) e_{perm[j]}."""
+
+    perm: tuple[int, ...]
+    twice: tuple[int, ...]
+
+    def conjugate(self, m: dict) -> dict:
+        """Ad(w) m = w m w^{-1}."""
+        p, t = self.perm, self.twice
+        return {(p[k], p[l]): v * Fraction(t[k], t[l]) for (k, l), v in m.items()}
+
+    def matches(self, m2: dict, target2: dict, sign: int) -> bool:
+        """Whether Ad(w) m = sign * target, given twice their entries.
+
+        Entry by entry this reads target[p(k), p(l)] s_l = sign m[k, l] s_k,
+        four times which is an identity of integers.
+        """
+        p, t = self.perm, self.twice
+        return len(m2) == len(target2) and all(
+            target2.get((p[k], p[l]), 0) * t[l] == sign * v * t[k]
+            for (k, l), v in m2.items()
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class MatrixRealization:
-    """Root vectors and simple coroots of a classical algebra as matrices."""
+    """Root vectors and simple coroots of a classical algebra as sparse
+    exact matrices."""
 
     rs: RootSystem
     cc: ChevalleyConstants
     dim: int
     x: dict
     h: dict
+    _weyl: dict = field(default_factory=dict, init=False, repr=False)
 
-    def cartan_element(self, a: Root) -> np.ndarray:
-        """The coroot of a as a matrix, an integer combination of the H^{s_i}."""
-        coeffs = coroot_coefficients(self.rs, a)
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for s, c in zip(self.rs.simple_roots(), coeffs):
-            if c:
-                out += c * self.h[s]
-        return out
+    @cached_property
+    def twice(self) -> dict:
+        """2 x^a for every root a, with int entries."""
+        return {a: {key: _twice(v) for key, v in m.items()} for a, m in self.x.items()}
+
+    def weyl(self, b: Root) -> WeylElement:
+        """w_b = exp(x^b) exp(-x^{-b}) exp(x^b), built once per root."""
+        if b not in self._weyl:
+            outer = exp_nilpotent(self.x[b], self.dim)
+            inner = exp_nilpotent(_scaled(self.x[-b], -1), self.dim)
+            w = product(product(outer, inner), outer)
+            cols = {j: (i, _twice(v)) for (i, j), v in w.items()}
+            if len(cols) != len(w) or len(cols) != self.dim:
+                raise ArithmeticError("the Weyl element is not a monomial matrix")
+            self._weyl[b] = WeylElement(*zip(*(cols[j] for j in range(self.dim))))
+        return self._weyl[b]
 
     def grading_diagonal(self, e: GradingElement) -> tuple[Fraction, ...]:
         """Exact eigenvalues of the grading element on the representation."""
@@ -105,89 +190,56 @@ class MatrixRealization:
         for wk, s in zip(w, self.rs.simple_roots()):
             hs = self.h[s]
             for t in range(self.dim):
-                diag[t] += wk * int(round(hs[t, t].real))
+                diag[t] += wk * hs.get((t, t), 0)
         return tuple(diag)
 
 
-def _basis(n: int):
-    def e(i: int, j: int) -> np.ndarray:
-        m = np.zeros((n, n), dtype=complex)
-        m[i, j] = 1.0
-        return m
-
-    return e
-
-
 def _simple_sl(r: int):
-    n = r + 1
-    e = _basis(n)
     xs, ys, hs = [], [], []
     for k in range(r):
-        xs.append(e(k, k + 1))
-        ys.append(e(k + 1, k))
-        hs.append(e(k, k) - e(k + 1, k + 1))
-    return n, xs, ys, hs
+        xs.append({(k, k + 1): 1})
+        ys.append({(k + 1, k): 1})
+        hs.append({(k, k): 1, (k + 1, k + 1): -1})
+    return r + 1, xs, ys, hs
 
 
-def _first_type_generators(e, r: int, k: int):
-    # e_{k+1} - e_{k+2} on the paired basis u_1..u_r, v_1..v_r.
-    x = e(k, k + 1) - e(r + k + 1, r + k)
-    y = e(k + 1, k) - e(r + k, r + k + 1)
-    h = e(k, k) - e(k + 1, k + 1) - e(r + k, r + k) + e(r + k + 1, r + k + 1)
-    return x, y, h
+def _first_type(r: int):
+    # e_{k+1} - e_{k+2} on the paired basis u_1..u_r, v_1..v_r, for k < r - 1
+    ks = range(r - 1)
+    xs = [{(k, k + 1): 1, (r + k + 1, r + k): -1} for k in ks]
+    ys = [{(k + 1, k): 1, (r + k, r + k + 1): -1} for k in ks]
+    hs = [
+        {(k, k): 1, (k + 1, k + 1): -1, (r + k, r + k): -1, (r + k + 1, r + k + 1): 1} for k in ks
+    ]
+    return xs, ys, hs
 
 
 def _simple_sp(r: int):
-    n = 2 * r
-    e = _basis(n)
-    xs, ys, hs = [], [], []
-    for k in range(r - 1):
-        x, y, h = _first_type_generators(e, r, k)
-        xs.append(x)
-        ys.append(y)
-        hs.append(h)
+    xs, ys, hs = _first_type(r)
     # the long root 2 e_r
-    xs.append(e(r - 1, 2 * r - 1))
-    ys.append(e(2 * r - 1, r - 1))
-    hs.append(e(r - 1, r - 1) - e(2 * r - 1, 2 * r - 1))
-    return n, xs, ys, hs
+    xs.append({(r - 1, 2 * r - 1): 1})
+    ys.append({(2 * r - 1, r - 1): 1})
+    hs.append({(r - 1, r - 1): 1, (2 * r - 1, 2 * r - 1): -1})
+    return 2 * r, xs, ys, hs
 
 
 def _simple_so_odd(r: int):
-    n = 2 * r + 1
-    e = _basis(n)
-    xs, ys, hs = [], [], []
-    for k in range(r - 1):
-        x, y, h = _first_type_generators(e, r, k)
-        xs.append(x)
-        ys.append(y)
-        hs.append(h)
+    xs, ys, hs = _first_type(r)
     # the short root e_r; the asymmetric 2 keeps [x, y] equal to the coroot
-    xs.append(e(r - 1, 2 * r) - e(2 * r, 2 * r - 1))
-    ys.append(2 * (e(2 * r, r - 1) - e(2 * r - 1, 2 * r)))
-    hs.append(2 * (e(r - 1, r - 1) - e(2 * r - 1, 2 * r - 1)))
-    return n, xs, ys, hs
+    xs.append({(r - 1, 2 * r): 1, (2 * r, 2 * r - 1): -1})
+    ys.append({(2 * r, r - 1): 2, (2 * r - 1, 2 * r): -2})
+    hs.append({(r - 1, r - 1): 2, (2 * r - 1, 2 * r - 1): -2})
+    return 2 * r + 1, xs, ys, hs
 
 
 def _simple_so_even(r: int):
-    n = 2 * r
-    e = _basis(n)
-    xs, ys, hs = [], [], []
-    for k in range(r - 1):
-        x, y, h = _first_type_generators(e, r, k)
-        xs.append(x)
-        ys.append(y)
-        hs.append(h)
+    xs, ys, hs = _first_type(r)
     # the fork root e_{r-1} + e_r
-    xs.append(e(r - 2, 2 * r - 1) - e(r - 1, 2 * r - 2))
-    ys.append(e(2 * r - 1, r - 2) - e(2 * r - 2, r - 1))
-    hs.append(
-        e(r - 2, r - 2)
-        + e(r - 1, r - 1)
-        - e(2 * r - 2, 2 * r - 2)
-        - e(2 * r - 1, 2 * r - 1)
-    )
-    return n, xs, ys, hs
+    u, v = 2 * r - 2, 2 * r - 1
+    xs.append({(r - 2, v): 1, (r - 1, u): -1})
+    ys.append({(v, r - 2): 1, (u, r - 1): -1})
+    hs.append({(r - 2, r - 2): 1, (r - 1, r - 1): 1, (u, u): -1, (v, v): -1})
+    return 2 * r, xs, ys, hs
 
 
 _BUILDERS = {
@@ -196,25 +248,6 @@ _BUILDERS = {
     "C": _simple_sp,
     "D": _simple_so_even,
 }
-
-
-def invariant_form(rep: MatrixRealization) -> np.ndarray | None:
-    """The bilinear form the realization preserves; None for type A."""
-    t = rep.rs.lie_type
-    if t is None or t.family == "A":
-        return None
-    r = t.rank
-    n = rep.dim
-    m = np.zeros((n, n), dtype=complex)
-    if t.family == "C":
-        m[:r, r:] = np.eye(r)
-        m[r:, :r] = -np.eye(r)
-    else:
-        m[:r, r : 2 * r] = np.eye(r)
-        m[r : 2 * r, :r] = np.eye(r)
-        if t.family == "B":
-            m[2 * r, 2 * r] = 1.0
-    return m
 
 
 def fundamental_rep(
@@ -233,8 +266,8 @@ def fundamental_rep(
         cc = structure_constants(rs)
     dim, xs, ys, hs = _BUILDERS[t.family](t.rank)
     simples = rs.simple_roots()
-    x: dict[Root, np.ndarray] = {}
-    h: dict[Root, np.ndarray] = {}
+    x: dict[Root, dict] = {}
+    h: dict[Root, dict] = {}
     for s, xp, xn, hm in zip(simples, xs, ys, hs):
         x[s] = xp
         x[-s] = xn
@@ -246,52 +279,12 @@ def fundamental_rep(
             a = g - s
             if a in rs.positive_roots:
                 c = cc.constant(s, a)
-                x[g] = (x[s] @ x[a] - x[a] @ x[s]) / c
-                x[-g] = (x[-s] @ x[-a] - x[-a] @ x[-s]) / (-c)
+                x[g] = _bracket(x[s], x[a], c)
+                x[-g] = _bracket(x[-s], x[-a], -c)
                 break
         else:
             raise AssertionError(f"{g} has no simple summand")
     return MatrixRealization(rs=rs, cc=cc, dim=dim, x=x, h=h)
-
-
-def exp_nilpotent(x: np.ndarray) -> np.ndarray:
-    """exp(x) of a nilpotent matrix, summed as its terminating power series.
-
-    Raises ValueError when x^dim is not zero, that is, x is not nilpotent.
-    """
-    out = np.eye(x.shape[0], dtype=x.dtype)
-    term = out
-    for k in range(1, x.shape[0] + 1):
-        term = term @ x / k
-        if not term.any():
-            return out
-        out = out + term
-    raise ValueError("matrix is not nilpotent")
-
-
-def shear_product(e: np.ndarray, f: np.ndarray, t: float, s: float) -> np.ndarray:
-    """exp(t e) exp(-s f) exp(t e) for nilpotent e and f.
-
-    When e and f span an sl2 triple with [e, f] = h, [h, e] = 2e and
-    [h, f] = -2f, t = tan(theta/2) and s = sin(theta) give exp(theta (e - f));
-    t = s = 1 gives the Weyl element exp((pi/2)(e - f)) with no rounding,
-    and t = s = -1 its inverse.
-    """
-    outer = exp_nilpotent(t * e)
-    return outer @ exp_nilpotent(-s * f) @ outer
-
-
-def _weyl_conjugation(rep: MatrixRealization, b: Root, m: np.ndarray) -> np.ndarray:
-    """Ad(exp((pi/2)(x^b - x^{-b}))) m, the conjugation by c(-b)^2."""
-    xb, xnb = rep.x[b], rep.x[-b]
-    return shear_product(xb, xnb, 1, 1) @ m @ shear_product(xb, xnb, -1, -1)
-
-
-def cayley_matrix(rep: MatrixRealization, a: Root) -> np.ndarray:
-    """exp((pi/4)(x^{-a} - x^{a})) in the realization."""
-    rep.rs.check_member(a)
-    theta = math.pi / 4
-    return shear_product(rep.x[-a], rep.x[a], math.tan(theta / 2), math.sin(theta))
 
 
 def verify_cayley_conjugation(
@@ -300,9 +293,9 @@ def verify_cayley_conjugation(
     """Certify that Ad(c(-b)^2) x^a is a signed root vector at the string top.
 
     Requires the b-string through a to have shape (0, 1) or (0, 2). The
-    residual is the distance of the image from the nearer of +-x^{a+qb};
-    target and sign name the endpoint when it matches and are null
-    otherwise.
+    residual is the distance of the image from the nearer of +-x^{a+qb},
+    exactly 0.0 on a match; target and sign name the endpoint when it
+    matches and are null otherwise.
     """
     rs = rep.rs
     rs.check_member(a)
@@ -315,11 +308,19 @@ def verify_cayley_conjugation(
             f"string shape (r, q) = ({st.r}, {st.q}) is outside (0,1)/(0,2)"
         )
     expected = a + st.q * b
-    image = _weyl_conjugation(rep, b, rep.x[a])
-    res, sign = min(
-        (float(np.linalg.norm(image - sign * rep.x[expected])), sign)
-        for sign in (1, -1)
-    )
+    w = rep.weyl(b)
+    xa, xe = rep.twice[a], rep.twice[expected]
+    sign = next((s for s in (1, -1) if w.matches(xa, xe, s)), None)
+    if sign is None:
+        # the distance from the nearer of +-x^{expected}
+        image, target = w.conjugate(rep.x[a]), rep.x[expected]
+        keys = image.keys() | target.keys()
+        res, sign = min(
+            (math.sqrt(sum(abs(image.get(k, 0) - s * target.get(k, 0)) ** 2 for k in keys)), s)
+            for s in (1, -1)
+        )
+    else:
+        res = 0.0
     matched = res < tolerance
     return make_check(
         claim=f"cayley-conjugation a={a} b={b}",
@@ -334,22 +335,16 @@ def verify_cayley_conjugation(
     )
 
 
-def flag_residual(
-    rep: MatrixRealization, e: GradingElement, m: np.ndarray
-) -> float:
-    """Distance of m from block-triangular form for the grading filtration.
+def flag_residual(rep: MatrixRealization, e: GradingElement, m: dict) -> float:
+    """Distance of the sparse matrix m from block-triangular form for the
+    grading filtration.
 
     Entry (t, s) is admissible when the grading eigenvalue of row t is at
     least the one of column s; everything below the filtration counts
     toward the residual.
     """
     diag = rep.grading_diagonal(e)
-    total = 0.0
-    for t in range(rep.dim):
-        for s in range(rep.dim):
-            if diag[t] < diag[s]:
-                total += abs(m[t, s]) ** 2
-    return math.sqrt(total)
+    return math.sqrt(sum(abs(v) ** 2 for (t, s), v in m.items() if diag[t] < diag[s]))
 
 
 def verify_fixed_point(
@@ -363,17 +358,20 @@ def verify_fixed_point(
 
     beta must be a witness of the string criterion for this grading. The
     generator is the ordered product of exp(eps x^{a_i}) over the
-    noncompact negative roots a_i; membership in the parabolic subgroup is
-    tested as block-triangularity for the grading filtration.
+    noncompact negative roots a_i, with eps taken exactly as the decimal
+    it prints as; membership in the parabolic subgroup is tested as
+    block-triangularity for the grading filtration.
     """
     rs = rep.rs
     if not 0.0 <= eps <= 1.0:
         raise ValueError("eps must lie in [0, 1]")
     alphas = witness_alphas(rs, e, beta)
-    xi = np.eye(rep.dim, dtype=complex)
+    t = Fraction(str(eps))
+    xi = {(i, i): 1 for i in range(rep.dim)}
     for alpha in alphas:
-        xi = xi @ exp_nilpotent(eps * rep.x[alpha])
-    res = flag_residual(rep, e, _weyl_conjugation(rep, beta, xi))
+        # xi exp(t x) = xi + xi (exp(t x) - 1), where the second factor is sparse
+        xi = _sum(xi, product(xi, _exp_minus_one(_scaled(rep.x[alpha], t), rep.dim)))
+    res = flag_residual(rep, e, rep.weyl(beta).conjugate(xi))
     return make_check(
         claim=f"cayley-fixed-point beta={beta} eps={eps}",
         residual=res,

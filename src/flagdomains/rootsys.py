@@ -10,7 +10,7 @@ orientations of the rank-two B/C labelings available.
 
 from __future__ import annotations
 
-import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -25,6 +25,21 @@ _ROOT_COUNT = {
     "C": lambda r: 2 * r * r,
     "D": lambda r: 2 * r * (r - 1),
 }
+
+
+def exact_int(value, what: str = "a coefficient") -> int:
+    """value as an int when it is exactly one: an int, or an integral float
+    such as 2.0, since JSON has one number type. Bools, other floats,
+    strings and everything else raise ValueError, where int() would read
+    1.7 as 1, True as 1 and "3" as 3."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer")
 
 
 @dataclass(frozen=True)
@@ -78,10 +93,6 @@ class Root:
         return sum(self.coeffs)
 
     @property
-    def is_positive(self) -> bool:
-        return any(self.coeffs) and min(self.coeffs) >= 0
-
-    @property
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
@@ -91,7 +102,7 @@ class Root:
 
 def root(seq) -> Root:
     """Coerce an iterable of integers to a Root."""
-    return Root(tuple(int(c) for c in seq))
+    return Root(tuple(exact_int(c) for c in seq))
 
 
 @dataclass(frozen=True)
@@ -117,7 +128,7 @@ class GradingElement:
 
 def grading(seq) -> GradingElement:
     """Coerce an iterable of integers to a GradingElement."""
-    return GradingElement(tuple(int(c) for c in seq))
+    return GradingElement(tuple(exact_int(c) for c in seq))
 
 
 @dataclass(frozen=True)
@@ -244,9 +255,6 @@ class RootSystem:
             "roots": [list(a.coeffs) for a in sorted(self.roots, key=lambda a: a.coeffs)],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
     @cached_property
     def index(self) -> RootIndex:
         return _build_index(self)
@@ -300,7 +308,7 @@ def from_cartan_matrix(cartan) -> RootSystem:
     equals a standard one.
     """
     try:
-        normalized = tuple(tuple(int(x) for x in row) for row in cartan)
+        normalized = tuple(tuple(exact_int(x) for x in row) for row in cartan)
     except (TypeError, ValueError) as exc:
         raise ValueError("Cartan matrix must be a list of integer rows") from exc
     return _build_cached(normalized)
@@ -464,15 +472,6 @@ def root_string(rs: RootSystem, a: Root, b: Root) -> RootString:
     up = idx.walk(i, j)
     members = tuple(idx.roots[k] for k in [*reversed(down), i, *up])
     return RootString(r=len(down), q=len(up), members=members)
-
-
-def graded_pieces(rs: RootSystem, e: GradingElement) -> dict[int, frozenset[Root]]:
-    """Partition of the roots by grading value; only nonempty pieces appear."""
-    check_grading(rs, e)
-    out: dict[int, set[Root]] = {}
-    for a in rs.sorted_roots():
-        out.setdefault(e.value(a), set()).add(a)
-    return {k: frozenset(v) for k, v in sorted(out.items())}
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,9 @@ Root arithmetic: the root-string, structure-constant, bracket-identity,
 eligible-pair and Jacobi computations written with `Root` objects,
 `Fraction` inner products and dict-based brackets, the slow paths that
 the package's indexed tables replace.
+
+Test-only helpers: positivity of a coefficient vector and the partition of
+the roots by grading value, which the package itself does not use.
 """
 
 from __future__ import annotations
@@ -21,7 +24,20 @@ from fractions import Fraction
 from itertools import combinations
 
 from flagdomains.chevalley import ChevalleyConstants
-from flagdomains.rootsys import Root, coroot_coefficients
+from flagdomains.rootsys import Root, check_grading, coroot_coefficients
+
+
+def is_positive(a: Root) -> bool:
+    return any(a.coeffs) and min(a.coeffs) >= 0
+
+
+def graded_pieces(rs, e) -> dict[int, frozenset[Root]]:
+    """Partition of the roots by grading value; only nonempty pieces appear."""
+    check_grading(rs, e)
+    out: dict[int, set[Root]] = {}
+    for a in rs.sorted_roots():
+        out.setdefault(e.value(a), set()).add(a)
+    return {k: frozenset(v) for k, v in sorted(out.items())}
 
 
 def euclid_simple_roots(family: str, rank: int) -> list[tuple[int, ...]]:
@@ -148,7 +164,7 @@ def reference_constant(cc, a, b) -> int:
     s = a + b
     if s not in cc.rs.roots:
         return 0
-    if s.is_positive:
+    if is_positive(s):
         return cc.table[(a, b)]
     return -cc.table[(-a, -b)]
 
@@ -167,16 +183,16 @@ def reference_structure_table(rs) -> dict:
         return k
 
     def lookup(a, b) -> int:
-        if a.is_positive and b.is_positive:
+        if is_positive(a) and is_positive(b):
             return special[(a, b)] if order[a] < order[b] else -special[(b, a)]
         na, nb = -a, -b
-        if na.is_positive and nb.is_positive:
+        if is_positive(na) and is_positive(nb):
             return -lookup(na, nb)
-        if not a.is_positive:
+        if not is_positive(a):
             return -lookup(b, a)
         s = a + b
         c = -s
-        if s.is_positive:
+        if is_positive(s):
             val = Fraction(-lookup(nb, s)) * rs.length2(c) / rs.length2(a)
         else:
             val = Fraction(lookup(c, a)) * rs.length2(c) / rs.length2(b)
@@ -209,7 +225,7 @@ def reference_structure_table(rs) -> dict:
     for a in rs.sorted_roots():
         for b in rs.sorted_roots():
             s = a + b
-            if s in rs.roots and s.is_positive:
+            if s in rs.roots and is_positive(s):
                 table[(a, b)] = lookup(a, b)
     return table
 

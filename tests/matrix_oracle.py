@@ -1,0 +1,156 @@
+"""Float reference for the exact matrix layer: the numpy path it replaced.
+
+``dense`` turns a sparse exact matrix of ``flagdomains.matrixrep`` into a
+complex numpy array. The certificates below are the float versions of
+``verify_cayley_conjugation`` and ``verify_fixed_point``: Weyl elements as
+products of numerically summed unipotent factors, conjugation by matrix
+products, residuals as float norms.
+"""
+
+import math
+
+import numpy as np
+
+from flagdomains.concavity import witness_alphas
+from flagdomains.matrixrep import TOL_CONJUGATION, make_check
+from flagdomains.rootsys import coroot_coefficients, root_string
+
+
+def dense(m: dict, dim: int) -> np.ndarray:
+    out = np.zeros((dim, dim), dtype=complex)
+    for (i, j), v in m.items():
+        out[i, j] = complex(v)
+    return out
+
+
+def weyl_dense(w) -> np.ndarray:
+    """The monomial matrix of a WeylElement: column j holds twice[j] / 2 in row perm[j]."""
+    out = np.zeros((len(w.perm), len(w.perm)), dtype=complex)
+    for j, (i, t) in enumerate(zip(w.perm, w.twice)):
+        out[i, j] = t / 2
+    return out
+
+
+def sparse(m: np.ndarray) -> dict:
+    return {(int(i), int(j)): complex(m[i, j]) for i, j in np.argwhere(m != 0)}
+
+
+def cartan_element(rep, a) -> np.ndarray:
+    """The coroot of a as a matrix, an integer combination of the H^{s_i}."""
+    coeffs = coroot_coefficients(rep.rs, a)
+    out = np.zeros((rep.dim, rep.dim), dtype=complex)
+    for s, c in zip(rep.rs.simple_roots(), coeffs):
+        if c:
+            out += c * dense(rep.h[s], rep.dim)
+    return out
+
+
+def invariant_form(rep) -> np.ndarray | None:
+    """The bilinear form the realization preserves; None for type A."""
+    t = rep.rs.lie_type
+    if t is None or t.family == "A":
+        return None
+    r = t.rank
+    n = rep.dim
+    m = np.zeros((n, n), dtype=complex)
+    if t.family == "C":
+        m[:r, r:] = np.eye(r)
+        m[r:, :r] = -np.eye(r)
+    else:
+        m[:r, r : 2 * r] = np.eye(r)
+        m[r : 2 * r, :r] = np.eye(r)
+        if t.family == "B":
+            m[2 * r, 2 * r] = 1.0
+    return m
+
+
+def exp_nilpotent(x: np.ndarray) -> np.ndarray:
+    """exp(x) of a nilpotent matrix, summed as its terminating power series."""
+    out = np.eye(x.shape[0], dtype=x.dtype)
+    term = out
+    for k in range(1, x.shape[0] + 1):
+        term = term @ x / k
+        if not term.any():
+            return out
+        out = out + term
+    raise ValueError("matrix is not nilpotent")
+
+
+def shear_product(e: np.ndarray, f: np.ndarray, t: float, s: float) -> np.ndarray:
+    """exp(t e) exp(-s f) exp(t e); t = s = 1 gives the Weyl element of an
+    sl2 triple, t = s = -1 its inverse."""
+    outer = exp_nilpotent(t * e)
+    return outer @ exp_nilpotent(-s * f) @ outer
+
+
+def cayley_matrix(rep, a) -> np.ndarray:
+    """exp((pi/4)(x^{-a} - x^{a})) in the realization."""
+    rep.rs.check_member(a)
+    theta = math.pi / 4
+    xna, xa = dense(rep.x[-a], rep.dim), dense(rep.x[a], rep.dim)
+    return shear_product(xna, xa, math.tan(theta / 2), math.sin(theta))
+
+
+class FloatRealization:
+    """Dense float copies of a realization's root vectors and Weyl elements."""
+
+    def __init__(self, rep):
+        self.rep = rep
+        self.x = {a: dense(m, rep.dim) for a, m in rep.x.items()}
+        self._weyl = {}
+
+    def weyl(self, b):
+        if b not in self._weyl:
+            xb, xnb = self.x[b], self.x[-b]
+            self._weyl[b] = (shear_product(xb, xnb, 1, 1), shear_product(xb, xnb, -1, -1))
+        return self._weyl[b]
+
+    def conjugate(self, b, m: np.ndarray) -> np.ndarray:
+        w, w_inv = self.weyl(b)
+        return w @ m @ w_inv
+
+
+def flag_residual(rep, e, m: np.ndarray) -> float:
+    diag = rep.grading_diagonal(e)
+    total = 0.0
+    for t in range(rep.dim):
+        for s in range(rep.dim):
+            if diag[t] < diag[s]:
+                total += abs(m[t, s]) ** 2
+    return math.sqrt(total)
+
+
+def cayley_check(frep: FloatRealization, a, b, tolerance=TOL_CONJUGATION):
+    st = root_string(frep.rep.rs, a, b)
+    expected = a + st.q * b
+    image = frep.conjugate(b, frep.x[a])
+    res, sign = min(
+        (float(np.linalg.norm(image - sign * frep.x[expected])), sign) for sign in (1, -1)
+    )
+    matched = res < tolerance
+    return make_check(
+        claim=f"cayley-conjugation a={a} b={b}",
+        residual=res,
+        tolerance=tolerance,
+        sign=sign if matched else None,
+        info={
+            "target": list(expected.coeffs) if matched else None,
+            "expected": list(expected.coeffs),
+            "string": [st.r, st.q],
+        },
+    )
+
+
+def fixed_point_check(frep: FloatRealization, e, beta, eps, tolerance=TOL_CONJUGATION):
+    rep = frep.rep
+    alphas = witness_alphas(rep.rs, e, beta)
+    xi = np.eye(rep.dim, dtype=complex)
+    for alpha in alphas:
+        xi = xi @ exp_nilpotent(eps * frep.x[alpha])
+    res = flag_residual(rep, e, frep.conjugate(beta, xi))
+    return make_check(
+        claim=f"cayley-fixed-point beta={beta} eps={eps}",
+        residual=res,
+        tolerance=tolerance,
+        info={"alphas": [list(a.coeffs) for a in alphas]},
+    )

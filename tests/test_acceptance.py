@@ -7,6 +7,7 @@ import json
 import math
 
 import numpy as np
+from matrix_oracle import cayley_matrix
 
 from flagdomains.chevalley import (
     jacobi_violations,
@@ -25,7 +26,6 @@ from flagdomains.hodge import (
 )
 from flagdomains.leviform import DefiningFunction, levi_analyze
 from flagdomains.matrixrep import (
-    cayley_matrix,
     eligible_conjugation_pairs,
     fundamental_rep,
     verify_cayley_conjugation,

@@ -10,11 +10,12 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import flagdomains
 from flagdomains.cli import EXIT_CLOSED_STDOUT, main
+from flagdomains.rootsys import LieType, standard_cartan
 
 SRC = str(Path(flagdomains.__file__).resolve().parents[1])
 
@@ -239,6 +240,75 @@ def test_cli_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
+def test_exact_subcommands_never_import_numpy():
+    # the package's own modules all load, so per-module instrumentation
+    # installed after the import still sees every function
+    probe = (
+        "import contextlib, io, json, sys\n"
+        "import flagdomains.cli\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'flagdomains')\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert flagdomains.cli.main(argv) == 0, argv\n"
+        "print(json.dumps([loaded, 'numpy' in sys.modules]))\n"
+    )
+    commands = [
+        ["describe", "--family", "B", "--rank", "3"],
+        ["theorem1", "--family", "A", "--rank", "2", "--grading", "1,1"],
+        ["period", "--weight", "3", "--h", "1,1,1,1"],
+        ["verify", "--suite", "chevalley", "--family", "B", "--rank", "2"],
+        ["verify", "--suite", "prop33", "--family", "B", "--rank", "2"],
+        ["verify", "--suite", "fixed-point", "--family", "A", "--rank", "2", "--grading", "1,1"],
+    ]
+    out = subprocess.run(
+        [sys.executable, "-c", probe, json.dumps(commands)],
+        capture_output=True, text=True, env=child_env(), timeout=60, check=True,
+    ).stdout
+    loaded, numpy_loaded = json.loads(out)
+    package = Path(SRC) / "flagdomains"
+    modules = {f"flagdomains.{p.stem}" for p in package.glob("*.py")}
+    assert set(loaded) == {"flagdomains"} | modules - {"flagdomains.__init__", "flagdomains.__main__"}
+    assert numpy_loaded is False
+
+
+def test_float_subcommands_import_numpy_on_demand_with_the_same_output():
+    probe = (
+        "import contextlib, io, json, sys\n"
+        "if sys.argv[1] == 'eager':\n"
+        "    import numpy\n"
+        "import flagdomains.cli\n"
+        "before = 'numpy' in sys.modules\n"
+        "outputs = []\n"
+        "for argv in json.loads(sys.argv[2]):\n"
+        "    buf = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(buf):\n"
+        "        assert flagdomains.cli.main(argv) == 0, argv\n"
+        "    outputs.append(buf.getvalue())\n"
+        "print(json.dumps([before, 'numpy' in sys.modules, outputs]))\n"
+    )
+    spec = {"n": 2, "z0": [[1, 0], [0, 0]],
+            "terms": [{"c": -1, "z": [1, 0], "zbar": [1, 0]}, {"c": 2, "z": [0, 1], "zbar": [0, 1]},
+                      {"c": 1}]}
+    commands = [["levi", "--spec", json.dumps(spec)], ["verify", "--suite", "lemma41"]]
+    runs = {
+        mode: json.loads(subprocess.run(
+            [sys.executable, "-c", probe, mode, json.dumps(commands)],
+            capture_output=True, text=True, env=child_env(), timeout=60, check=True,
+        ).stdout)
+        for mode in ("lazy", "eager")
+    }
+    assert runs["lazy"][:2] == [False, True] and runs["eager"][:2] == [True, True]
+    assert runs["lazy"][2] == runs["eager"][2]
+    assert json.loads(runs["lazy"][2][0])["negatives"] == 0
+
+
+def test_family_rank_bound_comes_before_enumeration(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "describe", "--family", "A", "--rank", "200")
+    assert time.perf_counter() - start < 1.0
+    assert code == 4 and out == "" and "rank 200 exceeds" in err
+
+
 def test_rank_bound_comes_before_enumeration():
     # not of finite type; enumerating it first would not finish
     cartan = [[2 if i == j else -2 for j in range(7)] for i in range(7)]
@@ -273,10 +343,14 @@ PERIOD_W2 = ["period", "--weight", "2", "--h", "1,1,1"]
         (["levi", "--spec", '{"n": [2], "z0": [0, 0], "terms": []}'], "n must be an integer"),
         (PERIOD_W2 + ["--degeneration", "5"], "must be a JSON object"),
         (PERIOD_W2 + ["--degeneration", '{"kind": "I", "p0": "x"}'], "p0 must be an integer"),
+        (["describe", "--cartan", "[[2,-1.5],[-1,2]]"], "list of integer rows"),
+        (["levi", "--spec", MALFORMED_LEVI % '[{"c": 1, "z": [1.7, 0]}]'], "exponents must be"),
+        (PERIOD_W2 + ["--degeneration", '{"kind": "I", "p0": true}'], "p0 must be an integer"),
     ],
     ids=["cartan-scalar", "cartan-flat", "z0-scalar", "term-not-object",
          "exponent-not-list", "negative-exponent-at-zero", "derivative-overflow",
-         "n-not-integer", "degeneration-scalar", "pivot-not-integer"],
+         "n-not-integer", "degeneration-scalar", "pivot-not-integer",
+         "cartan-non-integral", "exponent-non-integral", "pivot-bool"],
 )
 def test_malformed_input_exits_2_without_traceback(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
@@ -329,3 +403,99 @@ def test_any_small_integer_matrix_ends_cleanly_in_bounded_time(rows, two_on_diag
     assert time.perf_counter() - start < 2.0
     assert code in (0, 2)
     assert (code == 0) == (err.getvalue() == "")
+
+
+# JSON values as an --input document may hold them: exact and integral
+# numbers, fractions, bools, strings and nested lists
+SCALARS = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-3, 3).map(float),
+    st.sampled_from([-1.5, 0.5, 1.7, 1.9, 1e-9]),
+    st.booleans(),
+    st.sampled_from(["1", "x", "1,0"]),
+)
+VALUES = st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=4), max_leaves=12)
+SYSTEMS = [("A", 1), ("A", 2), ("B", 2), ("C", 3), ("D", 4)]
+
+
+def _near(v):
+    """v or v written as a float, or one time in ten any scalar in its place."""
+    return st.integers(0, 9).flatmap(
+        lambda k: SCALARS if k == 0 else st.just(v if k % 2 else float(v))
+    )
+
+
+def _near_list(values):
+    return st.tuples(*map(_near, values)).map(list)
+
+
+def _same(given_value, echoed) -> bool:
+    """Equal as JSON numbers: 2.0 is 2, but no bool stands for a number."""
+    if isinstance(given_value, list):
+        return isinstance(echoed, list) and len(given_value) == len(echoed) and all(
+            _same(a, b) for a, b in zip(given_value, echoed)
+        )
+    if isinstance(given_value, bool) or isinstance(echoed, bool):
+        return False
+    return given_value == echoed
+
+
+def _describe(system):
+    rows = standard_cartan(LieType(*system))
+    cartan = st.tuples(*map(_near_list, rows)).map(list)
+    return st.fixed_dictionaries({"cartan": st.one_of(cartan, VALUES)})
+
+
+def _theorem1(system):
+    family, rank = system
+    grading = st.lists(st.integers(0, 2), min_size=rank, max_size=rank).flatmap(_near_list)
+    return st.fixed_dictionaries(
+        {"family": st.just(family), "rank": _near(rank), "grading": st.one_of(grading, VALUES)}
+    )
+
+
+def _period(weight):
+    half = st.lists(st.integers(0, 2), min_size=weight // 2 + 1, max_size=weight // 2 + 1)
+    h = half.map(lambda v: v + v[: (weight + 1) // 2][::-1]).flatmap(_near_list)
+    return st.fixed_dictionaries({"weight": _near(weight), "h": st.one_of(h, VALUES)})
+
+
+LEVI_TERM = st.fixed_dictionaries(
+    {
+        "c": _near(1),
+        "z": st.lists(st.integers(0, 2), min_size=2, max_size=2).flatmap(_near_list),
+        "zbar": st.lists(st.integers(0, 2), min_size=2, max_size=2).flatmap(_near_list),
+    }
+)
+INPUT_DOCUMENTS = st.one_of(
+    st.sampled_from(SYSTEMS).flatmap(_describe).map(lambda d: ("describe", d)),
+    st.sampled_from(SYSTEMS).flatmap(_theorem1).map(lambda d: ("theorem1", d)),
+    st.integers(0, 4).flatmap(_period).map(lambda d: ("period", d)),
+    st.fixed_dictionaries(
+        {"n": _near(2), "z0": st.just([[1, 0], [0, 0]]), "terms": st.lists(LEVI_TERM, max_size=3)}
+    ).map(lambda d: ("levi", d)),
+)
+
+
+@given(doc=INPUT_DOCUMENTS)
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_input_documents_end_cleanly_and_echo_what_was_given(tmp_path, doc):
+    command, data = doc
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, "--input", str(path)])
+    assert code in (0, 2, 3, 4, 5)
+    assert (code == 0) == (err.getvalue() == "")
+    if code != 0:
+        return
+    report = json.loads(out.getvalue())
+    if command == "describe":
+        assert _same(data["cartan"], report["cartan"])
+    elif command == "theorem1" and isinstance(data["grading"], list):
+        assert _same(data["grading"], report["grading"])
+    elif command == "period":
+        assert _same(data["weight"], report["weight"])
+        if isinstance(data["h"], list):
+            assert _same(data["h"], report["hodge_numbers"])

@@ -20,8 +20,17 @@ from flagdomains.hodge import (
     validate_diamond,
     validate_spec,
     verify_sl2_cayley_forms,
-    weight_eigenvalues,
 )
+
+
+def weight_eigenvalues(h: HodgeNumbers) -> tuple[Fraction, ...]:
+    """Grading eigenvalues repeated with multiplicity, descending."""
+    values = grading_values_on_V(h)
+    out: list[Fraction] = []
+    for p in range(h.weight, -1, -1):
+        out.extend([values[p]] * h.hp(p))
+    return tuple(out)
+
 
 H3 = HodgeNumbers.from_descending(3, [1, 1, 1, 1])
 H2 = HodgeNumbers.from_descending(2, [2, 1, 2])
@@ -34,6 +43,9 @@ def test_hodge_numbers_validation():
         HodgeNumbers.from_descending(1, [0, 0])
     with pytest.raises(ValueError):
         HodgeNumbers.from_descending(2, [1, 1])  # wrong length
+    with pytest.raises(ValueError):
+        HodgeNumbers.from_descending(1, [1.5, 1.5])  # int() would read 1
+    assert HodgeNumbers.from_descending(1, [1.0, 1.0]).h == (1, 1)
 
 
 def test_group_weight3():

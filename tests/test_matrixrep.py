@@ -1,6 +1,7 @@
 """Matrix realizations, Cayley matrices and the numeric certificates."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -9,16 +10,26 @@ from scipy.linalg import expm
 
 from conftest import CLASSICAL, ORACLE_SYSTEMS, RELABELLED_B4
 from lie_oracles import reference_eligible_pairs
-
-from flagdomains.chevalley import structure_constants
-from flagdomains.matrixrep import (
+from matrix_oracle import (
+    FloatRealization,
+    cartan_element,
+    cayley_check,
     cayley_matrix,
+    dense,
+    fixed_point_check,
+    invariant_form,
+    shear_product,
+    sparse,
+    weyl_dense,
+)
+
+from flagdomains.concavity import check_pseudoconcavity, witness_alphas
+from flagdomains.matrixrep import (
     eligible_conjugation_pairs,
     exp_nilpotent,
     flag_residual,
     fundamental_rep,
-    invariant_form,
-    shear_product,
+    product,
     verify_cayley_conjugation,
     verify_fixed_point,
 )
@@ -44,22 +55,21 @@ def test_bracket_relations_exact(key, systems, reps):
     rs = systems[key]
     rep = reps[key]
     cc = rep.cc
+    x = {a: dense(m, rep.dim) for a, m in rep.x.items()}
     for a in rs.sorted_roots():
-        ha = rep.cartan_element(a)
-        comm = rep.x[a] @ rep.x[-a] - rep.x[-a] @ rep.x[a]
+        ha = cartan_element(rep, a)
+        comm = x[a] @ x[-a] - x[-a] @ x[a]
         assert np.linalg.norm(comm - ha) < 1e-12
         for s in rs.simple_roots():
-            hs = rep.h[s]
-            comm = hs @ rep.x[a] - rep.x[a] @ hs
-            assert np.linalg.norm(comm - cartan_integer(rs, a, s) * rep.x[a]) < 1e-12
+            hs = dense(rep.h[s], rep.dim)
+            comm = hs @ x[a] - x[a] @ hs
+            assert np.linalg.norm(comm - cartan_integer(rs, a, s) * x[a]) < 1e-12
         for b in rs.sorted_roots():
             if (a + b).is_zero:
                 continue
-            comm = rep.x[a] @ rep.x[b] - rep.x[b] @ rep.x[a]
+            comm = x[a] @ x[b] - x[b] @ x[a]
             if (a + b) in rs.roots:
-                assert (
-                    np.linalg.norm(comm - cc.constant(a, b) * rep.x[a + b]) < 1e-12
-                )
+                assert np.linalg.norm(comm - cc.constant(a, b) * x[a + b]) < 1e-12
             else:
                 assert np.linalg.norm(comm) < 1e-12
 
@@ -69,7 +79,7 @@ def test_membership_in_classical_algebra(key, systems, reps):
     rs = systems[key]
     rep = reps[key]
     form = invariant_form(rep)
-    elements = list(rep.x.values()) + list(rep.h.values())
+    elements = [dense(m, rep.dim) for m in [*rep.x.values(), *rep.h.values()]]
     for m in elements:
         if form is None:
             assert abs(np.trace(m)) < 1e-12
@@ -81,27 +91,29 @@ def test_a1_matches_standard_triple():
     rs = build_root_system(LieType("A", 1))
     rep = fundamental_rep(rs)
     alpha = rs.simple_roots()[0]
-    assert np.array_equal(rep.x[alpha].real, [[0, 1], [0, 0]])
-    assert np.array_equal(rep.x[-alpha].real, [[0, 0], [1, 0]])
-    assert np.array_equal(rep.h[alpha].real, [[1, 0], [0, -1]])
+    assert np.array_equal(dense(rep.x[alpha], 2).real, [[0, 1], [0, 0]])
+    assert np.array_equal(dense(rep.x[-alpha], 2).real, [[0, 0], [1, 0]])
+    assert np.array_equal(dense(rep.h[alpha], 2).real, [[1, 0], [0, -1]])
 
 
 def test_a2_root_vectors_are_signed_elementary(a2):
     rep = fundamental_rep(a2)
     for a in a2.sorted_roots():
-        m = rep.x[a]
+        m = dense(rep.x[a], rep.dim)
         nonzero = np.argwhere(np.abs(m) > 0)
         assert len(nonzero) == 1
         assert abs(abs(m[tuple(nonzero[0])]) - 1.0) < 1e-15
     for s in a2.simple_roots():
-        assert np.linalg.norm(rep.h[s] - np.diag(np.diag(rep.h[s]))) == 0.0
+        hs = dense(rep.h[s], rep.dim)
+        assert np.linalg.norm(hs - np.diag(np.diag(hs))) == 0.0
 
 
 def test_c2_double_constant(c2):
     rep = fundamental_rep(c2)
     t1, t2 = c2.simple_roots()
-    comm = rep.x[t1] @ rep.x[t1 + t2] - rep.x[t1 + t2] @ rep.x[t1]
-    target = rep.x[root((2, 1))]
+    x = {a: dense(m, rep.dim) for a, m in rep.x.items()}
+    comm = x[t1] @ x[t1 + t2] - x[t1 + t2] @ x[t1]
+    target = x[root((2, 1))]
     assert (
         np.linalg.norm(comm - 2 * target) < 1e-12
         or np.linalg.norm(comm + 2 * target) < 1e-12
@@ -130,13 +142,15 @@ def test_cayley_matrix_a1():
 
 @pytest.mark.parametrize("key", ORACLE_SYSTEMS)
 def test_exponential_inverse(key):
-    # root vectors have dyadic entries, so exp(x) exp(-x) = I holds bit for bit
+    # the exponentials are exact, so exp(x) exp(-x) = I holds entry for entry
     rs = build_root_system(LieType(*key))
     rep = fundamental_rep(rs)
     eye = np.eye(rep.dim)
     for a in rs.sorted_roots():
         x = rep.x[a]
-        assert np.array_equal(exp_nilpotent(x) @ exp_nilpotent(-x), eye)
+        minus = {k: -v for k, v in x.items()}
+        inverse = product(exp_nilpotent(x, rep.dim), exp_nilpotent(minus, rep.dim))
+        assert np.array_equal(dense(inverse, rep.dim), eye)
 
 
 @pytest.mark.parametrize("key", ORACLE_SYSTEMS, ids=lambda k: f"{k[0]}{k[1]}")
@@ -145,20 +159,23 @@ def test_unipotent_factors_match_expm(key):
     rep = fundamental_rep(rs)
     eye = np.eye(rep.dim)
     for a in rs.sorted_roots():
-        xa, xna = rep.x[a], rep.x[-a]
+        xa, xna = dense(rep.x[a], rep.dim), dense(rep.x[-a], rep.dim)
         assert not (xa @ xa @ xa).any()
-        assert np.linalg.norm(exp_nilpotent(xa) - expm(xa)) < 1e-12
-        weyl = shear_product(xa, xna, 1, 1)
+        assert np.linalg.norm(dense(exp_nilpotent(rep.x[a], rep.dim), rep.dim) - expm(xa)) < 1e-12
+        weyl = weyl_dense(rep.weyl(a))
         assert np.linalg.norm(weyl - expm((math.pi / 2) * (xa - xna))) < 1e-12
         assert np.array_equal(weyl @ shear_product(xa, xna, -1, -1), eye)
+        assert np.array_equal(weyl, shear_product(xa, xna, 1, 1))
         assert np.linalg.norm(cayley_matrix(rep, a) - expm((math.pi / 4) * (xna - xa))) < 1e-12
 
 
 def test_exp_nilpotent_rejects_non_nilpotent(reps):
     rep = reps[("A", 2)]
     a = root((1, 1))
+    # x^a and x^{-a} have disjoint supports
+    difference = {**rep.x[a], **{k: -v for k, v in rep.x[-a].items()}}
     with pytest.raises(ValueError):
-        exp_nilpotent(rep.x[a] - rep.x[-a])
+        exp_nilpotent(difference, rep.dim)
 
 
 @pytest.mark.parametrize("key", [("A", 2), ("A", 3), ("B", 2), ("C", 2), ("D", 4)])
@@ -261,16 +278,17 @@ def test_flag_residual_invariant_under_parabolic_factors(reps):
     rs = rep.rs
     e = grading((1, 1))
     beta = root((1, 1))
-    arg = (math.pi / 2) * (rep.x[beta] - rep.x[-beta])
+    x = {a: dense(m, rep.dim) for a, m in rep.x.items()}
+    arg = (math.pi / 2) * (x[beta] - x[-beta])
     m = expm(arg)
-    xi = expm(0.1 * rep.x[root((-1, 0))]) @ expm(0.1 * rep.x[root((0, -1))])
+    xi = expm(0.1 * x[root((-1, 0))]) @ expm(0.1 * x[root((0, -1))])
     conj = m @ xi @ expm(-arg)
-    base = flag_residual(rep, e, conj)
+    base = flag_residual(rep, e, sparse(conj))
     assert base < 1e-9
     for gamma in rs.roots:
         if e.value(gamma) >= 0:
-            shifted = conj @ expm(0.3 * rep.x[gamma])
-            assert flag_residual(rep, e, shifted) < 1e-9
+            shifted = conj @ expm(0.3 * x[gamma])
+            assert flag_residual(rep, e, sparse(shifted)) < 1e-9
 
 
 def test_grading_diagonal_matches_weight_eigenvalues(reps):
@@ -303,3 +321,66 @@ def test_eligible_pairs_match_root_arithmetic_relabelled():
     rs = from_cartan_matrix(RELABELLED_B4)
     assert rs.lie_type is None
     assert eligible_conjugation_pairs(rs) == reference_eligible_pairs(rs)
+
+
+@pytest.mark.parametrize("key", ORACLE_SYSTEMS, ids=lambda k: f"{k[0]}{k[1]}")
+def test_exact_cayley_checks_match_the_float_oracle(key):
+    rs = build_root_system(LieType(*key))
+    rep = fundamental_rep(rs)
+    frep = FloatRealization(rep)
+    pairs = eligible_conjugation_pairs(rs)
+    for a, b in pairs:
+        exact = verify_cayley_conjugation(rep, a, b)
+        assert exact.to_json_dict() == cayley_check(frep, a, b).to_json_dict()
+        assert exact.residual == 0.0
+    if key[1] == 6:
+        # 3,780 pairs over A6, B6, C6 and D6
+        assert len(pairs) == {"A": 420, "B": 1200, "C": 1200, "D": 960}[key[0]]
+
+
+@pytest.mark.parametrize(
+    "key", [k for k in ORACLE_SYSTEMS if k[1] >= 2], ids=lambda k: f"{k[0]}{k[1]}"
+)
+def test_exact_fixed_point_checks_match_the_float_oracle(key):
+    rs = build_root_system(LieType(*key))
+    rep = fundamental_rep(rs)
+    frep = FloatRealization(rep)
+    for coeffs in itertools.product((0, 1), repeat=rs.rank):
+        e = grading(coeffs)
+        if e.is_zero:
+            continue
+        for beta in check_pseudoconcavity(rs, e).witnesses:
+            for eps in (0.01, 0.1, 1.0):
+                exact = verify_fixed_point(rep, e, beta, eps)
+                assert exact.to_json_dict() == fixed_point_check(frep, e, beta, eps).to_json_dict()
+                assert exact.passed and exact.residual == 0.0
+
+
+@pytest.mark.parametrize(
+    "key,coeffs", [(("A", 2), (1, 1)), (("B", 3), (0, 1, 0)), (("C", 3), (1, 0, 0)), (("D", 4), (0, 1, 0, 0))]
+)
+def test_exact_fixed_point_residual_matches_the_oracle_when_it_fails(key, coeffs, systems):
+    # a realization whose noncompact negative root vectors are replaced by
+    # positive ones: the conjugated generator leaves P
+    rs = systems[key]
+    rep = fundamental_rep(rs)
+    e = grading(coeffs)
+    beta = check_pseudoconcavity(rs, e).witnesses[0]
+    x = dict(rep.x)
+    for alpha in witness_alphas(rs, e, beta):
+        x[alpha] = rep.x[-alpha]
+    bent = dataclasses.replace(rep, x=x)
+    for eps in (0.01, 0.1, 1.0):
+        exact = verify_fixed_point(bent, e, beta, eps)
+        oracle = fixed_point_check(FloatRealization(bent), e, beta, eps)
+        assert not exact.passed and not oracle.passed
+        assert math.isclose(exact.residual, oracle.residual, rel_tol=1e-12)
+
+
+def test_weyl_elements_are_built_once_per_root(reps):
+    rep = reps[("B", 3)]
+    b = root((0, 1, 1))
+    assert rep.weyl(b) is rep.weyl(b)
+    w = rep.weyl(b)
+    assert sorted(w.perm) == list(range(rep.dim))
+    assert {abs(t) for t in w.twice} <= {1, 2, 4}

@@ -2,6 +2,7 @@
 
 import json
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,8 @@ from conftest import CLASSICAL, ORACLE_SYSTEMS, RELABELLED_B4, relabelled_cartan
 from lie_oracles import (
     euclid_cartan_integer,
     euclid_roots,
+    graded_pieces,
+    is_positive,
     positive_roots_within,
     reference_string,
     to_euclid,
@@ -24,8 +27,8 @@ from flagdomains.rootsys import (
     _build_cached,
     build_root_system,
     cartan_integer,
+    exact_int,
     from_cartan_matrix,
-    graded_pieces,
     grading,
     parabolic_data,
     root,
@@ -45,7 +48,7 @@ def test_root_counts_and_closure(family, rank):
     rs = build_root_system(LieType(family, rank))
     assert len(rs.roots) == EXPECTED_COUNTS[family](rank)
     assert all(-a in rs.roots for a in rs.roots)
-    positives = {a for a in rs.roots if a.is_positive}
+    positives = {a for a in rs.roots if is_positive(a)}
     assert positives == rs.positive_roots
     assert 2 * len(positives) == len(rs.roots)
 
@@ -164,7 +167,7 @@ def test_index_tables(so5_labeled):
     for i, a in enumerate(idx.roots):
         assert idx.roots[idx.neg[i]] == -a
         assert idx.length2[i] == so5_labeled.length2(a)
-        assert (i >= idx.half) == a.is_positive
+        assert (i >= idx.half) == is_positive(a)
         for j, b in enumerate(idx.roots):
             s = idx.add[i][j]
             assert (s >= 0) == ((a + b) in so5_labeled.roots)
@@ -334,13 +337,39 @@ def test_override_matches_family(c2, so5_labeled):
 
 def test_json_round_trip(systems):
     for rs in systems.values():
-        doc = json.loads(rs.to_json())
+        doc = json.loads(json.dumps(rs.to_json_dict(), sort_keys=True))
         rebuilt = from_cartan_matrix(doc["cartan"])
         assert rebuilt == rs
-        assert rebuilt.to_json() == rs.to_json()
+        assert rebuilt.to_json_dict() == rs.to_json_dict()
         assert all(isinstance(v, int) for row in doc["cartan"] for v in row)
         assert all(isinstance(v, int) for rt in doc["roots"] for v in rt)
 
 
 def test_detected_family_appears_in_json(so5_labeled):
-    assert json.loads(so5_labeled.to_json())["family"] == "C"
+    assert json.loads(json.dumps(so5_labeled.to_json_dict()))["family"] == "C"
+
+
+@pytest.mark.parametrize("value,expected", [(2, 2), (-3, -3), (2.0, 2), (-0.0, 0), (1e20, 10**20)])
+def test_exact_int_accepts_exact_integers(value, expected):
+    got = exact_int(value)
+    assert got == expected and type(got) is int
+
+
+@pytest.mark.parametrize(
+    "value",
+    [True, False, 1.5, -1.7, 1.9, float("nan"), float("inf"), "3", "1.5", None, [1], Fraction(1, 2)],
+)
+def test_exact_int_refuses_what_is_not_an_integer(value):
+    with pytest.raises(ValueError):
+        exact_int(value)
+
+
+def test_constructors_refuse_truncated_numbers():
+    with pytest.raises(ValueError):
+        from_cartan_matrix([[2, -1.5], [-1, 2]])
+    with pytest.raises(ValueError):
+        grading((1.9, 1))
+    with pytest.raises(ValueError):
+        root((True, 0))
+    assert from_cartan_matrix([[2.0, -1.0], [-1, 2]]).lie_type == LieType("A", 2)
+    assert grading((1.0, 0)).coeffs == (1, 0) and root((1, 1.0)).coeffs == (1, 1)
