@@ -11,7 +11,6 @@ from .concavity import (
     ConcavityReport,
     StringVerdict,
     VerdictKind,
-    analyze_string_condition,
     check_pseudoconcavity,
 )
 from .hodge import (
@@ -42,15 +41,12 @@ from .realform import CompactnessTable, classify_roots, noncompact_negative_root
 from .rootsys import (
     GradingElement,
     LieType,
-    ParabolicData,
     Root,
     RootString,
     RootSystem,
     build_root_system,
-    cartan_integer,
     from_cartan_matrix,
     grading,
-    parabolic_data,
     root,
     root_string,
 )

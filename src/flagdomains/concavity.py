@@ -83,23 +83,6 @@ class ConcavityReport:
         }
 
 
-def analyze_string_condition(
-    rs: RootSystem, e: GradingElement, beta: Root, alpha: Root
-) -> StringVerdict:
-    """Classify the beta-string through alpha against the two allowed shapes."""
-    check_grading(rs, e)
-    rs.check_member(beta)
-    rs.check_member(alpha)
-    if e.value(beta) % 2 != 0:
-        raise ValueError(f"beta {beta} is not compact for this grading")
-    va = e.value(alpha)
-    if va % 2 == 0 or va >= 0:
-        raise ValueError(
-            f"alpha {alpha} is not a noncompact root of negative grading"
-        )
-    return _string_verdict(rs, e, beta, alpha)
-
-
 def _string_verdict(
     rs: RootSystem, e: GradingElement, beta: Root, alpha: Root
 ) -> StringVerdict:

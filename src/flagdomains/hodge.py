@@ -10,6 +10,7 @@ quarter-turn Cayley element built from an sl2 triple.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -136,44 +137,16 @@ class DegenerationSpec:
             raise ValueError("type I needs a pivot p0")
         if self.kind == "II" and self.p0 is not None:
             raise ValueError("type II takes no pivot")
-        if self.p0 is not None and not isinstance(self.p0, int):
+        if self.p0 is not None and (
+            isinstance(self.p0, bool) or not isinstance(self.p0, int)
+        ):
             raise ValueError("the pivot p0 must be an integer")
 
     def label(self) -> str:
-        return f"I(p0={self.p0})" if self.kind == "I" else "II"
+        return f"type I with p0={self.p0}" if self.kind == "I" else "type II"
 
     def to_json_dict(self) -> dict:
         return {"kind": self.kind, "p0": self.p0}
-
-
-def validate_spec(h: HodgeNumbers, d: DegenerationSpec) -> None:
-    """Raise InfeasibleDegeneration unless the shape fits the Hodge numbers."""
-    n = h.weight
-    if d.kind == "I":
-        if 2 * d.p0 >= n:
-            raise InfeasibleDegeneration(f"type I needs 2*p0 < n, got p0={d.p0}")
-        if h.hp(d.p0) < 1 or h.hp(d.p0 + 1) < 1:
-            raise InfeasibleDegeneration(
-                f"type I with p0={d.p0} needs h^{{{d.p0},{n - d.p0}}} and "
-                f"h^{{{d.p0 + 1},{n - d.p0 - 1}}} at least 1"
-            )
-        if n == 2 * d.p0 + 2 and h.hp(d.p0 + 1) < 2:
-            # both chain images d(I^{p0+1,n-p0}) and d(I^{n-p0-1,p0}) land in
-            # the center class V^{n/2,n/2}, so it must hold two dimensions
-            raise InfeasibleDegeneration(
-                f"type I with p0={d.p0} and weight {n} needs "
-                f"h^{{{d.p0 + 1},{d.p0 + 1}}} >= 2"
-            )
-        return
-    if n % 2 != 0:
-        raise InfeasibleDegeneration("type II needs an even weight")
-    m = n // 2
-    # the length-three chain occupies one dimension of h^{m-1,m+1} and one
-    # of h^{m,m}, so both must be nonzero
-    if h.hp(m - 1) < 1:
-        raise InfeasibleDegeneration(f"type II needs h^{{{m - 1},{m + 1}}} >= 1")
-    if h.hp(m) < 1:
-        raise InfeasibleDegeneration(f"type II needs h^{{{m},{m}}} >= 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,99 +176,42 @@ class DeligneDiamond:
 def limit_diamond(h: HodgeNumbers, d: DegenerationSpec) -> DeligneDiamond:
     """Deligne diamond of the limit mixed structure of a minimal degeneration.
 
-    The off-row classes and the two decremented row entries are fixed by
-    the degeneration type; the rest of the weight row copies the Hodge
-    numbers, and everything is completed by conjugation symmetry and the
-    nilpotent chain pairing.
+    The bigrading is spanned by N-strings (Cattani-Kaplan-Schmid 1986).
+    Type I has the string (p0+1, n-p0) -> (p0, n-p0-1) and its conjugate,
+    one string when n = 2 p0 + 1; type II has (m+1, m+1) -> (m, m) ->
+    (m-1, m-1) with m = n/2. The off-row cells are the string cells, and
+    since every column sums to h^p, the weight-row cell of column p is
+    h^p minus the off-row cells there. The shape is infeasible when a
+    string cell leaves [0, n]^2 or a row cell falls below what the strings
+    put on the row. rank_N is the number of arrows.
     """
-    validate_spec(h, d)
     n = h.weight
-    entries: dict[tuple[int, int], int] = {}
-
-    def put(p: int, q: int, v: int) -> None:
-        if v:
-            entries[(p, q)] = v
-
-    def row_value(p: int) -> int:
-        # entries of the weight row for 2p <= n, before mirroring
-        if d.kind == "I":
-            drop = 1 if p in (d.p0, d.p0 + 1) else 0
-            if n == 2 * d.p0 + 2 and p == d.p0 + 1:
-                # the center hosts the chain image and its conjugate
-                drop = 2
-        else:
-            drop = 1 if p == n // 2 - 1 else 0
-            if p == n // 2:
-                # the chain middle restores the center of the row
-                return h.hp(p)
-        return h.hp(p) - drop
-
-    for p in range(0, n // 2 + 1):
-        put(p, n - p, row_value(p))
-    for p in range(n // 2 + 1, n + 1):
-        put(p, n - p, entries.get((n - p, p), 0))
-
     if d.kind == "I":
-        p0 = d.p0
-        put(p0 + 1, n - p0, 1)
-        put(n - p0, p0 + 1, 1)
-        put(p0, n - p0 - 1, 1)
-        put(n - p0 - 1, p0, 1)
-        rank = 1 if n == 2 * p0 + 1 else 2
+        if 2 * d.p0 >= n:
+            raise InfeasibleDegeneration(f"type I needs 2*p0 < n, got p0={d.p0}")
+        string = ((d.p0 + 1, n - d.p0), (d.p0, n - d.p0 - 1))
     else:
+        if n % 2 != 0:
+            raise InfeasibleDegeneration("type II needs an even weight")
         m = n // 2
-        put(m + 1, m + 1, 1)
-        put(m - 1, m - 1, 1)
-        rank = 2
-
-    diamond = DeligneDiamond(weight=n, entries=entries, rank_nilpotent=rank)
-    problems = validate_diamond(h, d, diamond)
-    if problems:
-        raise AssertionError("diamond construction broke an invariant: " + "; ".join(problems))
-    return diamond
-
-
-def validate_diamond(
-    h: HodgeNumbers, d: DegenerationSpec, dia: DeligneDiamond
-) -> list[str]:
-    """Independent pass over the defining clauses and symmetries; empty means good."""
-    n = h.weight
-    problems = []
-    if dia.total() != h.dim():
-        problems.append(f"total {dia.total()} != dim {h.dim()}")
-    for (p, q), v in dia.entries.items():
-        if dia.i(q, p) != v:
-            problems.append(f"conjugation symmetry fails at ({p},{q})")
-        if dia.i(n - q, n - p) != v:
-            problems.append(f"chain symmetry fails at ({p},{q})")
-    if d.kind == "I":
-        p0 = d.p0
-        if dia.i(p0 + 1, n - p0) != 1 or dia.i(p0, n - p0 - 1) != 1:
-            problems.append("clause (i) fails")
-        if dia.i(p0, n - p0) != h.hp(p0) - 1:
-            problems.append("clause (ii) fails at p0")
-        # when n = 2 p0 + 2 the cell (p0+1, n-p0-1) is its own conjugate
-        # partner, so it sheds two dimensions instead of one
-        center_drop = 2 if n == 2 * p0 + 2 else 1
-        if dia.i(p0 + 1, n - p0 - 1) != h.hp(p0 + 1) - center_drop:
-            problems.append("clause (ii) fails at p0+1")
-        for p in range(0, n + 1):
-            if 2 * p < n and p not in (p0, p0 + 1):
-                if dia.i(p, n - p) != h.hp(p):
-                    problems.append(f"clause (iii) fails at p={p}")
-    else:
-        m = n // 2
-        if dia.i(m - 1, m - 1) != 1 or dia.i(m + 1, m + 1) != 1:
-            problems.append("clause (i) fails")
-        if dia.i(m - 1, m + 1) != h.hp(m - 1) - 1:
-            problems.append("clause (ii) fails at m-1")
-        if dia.i(m + 1, m - 1) != h.hp(m + 1) - 1:
-            problems.append("clause (ii) fails at m+1")
-        for p in range(0, n + 1):
-            if 2 * p < n and p != m - 1:
-                if dia.i(p, n - p) != h.hp(p):
-                    problems.append(f"clause (iii) fails at p={p}")
-    return problems
+        string = ((m + 1, m + 1), (m, m), (m - 1, m - 1))
+    # the string and its conjugate, kept once when they coincide
+    strings = dict.fromkeys((string, tuple((q, p) for p, q in string)))
+    cells = Counter(c for s in strings for c in s)
+    for p, q in cells:
+        if not (0 <= p <= n and 0 <= q <= n):
+            raise InfeasibleDegeneration(f"{d.label()} puts i^{{{p},{q}}} outside [0, {n}]^2")
+    entries = {c: v for c, v in cells.items() if sum(c) != n}
+    for p in range(n + 1):
+        in_column = sum(v for (a, _), v in cells.items() if a == p)
+        if h.hp(p) < in_column:
+            raise InfeasibleDegeneration(f"{d.label()} needs h^{{{p},{n - p}}} >= {in_column}")
+        # h^p minus the off-row string cells of column p
+        row = h.hp(p) - in_column + cells[(p, n - p)]
+        if row:
+            entries[(p, n - p)] = row
+    rank = sum(len(s) - 1 for s in strings)
+    return DeligneDiamond(weight=n, entries=entries, rank_nilpotent=rank)
 
 
 @dataclass(frozen=True)
@@ -329,41 +245,41 @@ def _candidate_ps(n: int, d: DegenerationSpec):
 
 
 def check_boundary_concavity(h: HodgeNumbers, d: DegenerationSpec) -> BoundaryReport:
-    """Look for a nonzero weight-row entry at an admissible position.
+    """Look for a nonzero weight-row entry at an admissible position."""
+    return _boundary(d, limit_diamond(h, d))
+
+
+def _boundary(d: DegenerationSpec, dia: DeligneDiamond) -> BoundaryReport:
+    """The boundary verdict read off a diamond already built for d.
 
     The weight row of the limit diamond is read on all of [0, n], the
     right half through conjugation symmetry; the witness with the
     smallest |ell| is returned.
     """
-    dia = limit_diamond(h, d)
-    n = h.weight
+    n = dia.weight
     for p, ell in _candidate_ps(n, d):
         if 0 <= p <= n and dia.i(p, n - p) != 0:
             return BoundaryReport(condition_met=True, witness_p=p, witness_ell=ell)
     return BoundaryReport(condition_met=False, witness_p=None, witness_ell=None)
 
 
+def _minimal_diamonds(h: HodgeNumbers) -> list[tuple[DegenerationSpec, DeligneDiamond]]:
+    """Every admissible degeneration shape with its diamond, type I first."""
+    specs = [DegenerationSpec(kind="I", p0=p0) for p0 in range(h.weight + 1)]
+    out = []
+    for spec in specs + [DegenerationSpec(kind="II")]:
+        try:
+            out.append((spec, limit_diamond(h, spec)))
+        except InfeasibleDegeneration:
+            pass
+    return out
+
+
 def enumerate_minimal_degenerations(
     h: HodgeNumbers,
 ) -> list[tuple[DegenerationSpec, BoundaryReport]]:
     """Every admissible degeneration shape with its boundary verdict."""
-    out = []
-    n = h.weight
-    for p0 in range(0, n + 1):
-        spec = DegenerationSpec(kind="I", p0=p0)
-        try:
-            validate_spec(h, spec)
-        except InfeasibleDegeneration:
-            continue
-        out.append((spec, check_boundary_concavity(h, spec)))
-    spec = DegenerationSpec(kind="II")
-    try:
-        validate_spec(h, spec)
-    except InfeasibleDegeneration:
-        pass
-    else:
-        out.append((spec, check_boundary_concavity(h, spec)))
-    return out
+    return [(spec, _boundary(spec, dia)) for spec, dia in _minimal_diamonds(h)]
 
 
 def _sl2_model(kind: str):
@@ -474,20 +390,17 @@ def period_report(
         if h.hp(p)
     ]
     if only is not None:
-        validate_spec(h, only)
-        pairs = [(only, check_boundary_concavity(h, only))]
+        pairs = [(only, limit_diamond(h, only))]
     else:
-        pairs = enumerate_minimal_degenerations(h)
-    degenerations = []
-    for spec, verdict in pairs:
-        dia = limit_diamond(h, spec)
-        degenerations.append(
-            {
-                "spec": spec.to_json_dict(),
-                "diamond": dia.to_json_dict(),
-                "boundary": verdict.to_json_dict(),
-            }
-        )
+        pairs = _minimal_diamonds(h)
+    degenerations = [
+        {
+            "spec": spec.to_json_dict(),
+            "diamond": dia.to_json_dict(),
+            "boundary": _boundary(spec, dia).to_json_dict(),
+        }
+        for spec, dia in pairs
+    ]
     return {
         "weight": h.weight,
         "hodge_numbers": [h.hp(p) for p in range(h.weight, -1, -1)],

@@ -452,16 +452,6 @@ def _detect_family(cartan: tuple[tuple[int, ...], ...]) -> LieType | None:
     return None
 
 
-def cartan_integer(rs: RootSystem, a: Root, b: Root) -> int:
-    """The pairing 2(a, b)/(b, b); an integer for roots of the system."""
-    rs.check_member(a)
-    rs.check_member(b)
-    v = 2 * rs.inner(a, b) / rs.length2(b)
-    if v.denominator != 1:
-        raise ArithmeticError(f"pairing <{a},{b}> is not integral")
-    return int(v)
-
-
 def root_string(rs: RootSystem, a: Root, b: Root) -> RootString:
     """The b-string through a, with down and up extents (r, q)."""
     idx = rs.index
@@ -472,29 +462,6 @@ def root_string(rs: RootSystem, a: Root, b: Root) -> RootString:
     up = idx.walk(i, j)
     members = tuple(idx.roots[k] for k in [*reversed(down), i, *up])
     return RootString(r=len(down), q=len(up), members=members)
-
-
-@dataclass(frozen=True)
-class ParabolicData:
-    """The parabolic cut out by a grading element.
-
-    ``crossed_nodes`` are the 1-based simple-root indices i with n_i > 0,
-    exactly the nodes whose negative simple root spaces fall outside the
-    parabolic. ``dim_domain`` is the number of negatively graded roots,
-    the complex dimension of the corresponding flag variety.
-    """
-
-    parabolic_roots: frozenset[Root]
-    crossed_nodes: tuple[int, ...]
-    dim_domain: int
-
-
-def parabolic_data(rs: RootSystem, e: GradingElement) -> ParabolicData:
-    check_grading(rs, e)
-    nonneg = frozenset(a for a in rs.roots if e.value(a) >= 0)
-    crossed = tuple(i + 1 for i, n in enumerate(e.coeffs) if n > 0)
-    dim_domain = sum(1 for a in rs.roots if e.value(a) < 0)
-    return ParabolicData(nonneg, crossed, dim_domain)
 
 
 def coroot_coefficients(rs: RootSystem, a: Root) -> tuple[int, ...]:

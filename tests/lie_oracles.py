@@ -14,17 +14,27 @@ eligible-pair and Jacobi computations written with `Root` objects,
 `Fraction` inner products and dict-based brackets, the slow paths that
 the package's indexed tables replace.
 
-Test-only helpers: positivity of a coefficient vector and the partition of
-the roots by grading value, which the package itself does not use.
+Test-only helpers, which the package itself does not use: positivity of
+a coefficient vector, the partition of the roots by grading value, the
+Cartan integer of two roots, the parabolic cut out by a grading, and the
+checked classification of a single (beta, alpha) string.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
 from flagdomains.chevalley import ChevalleyConstants
-from flagdomains.rootsys import Root, check_grading, coroot_coefficients
+from flagdomains.concavity import StringVerdict, _string_verdict
+from flagdomains.rootsys import (
+    GradingElement,
+    Root,
+    RootSystem,
+    check_grading,
+    coroot_coefficients,
+)
 
 
 def is_positive(a: Root) -> bool:
@@ -38,6 +48,56 @@ def graded_pieces(rs, e) -> dict[int, frozenset[Root]]:
     for a in rs.sorted_roots():
         out.setdefault(e.value(a), set()).add(a)
     return {k: frozenset(v) for k, v in sorted(out.items())}
+
+
+def cartan_integer(rs: RootSystem, a: Root, b: Root) -> int:
+    """The pairing 2(a, b)/(b, b); an integer for roots of the system."""
+    rs.check_member(a)
+    rs.check_member(b)
+    v = 2 * rs.inner(a, b) / rs.length2(b)
+    if v.denominator != 1:
+        raise ArithmeticError(f"pairing <{a},{b}> is not integral")
+    return int(v)
+
+
+@dataclass(frozen=True)
+class ParabolicData:
+    """The parabolic cut out by a grading element.
+
+    ``crossed_nodes`` are the 1-based simple-root indices i with n_i > 0,
+    exactly the nodes whose negative simple root spaces fall outside the
+    parabolic. ``dim_domain`` is the number of negatively graded roots,
+    the complex dimension of the corresponding flag variety.
+    """
+
+    parabolic_roots: frozenset[Root]
+    crossed_nodes: tuple[int, ...]
+    dim_domain: int
+
+
+def parabolic_data(rs: RootSystem, e: GradingElement) -> ParabolicData:
+    check_grading(rs, e)
+    nonneg = frozenset(a for a in rs.roots if e.value(a) >= 0)
+    crossed = tuple(i + 1 for i, n in enumerate(e.coeffs) if n > 0)
+    dim_domain = sum(1 for a in rs.roots if e.value(a) < 0)
+    return ParabolicData(nonneg, crossed, dim_domain)
+
+
+def analyze_string_condition(
+    rs: RootSystem, e: GradingElement, beta: Root, alpha: Root
+) -> StringVerdict:
+    """Classify the beta-string through alpha against the two allowed shapes."""
+    check_grading(rs, e)
+    rs.check_member(beta)
+    rs.check_member(alpha)
+    if e.value(beta) % 2 != 0:
+        raise ValueError(f"beta {beta} is not compact for this grading")
+    va = e.value(alpha)
+    if va % 2 == 0 or va >= 0:
+        raise ValueError(
+            f"alpha {alpha} is not a noncompact root of negative grading"
+        )
+    return _string_verdict(rs, e, beta, alpha)
 
 
 def euclid_simple_roots(family: str, rank: int) -> list[tuple[int, ...]]:

@@ -7,6 +7,8 @@ import json
 import math
 
 import numpy as np
+from hodge_oracle import validate_diamond
+from lie_oracles import parabolic_data
 from matrix_oracle import cayley_matrix
 
 from flagdomains.chevalley import (
@@ -22,7 +24,6 @@ from flagdomains.hodge import (
     group_of_period_domain,
     limit_diamond,
     sl2_cayley_checks,
-    validate_diamond,
 )
 from flagdomains.leviform import DefiningFunction, levi_analyze
 from flagdomains.matrixrep import (
@@ -36,7 +37,6 @@ from flagdomains.rootsys import (
     build_root_system,
     from_cartan_matrix,
     grading,
-    parabolic_data,
     root,
     root_string,
 )

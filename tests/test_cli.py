@@ -163,6 +163,22 @@ def test_exit_code_infeasible_degeneration(capsys):
     assert "even weight" in err
 
 
+@pytest.mark.parametrize(
+    "weight, h, degeneration",
+    [
+        ("0", "1", '{"kind": "II"}'),
+        ("3", "1,1,1,1", '{"kind": "I", "p0": -1}'),
+    ],
+)
+def test_string_cells_outside_the_diamond_exit_infeasible(capsys, weight, h, degeneration):
+    code, out, err = run_cli(
+        capsys, "period", "--weight", weight, "--h", h, "--degeneration", degeneration
+    )
+    assert code == 5
+    assert out == ""
+    assert "outside" in err
+
+
 def test_exit_code_bad_request(capsys):
     code, _, _ = run_cli(capsys, "theorem1", "--family", "A", "--rank", "2")
     assert code == 2  # missing grading

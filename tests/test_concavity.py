@@ -4,10 +4,10 @@ import re
 from itertools import product
 
 import pytest
+from lie_oracles import analyze_string_condition
 
 from flagdomains.concavity import (
     VerdictKind,
-    analyze_string_condition,
     check_pseudoconcavity,
     witness_alphas,
 )

@@ -1,9 +1,12 @@
 """Period-domain groups, limit diamonds, boundary condition, sl2 Cayley forms."""
 
 from fractions import Fraction
+from itertools import product
 
+import hodge_oracle
 import numpy as np
 import pytest
+from hodge_oracle import validate_diamond
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,8 +20,6 @@ from flagdomains.hodge import (
     group_of_period_domain,
     limit_diamond,
     sl2_cayley_checks,
-    validate_diamond,
-    validate_spec,
     verify_sl2_cayley_forms,
 )
 
@@ -146,20 +147,42 @@ def test_clause_validation_pass(systems=None):
 
 def test_infeasible_specs():
     with pytest.raises(InfeasibleDegeneration):
-        validate_spec(H3, DegenerationSpec(kind="II"))  # odd weight
+        limit_diamond(H3, DegenerationSpec(kind="II"))  # odd weight
     with pytest.raises(InfeasibleDegeneration):
-        validate_spec(H3, DegenerationSpec(kind="I", p0=2))  # 2 p0 >= n
+        limit_diamond(H3, DegenerationSpec(kind="I", p0=2))  # 2 p0 >= n
     with pytest.raises(InfeasibleDegeneration):
         # center class too small for the chain image plus conjugate
-        validate_spec(H2, DegenerationSpec(kind="I", p0=0))
+        limit_diamond(H2, DegenerationSpec(kind="I", p0=0))
     with pytest.raises(InfeasibleDegeneration):
         # type II needs a nonzero center
-        validate_spec(
+        limit_diamond(
             HodgeNumbers.from_descending(2, [2, 0, 2]), DegenerationSpec(kind="II")
         )
     h = HodgeNumbers.from_descending(3, [1, 0, 0, 1])
     with pytest.raises(InfeasibleDegeneration):
-        validate_spec(h, DegenerationSpec(kind="I", p0=1))
+        limit_diamond(h, DegenerationSpec(kind="I", p0=1))
+
+
+def test_infeasible_messages():
+    def message(h, spec):
+        with pytest.raises(InfeasibleDegeneration) as info:
+            limit_diamond(h, spec)
+        return str(info.value)
+
+    assert message(H3, DegenerationSpec(kind="II")) == "type II needs an even weight"
+    assert message(H3, DegenerationSpec(kind="I", p0=2)) == "type I needs 2*p0 < n, got p0=2"
+    assert message(H2, DegenerationSpec(kind="I", p0=0)) == "type I with p0=0 needs h^{1,1} >= 2"
+    h = HodgeNumbers.from_descending(2, [2, 0, 2])
+    assert message(h, DegenerationSpec(kind="II")) == "type II needs h^{1,1} >= 1"
+    h = HodgeNumbers.from_descending(2, [0, 1, 0])
+    assert message(h, DegenerationSpec(kind="II")) == "type II needs h^{0,2} >= 1"
+    # string cells outside [0, n]^2: a negative pivot, and type II at weight 0
+    h = HodgeNumbers.from_descending(0, [3])
+    assert message(h, DegenerationSpec(kind="II")) == "type II puts i^{1,1} outside [0, 0]^2"
+    assert (
+        message(H3, DegenerationSpec(kind="I", p0=-1))
+        == "type I with p0=-1 puts i^{0,4} outside [0, 3]^2"
+    )
 
 
 def test_spec_constructor_validation():
@@ -169,6 +192,9 @@ def test_spec_constructor_validation():
         DegenerationSpec(kind="I")
     with pytest.raises(ValueError):
         DegenerationSpec(kind="II", p0=1)
+    for pivot in (True, False, 1.0):
+        with pytest.raises(ValueError, match="the pivot p0 must be an integer"):
+            DegenerationSpec(kind="I", p0=pivot)
 
 
 def test_boundary_condition_examples():
@@ -233,6 +259,56 @@ def test_boundary_condition_agrees_with_brute_force(weight, data):
         assert validate_diamond(h, spec, dia) == []
         assert dia.total() == h.dim()
         assert all(v >= 0 for v in dia.entries.values())
+
+
+def _symmetric_hodge(weight: int, top: int):
+    """Every conjugation-symmetric Hodge vector of the weight with entries <= top."""
+    for half in product(range(top + 1), repeat=weight // 2 + 1):
+        values = list(half) + list(half[: (weight + 1) // 2][::-1])
+        if any(values):
+            yield HodgeNumbers.from_descending(weight, values)
+
+
+def _specs(weight: int):
+    """Type I at every pivot from -1 to n+1, and type II."""
+    return [DegenerationSpec(kind="I", p0=p0) for p0 in range(-1, weight + 2)] + [
+        DegenerationSpec(kind="II")
+    ]
+
+
+def _assert_rule_matches_oracle(h, spec):
+    try:
+        want = hodge_oracle.limit_diamond(h, spec)
+    except InfeasibleDegeneration:
+        want = None
+    try:
+        got = limit_diamond(h, spec)
+    except InfeasibleDegeneration:
+        got = None
+    assert (got is None) == (want is None), (h, spec)
+    if got is not None:
+        assert got.entries == want.entries, (h, spec)
+        assert got.rank_nilpotent == want.rank_nilpotent, (h, spec)
+        assert validate_diamond(h, spec, got) == [], (h, spec)
+
+
+@pytest.mark.parametrize("weight", range(11))
+def test_string_rule_matches_oracle_exhaustively(weight):
+    for h in _symmetric_hodge(weight, 2):
+        for spec in _specs(weight):
+            _assert_rule_matches_oracle(h, spec)
+
+
+@given(weight=st.integers(min_value=0, max_value=12), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_string_rule_matches_oracle_for_larger_hodge_numbers(weight, data):
+    half = data.draw(st.lists(st.integers(0, 40), min_size=weight // 2 + 1, max_size=weight // 2 + 1))
+    values = half + half[: (weight + 1) // 2][::-1]
+    if not any(values):
+        values[0] = values[-1] = 1
+    h = HodgeNumbers.from_descending(weight, values)
+    spec = data.draw(st.sampled_from(_specs(weight)))
+    _assert_rule_matches_oracle(h, spec)
 
 
 def test_sl2_cayley_type1():

@@ -9,7 +9,7 @@ import pytest
 from scipy.linalg import expm
 
 from conftest import CLASSICAL, ORACLE_SYSTEMS, RELABELLED_B4
-from lie_oracles import reference_eligible_pairs
+from lie_oracles import cartan_integer, reference_eligible_pairs
 from matrix_oracle import (
     FloatRealization,
     cartan_element,
@@ -36,7 +36,6 @@ from flagdomains.matrixrep import (
 from flagdomains.rootsys import (
     LieType,
     build_root_system,
-    cartan_integer,
     from_cartan_matrix,
     grading,
     root,

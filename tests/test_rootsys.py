@@ -12,10 +12,12 @@ from itertools import islice, permutations, product
 
 from conftest import CLASSICAL, ORACLE_SYSTEMS, RELABELLED_B4, relabelled_cartan
 from lie_oracles import (
+    cartan_integer,
     euclid_cartan_integer,
     euclid_roots,
     graded_pieces,
     is_positive,
+    parabolic_data,
     positive_roots_within,
     reference_string,
     to_euclid,
@@ -26,11 +28,9 @@ from flagdomains.rootsys import (
     LieType,
     _build_cached,
     build_root_system,
-    cartan_integer,
     exact_int,
     from_cartan_matrix,
     grading,
-    parabolic_data,
     root,
     root_string,
 )
