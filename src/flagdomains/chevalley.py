@@ -8,16 +8,16 @@ satisfies
 
     c(a, b) = -c(b, a) = -c(-a, -b),    |c(a, b)| = r + 1,
 
-where r is the down extent of the b-string through a. Constants are
-stored for pairs with a positive sum; negative sums are derived on lookup
-through the sign normalization.
+where r is the down extent of the b-string through a. The table holds
+every pair of root indices; a negative sum takes the sign of
+c(-a, -b) = -c(a, b).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .rootsys import (
     Root,
@@ -29,38 +29,26 @@ from .rootsys import (
 
 @dataclass(frozen=True, eq=False)
 class ChevalleyConstants:
-    """Lookup table for the constants c(a, b) with [x^a, x^b] = c(a, b) x^{a+b}."""
+    """The constants c(a, b) with [x^a, x^b] = c(a, b) x^{a+b}: ``table[i][j]``
+    is c(rs.roots[i], rs.roots[j]), and 0 where the sum is not a root."""
 
     rs: RootSystem
-    table: dict
-
-    @cached_property
-    def by_index(self) -> tuple[tuple[int, ...], ...]:
-        """c(a, b) over the indices of ``rs.index``; 0 where a + b is no root."""
-        idx = self.rs.index
-        n = len(idx.roots)
-        out = [[0] * n for _ in range(n)]
-        for (a, b), v in self.table.items():
-            i, j = idx.pos[a], idx.pos[b]
-            out[i][j] = v
-            out[idx.neg[i]][idx.neg[j]] = -v
-        return tuple(map(tuple, out))
+    table: tuple[tuple[int, ...], ...]
 
     def constant(self, a: Root, b: Root) -> int:
         """c(a, b) for roots a, b; zero when a + b is not a root."""
-        idx = self.rs.index
-        i, j = idx.of(a), idx.of(b)
-        if i == idx.neg[j]:
+        rs = self.rs
+        i, j = rs.of(a), rs.of(b)
+        if i == rs.neg[j]:
             raise ValueError("a + b = 0; that bracket is a Cartan element")
-        return self.by_index[i][j]
+        return self.table[i][j]
 
 
 # as many tables as from_cartan_matrix keeps systems
 @lru_cache(maxsize=32)
 def structure_constants(rs: RootSystem) -> ChevalleyConstants:
     """Build the constants table with the extraspecial sign convention."""
-    idx = rs.index
-    roots, add, neg, l2, half = idx.roots, idx.add, idx.neg, idx.length2, idx.half
+    roots, add, neg, l2, half = rs.roots, rs.add, rs.neg, rs.norms, rs.half
     # Indices from `half` on are the positive roots in height order.
     special: dict[tuple[int, int], int] = {}
 
@@ -115,12 +103,14 @@ def structure_constants(rs: RootSystem) -> ChevalleyConstants:
                 )
             special[(a, b)] = int(val)
 
-    table: dict[tuple[Root, Root], int] = {}
-    for a in range(len(roots)):
+    n = len(roots)
+    table = [[0] * n for _ in range(n)]
+    for a in range(n):
         for b, s in enumerate(add[a]):
             if s >= half:
-                table[(roots[a], roots[b])] = lookup(a, b)
-    return ChevalleyConstants(rs=rs, table=table)
+                table[a][b] = v = lookup(a, b)
+                table[neg[a]][neg[b]] = -v
+    return ChevalleyConstants(rs=rs, table=tuple(map(tuple, table)))
 
 
 @dataclass(frozen=True)
@@ -175,16 +165,16 @@ def verify_bracket_identities(cc: ChevalleyConstants) -> BracketReport:
     pairs with a (0, 2) string must additionally satisfy
     c(b, a+b) c(-b, a+2b) = 2.
     """
-    idx = cc.rs.index
-    roots, add, neg = idx.roots, idx.add, idx.neg
-    c = cc.by_index
+    rs = cc.rs
+    roots, add, neg = rs.roots, rs.add, rs.neg
+    c = cc.table
     entries = []
     chains = []
     for a in range(len(roots)):
         for b in range(len(roots)):
             if a == b or a == neg[b]:
                 continue
-            r, q = idx.extents(a, b)
+            r, q = rs.extents(a, b)
             up = add[a][b]
             coeff = c[b][a] * c[neg[b]][up] if up >= 0 else 0
             entries.append(StringBracketEntry(roots[a], roots[b], coeff, q * (r + 1)))
@@ -201,9 +191,8 @@ def _bracket_rows(cc: ChevalleyConstants) -> list[list[tuple]]:
     H^{s_i}; ``out[p][q]`` lists the (m, coefficient) terms of [e_p, e_q].
     """
     rs = cc.rs
-    idx = rs.index
-    roots, add, neg = idx.roots, idx.add, idx.neg
-    c = cc.by_index
+    roots, add, neg = rs.roots, rs.add, rs.neg
+    c = cc.table
     n_roots = len(roots)
     n = n_roots + rs.rank
     out: list[list[tuple]] = [[()] * n for _ in range(n)]
@@ -244,7 +233,7 @@ def jacobi_violations(cc: ChevalleyConstants) -> list:
             if p < q:
                 for m, coef in v:
                     pre[m].append((p, q, coef))
-    syms = [("x", a) for a in cc.rs.index.roots]
+    syms = [("x", a) for a in cc.rs.roots]
     syms.extend(("h", i) for i in range(cc.rs.rank))
     violations = []
     for i in range(n):

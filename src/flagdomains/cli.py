@@ -226,6 +226,8 @@ def _verify_systems(args):
     spec = _merged(args, ("family", "rank", "cartan", "grading"))
     if spec.get("family") is not None or spec.get("cartan") is not None:
         return [(_resolve_system(spec), spec)]
+    if spec.get("grading") is not None:
+        raise ValueError("a grading needs --family and --rank, or --cartan")
     return None
 
 

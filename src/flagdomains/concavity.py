@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .realform import classify_roots, noncompact_negative_roots
+from .realform import classify_roots
 from .rootsys import (
     GradingElement,
     Root,
@@ -113,11 +113,9 @@ def _string_verdict(
     )
 
 
-def _height_order(roots) -> list[Root]:
-    return sorted(roots, key=lambda a: (a.height, a.coeffs))
-
-
-def _sweep_inputs(rs: RootSystem, e: GradingElement) -> tuple[list[Root], list[Root]]:
+def _sweep_inputs(
+    rs: RootSystem, e: GradingElement
+) -> tuple[tuple[Root, ...], tuple[Root, ...]]:
     """The compact roots and the noncompact negative roots, in sweep order."""
     check_grading(rs, e)
     if e.is_zero:
@@ -125,10 +123,7 @@ def _sweep_inputs(rs: RootSystem, e: GradingElement) -> tuple[list[Root], list[R
     if any(n < 0 for n in e.coeffs):
         raise ValueError("grading coefficients must be nonnegative")
     table = classify_roots(rs, e)
-    return (
-        _height_order(table.compact),
-        _height_order(noncompact_negative_roots(rs, e)),
-    )
+    return table.compact, tuple(a for a in table.noncompact if e.value(a) < 0)
 
 
 def check_pseudoconcavity(rs: RootSystem, e: GradingElement) -> ConcavityReport:
@@ -145,7 +140,7 @@ def check_pseudoconcavity(rs: RootSystem, e: GradingElement) -> ConcavityReport:
     return ConcavityReport(
         satisfied=bool(witnesses),
         witnesses=tuple(witnesses),
-        noncompact_negatives=tuple(alphas),
+        noncompact_negatives=alphas,
         detail=detail,
     )
 
@@ -163,4 +158,4 @@ def witness_alphas(rs: RootSystem, e: GradingElement, beta: Root) -> tuple[Root,
         for alpha in alphas
     ):
         raise ValueError(f"beta {beta} is not a witness for grading {e}")
-    return tuple(alphas)
+    return alphas

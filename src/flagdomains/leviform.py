@@ -22,13 +22,16 @@ Term = tuple[complex, tuple[int, ...], tuple[int, ...]]
 
 
 def _complex(value, what: str) -> complex:
-    try:
-        if isinstance(value, (list, tuple)):
-            re, im = value
-            return complex(re, im)
-        return complex(value)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{what} must be a number or an [re, im] pair") from exc
+    """value as a complex number: an int, float or complex, or an [re, im]
+    pair of ints and floats. Bools and strings raise ValueError, where
+    complex() would read True as 1 and "-1" as -1."""
+    pair = isinstance(value, (list, tuple))
+    parts = value if pair else (value,)
+    kinds = (int, float) if pair else (int, float, complex)
+    numbers = [v for v in parts if isinstance(v, kinds) and not isinstance(v, bool)]
+    if len(numbers) == len(parts) == 1 + pair:
+        return complex(*parts)
+    raise ValueError(f"{what} must be a number or an [re, im] pair")
 
 
 def _exponents(value, n: int) -> tuple[int, ...]:

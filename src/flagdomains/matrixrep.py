@@ -34,7 +34,6 @@ from .rootsys import (
     RootSystem,
     check_grading,
     grading_cartan_coefficients,
-    root_string,
 )
 
 TOL_CONJUGATION = 1e-9
@@ -265,25 +264,25 @@ def fundamental_rep(
     if cc is None:
         cc = structure_constants(rs)
     dim, xs, ys, hs = _BUILDERS[t.family](t.rank)
-    simples = rs.simple_roots()
+    roots, add, neg, half = rs.roots, rs.add, rs.neg, rs.half
+    simples = [rs.of(s) for s in rs.simple_roots()]
     x: dict[Root, dict] = {}
     h: dict[Root, dict] = {}
     for s, xp, xn, hm in zip(simples, xs, ys, hs):
-        x[s] = xp
-        x[-s] = xn
-        h[s] = hm
-    for g in rs.sorted_positive():
-        if g.height < 2:
-            continue
+        x[roots[s]] = xp
+        x[roots[neg[s]]] = xn
+        h[roots[s]] = hm
+    for g in range(half + rs.rank, len(roots)):
+        # the positive roots past the simple ones, in height order
         for s in simples:
-            a = g - s
-            if a in rs.positive_roots:
-                c = cc.constant(s, a)
-                x[g] = _bracket(x[s], x[a], c)
-                x[-g] = _bracket(x[-s], x[-a], -c)
+            a = add[g][neg[s]]
+            if a >= half:
+                c = cc.table[s][a]
+                x[roots[g]] = _bracket(x[roots[s]], x[roots[a]], c)
+                x[roots[neg[g]]] = _bracket(x[roots[neg[s]]], x[roots[neg[a]]], -c)
                 break
         else:
-            raise AssertionError(f"{g} has no simple summand")
+            raise AssertionError(f"{roots[g]} has no simple summand")
     return MatrixRealization(rs=rs, cc=cc, dim=dim, x=x, h=h)
 
 
@@ -298,16 +297,13 @@ def verify_cayley_conjugation(
     matches and are null otherwise.
     """
     rs = rep.rs
-    rs.check_member(a)
-    rs.check_member(b)
-    if a == b or a == -b:
+    i, j = rs.of(a), rs.of(b)
+    if i == j or i == rs.neg[j]:
         raise ValueError("the pair must be linearly independent")
-    st = root_string(rs, a, b)
-    if (st.r, st.q) not in ((0, 1), (0, 2)):
-        raise ValueError(
-            f"string shape (r, q) = ({st.r}, {st.q}) is outside (0,1)/(0,2)"
-        )
-    expected = a + st.q * b
+    r, q = rs.extents(i, j)
+    if (r, q) not in ((0, 1), (0, 2)):
+        raise ValueError(f"string shape (r, q) = ({r}, {q}) is outside (0,1)/(0,2)")
+    expected = rs.roots[rs.walk(i, j)[-1]]
     w = rep.weyl(b)
     xa, xe = rep.twice[a], rep.twice[expected]
     sign = next((s for s in (1, -1) if w.matches(xa, xe, s)), None)
@@ -330,7 +326,7 @@ def verify_cayley_conjugation(
         info={
             "target": list(expected.coeffs) if matched else None,
             "expected": list(expected.coeffs),
-            "string": [st.r, st.q],
+            "string": [r, q],
         },
     )
 
@@ -382,11 +378,11 @@ def verify_fixed_point(
 
 def eligible_conjugation_pairs(rs: RootSystem) -> list[tuple[Root, Root]]:
     """All ordered (a, b) with a != +-b whose b-string has shape (0,1)/(0,2)."""
-    idx = rs.index
-    n = len(idx.roots)
+    roots, neg = rs.roots, rs.neg
+    n = len(roots)
     return [
-        (idx.roots[a], idx.roots[b])
+        (roots[a], roots[b])
         for a in range(n)
         for b in range(n)
-        if a != b and a != idx.neg[b] and idx.extents(a, b) in ((0, 1), (0, 2))
+        if a != b and a != neg[b] and rs.extents(a, b) in ((0, 1), (0, 2))
     ]

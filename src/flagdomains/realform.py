@@ -15,20 +15,22 @@ from .rootsys import GradingElement, Root, RootSystem, check_grading
 
 @dataclass(frozen=True)
 class CompactnessTable:
-    compact: frozenset[Root]
-    noncompact: frozenset[Root]
+    """The two parts of ``rs.roots``, each in the order of ``rs.roots``."""
+
+    compact: tuple[Root, ...]
+    noncompact: tuple[Root, ...]
 
 
 def classify_roots(rs: RootSystem, e: GradingElement) -> CompactnessTable:
     """Partition the roots into compact (even grading) and noncompact (odd)."""
     check_grading(rs, e)
-    compact = frozenset(a for a in rs.roots if e.value(a) % 2 == 0)
-    return CompactnessTable(compact=compact, noncompact=frozenset(rs.roots - compact))
+    parts: tuple[list[Root], list[Root]] = ([], [])
+    for a in rs.roots:
+        parts[e.value(a) % 2].append(a)
+    return CompactnessTable(compact=tuple(parts[0]), noncompact=tuple(parts[1]))
 
 
-def noncompact_negative_roots(rs: RootSystem, e: GradingElement) -> frozenset[Root]:
-    """Noncompact roots with strictly negative grading value."""
+def noncompact_negative_roots(rs: RootSystem, e: GradingElement) -> tuple[Root, ...]:
+    """Noncompact roots with strictly negative grading value, in ``rs.roots`` order."""
     check_grading(rs, e)
-    return frozenset(
-        a for a in rs.roots if e.value(a) < 0 and e.value(a) % 2 != 0
-    )
+    return tuple(a for a in rs.roots if e.value(a) < 0 and e.value(a) % 2 != 0)

@@ -11,7 +11,7 @@ orientations of the rank-two B/C labelings available.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -140,25 +140,58 @@ class RootString:
     members: tuple[Root, ...]
 
 
-@dataclass(frozen=True, eq=False)
-class RootIndex:
-    """The roots of one system as integers, with the tables hot paths walk.
+@dataclass(frozen=True)
+class RootSystem:
+    """A finite root system with exact inner-product data.
 
-    ``roots`` is in height order, negatives first, so index i is positive
-    exactly when i >= ``half``; ``pos`` inverts it. ``add[i][j]`` is the
-    index of roots[i] + roots[j], or -1 when the sum is not a root, ``neg[i]``
-    the index of -roots[i], and ``length2[i]`` the squared length.
+    ``lengths`` holds the squared length of each simple root; long roots
+    are normalized to squared length 2 within each irreducible component.
+    ``roots`` lists every root in height order, negatives first, so index i
+    is positive exactly when i >= ``half`` and -roots[i] is roots[n-1-i].
+    The tables the hot paths walk are built on first use and kept on the
+    instance: ``pos`` inverts ``roots``, ``add[i][j]`` is the index of
+    roots[i] + roots[j] or -1 when the sum is not a root, ``neg[i]`` the
+    index of -roots[i], and ``norms[i]`` the squared length of roots[i].
+    Equality and hashing see the Cartan data only.
     """
 
-    roots: tuple[Root, ...]
-    pos: dict[Root, int]
-    add: tuple[tuple[int, ...], ...]
-    neg: tuple[int, ...]
-    length2: tuple[Fraction, ...]
+    lie_type: LieType | None
+    cartan: tuple[tuple[int, ...], ...]
+    lengths: tuple[Fraction, ...]
+    roots: tuple[Root, ...] = field(compare=False, repr=False)
+
+    @property
+    def rank(self) -> int:
+        return len(self.cartan)
 
     @property
     def half(self) -> int:
         return len(self.roots) // 2
+
+    @property
+    def positive_roots(self) -> tuple[Root, ...]:
+        return self.roots[self.half:]
+
+    @cached_property
+    def pos(self) -> dict[Root, int]:
+        return {a: i for i, a in enumerate(self.roots)}
+
+    @cached_property
+    def add(self) -> tuple[tuple[int, ...], ...]:
+        # Coefficients of a sum of two roots lie in [-2m, 2m], so this linear
+        # code is injective on them and the code of a + b is code(a) + code(b).
+        base = 4 * max(abs(c) for a in self.roots for c in a.coeffs) + 1
+        codes = [sum(c * base**k for k, c in enumerate(a.coeffs)) for a in self.roots]
+        where = {code: i for i, code in enumerate(codes)}
+        return tuple(tuple(where.get(ci + cj, -1) for cj in codes) for ci in codes)
+
+    @cached_property
+    def neg(self) -> tuple[int, ...]:
+        return tuple(range(len(self.roots) - 1, -1, -1))
+
+    @cached_property
+    def norms(self) -> tuple[Fraction, ...]:
+        return tuple(self.length2(a) for a in self.roots)
 
     def of(self, a: Root) -> int:
         """The index of a, or ValueError when a is not a root."""
@@ -181,47 +214,6 @@ class RootIndex:
         """(r, q) of the roots[j]-string through roots[i], for i != j, neg[j]."""
         return len(self.walk(i, self.neg[j])), len(self.walk(i, j))
 
-
-def _build_index(rs: "RootSystem") -> RootIndex:
-    roots = tuple(rs.sorted_roots())
-    # Coefficients of a sum of two roots lie in [-2m, 2m], so this linear
-    # code is injective on them and the code of a + b is code(a) + code(b).
-    base = 4 * max(abs(c) for a in roots for c in a.coeffs) + 1
-    codes = [sum(c * base**k for k, c in enumerate(a.coeffs)) for a in roots]
-    where = {code: i for i, code in enumerate(codes)}
-    add = tuple(tuple(where.get(ci + cj, -1) for cj in codes) for ci in codes)
-    return RootIndex(
-        roots=roots,
-        pos={a: i for i, a in enumerate(roots)},
-        add=add,
-        neg=tuple(where[-code] for code in codes),
-        length2=tuple(rs.length2(a) for a in roots),
-    )
-
-
-@dataclass(frozen=True)
-class RootSystem:
-    """A finite root system with exact inner-product data.
-
-    ``lengths`` holds the squared length of each simple root; long roots
-    are normalized to squared length 2 within each irreducible component.
-    ``index`` is built on first use and kept on the instance.
-    """
-
-    lie_type: LieType | None
-    cartan: tuple[tuple[int, ...], ...]
-    lengths: tuple[Fraction, ...]
-    roots: frozenset[Root]
-    positive_roots: frozenset[Root]
-
-    @property
-    def rank(self) -> int:
-        return len(self.cartan)
-
-    def check_member(self, a: Root) -> None:
-        if a not in self.roots:
-            raise ValueError(f"{a} is not a root of this system")
-
     def simple_roots(self) -> tuple[Root, ...]:
         r = self.rank
         return tuple(
@@ -241,23 +233,13 @@ class RootSystem:
     def length2(self, a: Root) -> Fraction:
         return self.inner(a, a)
 
-    def sorted_roots(self) -> list[Root]:
-        return sorted(self.roots, key=lambda a: (a.height, a.coeffs))
-
-    def sorted_positive(self) -> list[Root]:
-        return sorted(self.positive_roots, key=lambda a: (a.height, a.coeffs))
-
     def to_json_dict(self) -> dict:
         return {
             "family": self.lie_type.family if self.lie_type else None,
             "rank": self.rank,
             "cartan": [list(row) for row in self.cartan],
-            "roots": [list(a.coeffs) for a in sorted(self.roots, key=lambda a: a.coeffs)],
+            "roots": [list(a.coeffs) for a in sorted(self.roots)],
         }
-
-    @cached_property
-    def index(self) -> RootIndex:
-        return _build_index(self)
 
 
 def check_grading(rs: RootSystem, e: GradingElement) -> None:
@@ -322,20 +304,19 @@ def _build_cached(cartan: tuple[tuple[int, ...], ...]) -> RootSystem:
     if not _positive_definite(cartan, lengths):
         raise ValueError("matrix does not define a finite root system")
     positives = _positive_roots(cartan)
-    roots = frozenset(positives) | frozenset(-a for a in positives)
     lie_type = _detect_family(cartan)
     rs = RootSystem(
         lie_type=lie_type,
         cartan=cartan,
         lengths=lengths,
-        roots=roots,
-        positive_roots=frozenset(positives),
+        # negation reverses the (height, coeffs) order of the positives
+        roots=tuple(-a for a in reversed(positives)) + tuple(positives),
     )
     if lie_type is not None:
         expected = _ROOT_COUNT[lie_type.family](lie_type.rank)
-        if len(roots) != expected:
+        if len(rs.roots) != expected:
             raise AssertionError(
-                f"{lie_type}: enumerated {len(roots)} roots, expected {expected}"
+                f"{lie_type}: enumerated {len(rs.roots)} roots, expected {expected}"
             )
     return rs
 
@@ -454,20 +435,18 @@ def _detect_family(cartan: tuple[tuple[int, ...], ...]) -> LieType | None:
 
 def root_string(rs: RootSystem, a: Root, b: Root) -> RootString:
     """The b-string through a, with down and up extents (r, q)."""
-    idx = rs.index
-    i, j = idx.of(a), idx.of(b)
-    if i == j or i == idx.neg[j]:
+    i, j = rs.of(a), rs.of(b)
+    if i == j or i == rs.neg[j]:
         raise ValueError("the string through a in direction b needs a != +-b")
-    down = idx.walk(i, idx.neg[j])
-    up = idx.walk(i, j)
-    members = tuple(idx.roots[k] for k in [*reversed(down), i, *up])
+    down = rs.walk(i, rs.neg[j])
+    up = rs.walk(i, j)
+    members = tuple(rs.roots[k] for k in [*reversed(down), i, *up])
     return RootString(r=len(down), q=len(up), members=members)
 
 
 def coroot_coefficients(rs: RootSystem, a: Root) -> tuple[int, ...]:
     """Integer expansion of the coroot of a over the simple coroots."""
-    rs.check_member(a)
-    la = rs.length2(a)
+    la = rs.norms[rs.of(a)]
     out = []
     for i, c in enumerate(a.coeffs):
         v = Fraction(c) * rs.lengths[i] / la

@@ -45,15 +45,15 @@ def graded_pieces(rs, e) -> dict[int, frozenset[Root]]:
     """Partition of the roots by grading value; only nonempty pieces appear."""
     check_grading(rs, e)
     out: dict[int, set[Root]] = {}
-    for a in rs.sorted_roots():
+    for a in rs.roots:
         out.setdefault(e.value(a), set()).add(a)
     return {k: frozenset(v) for k, v in sorted(out.items())}
 
 
 def cartan_integer(rs: RootSystem, a: Root, b: Root) -> int:
     """The pairing 2(a, b)/(b, b); an integer for roots of the system."""
-    rs.check_member(a)
-    rs.check_member(b)
+    rs.of(a)
+    rs.of(b)
     v = 2 * rs.inner(a, b) / rs.length2(b)
     if v.denominator != 1:
         raise ArithmeticError(f"pairing <{a},{b}> is not integral")
@@ -88,8 +88,8 @@ def analyze_string_condition(
 ) -> StringVerdict:
     """Classify the beta-string through alpha against the two allowed shapes."""
     check_grading(rs, e)
-    rs.check_member(beta)
-    rs.check_member(alpha)
+    rs.of(beta)
+    rs.of(alpha)
     if e.value(beta) % 2 != 0:
         raise ValueError(f"beta {beta} is not compact for this grading")
     va = e.value(alpha)
@@ -210,35 +210,50 @@ def positive_roots_within(cartan, max_height: int = 64) -> list[Root] | None:
 
 def reference_string(rs, a, b) -> tuple[int, int, tuple]:
     """(r, q, members) of the b-string through a, by root arithmetic."""
+    roots = frozenset(rs.roots)
     q = 0
-    while (a + (q + 1) * b) in rs.roots:
+    while (a + (q + 1) * b) in roots:
         q += 1
     r = 0
-    while (a - (r + 1) * b) in rs.roots:
+    while (a - (r + 1) * b) in roots:
         r += 1
     return r, q, tuple(a + n * b for n in range(-r, q + 1))
 
 
+def positive_sum_table(cc) -> dict:
+    """The constants c(a, b) with a + b a positive root, keyed by (a, b)."""
+    rs = cc.rs
+    return {
+        (rs.roots[i], rs.roots[j]): cc.table[i][j]
+        for i, row in enumerate(rs.add)
+        for j, s in enumerate(row)
+        if s >= rs.half
+    }
+
+
 def reference_constant(cc, a, b) -> int:
-    """c(a, b) read from the table: stored for positive sums, derived for negative."""
+    """c(a, b) read from the table where the sum is positive; a negative sum
+    is derived from c(-a, -b) = -c(a, b)."""
+    pos = cc.rs.pos
     s = a + b
-    if s not in cc.rs.roots:
+    if s not in pos:
         return 0
     if is_positive(s):
-        return cc.table[(a, b)]
-    return -cc.table[(-a, -b)]
+        return cc.table[pos[a]][pos[b]]
+    return -cc.table[pos[-a]][pos[-b]]
 
 
 def reference_structure_table(rs) -> dict:
     """The extraspecial-sign constants table, by root arithmetic."""
-    pos = rs.sorted_positive()
+    pos = sorted(rs.positive_roots, key=lambda a: (a.height, a.coeffs))
     order = {a: i for i, a in enumerate(pos)}
+    roots = frozenset(rs.roots)
 
     special: dict = {}
 
     def down_extent(a, b) -> int:
         k = 0
-        while (a - (k + 1) * b) in rs.roots:
+        while (a - (k + 1) * b) in roots:
             k += 1
         return k
 
@@ -267,25 +282,25 @@ def reference_structure_table(rs) -> dict:
             if order[a] >= order[g]:
                 break
             b = g - a
-            if b in rs.positive_roots and order[a] < order[b]:
+            if b in order and order[a] < order[b]:
                 pairs.append((a, b))
         a1, b1 = pairs[0]
         special[(a1, b1)] = down_extent(a1, b1) + 1
         for a, b in pairs[1:]:
             t = Fraction(0)
-            if (a1 - a) in rs.roots:
+            if (a1 - a) in roots:
                 t += lookup(-a, a1) * lookup(a1 - a, b1)
-            if (b1 - a) in rs.roots:
+            if (b1 - a) in roots:
                 t += lookup(b1, -a) * lookup(b1 - a, a1)
             val = t * rs.length2(g) / (rs.length2(b) * special[(a1, b1)])
             assert val.denominator == 1 and val != 0
             special[(a, b)] = int(val)
 
     table = {}
-    for a in rs.sorted_roots():
-        for b in rs.sorted_roots():
+    for a in roots:
+        for b in roots:
             s = a + b
-            if s in rs.roots and is_positive(s):
+            if s in roots and is_positive(s):
                 table[(a, b)] = lookup(a, b)
     return table
 
@@ -294,14 +309,15 @@ def reference_bracket_entries(cc) -> tuple[list, list]:
     """(alpha, beta, coefficient, expected) string-identity entries and
     (alpha, beta, product) double-step chains, by root arithmetic."""
     rs = cc.rs
+    roots = frozenset(rs.roots)
     entries = []
     chains = []
-    for a in rs.sorted_roots():
-        for b in rs.sorted_roots():
+    for a in rs.roots:
+        for b in rs.roots:
             if a == b or a == -b:
                 continue
             r, q, _ = reference_string(rs, a, b)
-            if (a + b) in rs.roots:
+            if (a + b) in roots:
                 coeff = reference_constant(cc, b, a) * reference_constant(cc, -b, a + b)
             else:
                 coeff = 0
@@ -317,8 +333,8 @@ def reference_bracket_entries(cc) -> tuple[list, list]:
 def reference_eligible_pairs(rs) -> list:
     """Ordered (a, b), a != +-b, whose b-string through a has shape (0,1)/(0,2)."""
     pairs = []
-    for a in rs.sorted_roots():
-        for b in rs.sorted_roots():
+    for a in rs.roots:
+        for b in rs.roots:
             if a == b or a == -b:
                 continue
             r, q, _ = reference_string(rs, a, b)
@@ -350,7 +366,7 @@ def _basis_bracket(cc: ChevalleyConstants, s1, s2) -> dict:
             for i, coef in enumerate(coroot_coefficients(rs, a)):
                 if coef:
                     _add_into(out, ("h", i), Fraction(coef))
-        elif s in rs.roots:
+        elif s in rs.pos:
             _add_into(out, ("x", s), Fraction(cc.constant(a, b)))
         return out
     if kind1 == "h" and kind2 == "x":
@@ -376,7 +392,7 @@ def abstract_bracket(cc: ChevalleyConstants, e1: dict, e2: dict) -> dict:
 
 
 def basis_symbols(cc: ChevalleyConstants) -> list:
-    syms = [("x", a) for a in cc.rs.sorted_roots()]
+    syms = [("x", a) for a in cc.rs.roots]
     syms.extend(("h", i) for i in range(cc.rs.rank))
     return syms
 

@@ -85,7 +85,7 @@ def shear_product(e: np.ndarray, f: np.ndarray, t: float, s: float) -> np.ndarra
 
 def cayley_matrix(rep, a) -> np.ndarray:
     """exp((pi/4)(x^{-a} - x^{a})) in the realization."""
-    rep.rs.check_member(a)
+    rep.rs.of(a)
     theta = math.pi / 4
     xna, xa = dense(rep.x[-a], rep.dim), dense(rep.x[a], rep.dim)
     return shear_product(xna, xa, math.tan(theta / 2), math.sin(theta))

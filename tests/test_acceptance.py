@@ -96,8 +96,8 @@ def test_c04_chevalley_property_suite():
     for fam, rank in keys:
         rs = build_root_system(LieType(fam, rank))
         cc = structure_constants(rs)
-        for a in rs.sorted_roots():
-            for b in rs.sorted_roots():
+        for a in rs.roots:
+            for b in rs.roots:
                 s = a + b
                 if s.is_zero or s not in rs.roots:
                     continue

@@ -362,11 +362,17 @@ PERIOD_W2 = ["period", "--weight", "2", "--h", "1,1,1"]
         (["describe", "--cartan", "[[2,-1.5],[-1,2]]"], "list of integer rows"),
         (["levi", "--spec", MALFORMED_LEVI % '[{"c": 1, "z": [1.7, 0]}]'], "exponents must be"),
         (PERIOD_W2 + ["--degeneration", '{"kind": "I", "p0": true}'], "p0 must be an integer"),
+        (["levi", "--spec", MALFORMED_LEVI % '[{"c": true}]'], "a coefficient must be"),
+        (["levi", "--spec", MALFORMED_LEVI % '[{"c": "-1"}]'], "a coefficient must be"),
+        (["levi", "--spec", MALFORMED_LEVI % '[{"c": [true, false]}]'], "a coefficient must be"),
+        (["levi", "--spec", '{"n": 1, "z0": ["1"], "terms": []}'], "a z0 entry must be"),
     ],
     ids=["cartan-scalar", "cartan-flat", "z0-scalar", "term-not-object",
          "exponent-not-list", "negative-exponent-at-zero", "derivative-overflow",
          "n-not-integer", "degeneration-scalar", "pivot-not-integer",
-         "cartan-non-integral", "exponent-non-integral", "pivot-bool"],
+         "cartan-non-integral", "exponent-non-integral", "pivot-bool",
+         "coefficient-bool", "coefficient-string", "coefficient-bool-pair",
+         "z0-string"],
 )
 def test_malformed_input_exits_2_without_traceback(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
@@ -374,6 +380,15 @@ def test_malformed_input_exits_2_without_traceback(capsys, argv, message):
     assert out == ""
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
+
+
+def test_verify_grading_needs_a_system(tmp_path, capsys):
+    path = tmp_path / "req.json"
+    path.write_text(json.dumps({"grading": [2, 0]}))
+    for source in (["--grading", "2,0"], ["--input", str(path)]):
+        code, out, err = run_cli(capsys, "verify", "--suite", "fixed-point", *source)
+        assert code == 2 and out == ""
+        assert err == "error: a grading needs --family and --rank, or --cartan\n"
 
 
 def test_vacuous_theorem1_verdict(capsys):
@@ -478,7 +493,7 @@ def _period(weight):
 
 LEVI_TERM = st.fixed_dictionaries(
     {
-        "c": _near(1),
+        "c": st.one_of(_near(1), SCALARS),
         "z": st.lists(st.integers(0, 2), min_size=2, max_size=2).flatmap(_near_list),
         "zbar": st.lists(st.integers(0, 2), min_size=2, max_size=2).flatmap(_near_list),
     }
@@ -504,6 +519,10 @@ def test_input_documents_end_cleanly_and_echo_what_was_given(tmp_path, doc):
         code = main([command, "--input", str(path)])
     assert code in (0, 2, 3, 4, 5)
     assert (code == 0) == (err.getvalue() == "")
+    if command == "levi" and any(isinstance(t["c"], (bool, str)) for t in data["terms"]):
+        # only an n out of bounds is reported before the coefficients
+        assert code in (2, 4)
+        assert code == 2 or "dimension n" in err.getvalue()
     if code != 0:
         return
     report = json.loads(out.getvalue())

@@ -55,7 +55,7 @@ def test_bracket_relations_exact(key, systems, reps):
     rep = reps[key]
     cc = rep.cc
     x = {a: dense(m, rep.dim) for a, m in rep.x.items()}
-    for a in rs.sorted_roots():
+    for a in rs.roots:
         ha = cartan_element(rep, a)
         comm = x[a] @ x[-a] - x[-a] @ x[a]
         assert np.linalg.norm(comm - ha) < 1e-12
@@ -63,7 +63,7 @@ def test_bracket_relations_exact(key, systems, reps):
             hs = dense(rep.h[s], rep.dim)
             comm = hs @ x[a] - x[a] @ hs
             assert np.linalg.norm(comm - cartan_integer(rs, a, s) * x[a]) < 1e-12
-        for b in rs.sorted_roots():
+        for b in rs.roots:
             if (a + b).is_zero:
                 continue
             comm = x[a] @ x[b] - x[b] @ x[a]
@@ -97,7 +97,7 @@ def test_a1_matches_standard_triple():
 
 def test_a2_root_vectors_are_signed_elementary(a2):
     rep = fundamental_rep(a2)
-    for a in a2.sorted_roots():
+    for a in a2.roots:
         m = dense(rep.x[a], rep.dim)
         nonzero = np.argwhere(np.abs(m) > 0)
         assert len(nonzero) == 1
@@ -145,7 +145,7 @@ def test_exponential_inverse(key):
     rs = build_root_system(LieType(*key))
     rep = fundamental_rep(rs)
     eye = np.eye(rep.dim)
-    for a in rs.sorted_roots():
+    for a in rs.roots:
         x = rep.x[a]
         minus = {k: -v for k, v in x.items()}
         inverse = product(exp_nilpotent(x, rep.dim), exp_nilpotent(minus, rep.dim))
@@ -157,7 +157,7 @@ def test_unipotent_factors_match_expm(key):
     rs = build_root_system(LieType(*key))
     rep = fundamental_rep(rs)
     eye = np.eye(rep.dim)
-    for a in rs.sorted_roots():
+    for a in rs.roots:
         xa, xna = dense(rep.x[a], rep.dim), dense(rep.x[-a], rep.dim)
         assert not (xa @ xa @ xa).any()
         assert np.linalg.norm(dense(exp_nilpotent(rep.x[a], rep.dim), rep.dim) - expm(xa)) < 1e-12
@@ -209,7 +209,7 @@ def test_cayley_conjugation_fails_on_a_swapped_endpoint(key, systems, reps):
     for a, b in eligible_conjugation_pairs(rs):
         chk = verify_cayley_conjugation(rep, a, b)
         expected = root(tuple(chk.info["expected"]))
-        other = next(g for g in rs.sorted_roots() if g not in (a, b, -b, expected))
+        other = next(g for g in rs.roots if g not in (a, b, -b, expected))
         x = dict(rep.x)
         x[expected], x[other] = rep.x[other], rep.x[expected]
         chk = verify_cayley_conjugation(dataclasses.replace(rep, x=x), a, b)

@@ -1,9 +1,10 @@
 """Compactness classification by grading parity."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CLASSICAL
+from conftest import CLASSICAL, ORACLE_SYSTEMS
 
 from flagdomains.realform import classify_roots, noncompact_negative_roots
 from flagdomains.rootsys import LieType, build_root_system, grading
@@ -53,8 +54,8 @@ def test_partition_and_parity_additivity(key, raw):
     rs = build_root_system(LieType(*key))
     e = grading(raw[: rs.rank])
     table = classify_roots(rs, e)
-    assert table.compact | table.noncompact == rs.roots
-    assert not table.compact & table.noncompact
+    assert set(table.compact) | set(table.noncompact) == set(rs.roots)
+    assert not set(table.compact) & set(table.noncompact)
     assert {-a for a in table.compact} == set(table.compact)
     assert {-a for a in table.noncompact} == set(table.noncompact)
     for a in table.compact:
@@ -63,4 +64,16 @@ def test_partition_and_parity_additivity(key, raw):
             if s in rs.roots:
                 assert s in table.compact
     negs = noncompact_negative_roots(rs, e)
-    assert negs == {a for a in table.noncompact if e.value(a) < 0}
+    assert set(negs) == {a for a in table.noncompact if e.value(a) < 0}
+
+
+@pytest.mark.parametrize("key", ORACLE_SYSTEMS, ids=lambda k: f"{k[0]}{k[1]}")
+def test_classify_roots_partitions_the_roots_in_their_order(key):
+    rs = build_root_system(LieType(*key))
+    for e in (grading((1,) * rs.rank), grading((0,) * (rs.rank - 1) + (1,)), grading((2,) * rs.rank)):
+        table = classify_roots(rs, e)
+        assert table.compact == tuple(a for a in rs.roots if e.value(a) % 2 == 0)
+        assert table.noncompact == tuple(a for a in rs.roots if e.value(a) % 2 != 0)
+        assert noncompact_negative_roots(rs, e) == tuple(
+            a for a in table.noncompact if e.value(a) < 0
+        )

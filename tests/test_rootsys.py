@@ -33,6 +33,7 @@ from flagdomains.rootsys import (
     grading,
     root,
     root_string,
+    standard_cartan,
 )
 
 EXPECTED_COUNTS = {
@@ -49,7 +50,7 @@ def test_root_counts_and_closure(family, rank):
     assert len(rs.roots) == EXPECTED_COUNTS[family](rank)
     assert all(-a in rs.roots for a in rs.roots)
     positives = {a for a in rs.roots if is_positive(a)}
-    assert positives == rs.positive_roots
+    assert positives == set(rs.positive_roots)
     assert 2 * len(positives) == len(rs.roots)
 
 
@@ -63,7 +64,7 @@ def test_roots_match_euclidean_oracle(family, rank):
 @pytest.mark.parametrize("family,rank", CLASSICAL)
 def test_cartan_integers_match_euclidean_oracle(family, rank):
     rs = build_root_system(LieType(family, rank))
-    roots = rs.sorted_roots()
+    roots = rs.roots
     for a in roots:
         for b in roots:
             got = cartan_integer(rs, a, b)
@@ -94,7 +95,7 @@ def test_cartan_integer_examples(a2, c2):
     assert cartan_integer(a2, s1, s2) == -1
     t1, t2 = c2.simple_roots()
     assert {cartan_integer(c2, t1, t2), cartan_integer(c2, t2, t1)} == {-1, -2}
-    for a in a2.sorted_roots():
+    for a in a2.roots:
         assert cartan_integer(a2, a, a) == 2
 
 
@@ -130,8 +131,8 @@ def test_root_string_rejects_proportional(a2):
 @pytest.mark.parametrize("family,rank", CLASSICAL)
 def test_string_extents_equal_cartan_integer(family, rank):
     rs = build_root_system(LieType(family, rank))
-    for a in rs.sorted_roots():
-        for b in rs.sorted_roots():
+    for a in rs.roots:
+        for b in rs.roots:
             if a == b or a == -b:
                 continue
             st = root_string(rs, a, b)
@@ -141,8 +142,8 @@ def test_string_extents_equal_cartan_integer(family, rank):
 
 
 def _assert_strings_match_root_arithmetic(rs):
-    for a in rs.sorted_roots():
-        for b in rs.sorted_roots():
+    for a in rs.roots:
+        for b in rs.roots:
             if a == b or a == -b:
                 continue
             st = root_string(rs, a, b)
@@ -160,26 +161,43 @@ def test_root_strings_match_root_arithmetic_relabelled():
     _assert_strings_match_root_arithmetic(rs)
 
 
-def test_index_tables(so5_labeled):
-    idx = so5_labeled.index
-    assert list(idx.roots) == so5_labeled.sorted_roots()
-    assert all(idx.pos[a] == i for i, a in enumerate(idx.roots))
-    for i, a in enumerate(idx.roots):
-        assert idx.roots[idx.neg[i]] == -a
-        assert idx.length2[i] == so5_labeled.length2(a)
-        assert (i >= idx.half) == is_positive(a)
-        for j, b in enumerate(idx.roots):
-            s = idx.add[i][j]
-            assert (s >= 0) == ((a + b) in so5_labeled.roots)
+TABLE_CARTANS = (
+    [standard_cartan(LieType(*key)) for key in ORACLE_SYSTEMS]
+    + [RELABELLED_B4, [[2, -1], [-3, 2]]]
+)
+
+
+def _assert_tables_match_root_arithmetic(cartan):
+    rs = from_cartan_matrix(cartan)
+    positives = positive_roots_within(cartan)
+    heights = [a.height for a in rs.roots]
+    assert heights == sorted(heights)
+    assert list(rs.roots) == [-a for a in reversed(positives)] + positives
+    assert rs.positive_roots == rs.roots[rs.half:] == tuple(positives)
+    members = frozenset(rs.roots)
+    assert len(members) == len(rs.pos) == len(rs.roots) == 2 * rs.half
+    assert all(rs.pos[a] == i for i, a in enumerate(rs.roots))
+    for i, a in enumerate(rs.roots):
+        assert rs.roots[rs.neg[i]] == -a
+        assert rs.norms[i] == rs.length2(a)
+        assert (i >= rs.half) == is_positive(a)
+        for j, b in enumerate(rs.roots):
+            s = rs.add[i][j]
+            assert (s >= 0) == ((a + b) in members)
             if s >= 0:
-                assert idx.roots[s] == a + b
+                assert rs.roots[s] == a + b
+
+
+def test_index_tables():
+    for cartan in TABLE_CARTANS:
+        _assert_tables_match_root_arithmetic(cartan)
 
 
 def test_index_is_built_on_first_use():
     rs = from_cartan_matrix(relabelled_cartan(LieType("C", 3), (1, 2, 0)))
-    assert "index" not in vars(rs)
+    assert not {"pos", "add", "neg", "norms"} & set(vars(rs))
     root_string(rs, *rs.simple_roots()[:2])
-    assert "index" in vars(rs)
+    assert {"pos", "add", "neg"} <= set(vars(rs)) and "norms" not in vars(rs)
 
 
 def test_caches_stay_bounded():
