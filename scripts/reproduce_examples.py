@@ -47,10 +47,10 @@ def main():
 
     rep = fundamental_rep(a2)
     show("fixed-point certificate, A2 witness (1,1), eps=0.1",
-         verify_fixed_point(rep, grading((1, 1)), root((1, 1)), 0.1).to_json_dict())
+         verify_fixed_point(rep, grading((1, 1)), root((1, 1)), 0.1))
     rep = fundamental_rep(so5)
     show("fixed-point certificate, so(5) witness (2,1), eps=0.1",
-         verify_fixed_point(rep, grading((1, 0)), root((2, 1)), 0.1).to_json_dict())
+         verify_fixed_point(rep, grading((1, 0)), root((2, 1)), 0.1))
 
     show("period domain, weight 3, h = (1,1,1,1)",
          period_report(HodgeNumbers.from_descending(3, [1, 1, 1, 1])))
@@ -58,13 +58,12 @@ def main():
          period_report(HodgeNumbers.from_descending(2, [2, 1, 2])))
 
     for kind in ("I", "II"):
-        show(f"sl2 Cayley closed forms, type {kind}",
-             verify_sl2_cayley_forms(kind).to_json_dict())
+        show(f"sl2 Cayley closed forms, type {kind}", verify_sl2_cayley_forms(kind))
 
     # |z|^2 - 1 on C^3
     terms = [{"c": 1, "z": e, "zbar": e} for e in ([1, 0, 0], [0, 1, 0], [0, 0, 1])]
     ball = DefiningFunction.from_polynomial(3, [1, 0, 0], terms + [{"c": -1}])
-    show("Levi form on the unit sphere from inside", levi_analyze(ball).to_json_dict())
+    show("Levi form on the unit sphere from inside", levi_analyze(ball))
 
 
 if __name__ == "__main__":

@@ -14,10 +14,8 @@ from .concavity import (
     check_pseudoconcavity,
 )
 from .hodge import (
-    BoundaryReport,
     DegenerationSpec,
     DeligneDiamond,
-    GroupDescriptor,
     HodgeNumbers,
     InfeasibleDegeneration,
     check_boundary_concavity,
@@ -28,10 +26,9 @@ from .hodge import (
     period_report,
     verify_sl2_cayley_forms,
 )
-from .leviform import DefiningFunction, LeviReport, levi_analyze
+from .leviform import DefiningFunction, levi_analyze
 from .matrixrep import (
     MatrixRealization,
-    NumericCheck,
     flag_residual,
     fundamental_rep,
     verify_cayley_conjugation,

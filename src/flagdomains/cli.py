@@ -121,6 +121,8 @@ def _resolve_system(spec: dict):
         rs = from_cartan_matrix(cartan)
         if rank is not None and exact_int(rank, "--rank") != rs.rank:
             raise ValueError("--rank disagrees with the Cartan matrix size")
+        if family is not None and str(family).upper() != (rs.lie_type and rs.lie_type.family):
+            raise ValueError("--family disagrees with the Cartan matrix")
     else:
         if family is None or rank is None:
             raise ValueError("need --family and --rank, or --cartan")
@@ -222,22 +224,32 @@ def _cmd_period(args) -> int:
     return EXIT_OK
 
 
-def _verify_systems(args):
-    spec = _merged(args, ("family", "rank", "cartan", "grading"))
-    if spec.get("family") is not None or spec.get("cartan") is not None:
-        return [(_resolve_system(spec), spec)]
-    if spec.get("grading") is not None:
-        raise ValueError("a grading needs --family and --rank, or --cartan")
-    return None
+def _parse_eps(value) -> tuple[float, ...]:
+    if value is None or value == "":
+        return _DEFAULT_EPS
+    if isinstance(value, str):
+        return tuple(float(v) for v in value.split(","))
+    if isinstance(value, list) and value and not any(
+        isinstance(v, bool) or not isinstance(v, (int, float)) for v in value
+    ):
+        return tuple(float(v) for v in value)
+    raise ValueError("--eps must be a comma separated number list")
 
 
 def _iter_verify_checks(args):
-    suite = args.suite
-    custom = _verify_systems(args)
+    spec = _merged(args, ("family", "rank", "cartan", "grading", "suite", "eps"))
+    suite = "all" if spec["suite"] is None else spec["suite"]
+    if suite not in VERIFY_SUITES:
+        raise ValueError(f"suite must be one of {', '.join(VERIFY_SUITES)}")
+    system = None
+    if any(spec[k] is not None for k in ("family", "rank", "cartan")):
+        system = _resolve_system(spec)
+    elif spec["grading"] is not None:
+        raise ValueError("a grading needs --family and --rank, or --cartan")
     if suite in ("all", "chevalley"):
         systems = (
-            [rs for rs, _ in custom]
-            if custom
+            [system]
+            if system
             else [build_root_system(LieType(f, r)) for f, r in _DEFAULT_CHEVALLEY]
         )
         for rs in systems:
@@ -249,36 +261,32 @@ def _iter_verify_checks(args):
                 residual=len(report.violations),
                 tolerance=0.5,
                 info={"pairs": len(report.entries)},
-            ).to_json_dict()
+            )
             yield make_check(
                 claim=f"chevalley-jacobi {name}",
                 residual=len(jacobi_violations(cc)),
                 tolerance=0.5,
-            ).to_json_dict()
+            )
     if suite in ("all", "prop33"):
         systems = (
-            [rs for rs, _ in custom]
-            if custom
+            [system]
+            if system
             else [build_root_system(LieType(f, r)) for f, r in _DEFAULT_CONJUGATION]
         )
         for rs in systems:
             rep = fundamental_rep(rs)
             for a, b in eligible_conjugation_pairs(rs):
-                yield verify_cayley_conjugation(rep, a, b).to_json_dict()
+                yield verify_cayley_conjugation(rep, a, b)
     if suite in ("all", "lemma41"):
         for kind in ("I", "II"):
-            for check in sl2_cayley_checks(kind):
-                yield check.to_json_dict()
+            yield from sl2_cayley_checks(kind)
     if suite in ("all", "fixed-point"):
-        eps_values = _DEFAULT_EPS
-        if getattr(args, "eps", None):
-            eps_values = tuple(float(v) for v in str(args.eps).split(","))
-        if custom:
-            rs, spec = custom[0]
-            if spec.get("grading") is None and suite == "all":
+        eps_values = _parse_eps(spec["eps"])
+        if system:
+            if spec["grading"] is None and suite == "all":
                 targets = []
             else:
-                targets = [(rs, _resolve_grading(rs, spec))]
+                targets = [(system, _resolve_grading(system, spec))]
         else:
             targets = [
                 (build_root_system(LieType(f, r)), grading(g))
@@ -292,12 +300,12 @@ def _iter_verify_checks(args):
                     claim=f"fixed-point witness exists {name} grading {list(e.coeffs)}",
                     residual=1.0,
                     tolerance=0.5,
-                ).to_json_dict()
+                )
                 continue
             rep = fundamental_rep(rs)
             for beta in report.witnesses:
                 for eps in eps_values:
-                    yield verify_fixed_point(rep, e, beta, eps).to_json_dict()
+                    yield verify_fixed_point(rep, e, beta, eps)
 
 
 def _cmd_verify(args) -> int:
@@ -323,12 +331,11 @@ def _cmd_levi(args) -> int:
     if not 1 <= n <= MAX_LEVI_N:
         raise OutOfBoundsError(f"dimension n must lie in [1, {MAX_LEVI_N}]")
     f = DefiningFunction.from_polynomial(n, data.get("z0"), data.get("terms"))
-    report = levi_analyze(f)
-    payload = report.to_json_dict()
+    payload = levi_analyze(f)
     pretty = [
-        "eigenvalues: " + ", ".join(f"{v:.6g}" for v in report.eigenvalues),
-        f"negatives: {report.negatives}",
-        f"pseudoconcave point: {report.pseudoconcave_point}",
+        "eigenvalues: " + ", ".join(f"{v:.6g}" for v in payload["eigenvalues"]),
+        f"negatives: {payload['negatives']}",
+        f"pseudoconcave point: {payload['pseudoconcave_point']}",
     ]
     _emit(args, payload, pretty)
     return EXIT_OK
@@ -377,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("verify", "numeric certificate suites as JSON lines")
     add_system_flags(p)
-    p.add_argument("--suite", choices=VERIFY_SUITES, default="all")
+    p.add_argument("--suite", choices=VERIFY_SUITES, help="default: all")
     p.add_argument("--grading", help="grading for the fixed-point suite")
     p.add_argument("--eps", help="comma separated eps list for the fixed-point suite")
     p.set_defaults(handler=_cmd_verify)

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .matrixrep import NumericCheck, make_check
+from .matrixrep import make_check
 from .rootsys import exact_int
 
 TOL_SL2 = 1e-12
@@ -60,26 +60,6 @@ class HodgeNumbers:
         return sum(self.h)
 
 
-@dataclass(frozen=True)
-class GroupDescriptor:
-    """The real symmetry group of the period domain and its isotropy."""
-
-    family: str
-    parameters: tuple[int, ...]
-    isotropy: str
-    trivial: bool = False
-    note: str | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "parameters": list(self.parameters),
-            "isotropy": self.isotropy,
-            "trivial": self.trivial,
-            "note": self.note,
-        }
-
-
 _ORTHOGONAL_LABEL_NOTE = (
     "some sources label this example SO(2,1); the even-weight formula gives "
     "m_ev = 4, m_od = 1, hence SO(4,1), whose quotient by U(2) has complex "
@@ -87,34 +67,31 @@ _ORTHOGONAL_LABEL_NOTE = (
 )
 
 
-def group_of_period_domain(h: HodgeNumbers) -> GroupDescriptor:
-    """Symplectic group for odd weight, indefinite orthogonal for even."""
+def group_of_period_domain(h: HodgeNumbers) -> dict:
+    """The real symmetry group of the period domain and its isotropy:
+    symplectic for odd weight, indefinite orthogonal for even."""
     n = h.weight
     k = n // 2
-    if n % 2 == 1:
-        dim = h.dim()
-        if dim % 2 != 0:
-            raise ValueError("odd weight needs an even-dimensional space")
-        factors = [f"U({h.hp(p)})" for p in range(n, k, -1)]
-        return GroupDescriptor(
-            family="symplectic",
-            parameters=(dim // 2,),
-            isotropy=" x ".join(factors),
-        )
-    m_ev = sum(h.hp(p) for p in range(0, n + 1) if p % 2 == 0)
-    m_od = sum(h.hp(p) for p in range(0, n + 1) if p % 2 == 1)
     factors = [f"U({h.hp(p)})" for p in range(n, k, -1)]
-    factors.append(f"SO({h.hp(k)})")
     note = None
-    if n == 2 and (h.hp(2), h.hp(1)) == (2, 1):
-        note = _ORTHOGONAL_LABEL_NOTE
-    return GroupDescriptor(
-        family="indefinite-orthogonal",
-        parameters=(m_ev, m_od),
-        isotropy=" x ".join(factors),
-        trivial=(n == 0),
-        note=note,
-    )
+    if n % 2 == 1:
+        if h.dim() % 2 != 0:
+            raise ValueError("odd weight needs an even-dimensional space")
+        family, parameters = "symplectic", [h.dim() // 2]
+    else:
+        factors.append(f"SO({h.hp(k)})")
+        m_ev = sum(h.hp(p) for p in range(0, n + 1, 2))
+        m_od = sum(h.hp(p) for p in range(1, n + 1, 2))
+        family, parameters = "indefinite-orthogonal", [m_ev, m_od]
+        if n == 2 and (h.hp(2), h.hp(1)) == (2, 1):
+            note = _ORTHOGONAL_LABEL_NOTE
+    return {
+        "family": family,
+        "parameters": parameters,
+        "isotropy": " x ".join(factors),
+        "trivial": n == 0,
+        "note": note,
+    }
 
 
 def grading_values_on_V(h: HodgeNumbers) -> dict[int, Fraction]:
@@ -214,22 +191,6 @@ def limit_diamond(h: HodgeNumbers, d: DegenerationSpec) -> DeligneDiamond:
     return DeligneDiamond(weight=n, entries=entries, rank_nilpotent=rank)
 
 
-@dataclass(frozen=True)
-class BoundaryReport:
-    """Scan result for the boundary pseudoconcavity condition."""
-
-    condition_met: bool
-    witness_p: int | None
-    witness_ell: int | None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "condition_met": self.condition_met,
-            "witness_p": self.witness_p,
-            "witness_ell": self.witness_ell,
-        }
-
-
 def _candidate_ps(n: int, d: DegenerationSpec):
     """Admissible p values ordered by |ell|, positive branch first."""
     if d.kind == "I":
@@ -244,13 +205,14 @@ def _candidate_ps(n: int, d: DegenerationSpec):
             yield m - 2 * ell + 1, -ell
 
 
-def check_boundary_concavity(h: HodgeNumbers, d: DegenerationSpec) -> BoundaryReport:
+def check_boundary_concavity(h: HodgeNumbers, d: DegenerationSpec) -> dict:
     """Look for a nonzero weight-row entry at an admissible position."""
     return _boundary(d, limit_diamond(h, d))
 
 
-def _boundary(d: DegenerationSpec, dia: DeligneDiamond) -> BoundaryReport:
-    """The boundary verdict read off a diamond already built for d.
+def _boundary(d: DegenerationSpec, dia: DeligneDiamond) -> dict:
+    """The boundary verdict read off a diamond already built for d:
+    condition_met, with the witness p and ell or nulls.
 
     The weight row of the limit diamond is read on all of [0, n], the
     right half through conjugation symmetry; the witness with the
@@ -259,8 +221,8 @@ def _boundary(d: DegenerationSpec, dia: DeligneDiamond) -> BoundaryReport:
     n = dia.weight
     for p, ell in _candidate_ps(n, d):
         if 0 <= p <= n and dia.i(p, n - p) != 0:
-            return BoundaryReport(condition_met=True, witness_p=p, witness_ell=ell)
-    return BoundaryReport(condition_met=False, witness_p=None, witness_ell=None)
+            return {"condition_met": True, "witness_p": p, "witness_ell": ell}
+    return {"condition_met": False, "witness_p": None, "witness_ell": None}
 
 
 def _minimal_diamonds(h: HodgeNumbers) -> list[tuple[DegenerationSpec, DeligneDiamond]]:
@@ -277,7 +239,7 @@ def _minimal_diamonds(h: HodgeNumbers) -> list[tuple[DegenerationSpec, DeligneDi
 
 def enumerate_minimal_degenerations(
     h: HodgeNumbers,
-) -> list[tuple[DegenerationSpec, BoundaryReport]]:
+) -> list[tuple[DegenerationSpec, dict]]:
     """Every admissible degeneration shape with its boundary verdict."""
     return [(spec, _boundary(spec, dia)) for spec, dia in _minimal_diamonds(h)]
 
@@ -303,7 +265,7 @@ def _sl2_model(kind: str):
     return nplus, y, nminus
 
 
-def sl2_cayley_checks(kind: str, tolerance: float = TOL_SL2) -> list[NumericCheck]:
+def sl2_cayley_checks(kind: str) -> list[dict]:
     """All closed-form identities for d = exp(i pi/4 (N+ + N)), one check each."""
     import numpy as np
 
@@ -324,57 +286,43 @@ def sl2_cayley_checks(kind: str, tolerance: float = TOL_SL2) -> list[NumericChec
     nv = nmat @ v
     checks = []
 
-    def vec_check(claim, got, want):
-        checks.append(
-            make_check(
-                claim=f"sl2-cayley-{kind} {claim}",
-                residual=np.linalg.norm(got - want),
-                tolerance=tolerance,
-            )
-        )
+    def check(claim, got, want):
+        residual = np.linalg.norm(got - want)
+        checks.append(make_check(f"sl2-cayley-{kind} {claim}", residual, TOL_SL2))
 
     if kind == "I":
-        vec_check("d(v)", d @ v, (v + 1j * nv) / math.sqrt(2))
-        vec_check("d(Nv)", d @ nv, (1j / math.sqrt(2)) * (v - 1j * nv))
-        vec_check("d(conj v)", d @ np.conj(v), 1j * np.conj(d @ nv))
-        vec_check("d(N conj v)", d @ nmat @ np.conj(v), 1j * np.conj(d @ v))
+        check("d(v)", d @ v, (v + 1j * nv) / math.sqrt(2))
+        check("d(Nv)", d @ nv, (1j / math.sqrt(2)) * (v - 1j * nv))
+        check("d(conj v)", d @ np.conj(v), 1j * np.conj(d @ nv))
+        check("d(N conj v)", d @ nmat @ np.conj(v), 1j * np.conj(d @ v))
         eigen_pairs = [(v, 1.0), (nv, -1.0)]
     else:
         n2v = nmat @ nv
-        vec_check("d(v)", d @ v, 0.5 * v + 0.5j * nv - 0.25 * n2v)
-        vec_check("d(Nv)", d @ nv, 1j * (v + 0.5 * n2v))
-        vec_check("d(N^2 v)", d @ n2v, -2.0 * np.conj(d @ v))
+        check("d(v)", d @ v, 0.5 * v + 0.5j * nv - 0.25 * n2v)
+        check("d(Nv)", d @ nv, 1j * (v + 0.5 * n2v))
+        check("d(N^2 v)", d @ n2v, -2.0 * np.conj(d @ v))
         eigen_pairs = [(v, 2.0), (nv, 0.0), (n2v, -2.0)]
 
     # conjugated triple closed forms
-    def mat_check(claim, got, want):
-        checks.append(
-            make_check(
-                claim=f"sl2-cayley-{kind} {claim}",
-                residual=np.linalg.norm(got - want),
-                tolerance=tolerance,
-            )
-        )
-
-    mat_check("Ad(d) Y", d @ y @ d_inv, 1j * (nmat - nplus))
-    mat_check("Ad(d) N", d @ nmat @ d_inv, 0.5 * (nmat + nplus + 1j * y))
-    mat_check("Ad(d) N+", d @ nplus @ d_inv, 0.5 * (nmat + nplus - 1j * y))
+    check("Ad(d) Y", d @ y @ d_inv, 1j * (nmat - nplus))
+    check("Ad(d) N", d @ nmat @ d_inv, 0.5 * (nmat + nplus + 1j * y))
+    check("Ad(d) N+", d @ nplus @ d_inv, 0.5 * (nmat + nplus - 1j * y))
 
     z = d @ y @ d_inv
     for vec, scalar in eigen_pairs:
         w = d @ vec
-        vec_check(f"grading eigenvalue {scalar:+.0f}", z @ w, scalar * w)
+        check(f"grading eigenvalue {scalar:+.0f}", z @ w, scalar * w)
     return checks
 
 
-def verify_sl2_cayley_forms(kind: str, tolerance: float = TOL_SL2) -> NumericCheck:
+def verify_sl2_cayley_forms(kind: str) -> dict:
     """Aggregate of sl2_cayley_checks; the residual is the worst identity."""
-    checks = sl2_cayley_checks(kind, tolerance)
-    worst = max(c.residual for c in checks)
+    checks = sl2_cayley_checks(kind)
+    worst = max(c["residual"] for c in checks)
     return make_check(
         claim=f"sl2-cayley-{kind}",
         residual=worst,
-        tolerance=tolerance,
+        tolerance=TOL_SL2,
         info={"identities": len(checks)},
     )
 
@@ -397,14 +345,14 @@ def period_report(
         {
             "spec": spec.to_json_dict(),
             "diamond": dia.to_json_dict(),
-            "boundary": _boundary(spec, dia).to_json_dict(),
+            "boundary": _boundary(spec, dia),
         }
         for spec, dia in pairs
     ]
     return {
         "weight": h.weight,
         "hodge_numbers": [h.hp(p) for p in range(h.weight, -1, -1)],
-        "group": group.to_json_dict(),
+        "group": group,
         "grading_values": eigs,
         "degenerations": degenerations,
     }

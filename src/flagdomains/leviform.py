@@ -49,7 +49,8 @@ class DefiningFunction:
 
     n: int
     terms: tuple[Term, ...]
-    z0: np.ndarray
+    # Python complex: 0 ** -1 raises ZeroDivisionError where numpy gives inf
+    z0: tuple[complex, ...]
 
     @classmethod
     def from_polynomial(cls, n: int, z0, terms) -> "DefiningFunction":
@@ -76,26 +77,8 @@ class DefiningFunction:
             )
             for term in terms
         )
-        point = np.array([_complex(v, "a z0 entry") for v in z0], dtype=complex)
+        point = tuple(_complex(v, "a z0 entry") for v in z0)
         return cls(n=n, terms=parsed, z0=point)
-
-
-@dataclass(frozen=True, eq=False)
-class LeviReport:
-    """Sorted eigenvalues on the analytic tangent plane and the verdict."""
-
-    eigenvalues: tuple[float, ...]
-    negatives: int
-    pseudoconcave_point: bool
-    gradient_norm: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "eigenvalues": list(self.eigenvalues),
-            "negatives": self.negatives,
-            "pseudoconcave_point": self.pseudoconcave_point,
-            "gradient_norm": self.gradient_norm,
-        }
 
 
 def _monomial(c: complex, e, f, z, zb) -> complex:
@@ -112,8 +95,9 @@ def _lowered(e: tuple[int, ...], k: int) -> tuple[int, ...]:
     return e[:k] + (e[k] - 1,) + e[k + 1 :]
 
 
-def _derivatives(f: DefiningFunction) -> tuple[np.ndarray, np.ndarray]:
-    """Wirtinger gradient and complex Hessian of Re P at z0, in closed form.
+def _derivatives(f: DefiningFunction) -> tuple:
+    """Wirtinger gradient and complex Hessian of Re P at z0, in closed form,
+    as numpy arrays.
 
     For a term c z^e conj(z)^f of P, d_k P gets c e_k z^{e-d_k} conj(z)^f
     and d_k dbar_l P gets c e_k f_l z^{e-d_k} conj(z)^{f-d_l}. For
@@ -123,8 +107,7 @@ def _derivatives(f: DefiningFunction) -> tuple[np.ndarray, np.ndarray]:
     import numpy as np
 
     n = f.n
-    # Python complex: 0 ** -1 raises ZeroDivisionError where numpy gives inf
-    z = [complex(v) for v in f.z0]
+    z = f.z0
     zb = [v.conjugate() for v in z]
     dz = np.zeros(n, dtype=complex)
     dzb = np.zeros(n, dtype=complex)
@@ -144,8 +127,9 @@ def _derivatives(f: DefiningFunction) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (dz + dzb.conj()), 0.5 * (mixed + mixed.conj().T)
 
 
-def levi_analyze(f: DefiningFunction) -> LeviReport:
-    """Eigenvalues of the Levi form on the analytic tangent plane at z0.
+def levi_analyze(f: DefiningFunction) -> dict:
+    """Sorted eigenvalues of the Levi form on the analytic tangent plane at
+    z0, how many are negative, the verdict and the gradient norm.
 
     Raises when a negative exponent meets a zero coordinate of z0 or the
     derivatives there are not finite, and when the gradient vanishes at z0,
@@ -171,9 +155,9 @@ def levi_analyze(f: DefiningFunction) -> LeviReport:
     threshold = ZERO_EIGEN_REL * float(np.linalg.norm(hess))
     vals = sorted(0.0 if abs(v) < threshold else float(v) for v in raw)
     negatives = sum(1 for v in vals if v < 0)
-    return LeviReport(
-        eigenvalues=tuple(vals),
-        negatives=negatives,
-        pseudoconcave_point=negatives >= 1,
-        gradient_norm=gnorm,
-    )
+    return {
+        "eigenvalues": vals,
+        "negatives": negatives,
+        "pseudoconcave_point": negatives >= 1,
+        "gradient_norm": gnorm,
+    }

@@ -41,38 +41,18 @@ TOL_CONJUGATION = 1e-9
 DEFAULT_MAX_RANK = 6
 
 
-@dataclass(frozen=True, eq=False)
-class NumericCheck:
-    """One verified numeric claim: pass means residual < tolerance."""
-
-    claim: str
-    residual: float
-    tolerance: float
-    passed: bool
-    sign: int | None = None
-    info: dict | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "claim": self.claim,
-            "residual": self.residual,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-            "sign": self.sign,
-            "info": self.info,
-        }
-
-
-def make_check(claim, residual, tolerance, sign=None, info=None) -> NumericCheck:
+def make_check(claim, residual, tolerance, sign=None, info=None) -> dict:
+    """One verified numeric claim as its JSON line: pass means residual <
+    tolerance."""
     residual = float(residual)
-    return NumericCheck(
-        claim=claim,
-        residual=residual,
-        tolerance=tolerance,
-        passed=residual < tolerance,
-        sign=sign,
-        info=info,
-    )
+    return {
+        "claim": claim,
+        "residual": residual,
+        "tolerance": tolerance,
+        "pass": residual < tolerance,
+        "sign": sign,
+        "info": info,
+    }
 
 
 def product(a: dict, b: dict) -> dict:
@@ -286,9 +266,7 @@ def fundamental_rep(
     return MatrixRealization(rs=rs, cc=cc, dim=dim, x=x, h=h)
 
 
-def verify_cayley_conjugation(
-    rep: MatrixRealization, a: Root, b: Root, tolerance: float = TOL_CONJUGATION
-) -> NumericCheck:
+def verify_cayley_conjugation(rep: MatrixRealization, a: Root, b: Root) -> dict:
     """Certify that Ad(c(-b)^2) x^a is a signed root vector at the string top.
 
     Requires the b-string through a to have shape (0, 1) or (0, 2). The
@@ -317,11 +295,11 @@ def verify_cayley_conjugation(
         )
     else:
         res = 0.0
-    matched = res < tolerance
+    matched = res < TOL_CONJUGATION
     return make_check(
         claim=f"cayley-conjugation a={a} b={b}",
         residual=res,
-        tolerance=tolerance,
+        tolerance=TOL_CONJUGATION,
         sign=sign if matched else None,
         info={
             "target": list(expected.coeffs) if matched else None,
@@ -343,13 +321,7 @@ def flag_residual(rep: MatrixRealization, e: GradingElement, m: dict) -> float:
     return math.sqrt(sum(abs(v) ** 2 for (t, s), v in m.items() if diag[t] < diag[s]))
 
 
-def verify_fixed_point(
-    rep: MatrixRealization,
-    e: GradingElement,
-    beta: Root,
-    eps: float,
-    tolerance: float = TOL_CONJUGATION,
-) -> NumericCheck:
+def verify_fixed_point(rep: MatrixRealization, e: GradingElement, beta: Root, eps: float) -> dict:
     """Certify Ad(c(-beta)^2) applied to the neighborhood generator is in P.
 
     beta must be a witness of the string criterion for this grading. The
@@ -371,7 +343,7 @@ def verify_fixed_point(
     return make_check(
         claim=f"cayley-fixed-point beta={beta} eps={eps}",
         residual=res,
-        tolerance=tolerance,
+        tolerance=TOL_CONJUGATION,
         info={"alphas": [list(a.coeffs) for a in alphas]},
     )
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from flagdomains.leviform import GRADIENT_TOL, ZERO_EIGEN_REL, LeviReport
+from flagdomains.leviform import GRADIENT_TOL, ZERO_EIGEN_REL
 
 STEP_SCALE = 1e-4
 
@@ -88,7 +88,7 @@ def complex_hessian(func, z0: np.ndarray, step: float) -> np.ndarray:
     return 0.5 * (hess + hess.conj().T)
 
 
-def fd_levi_analyze(func, z0) -> LeviReport:
+def fd_levi_analyze(func, z0) -> dict:
     """The Levi report of a real callable at z0, by central differences."""
     z0 = np.asarray(z0, dtype=complex)
     step = STEP_SCALE * (1.0 + float(np.linalg.norm(z0)))
@@ -104,9 +104,9 @@ def fd_levi_analyze(func, z0) -> LeviReport:
     threshold = ZERO_EIGEN_REL * float(np.linalg.norm(hess))
     vals = sorted(0.0 if abs(v) < threshold else float(v) for v in raw)
     negatives = sum(1 for v in vals if v < 0)
-    return LeviReport(
-        eigenvalues=tuple(vals),
-        negatives=negatives,
-        pseudoconcave_point=negatives >= 1,
-        gradient_norm=gnorm,
-    )
+    return {
+        "eigenvalues": vals,
+        "negatives": negatives,
+        "pseudoconcave_point": negatives >= 1,
+        "gradient_norm": gnorm,
+    }

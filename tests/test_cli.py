@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import flagdomains
 from flagdomains.cli import EXIT_CLOSED_STDOUT, main
-from flagdomains.rootsys import LieType, standard_cartan
+from flagdomains.rootsys import LieType, from_cartan_matrix, standard_cartan
 
 SRC = str(Path(flagdomains.__file__).resolve().parents[1])
 
@@ -391,6 +391,83 @@ def test_verify_grading_needs_a_system(tmp_path, capsys):
         assert err == "error: a grading needs --family and --rank, or --cartan\n"
 
 
+A2_CARTAN = "[[2,-1],[-1,2]]"
+G2_CARTAN = "[[2,-1],[-3,2]]"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["describe", "--family", "B", "--rank", "2", "--cartan", A2_CARTAN],
+        ["describe", "--family", "A", "--cartan", G2_CARTAN],
+        ["theorem1", "--family", "C", "--cartan", A2_CARTAN, "--grading", "1,1"],
+        ["verify", "--suite", "chevalley", "--family", "D", "--cartan", A2_CARTAN],
+        ["verify", "--suite", "lemma41", "--family", "b", "--cartan", A2_CARTAN],
+    ],
+    ids=["describe", "describe-no-family", "theorem1", "verify", "verify-lower-case"],
+)
+def test_family_must_match_the_cartan_matrix(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: --family disagrees with the Cartan matrix\n"
+
+
+def test_matching_family_beside_the_cartan_matrix_is_accepted(capsys):
+    _, plain, _ = run_cli(capsys, "describe", "--cartan", A2_CARTAN)
+    code, out, _ = run_cli(capsys, "describe", "--family", "a", "--cartan", A2_CARTAN)
+    assert code == 0 and out == plain
+
+
+@pytest.mark.parametrize("extra", [["--rank", "3"], ["--family", "B"]], ids=["rank", "family"])
+def test_verify_half_a_system_is_refused(capsys, extra):
+    code, out, err = run_cli(capsys, "verify", "--suite", "chevalley", *extra)
+    assert code == 2 and out == ""
+    assert err == "error: need --family and --rank, or --cartan\n"
+
+
+def test_verify_input_reads_suite_and_eps_and_the_flag_wins(tmp_path, capsys):
+    path = tmp_path / "req.json"
+    path.write_text(json.dumps({"suite": "lemma41"}))
+    assert run_cli(capsys, "verify", "--input", str(path)) == run_cli(
+        capsys, "verify", "--suite", "lemma41"
+    )
+    assert run_cli(capsys, "verify", "--suite", "chevalley", "--input", str(path)) == run_cli(
+        capsys, "verify", "--suite", "chevalley"
+    )
+    system = ["--family", "A", "--rank", "2", "--grading", "1,1"]
+    flags = run_cli(capsys, "verify", "--suite", "fixed-point", *system, "--eps", "0.5,1")
+    assert flags[0] == 0 and len(flags[1].splitlines()) == 2
+    for eps in ("0.5,1", [0.5, 1], [0.5, 1.0]):
+        path.write_text(json.dumps({"family": "A", "rank": 2, "grading": [1, 1], "eps": eps}))
+        assert run_cli(capsys, "verify", "--suite", "fixed-point", "--input", str(path)) == flags
+    path.write_text(json.dumps({"eps": "0.1"}))
+    assert run_cli(
+        capsys, "verify", "--suite", "fixed-point", *system, "--eps", "0.5,1", "--input", str(path)
+    ) == flags
+
+
+@pytest.mark.parametrize(
+    "request_doc,message",
+    [
+        ({"suite": "bogus"}, "suite must be one of"),
+        ({"suite": 3}, "suite must be one of"),
+        ({"suite": "fixed-point", "eps": [0.5, True]}, "--eps must be"),
+        ({"suite": "fixed-point", "eps": [0.5, "1"]}, "--eps must be"),
+        ({"suite": "fixed-point", "eps": 0.5}, "--eps must be"),
+        ({"suite": "fixed-point", "eps": []}, "--eps must be"),
+        ({"suite": "fixed-point", "eps": "0.5,x"}, "could not convert"),
+    ],
+    ids=["suite-unknown", "suite-number", "eps-bool", "eps-string-entry", "eps-scalar",
+         "eps-empty", "eps-not-a-number"],
+)
+def test_verify_input_bad_suite_or_eps_exits_2(tmp_path, capsys, request_doc, message):
+    path = tmp_path / "req.json"
+    path.write_text(json.dumps(dict(request_doc, family="A", rank=2, grading=[1, 1])))
+    code, out, err = run_cli(capsys, "verify", "--input", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
 def test_vacuous_theorem1_verdict(capsys):
     # grading (2,2) makes every root compact: no noncompact root constrains
     # the sweep, so every compact root is a witness and the verdict is true
@@ -491,6 +568,30 @@ def _period(weight):
     return st.fixed_dictionaries({"weight": _near(weight), "h": st.one_of(h, VALUES)})
 
 
+def _verify(system):
+    """A verify request over a small system: any of family, rank, cartan,
+    grading and eps may be missing; the suite is always a cheap one."""
+    family, rank = system
+    rows = standard_cartan(LieType(*system))
+    eps = st.lists(st.sampled_from([0.01, 0.5, 1]).flatmap(_near), min_size=1, max_size=3)
+    suite = st.integers(0, 9).flatmap(
+        lambda k: SCALARS if k == 0 else st.sampled_from(["chevalley", "lemma41"])
+    )
+    families = st.integers(0, 9).flatmap(
+        lambda k: SCALARS if k == 0 else st.sampled_from("ABCDGa") if k < 4 else st.just(family)
+    )
+    return st.fixed_dictionaries(
+        {"suite": suite},
+        optional={
+            "family": families,
+            "rank": _near(rank),
+            "cartan": st.one_of(st.tuples(*map(_near_list, rows)).map(list), VALUES),
+            "grading": st.lists(st.integers(0, 2), min_size=rank, max_size=rank).flatmap(_near_list),
+            "eps": st.one_of(eps, st.sampled_from(["0.5", "0.1,1"]), VALUES),
+        },
+    )
+
+
 LEVI_TERM = st.fixed_dictionaries(
     {
         "c": st.one_of(_near(1), SCALARS),
@@ -502,6 +603,7 @@ INPUT_DOCUMENTS = st.one_of(
     st.sampled_from(SYSTEMS).flatmap(_describe).map(lambda d: ("describe", d)),
     st.sampled_from(SYSTEMS).flatmap(_theorem1).map(lambda d: ("theorem1", d)),
     st.integers(0, 4).flatmap(_period).map(lambda d: ("period", d)),
+    st.sampled_from([s for s in SYSTEMS if s[1] <= 3]).flatmap(_verify).map(lambda d: ("verify", d)),
     st.fixed_dictionaries(
         {"n": _near(2), "z0": st.just([[1, 0], [0, 0]]), "terms": st.lists(LEVI_TERM, max_size=3)}
     ).map(lambda d: ("levi", d)),
@@ -523,7 +625,14 @@ def test_input_documents_end_cleanly_and_echo_what_was_given(tmp_path, doc):
         # only an n out of bounds is reported before the coefficients
         assert code in (2, 4)
         assert code == 2 or "dimension n" in err.getvalue()
-    if code != 0:
+    if command == "verify" and code == 0:
+        # a system is named in full, by family and rank or by a matching matrix
+        if "cartan" not in data:
+            assert ("family" in data) == ("rank" in data)
+        elif "family" in data:
+            lie_type = from_cartan_matrix(data["cartan"]).lie_type
+            assert lie_type is not None and str(data["family"]).upper() == lie_type.family
+    if code != 0 or command == "verify":
         return
     report = json.loads(out.getvalue())
     if command == "describe":

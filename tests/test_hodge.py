@@ -51,34 +51,34 @@ def test_hodge_numbers_validation():
 
 def test_group_weight3():
     g = group_of_period_domain(H3)
-    assert g.family == "symplectic"
-    assert g.parameters == (2,)
-    assert g.isotropy == "U(1) x U(1)"
-    assert g.note is None
+    assert g["family"] == "symplectic"
+    assert g["parameters"] == [2]
+    assert g["isotropy"] == "U(1) x U(1)"
+    assert g["note"] is None
 
 
 def test_group_weight2_with_label_note():
     g = group_of_period_domain(H2)
-    assert g.family == "indefinite-orthogonal"
-    assert g.parameters == (4, 1)
-    assert g.isotropy == "U(2) x SO(1)"
-    assert g.note is not None and "SO(2,1)" in g.note and "SO(4,1)" in g.note
+    assert g["family"] == "indefinite-orthogonal"
+    assert g["parameters"] == [4, 1]
+    assert g["isotropy"] == "U(2) x SO(1)"
+    assert g["note"] is not None and "SO(2,1)" in g["note"] and "SO(4,1)" in g["note"]
 
 
 def test_group_weight0_trivial():
     h = HodgeNumbers.from_descending(0, [5])
     g = group_of_period_domain(h)
-    assert g.family == "indefinite-orthogonal"
-    assert g.parameters == (5, 0)
-    assert g.trivial
+    assert g["family"] == "indefinite-orthogonal"
+    assert g["parameters"] == [5, 0]
+    assert g["trivial"]
 
 
 def test_group_half_dimension():
     # conjugation symmetry forces an even total dimension for odd weight,
     # so the half parameter is always integral
     h = HodgeNumbers.from_descending(3, [1, 2, 2, 1])
-    assert group_of_period_domain(h).parameters == (3,)
-    assert group_of_period_domain(HodgeNumbers(weight=1, h=(1, 1))).parameters == (1,)
+    assert group_of_period_domain(h)["parameters"] == [3]
+    assert group_of_period_domain(HodgeNumbers(weight=1, h=(1, 1)))["parameters"] == [1]
 
 
 def test_grading_values():
@@ -199,17 +199,17 @@ def test_spec_constructor_validation():
 
 def test_boundary_condition_examples():
     rep = check_boundary_concavity(H3, DegenerationSpec(kind="I", p0=1))
-    assert rep.condition_met and rep.witness_p == 3 and rep.witness_ell == 1
+    assert rep["condition_met"] and rep["witness_p"] == 3 and rep["witness_ell"] == 1
     rep = check_boundary_concavity(H3, DegenerationSpec(kind="I", p0=0))
-    assert not rep.condition_met and rep.witness_p is None
+    assert not rep["condition_met"] and rep["witness_p"] is None
     rep = check_boundary_concavity(H2, DegenerationSpec(kind="II"))
-    assert rep.condition_met and rep.witness_p == 2 and rep.witness_ell == 0
+    assert rep["condition_met"] and rep["witness_p"] == 2 and rep["witness_ell"] == 0
 
 
 def test_enumeration_examples():
     pairs = enumerate_minimal_degenerations(H3)
     assert [(s.kind, s.p0) for s, _ in pairs] == [("I", 0), ("I", 1)]
-    assert [r.condition_met for _, r in pairs] == [False, True]
+    assert [r["condition_met"] for _, r in pairs] == [False, True]
 
     pairs = enumerate_minimal_degenerations(H2)
     assert [(s.kind, s.p0) for s, _ in pairs] == [("II", None)]
@@ -254,7 +254,7 @@ def test_boundary_condition_agrees_with_brute_force(weight, data):
         values[0] = values[-1] = 1
     h = HodgeNumbers.from_descending(weight, values)
     for spec, verdict in enumerate_minimal_degenerations(h):
-        assert verdict.condition_met == _brute_boundary(h, spec)
+        assert verdict["condition_met"] == _brute_boundary(h, spec)
         dia = limit_diamond(h, spec)
         assert validate_diamond(h, spec, dia) == []
         assert dia.total() == h.dim()
@@ -313,8 +313,8 @@ def test_string_rule_matches_oracle_for_larger_hodge_numbers(weight, data):
 
 def test_sl2_cayley_type1():
     checks = sl2_cayley_checks("I")
-    assert all(c.passed for c in checks)
-    assert max(c.residual for c in checks) < 1e-12
+    assert all(c["pass"] for c in checks)
+    assert max(c["residual"] for c in checks) < 1e-12
     # explicit value: d(e1) = (e1 + i e2)/sqrt(2)
     import math
 
@@ -330,14 +330,14 @@ def test_sl2_cayley_type1():
 
 def test_sl2_cayley_type2():
     checks = sl2_cayley_checks("II")
-    assert all(c.passed for c in checks)
-    names = {c.claim for c in checks}
+    assert all(c["pass"] for c in checks)
+    names = {c["claim"] for c in checks}
     assert any("d(N^2 v)" in n for n in names)
 
 
 def test_sl2_cayley_aggregate_and_guard():
     for kind in ("I", "II"):
         chk = verify_sl2_cayley_forms(kind)
-        assert chk.passed and chk.residual < 1e-12
+        assert chk["pass"] and chk["residual"] < 1e-12
     with pytest.raises(ValueError):
         verify_sl2_cayley_forms("III")

@@ -1,11 +1,14 @@
 """Levi form analysis from closed-form Wirtinger derivatives."""
 
+import typing
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from levi_oracle import fd_levi_analyze, polynomial_value
 
+from flagdomains import leviform
 from flagdomains.leviform import DefiningFunction, levi_analyze
 
 
@@ -49,26 +52,26 @@ def normal_form(lam2, lam3, scale=1.0):
 
 def test_ball_boundary_not_pseudoconcave():
     report = levi_analyze(sphere(3))
-    assert len(report.eigenvalues) == 2
-    assert report.negatives == 0
-    assert not report.pseudoconcave_point
-    assert np.allclose(report.eigenvalues, [1.0, 1.0], rtol=0, atol=1e-12)
+    assert len(report["eigenvalues"]) == 2
+    assert report["negatives"] == 0
+    assert not report["pseudoconcave_point"]
+    assert np.allclose(report["eigenvalues"], [1.0, 1.0], rtol=0, atol=1e-12)
 
 
 def test_ball_complement_pseudoconcave():
     report = levi_analyze(sphere(3, sign=-1.0))
-    assert report.negatives == 2
-    assert report.pseudoconcave_point
-    assert np.allclose(report.eigenvalues, [-1.0, -1.0], rtol=0, atol=1e-12)
+    assert report["negatives"] == 2
+    assert report["pseudoconcave_point"]
+    assert np.allclose(report["eigenvalues"], [-1.0, -1.0], rtol=0, atol=1e-12)
 
 
 def test_normal_form_mixed_signature():
     lam2, lam3 = -2.5, 0.75
     f = DefiningFunction.from_polynomial(3, [0, 0, 0], normal_form(lam2, lam3))
     report = levi_analyze(f)
-    assert report.negatives == 1
-    assert report.pseudoconcave_point
-    assert np.allclose(report.eigenvalues, [lam2, lam3], rtol=0, atol=1e-12)
+    assert report["negatives"] == 1
+    assert report["pseudoconcave_point"]
+    assert np.allclose(report["eigenvalues"], [lam2, lam3], rtol=0, atol=1e-12)
 
 
 def test_vanishing_gradient_rejected():
@@ -86,7 +89,7 @@ def test_quadratic_hessian_accuracy():
     report = levi_analyze(DefiningFunction.from_polynomial(n, [0] * n, terms))
     # restrict exactly: the plane is w[0] = 0
     exact = np.linalg.eigvalsh(herm[1:, 1:])
-    assert np.allclose(sorted(report.eigenvalues), sorted(exact), rtol=0, atol=1e-12)
+    assert np.allclose(sorted(report["eigenvalues"]), sorted(exact), rtol=0, atol=1e-12)
 
 
 @given(scale=st.floats(min_value=0.1, max_value=10.0))
@@ -94,8 +97,8 @@ def test_quadratic_hessian_accuracy():
 def test_signature_invariant_under_positive_scaling(scale):
     terms = normal_form(-1.5, 2.0, scale)
     report = levi_analyze(DefiningFunction.from_polynomial(3, [0, 0, 0], terms))
-    assert report.negatives == 1
-    assert sum(1 for v in report.eigenvalues if v > 0) == 1
+    assert report["negatives"] == 1
+    assert sum(1 for v in report["eigenvalues"] if v > 0) == 1
 
 
 def test_signature_invariant_under_unitary_change():
@@ -110,11 +113,11 @@ def test_signature_invariant_under_unitary_change():
         # base(u z): 2 Re (u z)_1 + conj(z)^T (u^H diag(lam) u) z
         terms = linear_terms(u[0]) + hermitian_terms(u.conj().T @ np.diag(lam) @ u)
         report = levi_analyze(DefiningFunction.from_polynomial(3, [0, 0, 0], terms))
-        assert report.negatives + sum(1 for v in report.eigenvalues if v > 0) == 2
+        assert report["negatives"] + sum(1 for v in report["eigenvalues"] if v > 0) == 2
         # full signature on the respective tangent planes can differ only by
         # the plane; the count of negative directions of the ambient form is
         # preserved, and for these diagonal models the restricted counts agree
-        assert report.negatives == base_report.negatives
+        assert report["negatives"] == base_report["negatives"]
 
 
 def test_polynomial_mode_matches_callback():
@@ -129,8 +132,8 @@ def test_polynomial_mode_matches_callback():
         assert abs(polynomial_value(f)(z) - ball(z)) < 1e-12
     report = levi_analyze(f)
     direct = fd_levi_analyze(ball, f.z0)
-    assert np.allclose(report.eigenvalues, direct.eigenvalues, atol=1e-9)
-    assert report.negatives == direct.negatives
+    assert np.allclose(report["eigenvalues"], direct["eigenvalues"], atol=1e-9)
+    assert report["negatives"] == direct["negatives"]
 
 
 def test_polynomial_validation():
@@ -154,9 +157,9 @@ def test_hermitian_form_plus_linear_term_is_exact(seed, n):
     assume(np.min(np.abs(exact)) > 1e-5 * norm)
     f = DefiningFunction.from_polynomial(n, [0] * n, linear_terms(b) + hermitian_terms(herm))
     report = levi_analyze(f)
-    assert np.allclose(report.eigenvalues, exact, rtol=0, atol=1e-12 * (1 + norm))
-    assert report.negatives == int(np.sum(exact < 0))
-    assert abs(report.gradient_norm - np.linalg.norm(b)) <= 1e-12 * np.linalg.norm(b)
+    assert np.allclose(report["eigenvalues"], exact, rtol=0, atol=1e-12 * (1 + norm))
+    assert report["negatives"] == int(np.sum(exact < 0))
+    assert abs(report["gradient_norm"] - np.linalg.norm(b)) <= 1e-12 * np.linalg.norm(b)
 
 
 def random_polynomial(rng, n):
@@ -182,9 +185,9 @@ def test_closed_form_matches_finite_differences():
         f = DefiningFunction.from_polynomial(n, list(z0), random_polynomial(rng, n))
         report = levi_analyze(f)
         oracle = fd_levi_analyze(polynomial_value(f), z0)
-        scale = 1.0 + max(abs(v) for v in report.eigenvalues)
-        assert np.allclose(report.eigenvalues, oracle.eigenvalues, rtol=0, atol=1e-6 * scale)
-        assert abs(report.gradient_norm - oracle.gradient_norm) <= 1e-6 * report.gradient_norm
+        scale = 1.0 + max(abs(v) for v in report["eigenvalues"])
+        assert np.allclose(report["eigenvalues"], oracle["eigenvalues"], rtol=0, atol=1e-6 * scale)
+        assert abs(report["gradient_norm"] - oracle["gradient_norm"]) <= 1e-6 * report["gradient_norm"]
 
 
 def test_negative_exponent_at_a_zero_coordinate_rejected():
@@ -194,4 +197,16 @@ def test_negative_exponent_at_a_zero_coordinate_rejected():
     # the power rule holds at any nonzero point: Re(1/z_1) + |z_2|^2 at (1, 0)
     terms = [{"c": 1, "z": [-1, 0]}, {"c": 1, "z": [0, 1], "zbar": [0, 1]}]
     report = levi_analyze(DefiningFunction.from_polynomial(2, [1, 0], terms))
-    assert report.eigenvalues == (1.0,) and report.gradient_norm == 0.5
+    assert report["eigenvalues"] == [1.0] and report["gradient_norm"] == 0.5
+
+
+@pytest.mark.parametrize("obj", [DefiningFunction, leviform._derivatives, levi_analyze])
+def test_annotations_resolve_without_a_module_level_numpy(obj):
+    # numpy is imported inside the functions that use it, so no annotation may name it
+    assert "np" not in vars(leviform)
+    assert typing.get_type_hints(obj)
+
+
+def test_boundary_point_is_a_tuple_of_python_complex():
+    z0 = sphere(2).z0
+    assert z0 == (1 + 0j, 0j) and all(type(v) is complex for v in z0)

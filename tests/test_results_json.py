@@ -1,0 +1,63 @@
+"""Library results are plain JSON values: what the CLI prints, unwrapped."""
+
+import json
+
+import pytest
+
+from flagdomains.hodge import (
+    DegenerationSpec,
+    HodgeNumbers,
+    check_boundary_concavity,
+    group_of_period_domain,
+    sl2_cayley_checks,
+    verify_sl2_cayley_forms,
+)
+from flagdomains.leviform import DefiningFunction, levi_analyze
+from flagdomains.matrixrep import (
+    eligible_conjugation_pairs,
+    fundamental_rep,
+    make_check,
+    verify_cayley_conjugation,
+    verify_fixed_point,
+)
+from flagdomains.rootsys import LieType, build_root_system, grading, root
+
+
+def _cayley():
+    rs = build_root_system(LieType("B", 2))
+    return verify_cayley_conjugation(fundamental_rep(rs), *eligible_conjugation_pairs(rs)[0])
+
+
+def _fixed_point():
+    rep = fundamental_rep(build_root_system(LieType("A", 2)))
+    return verify_fixed_point(rep, grading((1, 1)), root((1, 1)), 0.1)
+
+
+def _levi():
+    terms = [{"c": 1, "z": [1, 0], "zbar": [1, 0]}, {"c": -1, "z": [0, 1], "zbar": [0, 1]}]
+    return levi_analyze(DefiningFunction.from_polynomial(2, [1, 0], terms + [{"c": -1}]))
+
+
+RESULTS = {
+    "make_check": lambda: make_check("claim", 1, 0.5, sign=-1, info={"string": [0, 1]}),
+    "cayley": _cayley,
+    "fixed_point": _fixed_point,
+    "sl2_checks_I": lambda: sl2_cayley_checks("I"),
+    "sl2_checks_II": lambda: sl2_cayley_checks("II"),
+    "sl2_forms": lambda: verify_sl2_cayley_forms("II"),
+    "levi": _levi,
+    "group_odd": lambda: group_of_period_domain(HodgeNumbers(weight=3, h=(1, 1, 1, 1))),
+    "group_even": lambda: group_of_period_domain(HodgeNumbers(weight=2, h=(2, 1, 2))),
+    "boundary_met": lambda: check_boundary_concavity(
+        HodgeNumbers(weight=3, h=(1, 1, 1, 1)), DegenerationSpec("I", 1)
+    ),
+    "boundary_not_met": lambda: check_boundary_concavity(
+        HodgeNumbers(weight=1, h=(1, 1)), DegenerationSpec("I", 0)
+    ),
+}
+
+
+@pytest.mark.parametrize("make", RESULTS.values(), ids=RESULTS.keys())
+def test_result_is_a_plain_json_value(make):
+    result = make()
+    assert json.loads(json.dumps(result)) == result
