@@ -34,7 +34,14 @@ from .matrixrep import (
     verify_fixed_point,
 )
 from .realform import classify_roots
-from .rootsys import LieType, build_root_system, exact_int, from_cartan_matrix, grading
+from .rootsys import (
+    MAX_RANK,
+    LieType,
+    build_root_system,
+    exact_int,
+    from_cartan_matrix,
+    grading,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -43,7 +50,6 @@ EXIT_OUT_OF_BOUNDS = 4
 EXIT_INFEASIBLE = 5
 EXIT_CLOSED_STDOUT = 141
 
-MAX_RANK = 6
 MAX_WEIGHT = 10
 MAX_DIM_V = 64
 MAX_GRADING = 16
@@ -284,6 +290,7 @@ def _iter_verify_checks(args):
         eps_values = _parse_eps(spec["eps"])
         if system:
             if spec["grading"] is None and suite == "all":
+                print("note: fixed-point suite skipped: no --grading", file=sys.stderr)
                 targets = []
             else:
                 targets = [(system, _resolve_grading(system, spec))]
@@ -342,21 +349,11 @@ def _cmd_levi(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--seedless",
-        action="store_true",
-        help="accepted for compatibility; output is always deterministic",
-    )
     parser = argparse.ArgumentParser(
         prog="flagdomains",
         description="Root system pseudoconcavity checks and period domain reports",
-        parents=[common],
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_parser(name, help_text):
-        return sub.add_parser(name, help=help_text, parents=[common])
 
     def add_system_flags(p):
         p.add_argument("--family", help="A, B, C or D")
@@ -365,16 +362,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", help="JSON file mirroring the flags")
         p.add_argument("--pretty", action="store_true")
 
-    p = add_parser("describe", "dump a root system as JSON")
+    p = sub.add_parser("describe", help="dump a root system as JSON")
     add_system_flags(p)
     p.set_defaults(handler=_cmd_describe)
 
-    p = add_parser("theorem1", "pseudoconcavity criterion report")
+    p = sub.add_parser("theorem1", help="pseudoconcavity criterion report")
     add_system_flags(p)
     p.add_argument("--grading", help="comma separated grading coefficients")
     p.set_defaults(handler=_cmd_theorem1)
 
-    p = add_parser("period", "period domain group and degenerations")
+    p = sub.add_parser("period", help="period domain group and degenerations")
     p.add_argument("--weight", type=int)
     p.add_argument("--h", help="h^{n,0},...,h^{0,n} comma separated")
     p.add_argument("--degeneration", help='e.g. {"kind": "I", "p0": 1}')
@@ -382,14 +379,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(handler=_cmd_period)
 
-    p = add_parser("verify", "numeric certificate suites as JSON lines")
+    p = sub.add_parser("verify", help="numeric certificate suites as JSON lines")
     add_system_flags(p)
     p.add_argument("--suite", choices=VERIFY_SUITES, help="default: all")
     p.add_argument("--grading", help="grading for the fixed-point suite")
     p.add_argument("--eps", help="comma separated eps list for the fixed-point suite")
     p.set_defaults(handler=_cmd_verify)
 
-    p = add_parser("levi", "Levi form eigenvalues of a polynomial")
+    p = sub.add_parser("levi", help="Levi form eigenvalues of a polynomial")
     p.add_argument("--input", help="JSON file with n, z0 and terms")
     p.add_argument("--spec", help="the same JSON object inline")
     p.add_argument("--pretty", action="store_true")

@@ -248,21 +248,20 @@ def _sl2_model(kind: str):
     """Standard triple in the representation matching the degeneration kind.
 
     Type I uses the two-dimensional representation (the highest vector has
-    Y-eigenvalue 1), type II the three-dimensional one (eigenvalue 2).
+    Y-eigenvalue 1), type II the three-dimensional one (eigenvalue 2);
+    Y = [N+, N].
     """
     import numpy as np
 
     if kind == "I":
         nminus = np.array([[0, 0], [1, 0]], dtype=complex)
         nplus = np.array([[0, 1], [0, 0]], dtype=complex)
-        y = np.diag([1.0, -1.0]).astype(complex)
     elif kind == "II":
         nminus = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=complex)
         nplus = np.array([[0, 2, 0], [0, 0, 2], [0, 0, 0]], dtype=complex)
-        y = np.diag([2.0, 0.0, -2.0]).astype(complex)
     else:
         raise ValueError("kind must be 'I' or 'II'")
-    return nplus, y, nminus
+    return nplus, nplus @ nminus - nminus @ nplus, nminus
 
 
 def sl2_cayley_checks(kind: str) -> list[dict]:

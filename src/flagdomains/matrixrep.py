@@ -5,9 +5,10 @@ and so(2r) preserve the symmetric pairing with blocks [[0, I], [I, 0]]
 plus a trailing 1 in the odd case. Only the simple root vectors are
 written down by hand; every other root vector is produced by bracketing
 and dividing by the structure constant, so the realization reproduces the
-abstract table sign for sign. A matrix is a sparse map from (row, column)
-to an exact int or Fraction; every root vector has at most two nonzero
-entries, each in {+-1/2, +-1, +-2}.
+abstract table sign for sign, and the coroot of a is [x^a, x^{-a}]. A
+matrix is a sparse map from (row, column) to an exact int or Fraction;
+every root vector has at most two nonzero entries, each in
+{+-1/2, +-1, +-2}.
 
 The certificates conjugate by the squared Cayley matrix of a compact root
 b, the Weyl element w_b = exp(x^b) exp(-x^{-b}) exp(x^b), Tits' lift of
@@ -26,19 +27,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .chevalley import ChevalleyConstants, structure_constants
+from .chevalley import structure_constants
 from .concavity import witness_alphas
-from .rootsys import (
-    GradingElement,
-    Root,
-    RootSystem,
-    check_grading,
-    grading_cartan_coefficients,
-)
+from .rootsys import MAX_RANK, GradingElement, Root, RootSystem, check_grading
 
 TOL_CONJUGATION = 1e-9
-
-DEFAULT_MAX_RANK = 6
 
 
 def make_check(claim, residual, tolerance, sign=None, info=None) -> dict:
@@ -134,14 +127,11 @@ class WeylElement:
 
 @dataclass(frozen=True, eq=False)
 class MatrixRealization:
-    """Root vectors and simple coroots of a classical algebra as sparse
-    exact matrices."""
+    """Root vectors of a classical algebra as sparse exact matrices."""
 
     rs: RootSystem
-    cc: ChevalleyConstants
     dim: int
     x: dict
-    h: dict
     _weyl: dict = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
@@ -162,24 +152,34 @@ class MatrixRealization:
         return self._weyl[b]
 
     def grading_diagonal(self, e: GradingElement) -> tuple[Fraction, ...]:
-        """Exact eigenvalues of the grading element on the representation."""
+        """Exact eigenvalues of the grading element on the representation.
+
+        [E, x^s] = n_s x^s, so an entry (k, l) of x^s puts the eigenvalue of
+        e_k exactly n_s above the one of e_l. They are propagated from
+        e_0 = 0 along the simple root vectors, then shifted so that E is
+        traceless; ArithmeticError when those vectors do not link the basis.
+        """
         check_grading(self.rs, e)
-        w = grading_cartan_coefficients(self.rs, e)
-        diag = [Fraction(0)] * self.dim
-        for wk, s in zip(w, self.rs.simple_roots()):
-            hs = self.h[s]
-            for t in range(self.dim):
-                diag[t] += wk * hs.get((t, t), 0)
-        return tuple(diag)
+        simples = zip(self.rs.simple_roots(), e.coeffs)
+        links = [(k, l, n) for s, n in simples for k, l in self.x[s]]
+        diag = {0: Fraction(0)}
+        while len(diag) < self.dim:
+            known = len(diag)
+            for k, l, n in links:
+                if l in diag and k not in diag:
+                    diag[k] = diag[l] + n
+                elif k in diag and l not in diag:
+                    diag[l] = diag[k] - n
+            if len(diag) == known:
+                raise ArithmeticError("the simple root vectors do not link the basis")
+        mean = sum(diag.values()) / self.dim
+        return tuple(diag[t] - mean for t in range(self.dim))
 
 
 def _simple_sl(r: int):
-    xs, ys, hs = [], [], []
-    for k in range(r):
-        xs.append({(k, k + 1): 1})
-        ys.append({(k + 1, k): 1})
-        hs.append({(k, k): 1, (k + 1, k + 1): -1})
-    return r + 1, xs, ys, hs
+    xs = [{(k, k + 1): 1} for k in range(r)]
+    ys = [{(k + 1, k): 1} for k in range(r)]
+    return r + 1, xs, ys
 
 
 def _first_type(r: int):
@@ -187,38 +187,32 @@ def _first_type(r: int):
     ks = range(r - 1)
     xs = [{(k, k + 1): 1, (r + k + 1, r + k): -1} for k in ks]
     ys = [{(k + 1, k): 1, (r + k, r + k + 1): -1} for k in ks]
-    hs = [
-        {(k, k): 1, (k + 1, k + 1): -1, (r + k, r + k): -1, (r + k + 1, r + k + 1): 1} for k in ks
-    ]
-    return xs, ys, hs
+    return xs, ys
 
 
 def _simple_sp(r: int):
-    xs, ys, hs = _first_type(r)
+    xs, ys = _first_type(r)
     # the long root 2 e_r
     xs.append({(r - 1, 2 * r - 1): 1})
     ys.append({(2 * r - 1, r - 1): 1})
-    hs.append({(r - 1, r - 1): 1, (2 * r - 1, 2 * r - 1): -1})
-    return 2 * r, xs, ys, hs
+    return 2 * r, xs, ys
 
 
 def _simple_so_odd(r: int):
-    xs, ys, hs = _first_type(r)
-    # the short root e_r; the asymmetric 2 keeps [x, y] equal to the coroot
+    xs, ys = _first_type(r)
+    # the short root e_r; the asymmetric 2 makes [x, y] its coroot, with entries +-2
     xs.append({(r - 1, 2 * r): 1, (2 * r, 2 * r - 1): -1})
     ys.append({(2 * r, r - 1): 2, (2 * r - 1, 2 * r): -2})
-    hs.append({(r - 1, r - 1): 2, (2 * r - 1, 2 * r - 1): -2})
-    return 2 * r + 1, xs, ys, hs
+    return 2 * r + 1, xs, ys
 
 
 def _simple_so_even(r: int):
-    xs, ys, hs = _first_type(r)
+    xs, ys = _first_type(r)
     # the fork root e_{r-1} + e_r
     u, v = 2 * r - 2, 2 * r - 1
     xs.append({(r - 2, v): 1, (r - 1, u): -1})
     ys.append({(v, r - 2): 1, (u, r - 1): -1})
-    hs.append({(r - 2, r - 2): 1, (r - 1, r - 1): 1, (u, u): -1, (v, v): -1})
-    return 2 * r, xs, ys, hs
+    return 2 * r, xs, ys
 
 
 _BUILDERS = {
@@ -229,9 +223,7 @@ _BUILDERS = {
 }
 
 
-def fundamental_rep(
-    rs: RootSystem, cc: ChevalleyConstants | None = None
-) -> MatrixRealization:
+def fundamental_rep(rs: RootSystem) -> MatrixRealization:
     """Defining representation with root vectors matching the abstract table."""
     t = rs.lie_type
     if t is None:
@@ -239,19 +231,16 @@ def fundamental_rep(
             "matrix realization needs a system whose Cartan matrix matches a "
             "standard classical labeling"
         )
-    if t.rank > DEFAULT_MAX_RANK:
-        raise ValueError(f"rank {t.rank} exceeds the supported bound {DEFAULT_MAX_RANK}")
-    if cc is None:
-        cc = structure_constants(rs)
-    dim, xs, ys, hs = _BUILDERS[t.family](t.rank)
+    if t.rank > MAX_RANK:
+        raise ValueError(f"rank {t.rank} exceeds the supported bound {MAX_RANK}")
+    cc = structure_constants(rs)
+    dim, xs, ys = _BUILDERS[t.family](t.rank)
     roots, add, neg, half = rs.roots, rs.add, rs.neg, rs.half
     simples = [rs.of(s) for s in rs.simple_roots()]
     x: dict[Root, dict] = {}
-    h: dict[Root, dict] = {}
-    for s, xp, xn, hm in zip(simples, xs, ys, hs):
+    for s, xp, xn in zip(simples, xs, ys):
         x[roots[s]] = xp
         x[roots[neg[s]]] = xn
-        h[roots[s]] = hm
     for g in range(half + rs.rank, len(roots)):
         # the positive roots past the simple ones, in height order
         for s in simples:
@@ -263,7 +252,7 @@ def fundamental_rep(
                 break
         else:
             raise AssertionError(f"{roots[g]} has no simple summand")
-    return MatrixRealization(rs=rs, cc=cc, dim=dim, x=x, h=h)
+    return MatrixRealization(rs=rs, dim=dim, x=x)
 
 
 def verify_cayley_conjugation(rep: MatrixRealization, a: Root, b: Root) -> dict:

@@ -17,6 +17,9 @@ from functools import cached_property, lru_cache
 
 FAMILIES = ("A", "B", "C", "D")
 
+# the largest rank the CLI and the matrix realizations accept
+MAX_RANK = 6
+
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
 
 _ROOT_COUNT = {
@@ -274,7 +277,7 @@ def standard_cartan(t: LieType) -> tuple[tuple[int, ...], ...]:
 def build_root_system(t: LieType) -> RootSystem:
     """Enumerate the root system of a classical family."""
     rs = from_cartan_matrix(standard_cartan(t))
-    if rs.lie_type != t and t not in (None,):
+    if rs.lie_type != t:
         # D3 shares its matrix with no other family, A1 with B1/C1 excluded;
         # detection is exact, so a mismatch means a bug.
         raise AssertionError("family detection disagrees with the requested type")
@@ -455,25 +458,3 @@ def coroot_coefficients(rs: RootSystem, a: Root) -> tuple[int, ...]:
         out.append(int(v))
     return tuple(out)
 
-
-def grading_cartan_coefficients(
-    rs: RootSystem, e: GradingElement
-) -> tuple[Fraction, ...]:
-    """Rational w with e = sum_k w_k H^{s_k}, solved from the Cartan matrix."""
-    check_grading(rs, e)
-    r = rs.rank
-    # Gaussian elimination over Fractions on [C | n].
-    aug = [
-        [Fraction(rs.cartan[i][k]) for k in range(r)] + [Fraction(e.coeffs[i])]
-        for i in range(r)
-    ]
-    for col in range(r):
-        pivot = next(row for row in range(col, r) if aug[row][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for row in range(r):
-            if row != col and aug[row][col] != 0:
-                factor = aug[row][col]
-                aug[row] = [v - factor * w for v, w in zip(aug[row], aug[col])]
-    return tuple(aug[i][r] for i in range(r))

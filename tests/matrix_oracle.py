@@ -4,16 +4,19 @@
 complex numpy array. The certificates below are the float versions of
 ``verify_cayley_conjugation`` and ``verify_fixed_point``: Weyl elements as
 products of numerically summed unipotent factors, conjugation by matrix
-products, residuals as float norms.
+products, residuals as float norms. ``cartan_diagonal`` is the exact
+reference for ``grading_diagonal``: E solved over the simple coroots from
+the Cartan matrix.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from flagdomains.concavity import witness_alphas
-from flagdomains.matrixrep import TOL_CONJUGATION, make_check
-from flagdomains.rootsys import coroot_coefficients, root_string
+from flagdomains.matrixrep import TOL_CONJUGATION, make_check, product
+from flagdomains.rootsys import check_grading, coroot_coefficients, root_string
 
 
 def dense(m: dict, dim: int) -> np.ndarray:
@@ -35,14 +38,56 @@ def sparse(m: np.ndarray) -> dict:
     return {(int(i), int(j)): complex(m[i, j]) for i, j in np.argwhere(m != 0)}
 
 
+def coroot(rep, s) -> dict:
+    """[x^s, x^{-s}], exact and sparse."""
+    xs, xns = rep.x[s], rep.x[-s]
+    out = product(xs, xns)
+    for key, v in product(xns, xs).items():
+        out[key] = out.get(key, 0) - v
+    return {key: v for key, v in out.items() if v}
+
+
 def cartan_element(rep, a) -> np.ndarray:
-    """The coroot of a as a matrix, an integer combination of the H^{s_i}."""
+    """The coroot of a as a matrix, an integer combination of the simple
+    coroots [x^s, x^{-s}]."""
     coeffs = coroot_coefficients(rep.rs, a)
     out = np.zeros((rep.dim, rep.dim), dtype=complex)
     for s, c in zip(rep.rs.simple_roots(), coeffs):
         if c:
-            out += c * dense(rep.h[s], rep.dim)
+            out += c * dense(coroot(rep, s), rep.dim)
     return out
+
+
+def grading_cartan_coefficients(rs, e) -> tuple[Fraction, ...]:
+    """Rational w with e = sum_k w_k H^{s_k}, solved from the Cartan matrix."""
+    check_grading(rs, e)
+    r = rs.rank
+    # Gaussian elimination over Fractions on [C | n].
+    aug = [
+        [Fraction(rs.cartan[i][k]) for k in range(r)] + [Fraction(e.coeffs[i])]
+        for i in range(r)
+    ]
+    for col in range(r):
+        pivot = next(row for row in range(col, r) if aug[row][col] != 0)
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [v * inv for v in aug[col]]
+        for row in range(r):
+            if row != col and aug[row][col] != 0:
+                factor = aug[row][col]
+                aug[row] = [v - factor * w for v, w in zip(aug[row], aug[col])]
+    return tuple(aug[i][r] for i in range(r))
+
+
+def cartan_diagonal(rep, e) -> tuple[Fraction, ...]:
+    """The diagonal of E = sum_k w_k [x^{s_k}, x^{-s_k}], exact."""
+    w = grading_cartan_coefficients(rep.rs, e)
+    diag = [Fraction(0)] * rep.dim
+    for wk, s in zip(w, rep.rs.simple_roots()):
+        hs = coroot(rep, s)
+        for t in range(rep.dim):
+            diag[t] += wk * hs.get((t, t), 0)
+    return tuple(diag)
 
 
 def invariant_form(rep) -> np.ndarray | None:

@@ -1,5 +1,6 @@
 """Command line behavior: payloads, exit codes, determinism, round trips."""
 
+import collections
 import contextlib
 import io
 import json
@@ -107,6 +108,28 @@ def test_verify_fixed_point_suite(capsys):
     assert all(line["pass"] for line in lines)
 
 
+def test_verify_all_without_a_grading_notes_the_skipped_fixed_point_suite(capsys):
+    code, out, err = run_cli(capsys, "verify", "--family", "B", "--rank", "3")
+    assert code == 0
+    kinds = collections.Counter(
+        json.loads(line)["claim"].split()[0] for line in out.strip().splitlines()
+    )
+    assert kinds == {
+        "cayley-conjugation": 96,
+        "sl2-cayley-I": 9,
+        "sl2-cayley-II": 9,
+        "chevalley-string-brackets": 1,
+        "chevalley-jacobi": 1,
+    }
+    assert err == "note: fixed-point suite skipped: no --grading\n"
+    code, _, err = run_cli(capsys, "verify", "--family", "B", "--rank", "3", "--grading", "0,1,0")
+    assert code == 0 and err == ""
+    # asked for by name, the suite still needs a grading
+    code, out, err = run_cli(capsys, "verify", "--suite", "fixed-point", "--family", "B", "--rank", "3")
+    assert code == 2 and out == ""
+    assert "missing --grading" in err
+
+
 def test_levi_from_file(tmp_path, capsys):
     payload = {
         "n": 3,
@@ -193,7 +216,7 @@ def test_determinism_byte_identical(capsys):
     _, out1, _ = run_cli(capsys, *args)
     _, out2, _ = run_cli(capsys, *args)
     assert out1 == out2
-    args = ["verify", "--suite", "lemma41", "--seedless"]
+    args = ["verify", "--suite", "lemma41"]
     _, out1, _ = run_cli(capsys, *args)
     _, out2, _ = run_cli(capsys, *args)
     assert out1 == out2

@@ -12,7 +12,9 @@ from conftest import CLASSICAL, ORACLE_SYSTEMS, RELABELLED_B4
 from lie_oracles import cartan_integer, reference_eligible_pairs
 from matrix_oracle import (
     FloatRealization,
+    cartan_diagonal,
     cartan_element,
+    coroot,
     cayley_check,
     cayley_matrix,
     dense,
@@ -23,6 +25,7 @@ from matrix_oracle import (
     weyl_dense,
 )
 
+from flagdomains.chevalley import structure_constants
 from flagdomains.concavity import check_pseudoconcavity, witness_alphas
 from flagdomains.matrixrep import (
     eligible_conjugation_pairs,
@@ -53,14 +56,14 @@ def reps(systems):
 def test_bracket_relations_exact(key, systems, reps):
     rs = systems[key]
     rep = reps[key]
-    cc = rep.cc
+    cc = structure_constants(rs)
     x = {a: dense(m, rep.dim) for a, m in rep.x.items()}
     for a in rs.roots:
         ha = cartan_element(rep, a)
         comm = x[a] @ x[-a] - x[-a] @ x[a]
         assert np.linalg.norm(comm - ha) < 1e-12
         for s in rs.simple_roots():
-            hs = dense(rep.h[s], rep.dim)
+            hs = dense(coroot(rep, s), rep.dim)
             comm = hs @ x[a] - x[a] @ hs
             assert np.linalg.norm(comm - cartan_integer(rs, a, s) * x[a]) < 1e-12
         for b in rs.roots:
@@ -78,7 +81,8 @@ def test_membership_in_classical_algebra(key, systems, reps):
     rs = systems[key]
     rep = reps[key]
     form = invariant_form(rep)
-    elements = [dense(m, rep.dim) for m in [*rep.x.values(), *rep.h.values()]]
+    coroots = [coroot(rep, s) for s in rs.simple_roots()]
+    elements = [dense(m, rep.dim) for m in [*rep.x.values(), *coroots]]
     for m in elements:
         if form is None:
             assert abs(np.trace(m)) < 1e-12
@@ -92,7 +96,7 @@ def test_a1_matches_standard_triple():
     alpha = rs.simple_roots()[0]
     assert np.array_equal(dense(rep.x[alpha], 2).real, [[0, 1], [0, 0]])
     assert np.array_equal(dense(rep.x[-alpha], 2).real, [[0, 0], [1, 0]])
-    assert np.array_equal(dense(rep.h[alpha], 2).real, [[1, 0], [0, -1]])
+    assert coroot(rep, alpha) == {(0, 0): 1, (1, 1): -1}
 
 
 def test_a2_root_vectors_are_signed_elementary(a2):
@@ -103,7 +107,7 @@ def test_a2_root_vectors_are_signed_elementary(a2):
         assert len(nonzero) == 1
         assert abs(abs(m[tuple(nonzero[0])]) - 1.0) < 1e-15
     for s in a2.simple_roots():
-        hs = dense(rep.h[s], rep.dim)
+        hs = dense(coroot(rep, s), rep.dim)
         assert np.linalg.norm(hs - np.diag(np.diag(hs))) == 0.0
 
 
@@ -300,6 +304,25 @@ def test_grading_diagonal_matches_weight_eigenvalues(reps):
         Fraction(1, 2),
         Fraction(3, 2),
     ]
+
+
+@pytest.mark.parametrize("key", ORACLE_SYSTEMS, ids=lambda k: f"{k[0]}{k[1]}")
+def test_grading_diagonal_matches_the_cartan_solve(key):
+    rs = build_root_system(LieType(*key))
+    rep = fundamental_rep(rs)
+    values = (0, 1, 2) if rs.rank <= 4 else (0, 1)
+    for coeffs in itertools.product(values, repeat=rs.rank):
+        e = grading(coeffs)
+        assert rep.grading_diagonal(e) == cartan_diagonal(rep, e), coeffs
+
+
+def test_grading_diagonal_rejects_an_unlinked_basis(reps):
+    # without x^{s_1}, no simple root vector reaches e_0 in A2
+    rep = reps[("A", 2)]
+    s1 = rep.rs.simple_roots()[0]
+    unlinked = dataclasses.replace(rep, x={**rep.x, s1: {}})
+    with pytest.raises(ArithmeticError, match="do not link the basis"):
+        unlinked.grading_diagonal(grading((1, 1)))
 
 
 def test_rep_requires_detected_family():
