@@ -20,8 +20,8 @@ from flagdomains import (
     levi_analyze,
     period_report,
     root,
+    sl2_cayley_checks,
     verify_fixed_point,
-    verify_sl2_cayley_forms,
 )
 from flagdomains.rootsys import LieType
 
@@ -58,7 +58,7 @@ def main():
          period_report(HodgeNumbers.from_descending(2, [2, 1, 2])))
 
     for kind in ("I", "II"):
-        show(f"sl2 Cayley closed forms, type {kind}", verify_sl2_cayley_forms(kind))
+        show(f"sl2 Cayley closed forms, type {kind}", sl2_cayley_checks(kind))
 
     # |z|^2 - 1 on C^3
     terms = [{"c": 1, "z": e, "zbar": e} for e in ([1, 0, 0], [0, 1, 0], [0, 0, 1])]

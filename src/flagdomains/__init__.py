@@ -7,24 +7,18 @@ from .chevalley import (
     structure_constants,
     verify_bracket_identities,
 )
-from .concavity import (
-    ConcavityReport,
-    StringVerdict,
-    VerdictKind,
-    check_pseudoconcavity,
-)
+from .concavity import ConcavityReport, check_pseudoconcavity
 from .hodge import (
     DegenerationSpec,
     DeligneDiamond,
     HodgeNumbers,
     InfeasibleDegeneration,
     check_boundary_concavity,
-    enumerate_minimal_degenerations,
     grading_values_on_V,
     group_of_period_domain,
     limit_diamond,
     period_report,
-    verify_sl2_cayley_forms,
+    sl2_cayley_checks,
 )
 from .leviform import DefiningFunction, levi_analyze
 from .matrixrep import (
@@ -34,7 +28,7 @@ from .matrixrep import (
     verify_cayley_conjugation,
     verify_fixed_point,
 )
-from .realform import CompactnessTable, classify_roots, noncompact_negative_roots
+from .realform import CompactnessTable, classify_roots
 from .rootsys import (
     GradingElement,
     LieType,

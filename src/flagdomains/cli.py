@@ -101,17 +101,25 @@ def _merged(args: argparse.Namespace, keys: tuple[str, ...]) -> dict:
     return merged
 
 
-def _parse_int_list(value, what: str) -> tuple[int, ...]:
+def _parse_list(value, what: str, number=int) -> tuple:
+    """The items of a comma separated string or of a nonempty JSON list, as
+    ints, or with number=float as floats; an empty item is refused."""
     if value is None:
         raise ValueError(f"missing {what}")
     try:
         if isinstance(value, str):
-            return tuple(int(p) for p in value.replace(" ", "").split(",") if p)
-        if isinstance(value, list):
-            return tuple(exact_int(v) for v in value)
+            items = value.split(",")
+            if all(p.strip() for p in items):
+                return tuple(number(p) for p in items)
+        elif isinstance(value, list) and value:
+            if number is int:
+                return tuple(exact_int(v) for v in value)
+            if not any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value):
+                return tuple(float(v) for v in value)
     except ValueError:
         pass
-    raise ValueError(f"{what} must be a comma separated integer list")
+    kind = "integer" if number is int else "number"
+    raise ValueError(f"{what} must be a comma separated {kind} list")
 
 
 def _resolve_system(spec: dict):
@@ -140,7 +148,7 @@ def _resolve_system(spec: dict):
 
 
 def _resolve_grading(rs, spec: dict):
-    coeffs = _parse_int_list(spec.get("grading"), "--grading")
+    coeffs = _parse_list(spec.get("grading"), "--grading")
     if len(coeffs) != rs.rank:
         raise ValueError(
             f"grading has {len(coeffs)} coefficients, the system has rank {rs.rank}"
@@ -199,7 +207,7 @@ def _cmd_period(args) -> int:
     weight = exact_int(spec["weight"], "--weight")
     if not 0 <= weight <= MAX_WEIGHT:
         raise OutOfBoundsError(f"weight must lie in [0, {MAX_WEIGHT}]")
-    hvals = _parse_int_list(spec.get("h"), "--h")
+    hvals = _parse_list(spec.get("h"), "--h")
     h = HodgeNumbers.from_descending(weight, hvals)
     if h.dim() > MAX_DIM_V:
         raise OutOfBoundsError(f"total dimension exceeds the bound {MAX_DIM_V}")
@@ -228,18 +236,6 @@ def _cmd_period(args) -> int:
         pretty.append(f"{label}: boundary condition {verdict}")
     _emit(args, payload, pretty)
     return EXIT_OK
-
-
-def _parse_eps(value) -> tuple[float, ...]:
-    if value is None or value == "":
-        return _DEFAULT_EPS
-    if isinstance(value, str):
-        return tuple(float(v) for v in value.split(","))
-    if isinstance(value, list) and value and not any(
-        isinstance(v, bool) or not isinstance(v, (int, float)) for v in value
-    ):
-        return tuple(float(v) for v in value)
-    raise ValueError("--eps must be a comma separated number list")
 
 
 def _iter_verify_checks(args):
@@ -287,7 +283,8 @@ def _iter_verify_checks(args):
         for kind in ("I", "II"):
             yield from sl2_cayley_checks(kind)
     if suite in ("all", "fixed-point"):
-        eps_values = _parse_eps(spec["eps"])
+        eps = spec["eps"]
+        eps_values = _DEFAULT_EPS if eps is None else _parse_list(eps, "--eps", float)
         if system:
             if spec["grading"] is None and suite == "all":
                 print("note: fixed-point suite skipped: no --grading", file=sys.stderr)

@@ -11,7 +11,6 @@ downstream matrix certificates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 from .realform import classify_roots
 from .rootsys import (
@@ -23,40 +22,10 @@ from .rootsys import (
 )
 
 
-class VerdictKind(str, Enum):
-    TYPE_A = "OK_TYPE_A"
-    TYPE_B = "OK_TYPE_B"
-    FAIL = "FAIL"
-
-
-@dataclass(frozen=True)
-class StringVerdict:
-    """Outcome of the string condition for one (alpha, beta) pair."""
-
-    alpha: Root
-    beta: Root
-    r: int
-    q: int
-    endpoint: Root
-    endpoint_in_p: bool
-    verdict: VerdictKind
-    reason: str | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "alpha": list(self.alpha.coeffs),
-            "r": self.r,
-            "q": self.q,
-            "endpoint": list(self.endpoint.coeffs),
-            "endpoint_in_p": self.endpoint_in_p,
-            "verdict": self.verdict.value,
-            "reason": self.reason,
-        }
-
-
 @dataclass(frozen=True, eq=False)
 class ConcavityReport:
-    """Verdict of the sweep, with every witness and the full detail map."""
+    """Verdict of the sweep, with every witness and the full detail map:
+    each compact root to the JSON entries of its strings, in sweep order."""
 
     satisfied: bool
     witnesses: tuple[Root, ...]
@@ -74,7 +43,7 @@ class ConcavityReport:
                 {
                     "beta": list(b.coeffs),
                     "is_witness": b in self.witnesses,
-                    "verdicts": [v.to_json_dict() for v in verdicts],
+                    "verdicts": list(verdicts),
                 }
                 for b, verdicts in sorted(
                     self.detail.items(), key=lambda kv: kv[0].coeffs
@@ -85,32 +54,27 @@ class ConcavityReport:
 
 def _string_verdict(
     rs: RootSystem, e: GradingElement, beta: Root, alpha: Root
-) -> StringVerdict:
+) -> dict:
+    """The JSON entry of the string condition for one (alpha, beta) pair."""
     st = root_string(rs, alpha, beta)
     endpoint = st.members[-1]
     endpoint_in_p = e.value(endpoint) >= 0
-    if (st.r, st.q) == (0, 1):
-        if endpoint_in_p:
-            verdict, reason = VerdictKind.TYPE_A, None
-        else:
-            verdict, reason = VerdictKind.FAIL, "endpoint a+b has negative grading"
-    elif (st.r, st.q) == (0, 2):
-        if endpoint_in_p:
-            verdict, reason = VerdictKind.TYPE_B, None
-        else:
-            verdict, reason = VerdictKind.FAIL, "endpoint a+2b has negative grading"
+    if (st.r, st.q) not in ((0, 1), (0, 2)):
+        verdict, reason = "FAIL", f"string shape (r, q) = ({st.r}, {st.q})"
+    elif endpoint_in_p:
+        verdict, reason = ("OK_TYPE_A" if st.q == 1 else "OK_TYPE_B"), None
     else:
-        verdict, reason = VerdictKind.FAIL, f"string shape (r, q) = ({st.r}, {st.q})"
-    return StringVerdict(
-        alpha=alpha,
-        beta=beta,
-        r=st.r,
-        q=st.q,
-        endpoint=endpoint,
-        endpoint_in_p=endpoint_in_p,
-        verdict=verdict,
-        reason=reason,
-    )
+        step = "b" if st.q == 1 else "2b"
+        verdict, reason = "FAIL", f"endpoint a+{step} has negative grading"
+    return {
+        "alpha": list(alpha.coeffs),
+        "r": st.r,
+        "q": st.q,
+        "endpoint": list(endpoint.coeffs),
+        "endpoint_in_p": endpoint_in_p,
+        "verdict": verdict,
+        "reason": reason,
+    }
 
 
 def _sweep_inputs(
@@ -130,12 +94,12 @@ def check_pseudoconcavity(rs: RootSystem, e: GradingElement) -> ConcavityReport:
     """Sweep all compact roots for one that certifies every noncompact
     negative root, and report the witnesses with full detail."""
     betas, alphas = _sweep_inputs(rs, e)
-    detail: dict[Root, tuple[StringVerdict, ...]] = {}
+    detail: dict[Root, tuple[dict, ...]] = {}
     witnesses = []
     for beta in betas:
         verdicts = tuple(_string_verdict(rs, e, beta, alpha) for alpha in alphas)
         detail[beta] = verdicts
-        if all(v.verdict is not VerdictKind.FAIL for v in verdicts):
+        if all(v["verdict"] != "FAIL" for v in verdicts):
             witnesses.append(beta)
     return ConcavityReport(
         satisfied=bool(witnesses),
@@ -154,7 +118,7 @@ def witness_alphas(rs: RootSystem, e: GradingElement, beta: Root) -> tuple[Root,
     """
     betas, alphas = _sweep_inputs(rs, e)
     if beta not in betas or any(
-        _string_verdict(rs, e, beta, alpha).verdict is VerdictKind.FAIL
+        _string_verdict(rs, e, beta, alpha)["verdict"] == "FAIL"
         for alpha in alphas
     ):
         raise ValueError(f"beta {beta} is not a witness for grading {e}")

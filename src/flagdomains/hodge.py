@@ -3,7 +3,7 @@
 Covers the symmetry group determined by the Hodge numbers, the grading
 eigenvalues on the underlying space, limit mixed Hodge diamonds of the
 two minimal degeneration types, the boundary pseudoconcavity condition
-on those diamonds, and numeric verification of the closed forms for the
+on those diamonds, and exact verification of the closed forms for the
 quarter-turn Cayley element built from an sl2 triple.
 """
 
@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .matrixrep import make_check
+from .matrixrep import _scaled, _sum, exp_nilpotent, make_check, product
 from .rootsys import exact_int
 
 TOL_SL2 = 1e-12
@@ -237,93 +237,142 @@ def _minimal_diamonds(h: HodgeNumbers) -> list[tuple[DegenerationSpec, DeligneDi
     return out
 
 
-def enumerate_minimal_degenerations(
-    h: HodgeNumbers,
-) -> list[tuple[DegenerationSpec, dict]]:
-    """Every admissible degeneration shape with its boundary verdict."""
-    return [(spec, _boundary(spec, dia)) for spec, dia in _minimal_diamonds(h)]
+class Cyclotomic:
+    """a[0] + a[1] z + a[2] z^2 + a[3] z^3 with Fraction a[k] and
+    z = exp(i pi/4), so z^4 = -1, i = z^2 and sqrt 2 = z - z^3."""
+
+    __slots__ = ("a",)
+
+    def __init__(self, a):
+        self.a = tuple(Fraction(v) for v in a)
+
+    @staticmethod
+    def of(v) -> "Cyclotomic":
+        return v if isinstance(v, Cyclotomic) else Cyclotomic((v, 0, 0, 0))
+
+    def __add__(self, other):
+        return Cyclotomic(x + y for x, y in zip(self.a, Cyclotomic.of(other).a))
+
+    def __mul__(self, other):
+        out = [0] * 4
+        for j, y in enumerate(Cyclotomic.of(other).a):
+            for k, x in enumerate(self.a):
+                # z^(j+k) = -z^(j+k-4) past z^3
+                out[(j + k) % 4] += x * y if j + k < 4 else -x * y
+        return Cyclotomic(out)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __neg__(self):
+        return self * -1
+
+    def __bool__(self) -> bool:
+        return any(self.a)
+
+    def conjugate(self) -> "Cyclotomic":
+        # conj(z^k) = z^-k = -z^(4-k)
+        a0, a1, a2, a3 = self.a
+        return Cyclotomic((a0, -a3, -a2, -a1))
+
+    def __complex__(self) -> complex:
+        a0, a1, a2, a3 = self.a
+        r = math.sqrt(0.5)
+        return complex(a0 + (a1 - a3) * r, a2 + (a1 + a3) * r)
 
 
-def _sl2_model(kind: str):
+_I = Cyclotomic((0, 0, 1, 0))
+_SQRT2 = Cyclotomic((0, 1, 0, -1))
+# the shear parameters of theta = pi/4: tan(pi/8) and sin(pi/4) = 1/sqrt 2
+_TAN_PI_8 = _SQRT2 + -1
+_SIN_PI_4 = _SQRT2 * Fraction(1, 2)
+
+
+def _combo(*terms) -> dict:
+    """The sparse matrix sum of c * m over the (c, m) terms."""
+    out: dict = {}
+    for c, m in terms:
+        out = _sum(out, _scaled(m, c))
+    return out
+
+
+def _conj(m: dict) -> dict:
+    return {key: v.conjugate() for key, v in m.items()}
+
+
+def _sl2_model(kind: str) -> tuple[int, dict, dict, dict]:
     """Standard triple in the representation matching the degeneration kind.
 
     Type I uses the two-dimensional representation (the highest vector has
     Y-eigenvalue 1), type II the three-dimensional one (eigenvalue 2);
-    Y = [N+, N].
+    Y = [N+, N]. Returns dim, N+, Y and N as sparse matrices.
     """
-    import numpy as np
-
     if kind == "I":
-        nminus = np.array([[0, 0], [1, 0]], dtype=complex)
-        nplus = np.array([[0, 1], [0, 0]], dtype=complex)
+        dim, nplus, nminus = 2, {(0, 1): 1}, {(1, 0): 1}
     elif kind == "II":
-        nminus = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=complex)
-        nplus = np.array([[0, 2, 0], [0, 0, 2], [0, 0, 0]], dtype=complex)
+        dim, nplus, nminus = 3, {(0, 1): 2, (1, 2): 2}, {(1, 0): 1, (2, 1): 1}
     else:
         raise ValueError("kind must be 'I' or 'II'")
-    return nplus, nplus @ nminus - nminus @ nplus, nminus
+    y = _combo((1, product(nplus, nminus)), (-1, product(nminus, nplus)))
+    return dim, nplus, y, nminus
+
+
+def _shear_product(kind: str, t, s) -> dict:
+    """exp(t e) exp(-s f) exp(t e) for e = i N+, f = -i N."""
+    dim, nplus, _, nmat = _sl2_model(kind)
+    outer = exp_nilpotent(_scaled(nplus, t * _I), dim)
+    inner = exp_nilpotent(_scaled(nmat, s * _I), dim)
+    return product(product(outer, inner), outer)
 
 
 def sl2_cayley_checks(kind: str) -> list[dict]:
-    """All closed-form identities for d = exp(i pi/4 (N+ + N)), one check each."""
-    import numpy as np
+    """All closed-form identities for d = exp(i pi/4 (N+ + N)), one check each.
 
-    nplus, y, nmat = _sl2_model(kind)
-
-    def shear_product(t, s):
-        # exp(t e) exp(-s f) exp(t e) for e = i N+, f = -i N; e^3 = f^3 = 0
-        outer, inner = [np.eye(len(y)) + m + m @ m / 2 for m in (t * 1j * nplus, s * 1j * nmat)]
-        return outer @ inner @ outer
-
+    The entries lie in Q(exp(i pi/4)) and are computed exactly, so a
+    residual is 0.0 when its identity holds and otherwise the norm of the
+    exact difference.
+    """
+    _, nplus, y, nmat = _sl2_model(kind)
     # (i N+, Y, -i N) is an sl2 triple, so the shear product with
     # t = tan(theta/2), s = sin(theta) is the rotation by theta = pi/4 in it
-    t, s = math.tan(math.pi / 8), math.sin(math.pi / 4)
-    d, d_inv = shear_product(t, s), shear_product(-t, -s)
-    dim = d.shape[0]
-    v = np.zeros(dim, dtype=complex)
-    v[0] = 1.0
-    nv = nmat @ v
+    t, s = _TAN_PI_8, _SIN_PI_4
+    d, d_inv = _shear_product(kind, t, s), _shear_product(kind, -t, -s)
+    # a vector is a one-column matrix
+    v = {(0, 0): 1}
+    nv = product(nmat, v)
+    half, i_half = Fraction(1, 2), _I * Fraction(1, 2)
     checks = []
 
     def check(claim, got, want):
-        residual = np.linalg.norm(got - want)
+        diff = _combo((1, got), (-1, want))
+        residual = math.sqrt(sum(abs(complex(x)) ** 2 for x in diff.values()))
         checks.append(make_check(f"sl2-cayley-{kind} {claim}", residual, TOL_SL2))
 
     if kind == "I":
-        check("d(v)", d @ v, (v + 1j * nv) / math.sqrt(2))
-        check("d(Nv)", d @ nv, (1j / math.sqrt(2)) * (v - 1j * nv))
-        check("d(conj v)", d @ np.conj(v), 1j * np.conj(d @ nv))
-        check("d(N conj v)", d @ nmat @ np.conj(v), 1j * np.conj(d @ v))
-        eigen_pairs = [(v, 1.0), (nv, -1.0)]
+        check("d(v)", product(d, v), _combo((_SIN_PI_4, v), (_SIN_PI_4 * _I, nv)))
+        check("d(Nv)", product(d, nv), _combo((_SIN_PI_4 * _I, v), (_SIN_PI_4, nv)))
+        check("d(conj v)", product(d, _conj(v)), _scaled(_conj(product(d, nv)), _I))
+        check("d(N conj v)", product(product(d, nmat), _conj(v)), _scaled(_conj(product(d, v)), _I))
+        eigen_pairs = [(v, 1), (nv, -1)]
     else:
-        n2v = nmat @ nv
-        check("d(v)", d @ v, 0.5 * v + 0.5j * nv - 0.25 * n2v)
-        check("d(Nv)", d @ nv, 1j * (v + 0.5 * n2v))
-        check("d(N^2 v)", d @ n2v, -2.0 * np.conj(d @ v))
-        eigen_pairs = [(v, 2.0), (nv, 0.0), (n2v, -2.0)]
+        n2v = product(nmat, nv)
+        check("d(v)", product(d, v), _combo((half, v), (i_half, nv), (-half / 2, n2v)))
+        check("d(Nv)", product(d, nv), _combo((_I, v), (i_half, n2v)))
+        check("d(N^2 v)", product(d, n2v), _scaled(_conj(product(d, v)), -2))
+        eigen_pairs = [(v, 2), (nv, 0), (n2v, -2)]
+
+    def ad(m):
+        return product(product(d, m), d_inv)
 
     # conjugated triple closed forms
-    check("Ad(d) Y", d @ y @ d_inv, 1j * (nmat - nplus))
-    check("Ad(d) N", d @ nmat @ d_inv, 0.5 * (nmat + nplus + 1j * y))
-    check("Ad(d) N+", d @ nplus @ d_inv, 0.5 * (nmat + nplus - 1j * y))
+    check("Ad(d) Y", ad(y), _combo((_I, nmat), (-_I, nplus)))
+    check("Ad(d) N", ad(nmat), _combo((half, nmat), (half, nplus), (i_half, y)))
+    check("Ad(d) N+", ad(nplus), _combo((half, nmat), (half, nplus), (-i_half, y)))
 
-    z = d @ y @ d_inv
+    z = ad(y)
     for vec, scalar in eigen_pairs:
-        w = d @ vec
-        check(f"grading eigenvalue {scalar:+.0f}", z @ w, scalar * w)
+        w = product(d, vec)
+        check(f"grading eigenvalue {scalar:+.0f}", product(z, w), _scaled(w, scalar))
     return checks
-
-
-def verify_sl2_cayley_forms(kind: str) -> dict:
-    """Aggregate of sl2_cayley_checks; the residual is the worst identity."""
-    checks = sl2_cayley_checks(kind)
-    worst = max(c["residual"] for c in checks)
-    return make_check(
-        claim=f"sl2-cayley-{kind}",
-        residual=worst,
-        tolerance=TOL_SL2,
-        info={"identities": len(checks)},
-    )
 
 
 def period_report(

@@ -61,9 +61,7 @@ class DefiningFunction:
         list of numbers or [re, im] pairs. The sum is assumed real valued;
         its real part is used.
         """
-        import numpy as np
-
-        if not isinstance(z0, (list, tuple, np.ndarray)) or len(z0) != n:
+        if not isinstance(z0, (list, tuple)) or len(z0) != n:
             raise ValueError("z0 must be a length-n list of [re, im] pairs or numbers")
         if not isinstance(terms, (list, tuple)) or not all(
             isinstance(term, dict) for term in terms

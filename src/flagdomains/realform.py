@@ -29,8 +29,3 @@ def classify_roots(rs: RootSystem, e: GradingElement) -> CompactnessTable:
         parts[e.value(a) % 2].append(a)
     return CompactnessTable(compact=tuple(parts[0]), noncompact=tuple(parts[1]))
 
-
-def noncompact_negative_roots(rs: RootSystem, e: GradingElement) -> tuple[Root, ...]:
-    """Noncompact roots with strictly negative grading value, in ``rs.roots`` order."""
-    check_grading(rs, e)
-    return tuple(a for a in rs.roots if e.value(a) < 0 and e.value(a) % 2 != 0)

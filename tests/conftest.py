@@ -4,6 +4,8 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+# the checkout root, whose perfbench package holds the benchmark's seeded inputs
+sys.path.append(str(Path(__file__).parents[1]))
 
 from flagdomains.rootsys import (
     LieType,

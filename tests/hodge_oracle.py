@@ -5,9 +5,19 @@ read the diamond off the N-strings of the degeneration: `validate_spec`
 states the feasibility clauses, `limit_diamond` fills the weight row from
 special cases and mirrors it, and `validate_diamond` is an independent
 pass over the defining clauses, conjugation symmetry and chain symmetry.
+
+`sl2_cayley_residuals` is the float model of the sl2 closed forms that
+the package used before it computed them exactly in Q(exp(i pi/4)):
+dense complex numpy matrices, t = tan(pi/8) and s = sin(pi/4) as floats,
+and residuals as float norms.
 """
 
 from __future__ import annotations
+
+import math
+
+import numpy as np
+from matrix_oracle import shear_product
 
 from flagdomains.hodge import (
     DegenerationSpec,
@@ -143,3 +153,60 @@ def validate_diamond(
                 if dia.i(p, n - p) != h.hp(p):
                     problems.append(f"clause (iii) fails at p={p}")
     return problems
+
+
+def sl2_model(kind: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """N+, Y = [N+, N] and N as dense complex matrices."""
+    if kind == "I":
+        nminus = np.array([[0, 0], [1, 0]], dtype=complex)
+        nplus = np.array([[0, 1], [0, 0]], dtype=complex)
+    elif kind == "II":
+        nminus = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=complex)
+        nplus = np.array([[0, 2, 0], [0, 0, 2], [0, 0, 0]], dtype=complex)
+    else:
+        raise ValueError("kind must be 'I' or 'II'")
+    return nplus, nplus @ nminus - nminus @ nplus, nminus
+
+
+def sl2_shear_products(kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """d = exp(t e) exp(-s f) exp(t e) for e = i N+, f = -i N, t = tan(pi/8),
+    s = sin(pi/4) in floats, and its inverse with -t, -s."""
+    nplus, _, nmat = sl2_model(kind)
+    t, s = math.tan(math.pi / 8), math.sin(math.pi / 4)
+    e, f = 1j * nplus, -1j * nmat
+    return shear_product(e, f, t, s), shear_product(e, f, -t, -s)
+
+
+def sl2_cayley_residuals(kind: str) -> list[tuple[str, float]]:
+    """(claim, float residual) of every closed-form identity, in the
+    package's order."""
+    nplus, y, nmat = sl2_model(kind)
+    d, d_inv = sl2_shear_products(kind)
+    v = np.zeros(len(y), dtype=complex)
+    v[0] = 1.0
+    nv = nmat @ v
+    out = []
+
+    def check(claim, got, want):
+        out.append((f"sl2-cayley-{kind} {claim}", float(np.linalg.norm(got - want))))
+
+    if kind == "I":
+        check("d(v)", d @ v, (v + 1j * nv) / math.sqrt(2))
+        check("d(Nv)", d @ nv, (1j / math.sqrt(2)) * (v - 1j * nv))
+        check("d(conj v)", d @ np.conj(v), 1j * np.conj(d @ nv))
+        check("d(N conj v)", d @ nmat @ np.conj(v), 1j * np.conj(d @ v))
+        eigen_pairs = [(v, 1.0), (nv, -1.0)]
+    else:
+        n2v = nmat @ nv
+        check("d(v)", d @ v, 0.5 * v + 0.5j * nv - 0.25 * n2v)
+        check("d(Nv)", d @ nv, 1j * (v + 0.5 * n2v))
+        check("d(N^2 v)", d @ n2v, -2.0 * np.conj(d @ v))
+        eigen_pairs = [(v, 2.0), (nv, 0.0), (n2v, -2.0)]
+    check("Ad(d) Y", d @ y @ d_inv, 1j * (nmat - nplus))
+    check("Ad(d) N", d @ nmat @ d_inv, 0.5 * (nmat + nplus + 1j * y))
+    check("Ad(d) N+", d @ nplus @ d_inv, 0.5 * (nmat + nplus - 1j * y))
+    z = d @ y @ d_inv
+    for vec, scalar in eigen_pairs:
+        w = d @ vec
+        check(f"grading eigenvalue {scalar:+.0f}", z @ w, scalar * w)
+    return out

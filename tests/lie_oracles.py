@@ -14,6 +14,11 @@ eligible-pair and Jacobi computations written with `Root` objects,
 `Fraction` inner products and dict-based brackets, the slow paths that
 the package's indexed tables replace.
 
+String verdicts: each (beta, alpha) string classified into a
+`StringVerdict` object by root arithmetic, as the package did before its
+sweep built the JSON entries directly, and the theorem1 report assembled
+from them.
+
 Test-only helpers, which the package itself does not use: positivity of
 a coefficient vector, the partition of the roots by grading value, the
 Cartan integer of two roots, the parabolic cut out by a grading, and the
@@ -23,11 +28,13 @@ checked classification of a single (beta, alpha) string.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 from flagdomains.chevalley import ChevalleyConstants
-from flagdomains.concavity import StringVerdict, _string_verdict
+from flagdomains.concavity import _string_verdict
 from flagdomains.rootsys import (
     GradingElement,
     Root,
@@ -85,7 +92,7 @@ def parabolic_data(rs: RootSystem, e: GradingElement) -> ParabolicData:
 
 def analyze_string_condition(
     rs: RootSystem, e: GradingElement, beta: Root, alpha: Root
-) -> StringVerdict:
+) -> dict:
     """Classify the beta-string through alpha against the two allowed shapes."""
     check_grading(rs, e)
     rs.of(beta)
@@ -98,6 +105,84 @@ def analyze_string_condition(
             f"alpha {alpha} is not a noncompact root of negative grading"
         )
     return _string_verdict(rs, e, beta, alpha)
+
+
+class VerdictKind(str, Enum):
+    TYPE_A = "OK_TYPE_A"
+    TYPE_B = "OK_TYPE_B"
+    FAIL = "FAIL"
+
+
+@dataclass(frozen=True)
+class StringVerdict:
+    """Outcome of the string condition for one (alpha, beta) pair."""
+
+    alpha: Root
+    beta: Root
+    r: int
+    q: int
+    endpoint: Root
+    endpoint_in_p: bool
+    verdict: VerdictKind
+    reason: str | None = None
+
+    def to_json_dict(self) -> dict:
+        return {
+            "alpha": list(self.alpha.coeffs),
+            "r": self.r,
+            "q": self.q,
+            "endpoint": list(self.endpoint.coeffs),
+            "endpoint_in_p": self.endpoint_in_p,
+            "verdict": self.verdict.value,
+            "reason": self.reason,
+        }
+
+
+def reference_verdict(
+    rs: RootSystem, e: GradingElement, beta: Root, alpha: Root
+) -> StringVerdict:
+    """The verdict on the beta-string through alpha, by root arithmetic."""
+    r, q, members = reference_string(rs, alpha, beta)
+    endpoint = members[-1]
+    endpoint_in_p = e.value(endpoint) >= 0
+    if (r, q) == (0, 1):
+        if endpoint_in_p:
+            verdict, reason = VerdictKind.TYPE_A, None
+        else:
+            verdict, reason = VerdictKind.FAIL, "endpoint a+b has negative grading"
+    elif (r, q) == (0, 2):
+        if endpoint_in_p:
+            verdict, reason = VerdictKind.TYPE_B, None
+        else:
+            verdict, reason = VerdictKind.FAIL, "endpoint a+2b has negative grading"
+    else:
+        verdict, reason = VerdictKind.FAIL, f"string shape (r, q) = ({r}, {q})"
+    return StringVerdict(alpha, beta, r, q, endpoint, endpoint_in_p, verdict, reason)
+
+
+def reference_report(rs: RootSystem, e: GradingElement) -> dict:
+    """The theorem1 report of a nonzero, nonnegative grading, sweep order
+    being the order of ``rs.roots``, assembled from StringVerdicts."""
+    check_grading(rs, e)
+    betas = [b for b in rs.roots if e.value(b) % 2 == 0]
+    alphas = [a for a in rs.roots if e.value(a) % 2 != 0 and e.value(a) < 0]
+    detail = {b: [reference_verdict(rs, e, b, a) for a in alphas] for b in betas}
+    witnesses = [
+        b for b in betas if all(v.verdict is not VerdictKind.FAIL for v in detail[b])
+    ]
+    return {
+        "satisfied": bool(witnesses),
+        "witnesses": [list(b.coeffs) for b in witnesses],
+        "noncompact_negatives": [list(a.coeffs) for a in alphas],
+        "detail": [
+            {
+                "beta": list(b.coeffs),
+                "is_witness": b in witnesses,
+                "verdicts": [v.to_json_dict() for v in detail[b]],
+            }
+            for b in sorted(betas, key=lambda b: b.coeffs)
+        ],
+    }
 
 
 def euclid_simple_roots(family: str, rank: int) -> list[tuple[int, ...]]:
@@ -208,9 +293,14 @@ def positive_roots_within(cartan, max_height: int = 64) -> list[Root] | None:
     return sorted(known, key=lambda a: (a.height, a.coeffs))
 
 
+@cache
+def _root_set(rs) -> frozenset:
+    return frozenset(rs.roots)
+
+
 def reference_string(rs, a, b) -> tuple[int, int, tuple]:
     """(r, q, members) of the b-string through a, by root arithmetic."""
-    roots = frozenset(rs.roots)
+    roots = _root_set(rs)
     q = 0
     while (a + (q + 1) * b) in roots:
         q += 1

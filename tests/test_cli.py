@@ -202,6 +202,40 @@ def test_string_cells_outside_the_diamond_exit_infeasible(capsys, weight, h, deg
     assert "outside" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["theorem1", "--family", "A", "--rank", "3", "--grading", "1,,0,1"],
+        ["theorem1", "--family", "A", "--rank", "2", "--grading", ",1,1"],
+        ["theorem1", "--family", "A", "--rank", "2", "--grading", "1,1,"],
+        ["theorem1", "--family", "A", "--rank", "2", "--grading", ""],
+        ["period", "--weight", "1", "--h", "1,,1"],
+        ["period", "--weight", "1", "--h", "1, "],
+        ["verify", "--suite", "fixed-point", "--eps", "0.1,"],
+        ["verify", "--suite", "fixed-point", "--eps", ""],
+        ["verify", "--suite", "fixed-point", "--eps", "0.1,x"],
+    ],
+    ids=["grading-inner", "grading-leading", "grading-trailing", "grading-blank",
+         "h-inner", "h-trailing-space", "eps-trailing", "eps-blank", "eps-not-a-number"],
+)
+def test_list_flags_refuse_empty_items(capsys, argv):
+    flag = argv[-2]
+    kind = "number" if flag == "--eps" else "integer"
+    message = f"error: {flag} must be a comma separated {kind} list\n"
+    assert run_cli(capsys, *argv) == (2, "", message)
+
+
+def test_list_flags_allow_spaces_around_items(capsys):
+    for argv in (
+        ["theorem1", "--family", "A", "--rank", "2", "--grading", "1,1"],
+        ["period", "--weight", "1", "--h", "1,1"],
+        ["verify", "--suite", "fixed-point", "--eps", "0.1,0.5"],
+    ):
+        spaced = argv[:-1] + [argv[-1].replace(",", " , ")]
+        plain = run_cli(capsys, *argv)
+        assert plain[0] == 0 and run_cli(capsys, *spaced) == plain
+
+
 def test_exit_code_bad_request(capsys):
     code, _, _ = run_cli(capsys, "theorem1", "--family", "A", "--rank", "2")
     assert code == 2  # missing grading
@@ -281,33 +315,46 @@ def test_cli_import_loads_no_scipy():
 
 def test_exact_subcommands_never_import_numpy():
     # the package's own modules all load, so per-module instrumentation
-    # installed after the import still sees every function
+    # installed after the import still sees every function; with numpy made
+    # unimportable, every command but levi still prints the same
     probe = (
         "import contextlib, io, json, sys\n"
+        "if sys.argv[1] == 'blocked':\n"
+        "    sys.modules['numpy'] = None\n"
         "import flagdomains.cli\n"
         "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'flagdomains')\n"
-        "for argv in json.loads(sys.argv[1]):\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        assert flagdomains.cli.main(argv) == 0, argv\n"
-        "print(json.dumps([loaded, 'numpy' in sys.modules]))\n"
+        "outputs = []\n"
+        "for argv in json.loads(sys.argv[2]):\n"
+        "    buf = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(buf):\n"
+        "        outputs.append([flagdomains.cli.main(argv), buf.getvalue()])\n"
+        "print(json.dumps([loaded, sys.modules.get('numpy') is not None, outputs]))\n"
     )
     commands = [
         ["describe", "--family", "B", "--rank", "3"],
         ["theorem1", "--family", "A", "--rank", "2", "--grading", "1,1"],
+        ["theorem1", "--family", "C", "--rank", "2", "--grading", "1,1", "--pretty"],
         ["period", "--weight", "3", "--h", "1,1,1,1"],
         ["verify", "--suite", "chevalley", "--family", "B", "--rank", "2"],
         ["verify", "--suite", "prop33", "--family", "B", "--rank", "2"],
         ["verify", "--suite", "fixed-point", "--family", "A", "--rank", "2", "--grading", "1,1"],
+        ["verify", "--suite", "lemma41"],
+        ["verify", "--suite", "all"],
     ]
-    out = subprocess.run(
-        [sys.executable, "-c", probe, json.dumps(commands)],
-        capture_output=True, text=True, env=child_env(), timeout=60, check=True,
-    ).stdout
-    loaded, numpy_loaded = json.loads(out)
+    runs = {
+        mode: json.loads(subprocess.run(
+            [sys.executable, "-c", probe, mode, json.dumps(commands)],
+            capture_output=True, text=True, env=child_env(), timeout=60, check=True,
+        ).stdout)
+        for mode in ("normal", "blocked")
+    }
+    loaded, numpy_loaded, outputs = runs["normal"]
     package = Path(SRC) / "flagdomains"
     modules = {f"flagdomains.{p.stem}" for p in package.glob("*.py")}
     assert set(loaded) == {"flagdomains"} | modules - {"flagdomains.__init__", "flagdomains.__main__"}
     assert numpy_loaded is False
+    assert all(code == 0 and out for code, out in outputs)
+    assert runs["blocked"][1:] == [False, outputs]
 
 
 def test_float_subcommands_import_numpy_on_demand_with_the_same_output():
@@ -328,7 +375,7 @@ def test_float_subcommands_import_numpy_on_demand_with_the_same_output():
     spec = {"n": 2, "z0": [[1, 0], [0, 0]],
             "terms": [{"c": -1, "z": [1, 0], "zbar": [1, 0]}, {"c": 2, "z": [0, 1], "zbar": [0, 1]},
                       {"c": 1}]}
-    commands = [["levi", "--spec", json.dumps(spec)], ["verify", "--suite", "lemma41"]]
+    commands = [["levi", "--spec", json.dumps(spec)]]
     runs = {
         mode: json.loads(subprocess.run(
             [sys.executable, "-c", probe, mode, json.dumps(commands)],
@@ -339,6 +386,26 @@ def test_float_subcommands_import_numpy_on_demand_with_the_same_output():
     assert runs["lazy"][:2] == [False, True] and runs["eager"][:2] == [True, True]
     assert runs["lazy"][2] == runs["eager"][2]
     assert json.loads(runs["lazy"][2][0])["negatives"] == 0
+
+
+def test_levi_parsing_loads_no_numpy():
+    # a JSON z0 is a list, so building the function needs no numpy, and a
+    # malformed levi request exits before numpy loads
+    probe = (
+        "import contextlib, io, json, sys\n"
+        "from flagdomains.leviform import DefiningFunction\n"
+        "f = DefiningFunction.from_polynomial(2, [[1, 0], 0.5], [{'c': -1}])\n"
+        "with contextlib.redirect_stderr(io.StringIO()):\n"
+        "    import flagdomains.cli\n"
+        "    code = flagdomains.cli.main(['levi', '--spec', sys.argv[1]])\n"
+        "print(json.dumps([f.z0 == (1, 0.5), code, 'numpy' in sys.modules]))\n"
+    )
+    malformed = MALFORMED_LEVI % '[{"c": true}]'
+    out = subprocess.run(
+        [sys.executable, "-c", probe, malformed],
+        capture_output=True, text=True, env=child_env(), timeout=60, check=True,
+    ).stdout
+    assert json.loads(out) == [True, 2, False]
 
 
 def test_family_rank_bound_comes_before_enumeration(capsys):
@@ -478,7 +545,7 @@ def test_verify_input_reads_suite_and_eps_and_the_flag_wins(tmp_path, capsys):
         ({"suite": "fixed-point", "eps": [0.5, "1"]}, "--eps must be"),
         ({"suite": "fixed-point", "eps": 0.5}, "--eps must be"),
         ({"suite": "fixed-point", "eps": []}, "--eps must be"),
-        ({"suite": "fixed-point", "eps": "0.5,x"}, "could not convert"),
+        ({"suite": "fixed-point", "eps": "0.5,x"}, "--eps must be"),
     ],
     ids=["suite-unknown", "suite-number", "eps-bool", "eps-string-entry", "eps-scalar",
          "eps-empty", "eps-not-a-number"],

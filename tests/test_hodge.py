@@ -7,20 +7,21 @@ import hodge_oracle
 import numpy as np
 import pytest
 from hodge_oracle import validate_diamond
+from matrix_oracle import dense
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flagdomains import hodge
 from flagdomains.hodge import (
     DegenerationSpec,
     HodgeNumbers,
     InfeasibleDegeneration,
     check_boundary_concavity,
-    enumerate_minimal_degenerations,
     grading_values_on_V,
     group_of_period_domain,
     limit_diamond,
+    period_report,
     sl2_cayley_checks,
-    verify_sl2_cayley_forms,
 )
 
 
@@ -206,15 +207,22 @@ def test_boundary_condition_examples():
     assert rep["condition_met"] and rep["witness_p"] == 2 and rep["witness_ell"] == 0
 
 
+def minimal_degenerations(h):
+    """Every admissible shape of period_report, with its boundary verdict."""
+    return [
+        (DegenerationSpec(**d["spec"]), d["boundary"]) for d in period_report(h)["degenerations"]
+    ]
+
+
 def test_enumeration_examples():
-    pairs = enumerate_minimal_degenerations(H3)
+    pairs = minimal_degenerations(H3)
     assert [(s.kind, s.p0) for s, _ in pairs] == [("I", 0), ("I", 1)]
     assert [r["condition_met"] for _, r in pairs] == [False, True]
 
-    pairs = enumerate_minimal_degenerations(H2)
+    pairs = minimal_degenerations(H2)
     assert [(s.kind, s.p0) for s, _ in pairs] == [("II", None)]
 
-    pairs = enumerate_minimal_degenerations(HodgeNumbers.from_descending(1, [1, 1]))
+    pairs = minimal_degenerations(HodgeNumbers.from_descending(1, [1, 1]))
     assert [(s.kind, s.p0) for s, _ in pairs] == [("I", 0)]
 
 
@@ -253,7 +261,7 @@ def test_boundary_condition_agrees_with_brute_force(weight, data):
     if sum(values) == 0:
         values[0] = values[-1] = 1
     h = HodgeNumbers.from_descending(weight, values)
-    for spec, verdict in enumerate_minimal_degenerations(h):
+    for spec, verdict in minimal_degenerations(h):
         assert verdict["condition_met"] == _brute_boundary(h, spec)
         dia = limit_diamond(h, spec)
         assert validate_diamond(h, spec, dia) == []
@@ -313,8 +321,7 @@ def test_string_rule_matches_oracle_for_larger_hodge_numbers(weight, data):
 
 def test_sl2_cayley_type1():
     checks = sl2_cayley_checks("I")
-    assert all(c["pass"] for c in checks)
-    assert max(c["residual"] for c in checks) < 1e-12
+    assert all(c["pass"] and c["residual"] == 0.0 for c in checks)
     # explicit value: d(e1) = (e1 + i e2)/sqrt(2)
     import math
 
@@ -330,14 +337,53 @@ def test_sl2_cayley_type1():
 
 def test_sl2_cayley_type2():
     checks = sl2_cayley_checks("II")
-    assert all(c["pass"] for c in checks)
+    assert all(c["pass"] and c["residual"] == 0.0 for c in checks)
     names = {c["claim"] for c in checks}
     assert any("d(N^2 v)" in n for n in names)
 
 
-def test_sl2_cayley_aggregate_and_guard():
-    for kind in ("I", "II"):
-        chk = verify_sl2_cayley_forms(kind)
-        assert chk["pass"] and chk["residual"] < 1e-12
+def test_sl2_cayley_guard():
     with pytest.raises(ValueError):
-        verify_sl2_cayley_forms("III")
+        sl2_cayley_checks("III")
+
+
+@pytest.mark.parametrize("kind,dim", [("I", 2), ("II", 3)])
+def test_sl2_exact_shear_products_match_the_float_model(kind, dim):
+    d, d_inv = hodge_oracle.sl2_shear_products(kind)
+    t, s = hodge._TAN_PI_8, hodge._SIN_PI_4
+    assert np.abs(dense(hodge._shear_product(kind, t, s), dim) - d).max() < 1e-15
+    assert np.abs(dense(hodge._shear_product(kind, -t, -s), dim) - d_inv).max() < 1e-15
+    # the float model checks the same claims, in the same order, to rounding
+    floats = hodge_oracle.sl2_cayley_residuals(kind)
+    assert [c["claim"] for c in sl2_cayley_checks(kind)] == [claim for claim, _ in floats]
+    assert all(r < 1e-12 for _, r in floats)
+
+
+def test_sl2_residual_is_not_vacuous(monkeypatch):
+    # t = 1/2 in place of tan(pi/8) gives a shear product that is not the rotation
+    monkeypatch.setattr(hodge, "_TAN_PI_8", Fraction(1, 2))
+    for kind in ("I", "II"):
+        first = sl2_cayley_checks(kind)[0]
+        assert first["claim"] == f"sl2-cayley-{kind} d(v)"
+        assert first["residual"] > 0.0 and not first["pass"]
+
+
+def test_cyclotomic_arithmetic_matches_complex_numbers():
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        a, b = (
+            hodge.Cyclotomic(Fraction(int(v), 7) for v in rng.integers(-9, 10, 4)) for _ in "ab"
+        )
+        for got, want in (
+            (a + b, complex(a) + complex(b)),
+            (a * b, complex(a) * complex(b)),
+            (-a, -complex(a)),
+            (a.conjugate(), complex(a).conjugate()),
+        ):
+            assert abs(complex(got) - want) < 1e-12
+    assert complex(hodge._I) == 1j
+    assert abs(complex(hodge._TAN_PI_8) - np.tan(np.pi / 8)) < 1e-15
+    assert abs(complex(hodge._SIN_PI_4) - np.sin(np.pi / 4)) < 1e-15
+    # z^4 = -1 makes i^2 = -1 and (z - z^3)^2 = 2 exact
+    assert not hodge._I * hodge._I + 1
+    assert not hodge._SQRT2 * hodge._SQRT2 + -2

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from conftest import CLASSICAL, ORACLE_SYSTEMS
 
-from flagdomains.realform import classify_roots, noncompact_negative_roots
+from flagdomains.concavity import check_pseudoconcavity
+from flagdomains.realform import classify_roots
 from flagdomains.rootsys import LieType, build_root_system, grading
 
 
@@ -34,15 +35,15 @@ def test_c2_classification(c2):
     }
 
 
+def noncompact_negatives(rs, e):
+    return check_pseudoconcavity(rs, e).noncompact_negatives
+
+
 def test_noncompact_negatives_examples(a2, so5_labeled):
-    assert coeffset(noncompact_negative_roots(a2, grading((1, 1)))) == {
-        (-1, 0), (0, -1)
-    }
-    assert coeffset(noncompact_negative_roots(so5_labeled, grading((1, 0)))) == {
-        (-1, 0), (-1, -1)
-    }
+    assert coeffset(noncompact_negatives(a2, grading((1, 1)))) == {(-1, 0), (0, -1)}
+    assert coeffset(noncompact_negatives(so5_labeled, grading((1, 0)))) == {(-1, 0), (-1, -1)}
     a1 = build_root_system(LieType("A", 1))
-    assert coeffset(noncompact_negative_roots(a1, grading((1,)))) == {(-1,)}
+    assert coeffset(noncompact_negatives(a1, grading((1,)))) == {(-1,)}
 
 
 @given(
@@ -63,8 +64,9 @@ def test_partition_and_parity_additivity(key, raw):
             s = a + b
             if s in rs.roots:
                 assert s in table.compact
-    negs = noncompact_negative_roots(rs, e)
-    assert set(negs) == {a for a in table.noncompact if e.value(a) < 0}
+    if any(e.coeffs):
+        negs = noncompact_negatives(rs, e)
+        assert set(negs) == {a for a in table.noncompact if e.value(a) < 0}
 
 
 @pytest.mark.parametrize("key", ORACLE_SYSTEMS, ids=lambda k: f"{k[0]}{k[1]}")
@@ -74,6 +76,6 @@ def test_classify_roots_partitions_the_roots_in_their_order(key):
         table = classify_roots(rs, e)
         assert table.compact == tuple(a for a in rs.roots if e.value(a) % 2 == 0)
         assert table.noncompact == tuple(a for a in rs.roots if e.value(a) % 2 != 0)
-        assert noncompact_negative_roots(rs, e) == tuple(
+        assert noncompact_negatives(rs, e) == tuple(
             a for a in table.noncompact if e.value(a) < 0
         )

@@ -10,7 +10,6 @@ from flagdomains.hodge import (
     check_boundary_concavity,
     group_of_period_domain,
     sl2_cayley_checks,
-    verify_sl2_cayley_forms,
 )
 from flagdomains.leviform import DefiningFunction, levi_analyze
 from flagdomains.matrixrep import (
@@ -44,7 +43,6 @@ RESULTS = {
     "fixed_point": _fixed_point,
     "sl2_checks_I": lambda: sl2_cayley_checks("I"),
     "sl2_checks_II": lambda: sl2_cayley_checks("II"),
-    "sl2_forms": lambda: verify_sl2_cayley_forms("II"),
     "levi": _levi,
     "group_odd": lambda: group_of_period_domain(HodgeNumbers(weight=3, h=(1, 1, 1, 1))),
     "group_even": lambda: group_of_period_domain(HodgeNumbers(weight=2, h=(2, 1, 2))),
