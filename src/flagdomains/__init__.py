@@ -10,10 +10,8 @@ from .chevalley import (
 from .concavity import ConcavityReport, check_pseudoconcavity
 from .hodge import (
     DegenerationSpec,
-    DeligneDiamond,
     HodgeNumbers,
     InfeasibleDegeneration,
-    check_boundary_concavity,
     grading_values_on_V,
     group_of_period_domain,
     limit_diamond,
@@ -33,7 +31,6 @@ from .rootsys import (
     GradingElement,
     LieType,
     Root,
-    RootString,
     RootSystem,
     build_root_system,
     from_cartan_matrix,

@@ -87,7 +87,7 @@ def structure_constants(rs: RootSystem) -> ChevalleyConstants:
         if not pairs:
             raise AssertionError(f"no special pair sums to {roots[g]}")
         a1, b1 = pairs[0]
-        special[(a1, b1)] = root_string(rs, roots[a1], roots[b1]).r + 1
+        special[(a1, b1)] = root_string(rs, roots[a1], roots[b1])[0] + 1
         for a, b in pairs[1:]:
             t = 0
             d = add[a1][neg[a]]
@@ -113,48 +113,22 @@ def structure_constants(rs: RootSystem) -> ChevalleyConstants:
     return ChevalleyConstants(rs=rs, table=tuple(map(tuple, table)))
 
 
-@dataclass(frozen=True)
-class StringBracketEntry:
-    """One evaluation of [x^{-b}, [x^b, x^a]] against q(r+1) x^a."""
-
-    alpha: Root
-    beta: Root
-    coefficient: int
-    expected: int
-
-    @property
-    def ok(self) -> bool:
-        return self.coefficient == self.expected
-
-
-@dataclass(frozen=True)
-class ChainEntry:
-    """The double-step product c(b, a+b) c(-b, a+2b) on a (0, 2) string."""
-
-    alpha: Root
-    beta: Root
-    product: int
-    expected: int = 2
-
-    @property
-    def ok(self) -> bool:
-        return self.product == self.expected
-
-
 @dataclass(frozen=True, eq=False)
 class BracketReport:
-    entries: tuple[StringBracketEntry, ...]
-    chain_entries: tuple[ChainEntry, ...]
+    """``entries`` holds (alpha, beta, coefficient, expected): the coefficient
+    of x^alpha in [x^{-beta}, [x^beta, x^alpha]] against q(r+1).
+    ``chain_entries`` holds (alpha, beta, product): the double-step product
+    c(beta, alpha+beta) c(-beta, alpha+2 beta) on a (0, 2) string, which
+    must be 2."""
+
+    entries: tuple[tuple[Root, Root, int, int], ...]
+    chain_entries: tuple[tuple[Root, Root, int], ...]
 
     @property
     def violations(self) -> list:
-        bad: list = [e for e in self.entries if not e.ok]
-        bad.extend(e for e in self.chain_entries if not e.ok)
+        bad = [e for e in self.entries if e[2] != e[3]]
+        bad.extend(e for e in self.chain_entries if e[2] != 2)
         return bad
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 def verify_bracket_identities(cc: ChevalleyConstants) -> BracketReport:
@@ -177,10 +151,10 @@ def verify_bracket_identities(cc: ChevalleyConstants) -> BracketReport:
             r, q = rs.extents(a, b)
             up = add[a][b]
             coeff = c[b][a] * c[neg[b]][up] if up >= 0 else 0
-            entries.append(StringBracketEntry(roots[a], roots[b], coeff, q * (r + 1)))
+            entries.append((roots[a], roots[b], coeff, q * (r + 1)))
             if r == 0 and q == 2:
                 prod = c[b][up] * c[neg[b]][add[up][b]]
-                chains.append(ChainEntry(roots[a], roots[b], prod))
+                chains.append((roots[a], roots[b], prod))
     return BracketReport(tuple(entries), tuple(chains))
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from .chevalley import jacobi_violations, structure_constants, verify_bracket_identities
@@ -62,6 +63,14 @@ _DEFAULT_CONJUGATION = (("A", 2), ("A", 3), ("B", 2), ("C", 2))
 _DEFAULT_FIXED_POINT = ((("A", 2), (1, 1)), (("C", 2), (1, 0)))
 _DEFAULT_EPS = (0.01, 0.1, 1.0)
 
+# Numbers on the command line are ASCII: an optional sign, then the digits
+# 0-9, with a decimal point and exponent for a float. int() and float()
+# alone also read underscores, blanks and non-ASCII digits.
+_SYNTAX = {
+    int: re.compile(r"[+-]?[0-9]+"),
+    float: re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?"),
+}
+
 
 class OutOfBoundsError(ValueError):
     pass
@@ -101,15 +110,23 @@ def _merged(args: argparse.Namespace, keys: tuple[str, ...]) -> dict:
     return merged
 
 
+def _int_flag(text: str) -> int:
+    """The value of an integer flag, in the ASCII syntax of _SYNTAX."""
+    if not _SYNTAX[int].fullmatch(text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _parse_list(value, what: str, number=int) -> tuple:
     """The items of a comma separated string or of a nonempty JSON list, as
-    ints, or with number=float as floats; an empty item is refused."""
+    ints, or with number=float as floats. A string item may have spaces
+    around it and is otherwise in the ASCII syntax of _SYNTAX."""
     if value is None:
         raise ValueError(f"missing {what}")
     try:
         if isinstance(value, str):
-            items = value.split(",")
-            if all(p.strip() for p in items):
+            items = [p.strip(" ") for p in value.split(",")]
+            if all(_SYNTAX[number].fullmatch(p) for p in items):
                 return tuple(number(p) for p in items)
         elif isinstance(value, list) and value:
             if number is int:
@@ -238,6 +255,15 @@ def _cmd_period(args) -> int:
     return EXIT_OK
 
 
+def _system_name(rs) -> str:
+    return str(rs.lie_type) if rs.lie_type else f"rank{rs.rank}"
+
+
+def _systems(system, defaults) -> list:
+    """The given system, else the (family, rank) defaults built."""
+    return [system] if system else [build_root_system(LieType(f, r)) for f, r in defaults]
+
+
 def _iter_verify_checks(args):
     spec = _merged(args, ("family", "rank", "cartan", "grading", "suite", "eps"))
     suite = "all" if spec["suite"] is None else spec["suite"]
@@ -249,33 +275,22 @@ def _iter_verify_checks(args):
     elif spec["grading"] is not None:
         raise ValueError("a grading needs --family and --rank, or --cartan")
     if suite in ("all", "chevalley"):
-        systems = (
-            [system]
-            if system
-            else [build_root_system(LieType(f, r)) for f, r in _DEFAULT_CHEVALLEY]
-        )
-        for rs in systems:
-            name = str(rs.lie_type) if rs.lie_type else f"rank{rs.rank}"
+        for rs in _systems(system, _DEFAULT_CHEVALLEY):
             cc = structure_constants(rs)
             report = verify_bracket_identities(cc)
             yield make_check(
-                claim=f"chevalley-string-brackets {name}",
+                claim=f"chevalley-string-brackets {_system_name(rs)}",
                 residual=len(report.violations),
                 tolerance=0.5,
                 info={"pairs": len(report.entries)},
             )
             yield make_check(
-                claim=f"chevalley-jacobi {name}",
+                claim=f"chevalley-jacobi {_system_name(rs)}",
                 residual=len(jacobi_violations(cc)),
                 tolerance=0.5,
             )
     if suite in ("all", "prop33"):
-        systems = (
-            [system]
-            if system
-            else [build_root_system(LieType(f, r)) for f, r in _DEFAULT_CONJUGATION]
-        )
-        for rs in systems:
+        for rs in _systems(system, _DEFAULT_CONJUGATION):
             rep = fundamental_rep(rs)
             for a, b in eligible_conjugation_pairs(rs):
                 yield verify_cayley_conjugation(rep, a, b)
@@ -298,10 +313,9 @@ def _iter_verify_checks(args):
             ]
         for rs, e in targets:
             report = check_pseudoconcavity(rs, e)
-            name = str(rs.lie_type) if rs.lie_type else f"rank{rs.rank}"
             if not report.witnesses:
                 yield make_check(
-                    claim=f"fixed-point witness exists {name} grading {list(e.coeffs)}",
+                    claim=f"fixed-point witness exists {_system_name(rs)} grading {list(e.coeffs)}",
                     residual=1.0,
                     tolerance=0.5,
                 )
@@ -354,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_system_flags(p):
         p.add_argument("--family", help="A, B, C or D")
-        p.add_argument("--rank", type=int)
+        p.add_argument("--rank", type=_int_flag)
         p.add_argument("--cartan", help="explicit Cartan matrix as JSON")
         p.add_argument("--input", help="JSON file mirroring the flags")
         p.add_argument("--pretty", action="store_true")
@@ -369,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_theorem1)
 
     p = sub.add_parser("period", help="period domain group and degenerations")
-    p.add_argument("--weight", type=int)
+    p.add_argument("--weight", type=_int_flag)
     p.add_argument("--h", help="h^{n,0},...,h^{0,n} comma separated")
     p.add_argument("--degeneration", help='e.g. {"kind": "I", "p0": 1}')
     p.add_argument("--input", help="JSON file mirroring the flags")

@@ -56,20 +56,20 @@ def _string_verdict(
     rs: RootSystem, e: GradingElement, beta: Root, alpha: Root
 ) -> dict:
     """The JSON entry of the string condition for one (alpha, beta) pair."""
-    st = root_string(rs, alpha, beta)
-    endpoint = st.members[-1]
+    r, q, members = root_string(rs, alpha, beta)
+    endpoint = members[-1]
     endpoint_in_p = e.value(endpoint) >= 0
-    if (st.r, st.q) not in ((0, 1), (0, 2)):
-        verdict, reason = "FAIL", f"string shape (r, q) = ({st.r}, {st.q})"
+    if (r, q) not in ((0, 1), (0, 2)):
+        verdict, reason = "FAIL", f"string shape (r, q) = ({r}, {q})"
     elif endpoint_in_p:
-        verdict, reason = ("OK_TYPE_A" if st.q == 1 else "OK_TYPE_B"), None
+        verdict, reason = ("OK_TYPE_A" if q == 1 else "OK_TYPE_B"), None
     else:
-        step = "b" if st.q == 1 else "2b"
+        step = "b" if q == 1 else "2b"
         verdict, reason = "FAIL", f"endpoint a+{step} has negative grading"
     return {
         "alpha": list(alpha.coeffs),
-        "r": st.r,
-        "q": st.q,
+        "r": r,
+        "q": q,
         "endpoint": list(endpoint.coeffs),
         "endpoint_in_p": endpoint_in_p,
         "verdict": verdict,

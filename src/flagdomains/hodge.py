@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .matrixrep import _scaled, _sum, exp_nilpotent, make_check, product
+from .matrixrep import _scaled, _sum, make_check, product, shear_product
 from .rootsys import exact_int
 
 TOL_SL2 = 1e-12
@@ -126,32 +126,10 @@ class DegenerationSpec:
         return {"kind": self.kind, "p0": self.p0}
 
 
-@dataclass(frozen=True, eq=False)
-class DeligneDiamond:
-    """Dimensions i^{p,q} of the Deligne bigrading of a limit mixed structure."""
-
-    weight: int
-    entries: dict
-    rank_nilpotent: int
-
-    def i(self, p: int, q: int) -> int:
-        return self.entries.get((p, q), 0)
-
-    def total(self) -> int:
-        return sum(self.entries.values())
-
-    def to_json_dict(self) -> dict:
-        return {
-            "weight": self.weight,
-            "entries": {
-                f"{p},{q}": v for (p, q), v in sorted(self.entries.items())
-            },
-            "rank_N": self.rank_nilpotent,
-        }
-
-
-def limit_diamond(h: HodgeNumbers, d: DegenerationSpec) -> DeligneDiamond:
-    """Deligne diamond of the limit mixed structure of a minimal degeneration.
+def limit_diamond(h: HodgeNumbers, d: DegenerationSpec) -> dict:
+    """Deligne diamond of the limit mixed structure of a minimal degeneration:
+    the weight n, the nonzero dimensions i^{p,q} keyed "p,q" in (p, q)
+    order, and rank_N.
 
     The bigrading is spanned by N-strings (Cattani-Kaplan-Schmid 1986).
     Type I has the string (p0+1, n-p0) -> (p0, n-p0-1) and its conjugate,
@@ -187,8 +165,11 @@ def limit_diamond(h: HodgeNumbers, d: DegenerationSpec) -> DeligneDiamond:
         row = h.hp(p) - in_column + cells[(p, n - p)]
         if row:
             entries[(p, n - p)] = row
-    rank = sum(len(s) - 1 for s in strings)
-    return DeligneDiamond(weight=n, entries=entries, rank_nilpotent=rank)
+    return {
+        "weight": n,
+        "entries": {f"{p},{q}": v for (p, q), v in sorted(entries.items())},
+        "rank_N": sum(len(s) - 1 for s in strings),
+    }
 
 
 def _candidate_ps(n: int, d: DegenerationSpec):
@@ -205,12 +186,7 @@ def _candidate_ps(n: int, d: DegenerationSpec):
             yield m - 2 * ell + 1, -ell
 
 
-def check_boundary_concavity(h: HodgeNumbers, d: DegenerationSpec) -> dict:
-    """Look for a nonzero weight-row entry at an admissible position."""
-    return _boundary(d, limit_diamond(h, d))
-
-
-def _boundary(d: DegenerationSpec, dia: DeligneDiamond) -> dict:
+def _boundary(d: DegenerationSpec, dia: dict) -> dict:
     """The boundary verdict read off a diamond already built for d:
     condition_met, with the witness p and ell or nulls.
 
@@ -218,14 +194,14 @@ def _boundary(d: DegenerationSpec, dia: DeligneDiamond) -> dict:
     right half through conjugation symmetry; the witness with the
     smallest |ell| is returned.
     """
-    n = dia.weight
+    n = dia["weight"]
     for p, ell in _candidate_ps(n, d):
-        if 0 <= p <= n and dia.i(p, n - p) != 0:
+        if 0 <= p <= n and f"{p},{n - p}" in dia["entries"]:
             return {"condition_met": True, "witness_p": p, "witness_ell": ell}
     return {"condition_met": False, "witness_p": None, "witness_ell": None}
 
 
-def _minimal_diamonds(h: HodgeNumbers) -> list[tuple[DegenerationSpec, DeligneDiamond]]:
+def _minimal_diamonds(h: HodgeNumbers) -> list[tuple[DegenerationSpec, dict]]:
     """Every admissible degeneration shape with its diamond, type I first."""
     specs = [DegenerationSpec(kind="I", p0=p0) for p0 in range(h.weight + 1)]
     out = []
@@ -319,9 +295,7 @@ def _sl2_model(kind: str) -> tuple[int, dict, dict, dict]:
 def _shear_product(kind: str, t, s) -> dict:
     """exp(t e) exp(-s f) exp(t e) for e = i N+, f = -i N."""
     dim, nplus, _, nmat = _sl2_model(kind)
-    outer = exp_nilpotent(_scaled(nplus, t * _I), dim)
-    inner = exp_nilpotent(_scaled(nmat, s * _I), dim)
-    return product(product(outer, inner), outer)
+    return shear_product(_scaled(nplus, t * _I), _scaled(nmat, s * _I), dim)
 
 
 def sl2_cayley_checks(kind: str) -> list[dict]:
@@ -392,7 +366,7 @@ def period_report(
     degenerations = [
         {
             "spec": spec.to_json_dict(),
-            "diamond": dia.to_json_dict(),
+            "diamond": dia,
             "boundary": _boundary(spec, dia),
         }
         for spec, dia in pairs

@@ -93,6 +93,12 @@ def exp_nilpotent(x: dict, dim: int) -> dict:
     return _sum({(i, i): 1 for i in range(dim)}, _exp_minus_one(x, dim))
 
 
+def shear_product(x: dict, y: dict, dim: int) -> dict:
+    """exp(x) exp(y) exp(x) of two nilpotent dim x dim matrices."""
+    outer = exp_nilpotent(x, dim)
+    return product(product(outer, exp_nilpotent(y, dim)), outer)
+
+
 def _twice(v) -> int:
     d = 2 * Fraction(v)
     if d.denominator != 1:
@@ -142,9 +148,7 @@ class MatrixRealization:
     def weyl(self, b: Root) -> WeylElement:
         """w_b = exp(x^b) exp(-x^{-b}) exp(x^b), built once per root."""
         if b not in self._weyl:
-            outer = exp_nilpotent(self.x[b], self.dim)
-            inner = exp_nilpotent(_scaled(self.x[-b], -1), self.dim)
-            w = product(product(outer, inner), outer)
+            w = shear_product(self.x[b], _scaled(self.x[-b], -1), self.dim)
             cols = {j: (i, _twice(v)) for (i, j), v in w.items()}
             if len(cols) != len(w) or len(cols) != self.dim:
                 raise ArithmeticError("the Weyl element is not a monomial matrix")

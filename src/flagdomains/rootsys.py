@@ -135,15 +135,6 @@ def grading(seq) -> GradingElement:
 
 
 @dataclass(frozen=True)
-class RootString:
-    """The unbroken progression a + n*b inside the root set, -r <= n <= q."""
-
-    r: int
-    q: int
-    members: tuple[Root, ...]
-
-
-@dataclass(frozen=True)
 class RootSystem:
     """A finite root system with exact inner-product data.
 
@@ -436,15 +427,15 @@ def _detect_family(cartan: tuple[tuple[int, ...], ...]) -> LieType | None:
     return None
 
 
-def root_string(rs: RootSystem, a: Root, b: Root) -> RootString:
-    """The b-string through a, with down and up extents (r, q)."""
+def root_string(rs: RootSystem, a: Root, b: Root) -> tuple[int, int, tuple[Root, ...]]:
+    """(r, q, members) of the b-string through a: the unbroken progression
+    a + n b inside the root set, -r <= n <= q."""
     i, j = rs.of(a), rs.of(b)
     if i == j or i == rs.neg[j]:
         raise ValueError("the string through a in direction b needs a != +-b")
     down = rs.walk(i, rs.neg[j])
     up = rs.walk(i, j)
-    members = tuple(rs.roots[k] for k in [*reversed(down), i, *up])
-    return RootString(r=len(down), q=len(up), members=members)
+    return len(down), len(up), tuple(rs.roots[k] for k in [*reversed(down), i, *up])
 
 
 def coroot_coefficients(rs: RootSystem, a: Root) -> tuple[int, ...]:

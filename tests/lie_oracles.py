@@ -395,7 +395,7 @@ def reference_structure_table(rs) -> dict:
     return table
 
 
-def reference_bracket_entries(cc) -> tuple[list, list]:
+def reference_bracket_entries(cc) -> tuple[tuple, tuple]:
     """(alpha, beta, coefficient, expected) string-identity entries and
     (alpha, beta, product) double-step chains, by root arithmetic."""
     rs = cc.rs
@@ -417,7 +417,7 @@ def reference_bracket_entries(cc) -> tuple[list, list]:
                     cc, -b, a + 2 * b
                 )
                 chains.append((a, b, prod))
-    return entries, chains
+    return tuple(entries), tuple(chains)
 
 
 def reference_eligible_pairs(rs) -> list:

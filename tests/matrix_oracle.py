@@ -166,8 +166,8 @@ def flag_residual(rep, e, m: np.ndarray) -> float:
 
 
 def cayley_check(frep: FloatRealization, a, b, tolerance=TOL_CONJUGATION):
-    st = root_string(frep.rep.rs, a, b)
-    expected = a + st.q * b
+    r, q, _ = root_string(frep.rep.rs, a, b)
+    expected = a + q * b
     image = frep.conjugate(b, frep.x[a])
     res, sign = min(
         (float(np.linalg.norm(image - sign * frep.x[expected])), sign) for sign in (1, -1)
@@ -181,7 +181,7 @@ def cayley_check(frep: FloatRealization, a, b, tolerance=TOL_CONJUGATION):
         info={
             "target": list(expected.coeffs) if matched else None,
             "expected": list(expected.coeffs),
-            "string": [st.r, st.q],
+            "string": [r, q],
         },
     )
 

@@ -83,8 +83,8 @@ def test_c03_c2_grading_11_not_satisfied():
     v = by_alpha[(0, -1)]
     assert v["verdict"] == "OK_TYPE_B"
     assert (v["r"], v["q"]) == (0, 2)
-    st = root_string(rs, root((0, -1)), beta)
-    assert [m.coeffs for m in st.members] == [(0, -1), (1, 0), (2, 1)]
+    _, _, members = root_string(rs, root((0, -1)), beta)
+    assert [m.coeffs for m in members] == [(0, -1), (1, 0), (2, 1)]
     for verdicts in report.detail.values():
         for v in verdicts:
             if v["alpha"] == [-1, 0]:
@@ -105,7 +105,7 @@ def test_c04_chevalley_property_suite():
                 c = cc.constant(a, b)
                 assert c == -cc.constant(b, a)
                 assert c == -cc.constant(-a, -b)
-                assert abs(c) == root_string(rs, a, b).r + 1
+                assert abs(c) == root_string(rs, a, b)[0] + 1
         assert jacobi_violations(cc) == []
         report = verify_bracket_identities(cc)
         assert report.violations == []
@@ -174,7 +174,7 @@ def test_c09_weight3_degenerations():
         spec = DegenerationSpec(**d["spec"])
         dia = limit_diamond(h, spec)
         assert validate_diamond(h, spec, dia) == []
-        assert dia.total() == 4
+        assert sum(dia["entries"].values()) == 4
     done(9, "weight-3 minimal degenerations: two shapes, met / not met")
 
 

@@ -69,8 +69,8 @@ def test_sign_normalization_and_magnitude(family, rank):
             assert c != 0
             assert c == -cc.constant(b, a)
             assert c == -cc.constant(-a, -b)
-            assert abs(c) == root_string(rs, b, a).r + 1
-            assert abs(c) == root_string(rs, a, b).r + 1
+            assert abs(c) == root_string(rs, b, a)[0] + 1
+            assert abs(c) == root_string(rs, a, b)[0] + 1
 
 
 @pytest.mark.parametrize("family,rank", CLASSICAL + [("D", 3)])
@@ -84,24 +84,22 @@ def test_string_bracket_identity(family, rank):
     cc = structure_constants(build_root_system(LieType(family, rank)))
     report = verify_bracket_identities(cc)
     assert report.violations == []
-    assert report.ok
 
 
 def test_string_bracket_coefficients(a2, c2):
     cc = structure_constants(a2)
     report = verify_bracket_identities(cc)
     s1, s2 = a2.simple_roots()
-    by_pair = {(e.alpha, e.beta): e for e in report.entries}
-    assert by_pair[(s1, s2)].coefficient == 1
+    by_pair = {(a, b): (c, want) for a, b, c, want in report.entries}
+    assert by_pair[(s1, s2)] == (1, 1)
 
     cc2 = structure_constants(c2)
     report2 = verify_bracket_identities(cc2)
     t1, t2 = c2.simple_roots()
-    by_pair2 = {(e.alpha, e.beta): e for e in report2.entries}
-    assert by_pair2[(-t2, t1 + t2)].coefficient == 2
+    by_pair2 = {(a, b): (c, want) for a, b, c, want in report2.entries}
+    assert by_pair2[(-t2, t1 + t2)] == (2, 2)
     # orthogonal-string pair: neither sum nor difference is a root
-    entry = by_pair2[(t2, root((2, 1)))]
-    assert entry.coefficient == 0 and entry.expected == 0
+    assert by_pair2[(t2, root((2, 1)))] == (0, 0)
 
 
 def test_double_step_chain_value(c2):
@@ -111,7 +109,7 @@ def test_double_step_chain_value(c2):
     assert cc.constant(beta, alpha + beta) * cc.constant(-beta, alpha + 2 * beta) == 2
     report = verify_bracket_identities(cc)
     assert report.chain_entries
-    assert all(e.product == 2 for e in report.chain_entries)
+    assert all(product == 2 for _, _, product in report.chain_entries)
 
 
 def test_extraspecial_signs_are_positive(c2):
@@ -166,9 +164,7 @@ def _assert_matches_root_arithmetic(rs):
             if a != -b:
                 assert cc.constant(a, b) == reference_constant(cc, a, b)
     report = verify_bracket_identities(cc)
-    entries, chains = reference_bracket_entries(cc)
-    assert [(e.alpha, e.beta, e.coefficient, e.expected) for e in report.entries] == entries
-    assert [(e.alpha, e.beta, e.product) for e in report.chain_entries] == chains
+    assert (report.entries, report.chain_entries) == reference_bracket_entries(cc)
 
 
 @pytest.mark.parametrize("key", ORACLE_SYSTEMS, ids=lambda k: f"{k[0]}{k[1]}")

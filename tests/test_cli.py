@@ -225,6 +225,36 @@ def test_list_flags_refuse_empty_items(capsys, argv):
     assert run_cli(capsys, *argv) == (2, "", message)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["describe", "--family", "A", "--rank", "٣"],
+        ["describe", "--family", "A", "--rank", "0_3"],
+        ["describe", "--family", "A", "--rank", " 3"],
+        ["period", "--weight", "٢", "--h", "1,1,1"],
+        ["period", "--weight", "0_2", "--h", "1,1,1"],
+        ["theorem1", "--family", "A", "--rank", "2", "--grading", "1_0,1"],
+        ["theorem1", "--family", "A", "--rank", "2", "--grading", "١,1"],
+        ["period", "--weight", "2", "--h", "1,１,1"],
+        ["verify", "--suite", "fixed-point", "--family", "A", "--rank", "2",
+         "--grading", "1,1", "--eps", "0.1,0.0_5"],
+        ["verify", "--suite", "fixed-point", "--family", "A", "--rank", "2",
+         "--grading", "1,1", "--eps", "0.1,٠.5"],
+    ],
+    ids=["rank-arabic-indic", "rank-underscore", "rank-blank", "weight-arabic-indic",
+         "weight-underscore", "grading-underscore", "grading-arabic-indic",
+         "h-fullwidth", "eps-underscore", "eps-arabic-indic"],
+)
+def test_command_line_numbers_are_ascii(capsys, argv):
+    # int() and float() read each of these; only an optional sign, ASCII
+    # digits and, for --eps, a decimal point or exponent are accepted
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refusing a flag value
+        code = exc.code
+    assert (code, capsys.readouterr().out) == (2, "")
+
+
 def test_list_flags_allow_spaces_around_items(capsys):
     for argv in (
         ["theorem1", "--family", "A", "--rank", "2", "--grading", "1,1"],

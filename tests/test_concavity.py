@@ -93,10 +93,10 @@ def brute_force_verdict(rs, e):
     for beta in compact:
         good = True
         for alpha in alphas:
-            st = root_string(rs, alpha, beta)
-            if (st.r, st.q) == (0, 1):
+            r, q, _ = root_string(rs, alpha, beta)
+            if (r, q) == (0, 1):
                 ok = e.value(alpha + beta) >= 0
-            elif (st.r, st.q) == (0, 2):
+            elif (r, q) == (0, 2):
                 ok = e.value(alpha + 2 * beta) >= 0
             else:
                 ok = False

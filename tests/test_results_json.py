@@ -7,8 +7,9 @@ import pytest
 from flagdomains.hodge import (
     DegenerationSpec,
     HodgeNumbers,
-    check_boundary_concavity,
     group_of_period_domain,
+    limit_diamond,
+    period_report,
     sl2_cayley_checks,
 )
 from flagdomains.leviform import DefiningFunction, levi_analyze
@@ -32,6 +33,11 @@ def _fixed_point():
     return verify_fixed_point(rep, grading((1, 1)), root((1, 1)), 0.1)
 
 
+def _boundary(h, spec):
+    """The boundary verdict of one degeneration shape."""
+    return period_report(h, spec)["degenerations"][0]["boundary"]
+
+
 def _levi():
     terms = [{"c": 1, "z": [1, 0], "zbar": [1, 0]}, {"c": -1, "z": [0, 1], "zbar": [0, 1]}]
     return levi_analyze(DefiningFunction.from_polynomial(2, [1, 0], terms + [{"c": -1}]))
@@ -46,10 +52,13 @@ RESULTS = {
     "levi": _levi,
     "group_odd": lambda: group_of_period_domain(HodgeNumbers(weight=3, h=(1, 1, 1, 1))),
     "group_even": lambda: group_of_period_domain(HodgeNumbers(weight=2, h=(2, 1, 2))),
-    "boundary_met": lambda: check_boundary_concavity(
+    "limit_diamond": lambda: limit_diamond(
+        HodgeNumbers(weight=2, h=(2, 1, 2)), DegenerationSpec("II")
+    ),
+    "boundary_met": lambda: _boundary(
         HodgeNumbers(weight=3, h=(1, 1, 1, 1)), DegenerationSpec("I", 1)
     ),
-    "boundary_not_met": lambda: check_boundary_concavity(
+    "boundary_not_met": lambda: _boundary(
         HodgeNumbers(weight=1, h=(1, 1)), DegenerationSpec("I", 0)
     ),
 }
