@@ -15,9 +15,9 @@ c(-a, -b) = -c(a, b).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .rootsys import (
     Root,
@@ -27,8 +27,7 @@ from .rootsys import (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class ChevalleyConstants:
+class ChevalleyConstants(NamedTuple):
     """The constants c(a, b) with [x^a, x^b] = c(a, b) x^{a+b}: ``table[i][j]``
     is c(rs.roots[i], rs.roots[j]), and 0 where the sum is not a root."""
 
@@ -113,8 +112,7 @@ def structure_constants(rs: RootSystem) -> ChevalleyConstants:
     return ChevalleyConstants(rs=rs, table=tuple(map(tuple, table)))
 
 
-@dataclass(frozen=True, eq=False)
-class BracketReport:
+class BracketReport(NamedTuple):
     """``entries`` holds (alpha, beta, coefficient, expected): the coefficient
     of x^alpha in [x^{-beta}, [x^beta, x^alpha]] against q(r+1).
     ``chain_entries`` holds (alpha, beta, product): the double-step product

@@ -274,6 +274,20 @@ def _iter_verify_checks(args):
         system = _resolve_system(spec)
     elif spec["grading"] is not None:
         raise ValueError("a grading needs --family and --rank, or --cartan")
+    # the fixed-point inputs are refused before any check is printed
+    fixed_point = suite in ("all", "fixed-point")
+    if fixed_point:
+        eps = spec["eps"]
+        eps_values = _DEFAULT_EPS if eps is None else _parse_list(eps, "--eps", float)
+        if not system:
+            targets = [
+                (build_root_system(LieType(f, r)), grading(g))
+                for (f, r), g in _DEFAULT_FIXED_POINT
+            ]
+        elif spec["grading"] is None and suite == "all":
+            targets = []
+        else:
+            targets = [(system, _resolve_grading(system, spec))]
     if suite in ("all", "chevalley"):
         for rs in _systems(system, _DEFAULT_CHEVALLEY):
             cc = structure_constants(rs)
@@ -297,20 +311,9 @@ def _iter_verify_checks(args):
     if suite in ("all", "lemma41"):
         for kind in ("I", "II"):
             yield from sl2_cayley_checks(kind)
-    if suite in ("all", "fixed-point"):
-        eps = spec["eps"]
-        eps_values = _DEFAULT_EPS if eps is None else _parse_list(eps, "--eps", float)
-        if system:
-            if spec["grading"] is None and suite == "all":
-                print("note: fixed-point suite skipped: no --grading", file=sys.stderr)
-                targets = []
-            else:
-                targets = [(system, _resolve_grading(system, spec))]
-        else:
-            targets = [
-                (build_root_system(LieType(f, r)), grading(g))
-                for (f, r), g in _DEFAULT_FIXED_POINT
-            ]
+    if fixed_point:
+        if not targets:
+            print("note: fixed-point suite skipped: no --grading", file=sys.stderr)
         for rs, e in targets:
             report = check_pseudoconcavity(rs, e)
             if not report.witnesses:

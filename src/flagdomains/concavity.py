@@ -10,7 +10,7 @@ downstream matrix certificates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .realform import classify_roots
 from .rootsys import (
@@ -22,8 +22,7 @@ from .rootsys import (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class ConcavityReport:
+class ConcavityReport(NamedTuple):
     """Verdict of the sweep, with every witness and the full detail map:
     each compact root to the JSON entries of its strings, in sweep order."""
 

@@ -10,8 +10,7 @@ quarter-turn Cayley element built from an sl2 triple.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 
 from .matrixrep import _scaled, _sum, make_check, product, shear_product
@@ -24,26 +23,26 @@ class InfeasibleDegeneration(ValueError):
     """The degeneration kind cannot occur for the given Hodge numbers."""
 
 
-@dataclass(frozen=True)
-class HodgeNumbers:
+class HodgeNumbers(namedtuple("HodgeNumbers", "weight h")):
     """Hodge numbers of one weight; h[p] is the dimension in bidegree (p, n-p)."""
 
-    weight: int
-    h: tuple[int, ...]
+    __slots__ = ()
+    # _replace builds through _make, which is validated like the constructor
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self):
-        n = self.weight
-        if n < 0:
+    def __new__(cls, weight: int, h: tuple[int, ...]):
+        if weight < 0:
             raise ValueError("weight must be nonnegative")
-        if len(self.h) != n + 1:
-            raise ValueError(f"need {n + 1} Hodge numbers for weight {n}")
-        if any(v < 0 for v in self.h):
+        if len(h) != weight + 1:
+            raise ValueError(f"need {weight + 1} Hodge numbers for weight {weight}")
+        if any(v < 0 for v in h):
             raise ValueError("Hodge numbers must be nonnegative")
-        if sum(self.h) <= 0:
+        if sum(h) <= 0:
             raise ValueError("total dimension must be positive")
-        for p in range(n + 1):
-            if self.h[p] != self.h[n - p]:
+        for p in range(weight + 1):
+            if h[p] != h[weight - p]:
                 raise ValueError("Hodge numbers must be conjugation symmetric")
+        return super().__new__(cls, weight, h)
 
     @classmethod
     def from_descending(cls, weight: int, values) -> "HodgeNumbers":
@@ -100,24 +99,23 @@ def grading_values_on_V(h: HodgeNumbers) -> dict[int, Fraction]:
     return {p: Fraction(2 * p - n, 2) for p in range(n + 1)}
 
 
-@dataclass(frozen=True)
-class DegenerationSpec:
+class DegenerationSpec(namedtuple("DegenerationSpec", "kind p0", defaults=(None,))):
     """A minimal degeneration shape: type I with a pivot p0, or type II."""
 
-    kind: str
-    p0: int | None = None
+    __slots__ = ()
+    # _replace builds through _make, which is validated like the constructor
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self):
-        if self.kind not in ("I", "II"):
+    def __new__(cls, kind: str, p0: int | None = None):
+        if kind not in ("I", "II"):
             raise ValueError("kind must be 'I' or 'II'")
-        if self.kind == "I" and self.p0 is None:
+        if kind == "I" and p0 is None:
             raise ValueError("type I needs a pivot p0")
-        if self.kind == "II" and self.p0 is not None:
+        if kind == "II" and p0 is not None:
             raise ValueError("type II takes no pivot")
-        if self.p0 is not None and (
-            isinstance(self.p0, bool) or not isinstance(self.p0, int)
-        ):
+        if p0 is not None and (isinstance(p0, bool) or not isinstance(p0, int)):
             raise ValueError("the pivot p0 must be an integer")
+        return super().__new__(cls, kind, p0)
 
     def label(self) -> str:
         return f"type I with p0={self.p0}" if self.kind == "I" else "type II"

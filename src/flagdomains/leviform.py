@@ -10,7 +10,7 @@ the sublevel set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .rootsys import exact_int
 
@@ -43,8 +43,7 @@ def _exponents(value, n: int) -> tuple[int, ...]:
     raise ValueError("term exponents must be length-n lists of integers")
 
 
-@dataclass(frozen=True, eq=False)
-class DefiningFunction:
+class DefiningFunction(NamedTuple):
     """The real part of a polynomial on C^n, with a marked boundary point."""
 
     n: int

@@ -23,13 +23,13 @@ fixed-point check, with eps read exactly from its decimal text, is exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from .chevalley import structure_constants
 from .concavity import witness_alphas
-from .rootsys import MAX_RANK, GradingElement, Root, RootSystem, check_grading
+from .rootsys import MAX_RANK, GradingElement, Root, RootSystem, _frozen, check_grading
 
 TOL_CONJUGATION = 1e-9
 
@@ -106,8 +106,7 @@ def _twice(v) -> int:
     return int(d)
 
 
-@dataclass(frozen=True)
-class WeylElement:
+class WeylElement(NamedTuple):
     """A monomial matrix: e_j goes to (twice[j] / 2) e_{perm[j]}."""
 
     perm: tuple[int, ...]
@@ -131,14 +130,13 @@ class WeylElement:
         )
 
 
-@dataclass(frozen=True, eq=False)
 class MatrixRealization:
-    """Root vectors of a classical algebra as sparse exact matrices."""
+    """Root vectors of a classical algebra as sparse exact matrices, read-only."""
 
-    rs: RootSystem
-    dim: int
-    x: dict
-    _weyl: dict = field(default_factory=dict, init=False, repr=False)
+    def __init__(self, rs: RootSystem, dim: int, x: dict):
+        vars(self).update(rs=rs, dim=dim, x=x, _weyl={})
+
+    __setattr__ = __delattr__ = _frozen
 
     @cached_property
     def twice(self) -> dict:

@@ -8,13 +8,12 @@ grading value is even.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .rootsys import GradingElement, Root, RootSystem, check_grading
 
 
-@dataclass(frozen=True)
-class CompactnessTable:
+class CompactnessTable(NamedTuple):
     """The two parts of ``rs.roots``, each in the order of ``rs.roots``."""
 
     compact: tuple[Root, ...]

@@ -11,9 +11,10 @@ orientations of the rank-two B/C labelings available.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 FAMILIES = ("A", "B", "C", "D")
 
@@ -45,37 +46,42 @@ def exact_int(value, what: str = "a coefficient") -> int:
     raise ValueError(f"{what} must be an integer")
 
 
-@dataclass(frozen=True)
-class LieType:
+class LieType(namedtuple("LieType", "family rank")):
     """A classical family label together with a rank."""
 
-    family: str
-    rank: int
+    __slots__ = ()
+    # _replace builds through _make, which is validated like the constructor
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
+    def __new__(cls, family: str, rank: int):
+        if family not in FAMILIES:
+            raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+        if rank < _MIN_RANK[family]:
             raise ValueError(
-                f"unknown family {self.family!r}; expected one of {FAMILIES}"
+                f"family {family} needs rank >= {_MIN_RANK[family]}, got {rank}"
             )
-        if self.rank < _MIN_RANK[self.family]:
-            raise ValueError(
-                f"family {self.family} needs rank >= {_MIN_RANK[self.family]}, "
-                f"got {self.rank}"
-            )
+        return super().__new__(cls, family, rank)
 
     def __str__(self):
         return f"{self.family}{self.rank}"
 
 
-@dataclass(frozen=True, order=True)
-class Root:
+def _same_class_eq(self, other) -> bool:
+    return self.__class__ is other.__class__ and tuple.__eq__(self, other)
+
+
+class Root(NamedTuple):
     """Integer coefficient vector in the simple-root basis.
 
     Arithmetic is plain lattice arithmetic; whether a vector is an actual
-    root of a given system is checked against that system on use.
+    root of a given system is checked against that system on use. A Root
+    equals only a Root; hashing and ordering are the tuple's.
     """
 
     coeffs: tuple[int, ...]
+
+    # object.__ne__ negates __eq__
+    __eq__, __ne__, __hash__ = _same_class_eq, object.__ne__, tuple.__hash__
 
     def __add__(self, other: "Root") -> "Root":
         return Root(tuple(a + b for a, b in zip(self.coeffs, other.coeffs, strict=True)))
@@ -108,15 +114,17 @@ def root(seq) -> Root:
     return Root(tuple(exact_int(c) for c in seq))
 
 
-@dataclass(frozen=True)
-class GradingElement:
+class GradingElement(NamedTuple):
     """Integer coefficients over the basis dual to the simple roots.
 
     The value on a root is the coefficient dot product; it is the
     eigenvalue of that root space in the induced graded decomposition.
+    It equals only a GradingElement.
     """
 
     coeffs: tuple[int, ...]
+
+    __eq__, __ne__, __hash__ = _same_class_eq, object.__ne__, tuple.__hash__
 
     def value(self, a: Root) -> int:
         return sum(n * c for n, c in zip(self.coeffs, a.coeffs, strict=True))
@@ -134,7 +142,10 @@ def grading(seq) -> GradingElement:
     return GradingElement(tuple(exact_int(c) for c in seq))
 
 
-@dataclass(frozen=True)
+def _frozen(self, name, *value):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
 class RootSystem:
     """A finite root system with exact inner-product data.
 
@@ -146,13 +157,20 @@ class RootSystem:
     instance: ``pos`` inverts ``roots``, ``add[i][j]`` is the index of
     roots[i] + roots[j] or -1 when the sum is not a root, ``neg[i]`` the
     index of -roots[i], and ``norms[i]`` the squared length of roots[i].
-    Equality and hashing see the Cartan data only.
+    Equality and hashing see the Cartan matrix only, which determines the
+    rest. Attributes cannot be assigned.
     """
 
-    lie_type: LieType | None
-    cartan: tuple[tuple[int, ...], ...]
-    lengths: tuple[Fraction, ...]
-    roots: tuple[Root, ...] = field(compare=False, repr=False)
+    def __init__(self, lie_type, cartan, lengths, roots):
+        vars(self).update(lie_type=lie_type, cartan=cartan, lengths=lengths, roots=roots)
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __eq__(self, other):
+        return isinstance(other, RootSystem) and self.cartan == other.cartan
+
+    def __hash__(self):
+        return hash(self.cartan)
 
     @property
     def rank(self) -> int:

@@ -588,6 +588,38 @@ def test_verify_input_bad_suite_or_eps_exits_2(tmp_path, capsys, request_doc, me
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize(
+    "argv,code,message",
+    [
+        (["--suite", "all", "--eps", "x"], 2, "--eps must be a comma separated number list"),
+        (["--family", "B", "--rank", "3", "--grading", "1,1"], 2,
+         "grading has 2 coefficients, the system has rank 3"),
+        (["--family", "A", "--rank", "2", "--grading", "1,99"], 4,
+         "grading coefficients must stay within 16"),
+    ],
+    ids=["eps", "grading-length", "grading-bound"],
+)
+def test_verify_refuses_fixed_point_inputs_before_any_check(capsys, argv, code, message):
+    # the fixed-point suite runs last under --suite all, so its inputs are read first
+    assert run_cli(capsys, "verify", *argv) == (code, "", f"error: {message}\n")
+
+
+def test_cli_imports_no_dataclasses_or_inspect():
+    # levi is left out: numpy imports inspect itself
+    for argv in (
+        ["-c", "import flagdomains.cli"],
+        ["-m", "flagdomains", "describe", "--family", "A", "--rank", "2"],
+    ):
+        err = subprocess.run(
+            [sys.executable, "-X", "importtime", *argv],
+            capture_output=True, text=True, env=child_env(), timeout=60, check=True,
+        ).stderr
+        # each line of -X importtime ends in "| <module>"
+        loaded = {line.rsplit("|", 1)[1].strip() for line in err.splitlines() if "|" in line}
+        assert "flagdomains.cli" in loaded
+        assert not {"dataclasses", "inspect"} & loaded, argv
+
+
 def test_vacuous_theorem1_verdict(capsys):
     # grading (2,2) makes every root compact: no noncompact root constrains
     # the sweep, so every compact root is a witness and the verdict is true

@@ -1,6 +1,5 @@
 """Matrix realizations, Cayley matrices and the numeric certificates."""
 
-import dataclasses
 import itertools
 import math
 
@@ -28,6 +27,7 @@ from matrix_oracle import (
 from flagdomains.chevalley import structure_constants
 from flagdomains.concavity import check_pseudoconcavity, witness_alphas
 from flagdomains.matrixrep import (
+    MatrixRealization,
     eligible_conjugation_pairs,
     exp_nilpotent,
     flag_residual,
@@ -216,7 +216,7 @@ def test_cayley_conjugation_fails_on_a_swapped_endpoint(key, systems, reps):
         other = next(g for g in rs.roots if g not in (a, b, -b, expected))
         x = dict(rep.x)
         x[expected], x[other] = rep.x[other], rep.x[expected]
-        chk = verify_cayley_conjugation(dataclasses.replace(rep, x=x), a, b)
+        chk = verify_cayley_conjugation(MatrixRealization(rep.rs, rep.dim, x), a, b)
         assert not chk["pass"], (a, b)
         assert chk["info"]["target"] is None and chk["sign"] is None
 
@@ -320,7 +320,7 @@ def test_grading_diagonal_rejects_an_unlinked_basis(reps):
     # without x^{s_1}, no simple root vector reaches e_0 in A2
     rep = reps[("A", 2)]
     s1 = rep.rs.simple_roots()[0]
-    unlinked = dataclasses.replace(rep, x={**rep.x, s1: {}})
+    unlinked = MatrixRealization(rep.rs, rep.dim, {**rep.x, s1: {}})
     with pytest.raises(ArithmeticError, match="do not link the basis"):
         unlinked.grading_diagonal(grading((1, 1)))
 
@@ -391,7 +391,7 @@ def test_exact_fixed_point_residual_matches_the_oracle_when_it_fails(key, coeffs
     x = dict(rep.x)
     for alpha in witness_alphas(rs, e, beta):
         x[alpha] = rep.x[-alpha]
-    bent = dataclasses.replace(rep, x=x)
+    bent = MatrixRealization(rep.rs, rep.dim, x)
     for eps in (0.01, 0.1, 1.0):
         exact = verify_fixed_point(bent, e, beta, eps)
         oracle = fixed_point_check(FloatRealization(bent), e, beta, eps)
