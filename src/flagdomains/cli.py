@@ -274,20 +274,8 @@ def _iter_verify_checks(args):
         system = _resolve_system(spec)
     elif spec["grading"] is not None:
         raise ValueError("a grading needs --family and --rank, or --cartan")
-    # the fixed-point inputs are refused before any check is printed
-    fixed_point = suite in ("all", "fixed-point")
-    if fixed_point:
-        eps = spec["eps"]
-        eps_values = _DEFAULT_EPS if eps is None else _parse_list(eps, "--eps", float)
-        if not system:
-            targets = [
-                (build_root_system(LieType(f, r)), grading(g))
-                for (f, r), g in _DEFAULT_FIXED_POINT
-            ]
-        elif spec["grading"] is None and suite == "all":
-            targets = []
-        else:
-            targets = [(system, _resolve_grading(system, spec))]
+    eps_values = _DEFAULT_EPS if spec["eps"] is None else _parse_list(spec["eps"], "--eps", float)
+    e = None if spec["grading"] is None else _resolve_grading(system, spec)
     if suite in ("all", "chevalley"):
         for rs in _systems(system, _DEFAULT_CHEVALLEY):
             cc = structure_constants(rs)
@@ -311,26 +299,32 @@ def _iter_verify_checks(args):
     if suite in ("all", "lemma41"):
         for kind in ("I", "II"):
             yield from sl2_cayley_checks(kind)
-    if fixed_point:
-        if not targets:
+    if suite in ("all", "fixed-point"):
+        if not system:
+            targets = [(build_root_system(LieType(*t)), grading(g)) for t, g in _DEFAULT_FIXED_POINT]
+        elif e is not None:
+            targets = [(system, e)]
+        elif suite == "all":
             print("note: fixed-point suite skipped: no --grading", file=sys.stderr)
+            targets = []
+        else:
+            raise ValueError("missing --grading")
         for rs, e in targets:
-            report = check_pseudoconcavity(rs, e)
-            if not report.witnesses:
-                yield make_check(
-                    claim=f"fixed-point witness exists {_system_name(rs)} grading {list(e.coeffs)}",
-                    residual=1.0,
-                    tolerance=0.5,
-                )
-                continue
-            rep = fundamental_rep(rs)
-            for beta in report.witnesses:
-                for eps in eps_values:
-                    yield verify_fixed_point(rep, e, beta, eps)
+            witnesses = check_pseudoconcavity(rs, e).witnesses
+            if witnesses:
+                rep = fundamental_rep(rs)
+                for beta in witnesses:
+                    for eps in eps_values:
+                        yield verify_fixed_point(rep, e, beta, eps)
+            else:
+                claim = f"fixed-point witness exists {_system_name(rs)} grading {list(e.coeffs)}"
+                yield make_check(claim=claim, residual=1.0, tolerance=0.5)
 
 
 def _cmd_verify(args) -> int:
-    for check in _iter_verify_checks(args):
+    # a refused request prints nothing: every check is computed, and every
+    # given --eps and --grading read, before the first line
+    for check in list(_iter_verify_checks(args)):
         if args.pretty:
             status = "PASS" if check["pass"] else "FAIL"
             print(f"{status} {check['claim']} (residual={check['residual']:.3e})")

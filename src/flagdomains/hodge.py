@@ -74,8 +74,6 @@ def group_of_period_domain(h: HodgeNumbers) -> dict:
     factors = [f"U({h.hp(p)})" for p in range(n, k, -1)]
     note = None
     if n % 2 == 1:
-        if h.dim() % 2 != 0:
-            raise ValueError("odd weight needs an even-dimensional space")
         family, parameters = "symplectic", [h.dim() // 2]
     else:
         factors.append(f"SO({h.hp(k)})")

@@ -119,8 +119,6 @@ def _derivatives(f: DefiningFunction) -> tuple:
                     mixed[k, ell] += _monomial(ce * fb[ell], ek, _lowered(fb, ell), z, zb)
         for ell in ls:
             dzb[ell] += _monomial(c * fb[ell], e, _lowered(fb, ell), z, zb)
-    if not all(np.isfinite(a).all() for a in (dz, dzb, mixed)):
-        raise ValueError("the derivatives at z0 are not finite")
     return 0.5 * (dz + dzb.conj()), 0.5 * (mixed + mixed.conj().T)
 
 
@@ -128,18 +126,27 @@ def levi_analyze(f: DefiningFunction) -> dict:
     """Sorted eigenvalues of the Levi form on the analytic tangent plane at
     z0, how many are negative, the verdict and the gradient norm.
 
-    Raises when a negative exponent meets a zero coordinate of z0 or the
-    derivatives there are not finite, and when the gradient vanishes at z0,
+    Raises when a negative exponent meets a zero coordinate of z0, when a
+    power of a z0 coordinate overflows, when the derivatives there are not
+    finite or their norms overflow, and when the gradient vanishes at z0,
     since the level set is not a smooth boundary there. Eigenvalues below
     1e-6 of the Hessian norm are reported as exact zeros.
     """
     import numpy as np
 
     try:
-        grad, hess = _derivatives(f)
+        # an overflow leaves a value that is not finite, which is refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            grad, hess = _derivatives(f)
+            gnorm, hnorm = float(np.linalg.norm(grad)), float(np.linalg.norm(hess))
     except ZeroDivisionError:
         raise ValueError("a negative exponent meets a zero coordinate of z0") from None
-    gnorm = float(np.linalg.norm(grad))
+    except OverflowError:
+        raise ValueError("a power of a z0 coordinate overflows") from None
+    # the norms are sums of squares, finite only while every entry stays
+    # below the square root of the largest float, so what follows stays finite
+    if not np.isfinite([gnorm, hnorm]).all():
+        raise ValueError("the derivatives at z0 are not finite or too large")
     if gnorm < GRADIENT_TOL:
         raise ValueError("gradient vanishes at z0; not a smooth boundary point")
     # the right singular vectors after the first span the kernel of grad
@@ -149,7 +156,7 @@ def levi_analyze(f: DefiningFunction) -> dict:
     restricted = plane.conj().T @ hess.T @ plane
     restricted = 0.5 * (restricted + restricted.conj().T)
     raw = np.linalg.eigvalsh(restricted) if f.n > 1 else np.array([])
-    threshold = ZERO_EIGEN_REL * float(np.linalg.norm(hess))
+    threshold = ZERO_EIGEN_REL * hnorm
     vals = sorted(0.0 if abs(v) < threshold else float(v) for v in raw)
     negatives = sum(1 for v in vals if v < 0)
     return {

@@ -502,6 +502,37 @@ def test_malformed_input_exits_2_without_traceback(capsys, argv, message):
     assert "Traceback" not in err
 
 
+HERMITIAN_1E308 = [
+    {"c": 1e308, "z": z, "zbar": zbar}
+    for z in ([1, 0, 0], [0, 1, 0]) for zbar in ([1, 0, 0], [0, 1, 0])
+]
+
+
+@pytest.mark.parametrize(
+    "spec,message",
+    [
+        ({"n": 2, "z0": [[1, 0], [0, 0]],
+          "terms": [{"c": 1e308, "z": [1, 0]}, {"c": 1e308, "zbar": [1, 0]}]},
+         "the derivatives at z0 are not finite or too large"),
+        ({"n": 2, "z0": [[2, 0], [1, 0]],
+          "terms": [{"c": 1, "z": [0, 1]}, {"c": 1e300, "z": [5, 0]}]},
+         "the derivatives at z0 are not finite or too large"),
+        ({"n": 3, "z0": [[0, 0]] * 3, "terms": HERMITIAN_1E308 + [{"c": 1, "z": [0, 0, 1]}]},
+         "the derivatives at z0 are not finite or too large"),
+        ({"n": 2, "z0": [[2, 0], [0, 0]], "terms": [{"c": 1, "z": [100000000, 0]}]},
+         "a power of a z0 coordinate overflows"),
+    ],
+    ids=["gradient-sum", "gradient-norm", "hessian-sum", "power"],
+)
+def test_levi_overflow_exits_2_with_one_error_line(spec, message):
+    # a child process, so that a numpy RuntimeWarning would reach its stderr
+    proc = subprocess.run(
+        [sys.executable, "-m", "flagdomains", "levi", "--spec", json.dumps(spec)],
+        capture_output=True, text=True, env=child_env(), timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
+
+
 def test_verify_grading_needs_a_system(tmp_path, capsys):
     path = tmp_path / "req.json"
     path.write_text(json.dumps({"grading": [2, 0]}))
@@ -588,6 +619,11 @@ def test_verify_input_bad_suite_or_eps_exits_2(tmp_path, capsys, request_doc, me
     assert err.startswith("error: ") and message in err
 
 
+NOT_CLASSICAL = (
+    "matrix realization needs a system whose Cartan matrix matches a standard classical labeling"
+)
+
+
 @pytest.mark.parametrize(
     "argv,code,message",
     [
@@ -596,11 +632,27 @@ def test_verify_input_bad_suite_or_eps_exits_2(tmp_path, capsys, request_doc, me
          "grading has 2 coefficients, the system has rank 3"),
         (["--family", "A", "--rank", "2", "--grading", "1,99"], 4,
          "grading coefficients must stay within 16"),
+        (["--suite", "all", "--eps", "2"], 2, "eps must lie in [0, 1]"),
+        (["--suite", "fixed-point", "--family", "A", "--rank", "2", "--grading", "1,1",
+          "--eps", "0.1,5"], 2, "eps must lie in [0, 1]"),
+        (["--family", "A", "--rank", "2", "--grading", "0,0"], 2,
+         "trivial grading defines no proper parabolic"),
+        (["--family", "A", "--rank", "2", "--grading", "1,-1"], 2,
+         "grading coefficients must be nonnegative"),
+        (["--cartan", G2_CARTAN], 2, NOT_CLASSICAL),
+        (["--cartan", G2_CARTAN, "--grading", "1,0"], 2, NOT_CLASSICAL),
+        (["--suite", "lemma41", "--eps", "x"], 2, "--eps must be a comma separated number list"),
+        (["--suite", "chevalley", "--family", "A", "--rank", "2", "--grading", "1,99"], 4,
+         "grading coefficients must stay within 16"),
     ],
-    ids=["eps", "grading-length", "grading-bound"],
+    ids=["eps", "grading-length", "grading-bound", "eps-range-all", "eps-range-fixed-point",
+         "grading-trivial", "grading-negative", "g2-realization", "g2-realization-graded",
+         "eps-lemma41", "grading-bound-chevalley"],
 )
 def test_verify_refuses_fixed_point_inputs_before_any_check(capsys, argv, code, message):
-    # the fixed-point suite runs last under --suite all, so its inputs are read first
+    # every refusal comes before the first check line: all checks are
+    # computed, and the given --eps and --grading read whichever suites run,
+    # before any check is printed
     assert run_cli(capsys, "verify", *argv) == (code, "", f"error: {message}\n")
 
 
