@@ -10,6 +10,7 @@ the sublevel set.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 from .rootsys import exact_int
@@ -48,7 +49,7 @@ class DefiningFunction(NamedTuple):
 
     n: int
     terms: tuple[Term, ...]
-    # Python complex: 0 ** -1 raises ZeroDivisionError where numpy gives inf
+    # Python complex, so that 0 ** -1 raises ZeroDivisionError
     z0: tuple[complex, ...]
 
     @classmethod
@@ -92,23 +93,21 @@ def _lowered(e: tuple[int, ...], k: int) -> tuple[int, ...]:
     return e[:k] + (e[k] - 1,) + e[k + 1 :]
 
 
-def _derivatives(f: DefiningFunction) -> tuple:
+def _derivatives(f: DefiningFunction) -> tuple[list, list]:
     """Wirtinger gradient and complex Hessian of Re P at z0, in closed form,
-    as numpy arrays.
+    as lists of Python complex numbers.
 
     For a term c z^e conj(z)^f of P, d_k P gets c e_k z^{e-d_k} conj(z)^f
     and d_k dbar_l P gets c e_k f_l z^{e-d_k} conj(z)^{f-d_l}. For
     Re P = (P + conj P)/2 the gradient is (P_k + conj(P_kbar))/2 and the
-    Hessian is the Hermitian part of the mixed table P_{k lbar}.
+    Hessian is the Hermitian part of the mixed table P_{k lbar}; halved
+    first, a sum overflows only where its value does.
     """
-    import numpy as np
-
     n = f.n
     z = f.z0
     zb = [v.conjugate() for v in z]
-    dz = np.zeros(n, dtype=complex)
-    dzb = np.zeros(n, dtype=complex)
-    mixed = np.zeros((n, n), dtype=complex)
+    dz, dzb = [0j] * n, [0j] * n
+    mixed = [[0j] * n for _ in range(n)]
     for c, e, fb in f.terms:
         ls = [ell for ell in range(n) if fb[ell]]
         for k in range(n):
@@ -116,10 +115,44 @@ def _derivatives(f: DefiningFunction) -> tuple:
                 ce, ek = c * e[k], _lowered(e, k)
                 dz[k] += _monomial(ce, ek, fb, z, zb)
                 for ell in ls:
-                    mixed[k, ell] += _monomial(ce * fb[ell], ek, _lowered(fb, ell), z, zb)
+                    mixed[k][ell] += _monomial(ce * fb[ell], ek, _lowered(fb, ell), z, zb)
         for ell in ls:
             dzb[ell] += _monomial(c * fb[ell], e, _lowered(fb, ell), z, zb)
-    return 0.5 * (dz + dzb.conj()), 0.5 * (mixed + mixed.conj().T)
+    half = [[0.5 * x for x in row] for row in mixed]
+    grad = [0.5 * a + 0.5 * b.conjugate() for a, b in zip(dz, dzb)]
+    return grad, [[x + y.conjugate() for x, y in zip(hk, col)] for hk, col in zip(half, zip(*half))]
+
+
+def _norm(values) -> float:
+    # math.hypot scales, so this is inf only where the norm exceeds the float range
+    return math.hypot(*(x for v in values for x in (v.real, v.imag)))
+
+
+def _hermitian_eigenvalues(a: list) -> list[float]:
+    """Unsorted eigenvalues of the Hermitian matrix a (rows, overwritten): cyclic
+    complex Jacobi sweeps (Golub and Van Loan, Matrix Computations, 4th ed., 8.5)
+    until no off-diagonal entry exceeds machine epsilon times the norm, 50 at most."""
+    n = len(a)
+    tol = math.ulp(1.0) * _norm(v for row in a for v in row)
+    for _ in range(50):
+        if all(abs(a[p][q]) <= tol for p in range(n) for q in range(p + 1, n)):
+            return [row[k].real for k, row in enumerate(a)]
+        for p in range(n):
+            for q in range(p + 1, n):
+                rp, rq = a[p], a[q]
+                if (r := abs(rp[q])) > tol:
+                    # diag(1, w) makes the entry r, sym.schur2's rotation zeroes it
+                    app, aqq, w = rp[p].real, rq[q].real, rp[q].conjugate() / r
+                    tau = (aqq - app) / (2 * r)
+                    t = math.copysign(1, tau) / (abs(tau) + math.hypot(1, tau))
+                    c = 1 / math.hypot(1, t)
+                    for k, row in enumerate(a):
+                        if k != p and k != q:
+                            x, y = row[p], row[q]
+                            row[p], row[q] = c * (x - t * w * y), c * (t * x + w * y)
+                            rp[k], rq[k] = row[p].conjugate(), row[q].conjugate()
+                    rp[p], rq[q], rp[q], rq[p] = app - t * r, aqq + t * r, 0j, 0j
+    raise ArithmeticError("the Jacobi sweep did not converge")
 
 
 def levi_analyze(f: DefiningFunction) -> dict:
@@ -127,37 +160,38 @@ def levi_analyze(f: DefiningFunction) -> dict:
     z0, how many are negative, the verdict and the gradient norm.
 
     Raises when a negative exponent meets a zero coordinate of z0, when a
-    power of a z0 coordinate overflows, when the derivatives there are not
-    finite or their norms overflow, and when the gradient vanishes at z0,
-    since the level set is not a smooth boundary there. Eigenvalues below
-    1e-6 of the Hessian norm are reported as exact zeros.
+    power of a z0 coordinate overflows, when the derivatives there or their
+    norms are not finite, and when the gradient vanishes at z0: no smooth
+    boundary there. Eigenvalues below 1e-6 of the Hessian norm are exact zeros.
     """
-    import numpy as np
-
     try:
-        # an overflow leaves a value that is not finite, which is refused below
-        with np.errstate(over="ignore", invalid="ignore"):
-            grad, hess = _derivatives(f)
-            gnorm, hnorm = float(np.linalg.norm(grad)), float(np.linalg.norm(hess))
+        grad, hess = _derivatives(f)
     except ZeroDivisionError:
         raise ValueError("a negative exponent meets a zero coordinate of z0") from None
     except OverflowError:
         raise ValueError("a power of a z0 coordinate overflows") from None
-    # the norms are sums of squares, finite only while every entry stays
-    # below the square root of the largest float, so what follows stays finite
-    if not np.isfinite([gnorm, hnorm]).all():
+    gnorm, hnorm = _norm(grad), _norm(v for row in hess for v in row)
+    # the eigenvalues on the plane are at most hnorm, so they are finite too
+    if not (math.isfinite(gnorm) and math.isfinite(hnorm)):
         raise ValueError("the derivatives at z0 are not finite or too large")
     if gnorm < GRADIENT_TOL:
         raise ValueError("gradient vanishes at z0; not a smooth boundary point")
-    # the right singular vectors after the first span the kernel of grad
-    plane = np.linalg.svd(grad.reshape(1, -1))[2][1:].conj().T
-    # the form is sum H_{kl} w_k conj(w_l); in the v* M v convention its
-    # matrix is the transpose of the mixed-derivative table
-    restricted = plane.conj().T @ hess.T @ plane
-    restricted = 0.5 * (restricted + restricted.conj().T)
-    raw = np.linalg.eigvalsh(restricted) if f.n > 1 else np.array([])
-    threshold = ZERO_EIGEN_REL * hnorm
-    vals = sorted(0.0 if abs(v) < threshold else float(v) for v in raw)
+    # the form is sum H_{kl} v_k conj(v_l) on the plane sum g_k v_k = 0, so in
+    # y = conj(v) it is y^H H y on the complement of g; H is divided by its norm
+    scale = hnorm or 1.0
+    h = [[x / scale for x in row] for row in hess]
+    # P H P = H - u (Hu)^H - (Hu - b u) u^H for the projector P = I - u u^H on
+    # that complement, with u = g / |g| and b = u^H H u
+    u = [g / gnorm for g in grad]
+    hu = [sum(x * y for x, y in zip(row, u)) for row in h]
+    b = sum(x.conjugate() * y for x, y in zip(u, hu)).real
+    raw = _hermitian_eigenvalues([
+        [x - uk * vl.conjugate() - (vk - b * uk) * ul.conjugate() for x, vl, ul in zip(row, hu, u)]
+        for row, uk, vk in zip(h, u, hu)
+    ])
+    # P H P is 0 on u, off the plane: that eigenvalue is the smallest in modulus
+    raw.remove(min(raw, key=abs))
+    vals = sorted(0.0 if abs(x) < ZERO_EIGEN_REL else scale * x for x in raw)
     negatives = sum(1 for v in vals if v < 0)
     return {
         "eigenvalues": vals,

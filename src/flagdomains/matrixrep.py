@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from .chevalley import structure_constants
@@ -225,6 +225,7 @@ _BUILDERS = {
 }
 
 
+@lru_cache(maxsize=32)  # as structure_constants: one per cached system
 def fundamental_rep(rs: RootSystem) -> MatrixRealization:
     """Defining representation with root vectors matching the abstract table."""
     t = rs.lie_type

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import flagdomains
 from flagdomains.cli import EXIT_CLOSED_STDOUT, main
+from flagdomains.matrixrep import fundamental_rep
 from flagdomains.rootsys import LieType, from_cartan_matrix, standard_cartan
 
 SRC = str(Path(flagdomains.__file__).resolve().parents[1])
@@ -106,6 +107,21 @@ def test_verify_fixed_point_suite(capsys):
     lines = [json.loads(line) for line in out.strip().splitlines()]
     assert len(lines) == 2
     assert all(line["pass"] for line in lines)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify"], ["verify", "--family", "C", "--rank", "2", "--grading", "1,0", "--eps", "0.5"]],
+    ids=["defaults", "given-system"],
+)
+def test_verify_shares_one_realization_between_suites(capsys, monkeypatch, argv):
+    # prop33 and the fixed-point suite both realize A2 and C2 at the
+    # defaults, and the given system under --grading
+    rs = from_cartan_matrix(standard_cartan(LieType("C", 2)))
+    assert fundamental_rep(rs) is fundamental_rep(rs)
+    shared = run_cli(capsys, *argv)
+    monkeypatch.setattr(flagdomains.cli, "fundamental_rep", fundamental_rep.__wrapped__)
+    assert run_cli(capsys, *argv) == shared and shared[0] == 0
 
 
 def test_verify_all_without_a_grading_notes_the_skipped_fixed_point_suite(capsys):
@@ -343,10 +359,17 @@ def test_cli_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
+LEVI_N2 = {
+    "n": 2, "z0": [[1, 0], [0, 0]],
+    "terms": [{"c": -1, "z": [1, 0], "zbar": [1, 0]}, {"c": 2, "z": [0, 1], "zbar": [0, 1]},
+              {"c": 1}],
+}
+
+
 def test_exact_subcommands_never_import_numpy():
     # the package's own modules all load, so per-module instrumentation
     # installed after the import still sees every function; with numpy made
-    # unimportable, every command but levi still prints the same
+    # unimportable, every command, levi included, prints the same
     probe = (
         "import contextlib, io, json, sys\n"
         "if sys.argv[1] == 'blocked':\n"
@@ -370,6 +393,7 @@ def test_exact_subcommands_never_import_numpy():
         ["verify", "--suite", "fixed-point", "--family", "A", "--rank", "2", "--grading", "1,1"],
         ["verify", "--suite", "lemma41"],
         ["verify", "--suite", "all"],
+        ["levi", "--spec", json.dumps(LEVI_N2)],
     ]
     runs = {
         mode: json.loads(subprocess.run(
@@ -387,40 +411,9 @@ def test_exact_subcommands_never_import_numpy():
     assert runs["blocked"][1:] == [False, outputs]
 
 
-def test_float_subcommands_import_numpy_on_demand_with_the_same_output():
-    probe = (
-        "import contextlib, io, json, sys\n"
-        "if sys.argv[1] == 'eager':\n"
-        "    import numpy\n"
-        "import flagdomains.cli\n"
-        "before = 'numpy' in sys.modules\n"
-        "outputs = []\n"
-        "for argv in json.loads(sys.argv[2]):\n"
-        "    buf = io.StringIO()\n"
-        "    with contextlib.redirect_stdout(buf):\n"
-        "        assert flagdomains.cli.main(argv) == 0, argv\n"
-        "    outputs.append(buf.getvalue())\n"
-        "print(json.dumps([before, 'numpy' in sys.modules, outputs]))\n"
-    )
-    spec = {"n": 2, "z0": [[1, 0], [0, 0]],
-            "terms": [{"c": -1, "z": [1, 0], "zbar": [1, 0]}, {"c": 2, "z": [0, 1], "zbar": [0, 1]},
-                      {"c": 1}]}
-    commands = [["levi", "--spec", json.dumps(spec)]]
-    runs = {
-        mode: json.loads(subprocess.run(
-            [sys.executable, "-c", probe, mode, json.dumps(commands)],
-            capture_output=True, text=True, env=child_env(), timeout=60, check=True,
-        ).stdout)
-        for mode in ("lazy", "eager")
-    }
-    assert runs["lazy"][:2] == [False, True] and runs["eager"][:2] == [True, True]
-    assert runs["lazy"][2] == runs["eager"][2]
-    assert json.loads(runs["lazy"][2][0])["negatives"] == 0
-
-
 def test_levi_parsing_loads_no_numpy():
     # a JSON z0 is a list, so building the function needs no numpy, and a
-    # malformed levi request exits before numpy loads
+    # malformed levi request exits without loading it
     probe = (
         "import contextlib, io, json, sys\n"
         "from flagdomains.leviform import DefiningFunction\n"
@@ -508,29 +501,49 @@ HERMITIAN_1E308 = [
 ]
 
 
+def run_levi_child(spec):
+    # a child process, so that any warning would reach its stderr
+    return subprocess.run(
+        [sys.executable, "-m", "flagdomains", "levi", "--spec", json.dumps(spec)],
+        capture_output=True, text=True, env=child_env(), timeout=60,
+    )
+
+
 @pytest.mark.parametrize(
     "spec,message",
     [
-        ({"n": 2, "z0": [[1, 0], [0, 0]],
-          "terms": [{"c": 1e308, "z": [1, 0]}, {"c": 1e308, "zbar": [1, 0]}]},
-         "the derivatives at z0 are not finite or too large"),
-        ({"n": 2, "z0": [[2, 0], [1, 0]],
-          "terms": [{"c": 1, "z": [0, 1]}, {"c": 1e300, "z": [5, 0]}]},
-         "the derivatives at z0 are not finite or too large"),
+        # the true eigenvalue 2e308 of the Hessian on the plane exceeds the float range
         ({"n": 3, "z0": [[0, 0]] * 3, "terms": HERMITIAN_1E308 + [{"c": 1, "z": [0, 0, 1]}]},
          "the derivatives at z0 are not finite or too large"),
         ({"n": 2, "z0": [[2, 0], [0, 0]], "terms": [{"c": 1, "z": [100000000, 0]}]},
          "a power of a z0 coordinate overflows"),
     ],
-    ids=["gradient-sum", "gradient-norm", "hessian-sum", "power"],
+    ids=["hessian-sum", "power"],
 )
 def test_levi_overflow_exits_2_with_one_error_line(spec, message):
-    # a child process, so that a numpy RuntimeWarning would reach its stderr
-    proc = subprocess.run(
-        [sys.executable, "-m", "flagdomains", "levi", "--spec", json.dumps(spec)],
-        capture_output=True, text=True, env=child_env(), timeout=60,
-    )
+    proc = run_levi_child(spec)
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "spec,gradient_norm",
+    [
+        # P_1 and conj(P_1bar) are 1e308 each; halved before the sum, the gradient is 1e308
+        ({"n": 2, "z0": [[1, 0], [0, 0]],
+          "terms": [{"c": 1e308, "z": [1, 0]}, {"c": 1e308, "zbar": [1, 0]}]}, 1e308),
+        # the gradient is (4e301, 0.5): its square overflows, its norm does not
+        ({"n": 2, "z0": [[2, 0], [1, 0]],
+          "terms": [{"c": 1, "z": [0, 1]}, {"c": 1e300, "z": [5, 0]}]}, 4e301),
+    ],
+    ids=["gradient-sum", "gradient-norm"],
+)
+def test_levi_large_finite_derivatives_are_answered(spec, gradient_norm):
+    proc = run_levi_child(spec)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout) == {
+        "eigenvalues": [0.0], "gradient_norm": gradient_norm,
+        "negatives": 0, "pseudoconcave_point": False,
+    }
 
 
 def test_verify_grading_needs_a_system(tmp_path, capsys):
@@ -657,10 +670,10 @@ def test_verify_refuses_fixed_point_inputs_before_any_check(capsys, argv, code, 
 
 
 def test_cli_imports_no_dataclasses_or_inspect():
-    # levi is left out: numpy imports inspect itself
     for argv in (
         ["-c", "import flagdomains.cli"],
         ["-m", "flagdomains", "describe", "--family", "A", "--rank", "2"],
+        ["-m", "flagdomains", "levi", "--spec", json.dumps(LEVI_N2)],
     ):
         err = subprocess.run(
             [sys.executable, "-X", "importtime", *argv],

@@ -202,7 +202,7 @@ def test_negative_exponent_at_a_zero_coordinate_rejected():
 
 @pytest.mark.parametrize("obj", [DefiningFunction, leviform._derivatives, levi_analyze])
 def test_annotations_resolve_without_a_module_level_numpy(obj):
-    # numpy is imported inside the functions that use it, so no annotation may name it
+    # the module uses the standard library only, so no annotation may name numpy
     assert "np" not in vars(leviform)
     assert typing.get_type_hints(obj)
 
@@ -210,3 +210,54 @@ def test_annotations_resolve_without_a_module_level_numpy(obj):
 def test_boundary_point_is_a_tuple_of_python_complex():
     z0 = sphere(2).z0
     assert z0 == (1 + 0j, 0j) and all(type(v) is complex for v in z0)
+
+
+def hermitian_with_spectrum(rng, values):
+    n = len(values)
+    q = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+    h = q @ np.diag(values) @ q.conj().T
+    return 0.5 * (h + h.conj().T)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 16),
+    kind=st.sampled_from(["dense", "repeated", "diagonal", "zero"]),
+)
+@settings(max_examples=80, deadline=None)
+def test_jacobi_matches_eigvalsh(seed, n, kind):
+    rng = np.random.default_rng(seed)
+    if kind == "dense":
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        h = 0.5 * (a + a.conj().T)
+    elif kind == "repeated":
+        # at most three distinct eigenvalues, each repeated, in a random basis
+        h = hermitian_with_spectrum(rng, rng.choice(rng.normal(size=3), size=n))
+    elif kind == "diagonal":
+        h = np.diag(rng.normal(size=n)).astype(complex)
+    else:
+        h = np.zeros((n, n), dtype=complex)
+    got = sorted(leviform._hermitian_eigenvalues([[complex(x) for x in row] for row in h]))
+    want = np.linalg.eigvalsh(h) if n else np.array([])
+    assert len(got) == n and all(type(v) is float for v in got)
+    assert np.all(np.abs(np.array(got) - want) <= 1e-12 * np.linalg.norm(h))
+
+
+def test_jacobi_sweep_cap_raises_arithmetic_error():
+    # no entry compares above a NaN tolerance, so no sweep ever ends clean
+    nan = complex(float("nan"), 0)
+    with pytest.raises(ArithmeticError, match="did not converge"):
+        leviform._hermitian_eigenvalues([[0j, nan], [nan, 0j]])
+
+
+@pytest.mark.parametrize("power", [0, 520, 1000])
+def test_large_finite_derivatives_are_answered(power):
+    # scaling the polynomial by 2**power scales every derivative exactly; at
+    # 2**520 the squared entries overflow a float, at 2**1000 the entries are
+    # within a factor 2**24 of the largest float
+    scale = 2.0**power
+    lam2, lam3 = -2.5, 0.75
+    f = DefiningFunction.from_polynomial(3, [0, 0, 0], normal_form(lam2, lam3, scale))
+    report = levi_analyze(f)
+    assert report["negatives"] == 1 and report["gradient_norm"] == scale
+    assert np.allclose(report["eigenvalues"], [lam2 * scale, lam3 * scale], rtol=1e-12, atol=0)
