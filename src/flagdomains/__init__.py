@@ -21,7 +21,7 @@ from .hodge import (
 from .leviform import DefiningFunction, levi_analyze
 from .matrixrep import (
     MatrixRealization,
-    flag_residual,
+    below_filtration,
     fundamental_rep,
     verify_cayley_conjugation,
     verify_fixed_point,

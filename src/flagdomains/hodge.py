@@ -16,8 +16,6 @@ from fractions import Fraction
 from .matrixrep import _scaled, _sum, make_check, product, shear_product
 from .rootsys import exact_int
 
-TOL_SL2 = 1e-12
-
 
 class InfeasibleDegeneration(ValueError):
     """The degeneration kind cannot occur for the given Hodge numbers."""
@@ -210,13 +208,13 @@ def _minimal_diamonds(h: HodgeNumbers) -> list[tuple[DegenerationSpec, dict]]:
 
 
 class Cyclotomic:
-    """a[0] + a[1] z + a[2] z^2 + a[3] z^3 with Fraction a[k] and
+    """a[0] + a[1] z + a[2] z^2 + a[3] z^3 with int or Fraction a[k] and
     z = exp(i pi/4), so z^4 = -1, i = z^2 and sqrt 2 = z - z^3."""
 
     __slots__ = ("a",)
 
     def __init__(self, a):
-        self.a = tuple(Fraction(v) for v in a)
+        self.a = tuple(a)
 
     @staticmethod
     def of(v) -> "Cyclotomic":
@@ -297,9 +295,9 @@ def _shear_product(kind: str, t, s) -> dict:
 def sl2_cayley_checks(kind: str) -> list[dict]:
     """All closed-form identities for d = exp(i pi/4 (N+ + N)), one check each.
 
-    The entries lie in Q(exp(i pi/4)) and are computed exactly, so a
-    residual is 0.0 when its identity holds and otherwise the norm of the
-    exact difference.
+    The entries lie in Q(exp(i pi/4)) and are computed exactly, so a check
+    passes when the exact difference is zero; its residual is the float
+    norm of that difference.
     """
     _, nplus, y, nmat = _sl2_model(kind)
     # (i N+, Y, -i N) is an sl2 triple, so the shear product with
@@ -314,8 +312,8 @@ def sl2_cayley_checks(kind: str) -> list[dict]:
 
     def check(claim, got, want):
         diff = _combo((1, got), (-1, want))
-        residual = math.sqrt(sum(abs(complex(x)) ** 2 for x in diff.values()))
-        checks.append(make_check(f"sl2-cayley-{kind} {claim}", residual, TOL_SL2))
+        residual = math.hypot(*(abs(complex(x)) for x in diff.values()))
+        checks.append(make_check(f"sl2-cayley-{kind} {claim}", residual, not diff))
 
     if kind == "I":
         check("d(v)", product(d, v), _combo((_SIN_PI_4, v), (_SIN_PI_4 * _I, nv)))

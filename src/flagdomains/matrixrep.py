@@ -31,18 +31,15 @@ from .chevalley import structure_constants
 from .concavity import witness_alphas
 from .rootsys import MAX_RANK, GradingElement, Root, RootSystem, _frozen, check_grading
 
-TOL_CONJUGATION = 1e-9
 
-
-def make_check(claim, residual, tolerance, sign=None, info=None) -> dict:
-    """One verified numeric claim as its JSON line: pass means residual <
-    tolerance."""
-    residual = float(residual)
+def make_check(claim, residual, passed, sign=None, info=None) -> dict:
+    """One verified claim as its JSON line. passed is the exact verdict, and
+    residual the float size of a failure, 0.0 on a pass."""
     return {
         "claim": claim,
-        "residual": residual,
-        "tolerance": tolerance,
-        "pass": residual < tolerance,
+        "residual": float(residual),
+        "tolerance": 0.0,
+        "pass": passed,
         "sign": sign,
         "info": info,
     }
@@ -277,40 +274,36 @@ def verify_cayley_conjugation(rep: MatrixRealization, a: Root, b: Root) -> dict:
     w = rep.weyl(b)
     xa, xe = rep.twice[a], rep.twice[expected]
     sign = next((s for s in (1, -1) if w.matches(xa, xe, s)), None)
+    res = 0.0
     if sign is None:
         # the distance from the nearer of +-x^{expected}
         image, target = w.conjugate(rep.x[a]), rep.x[expected]
         keys = image.keys() | target.keys()
-        res, sign = min(
-            (math.sqrt(sum(abs(image.get(k, 0) - s * target.get(k, 0)) ** 2 for k in keys)), s)
-            for s in (1, -1)
+        res = min(
+            math.hypot(*(image.get(k, 0) - s * target.get(k, 0) for k in keys)) for s in (1, -1)
         )
-    else:
-        res = 0.0
-    matched = res < TOL_CONJUGATION
     return make_check(
         claim=f"cayley-conjugation a={a} b={b}",
         residual=res,
-        tolerance=TOL_CONJUGATION,
-        sign=sign if matched else None,
+        passed=sign is not None,
+        sign=sign,
         info={
-            "target": list(expected.coeffs) if matched else None,
+            "target": None if sign is None else list(expected.coeffs),
             "expected": list(expected.coeffs),
             "string": [r, q],
         },
     )
 
 
-def flag_residual(rep: MatrixRealization, e: GradingElement, m: dict) -> float:
-    """Distance of the sparse matrix m from block-triangular form for the
-    grading filtration.
+def below_filtration(rep: MatrixRealization, e: GradingElement, m: dict) -> list:
+    """The entries of the sparse matrix m below the grading filtration.
 
     Entry (t, s) is admissible when the grading eigenvalue of row t is at
-    least the one of column s; everything below the filtration counts
-    toward the residual.
+    least the one of column s, so m is block-triangular exactly when the
+    list is empty.
     """
     diag = rep.grading_diagonal(e)
-    return math.sqrt(sum(abs(v) ** 2 for (t, s), v in m.items() if diag[t] < diag[s]))
+    return [v for (t, s), v in m.items() if diag[t] < diag[s]]
 
 
 def verify_fixed_point(rep: MatrixRealization, e: GradingElement, beta: Root, eps: float) -> dict:
@@ -323,19 +316,20 @@ def verify_fixed_point(rep: MatrixRealization, e: GradingElement, beta: Root, ep
     block-triangularity for the grading filtration.
     """
     rs = rep.rs
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError("eps must lie in [0, 1]")
+    if not 0.0 < eps <= 1.0:
+        # at eps 0 the generator is the identity, which every conjugation fixes
+        raise ValueError("eps must lie in (0, 1]")
     alphas = witness_alphas(rs, e, beta)
     t = Fraction(str(eps))
     xi = {(i, i): 1 for i in range(rep.dim)}
     for alpha in alphas:
         # xi exp(t x) = xi + xi (exp(t x) - 1), where the second factor is sparse
         xi = _sum(xi, product(xi, _exp_minus_one(_scaled(rep.x[alpha], t), rep.dim)))
-    res = flag_residual(rep, e, rep.weyl(beta).conjugate(xi))
+    below = below_filtration(rep, e, rep.weyl(beta).conjugate(xi))
     return make_check(
         claim=f"cayley-fixed-point beta={beta} eps={eps}",
-        residual=res,
-        tolerance=TOL_CONJUGATION,
+        residual=math.hypot(*below),
+        passed=not below,
         info={"alphas": [list(a.coeffs) for a in alphas]},
     )
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import flagdomains
 from flagdomains.cli import EXIT_CLOSED_STDOUT, main
+from flagdomains.leviform import DefiningFunction
 from flagdomains.matrixrep import fundamental_rep
 from flagdomains.rootsys import LieType, from_cartan_matrix, standard_cartan
 
@@ -84,8 +85,7 @@ def test_verify_suite_lines_parse(capsys):
     assert code == 0
     lines = [json.loads(line) for line in out.strip().splitlines()]
     assert lines
-    assert all(line["pass"] for line in lines)
-    assert all(line["residual"] < line["tolerance"] for line in lines)
+    assert all(line["pass"] and line["residual"] == 0.0 for line in lines)
 
 
 def test_verify_fixed_point_suite(capsys):
@@ -411,24 +411,11 @@ def test_exact_subcommands_never_import_numpy():
     assert runs["blocked"][1:] == [False, outputs]
 
 
-def test_levi_parsing_loads_no_numpy():
-    # a JSON z0 is a list, so building the function needs no numpy, and a
-    # malformed levi request exits without loading it
-    probe = (
-        "import contextlib, io, json, sys\n"
-        "from flagdomains.leviform import DefiningFunction\n"
-        "f = DefiningFunction.from_polynomial(2, [[1, 0], 0.5], [{'c': -1}])\n"
-        "with contextlib.redirect_stderr(io.StringIO()):\n"
-        "    import flagdomains.cli\n"
-        "    code = flagdomains.cli.main(['levi', '--spec', sys.argv[1]])\n"
-        "print(json.dumps([f.z0 == (1, 0.5), code, 'numpy' in sys.modules]))\n"
-    )
-    malformed = MALFORMED_LEVI % '[{"c": true}]'
-    out = subprocess.run(
-        [sys.executable, "-c", probe, malformed],
-        capture_output=True, text=True, env=child_env(), timeout=60, check=True,
-    ).stdout
-    assert json.loads(out) == [True, 2, False]
+def test_levi_parses_a_list_z0_and_refuses_a_malformed_request(capsys):
+    f = DefiningFunction.from_polynomial(2, [[1, 0], 0.5], [{"c": -1}])
+    assert f.z0 == (1, 0.5)
+    code, out, err = run_cli(capsys, "levi", "--spec", MALFORMED_LEVI % '[{"c": true}]')
+    assert code == 2 and out == "" and err.startswith("error: ")
 
 
 def test_family_rank_bound_comes_before_enumeration(capsys):
@@ -645,9 +632,9 @@ NOT_CLASSICAL = (
          "grading has 2 coefficients, the system has rank 3"),
         (["--family", "A", "--rank", "2", "--grading", "1,99"], 4,
          "grading coefficients must stay within 16"),
-        (["--suite", "all", "--eps", "2"], 2, "eps must lie in [0, 1]"),
+        (["--suite", "all", "--eps", "2"], 2, "eps must lie in (0, 1]"),
         (["--suite", "fixed-point", "--family", "A", "--rank", "2", "--grading", "1,1",
-          "--eps", "0.1,5"], 2, "eps must lie in [0, 1]"),
+          "--eps", "0.1,5"], 2, "eps must lie in (0, 1]"),
         (["--family", "A", "--rank", "2", "--grading", "0,0"], 2,
          "trivial grading defines no proper parabolic"),
         (["--family", "A", "--rank", "2", "--grading", "1,-1"], 2,
@@ -667,6 +654,24 @@ def test_verify_refuses_fixed_point_inputs_before_any_check(capsys, argv, code, 
     # computed, and the given --eps and --grading read whichever suites run,
     # before any check is printed
     assert run_cli(capsys, "verify", *argv) == (code, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("eps", ["0", "-0", "1e-400", "0.5,0.0"])
+def test_verify_refuses_an_eps_that_reads_as_zero(capsys, eps):
+    # at eps 0 the neighbourhood generator is the identity, so the fixed-point
+    # check could not fail whatever the conjugation does
+    argv = ["--suite", "fixed-point", "--family", "C", "--rank", "2", "--grading", "1,0"]
+    assert run_cli(capsys, "verify", *argv, f"--eps={eps}") == (
+        2, "", "error: eps must lie in (0, 1]\n"
+    )
+
+
+@pytest.mark.parametrize("system", [["--family", "A", "--rank", "1"], ["--cartan", "[[2]]"]])
+def test_verify_refuses_a_request_without_checks(capsys, system):
+    # A1 has no linearly independent root pair, so prop33 has nothing to check
+    assert run_cli(capsys, "verify", "--suite", "prop33", *system) == (
+        2, "", "error: no check applies to this request\n"
+    )
 
 
 def test_cli_imports_no_dataclasses_or_inspect():

@@ -373,6 +373,14 @@ def test_sl2_residual_is_not_vacuous(monkeypatch):
         assert first["residual"] > 0.0 and not first["pass"]
 
 
+def test_sl2_checks_fail_on_a_tan_pi_8_off_by_1e_20(monkeypatch):
+    # every residual stays below 1e-19, so a float threshold of 1e-12 passed it
+    monkeypatch.setattr(hodge, "_TAN_PI_8", hodge._TAN_PI_8 + Fraction(1, 10**20))
+    for kind in ("I", "II"):
+        failed = [c for c in sl2_cayley_checks(kind) if not c["pass"]]
+        assert failed and all(0.0 < c["residual"] < 1e-19 for c in failed)
+
+
 def test_cyclotomic_arithmetic_matches_complex_numbers():
     rng = np.random.default_rng(3)
     for _ in range(50):

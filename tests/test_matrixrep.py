@@ -2,9 +2,12 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from conftest import CLASSICAL, ORACLE_SYSTEMS, RELABELLED_B4
@@ -28,9 +31,10 @@ from flagdomains.chevalley import structure_constants
 from flagdomains.concavity import check_pseudoconcavity, witness_alphas
 from flagdomains.matrixrep import (
     MatrixRealization,
+    WeylElement,
+    below_filtration,
     eligible_conjugation_pairs,
     exp_nilpotent,
-    flag_residual,
     fundamental_rep,
     product,
     verify_cayley_conjugation,
@@ -235,7 +239,7 @@ def test_cayley_conjugation_preconditions(reps):
 def test_fixed_point_certificates(reps):
     rep = reps[("A", 2)]
     e = grading((1, 1))
-    for eps in (0.0, 0.01, 0.1, 1.0):
+    for eps in (0.01, 0.1, 1.0):
         chk = verify_fixed_point(rep, e, root((1, 1)), eps)
         assert chk["pass"] and chk["residual"] < 1e-9
 
@@ -272,11 +276,52 @@ def test_fixed_point_rejects_non_witness(reps):
     with pytest.raises(ValueError):
         verify_fixed_point(rep, grading((1, 1)), root((1, 1)), 0.1)
     rep_a2 = reps[("A", 2)]
-    with pytest.raises(ValueError):
-        verify_fixed_point(rep_a2, grading((1, 1)), root((1, 1)), 1.5)
+    for eps in (1.5, 0.0, -0.0, 1e-400, -0.1, math.nan):
+        with pytest.raises(ValueError, match=r"eps must lie in \(0, 1\]"):
+            verify_fixed_point(rep_a2, grading((1, 1)), root((1, 1)), eps)
+
+
+def _c2_fixed_point_case():
+    """C2 with the grading (1, 0), its witness, and a copy of its realization
+    whose Weyl element for the witness is the identity."""
+    rep = fundamental_rep(build_root_system(LieType("C", 2)))
+    e = grading((1, 0))
+    (beta,) = check_pseudoconcavity(rep.rs, e).witnesses
+    mutant = MatrixRealization(rep.rs, rep.dim, rep.x)
+    mutant._weyl[beta] = WeylElement(tuple(range(rep.dim)), (2,) * rep.dim)
+    return rep, mutant, e, beta
+
+
+@pytest.mark.parametrize("eps", [0.1, 1e-9, 1e-10, 1e-12, 1e-200])
+def test_fixed_point_fails_without_the_conjugation_at_every_eps(eps):
+    # the generator leaves P by entries of size eps, so a float threshold
+    # would pass it once eps fell below that threshold
+    rep, mutant, e, beta = _c2_fixed_point_case()
+    assert verify_fixed_point(rep, e, beta, eps)["pass"]
+    chk = verify_fixed_point(mutant, e, beta, eps)
+    assert not chk["pass"] and 0.0 < chk["residual"] < 10 * eps
+
+
+@given(eps=st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
+@settings(max_examples=60, deadline=None)
+def test_fixed_point_passes_exactly_when_nothing_lies_below_the_filtration(eps):
+    rep, mutant, e, beta = _c2_fixed_point_case()
+    t = Fraction(str(eps))
+    xi = {(i, i): 1 for i in range(rep.dim)}
+    for alpha in witness_alphas(rep.rs, e, beta):
+        xi = product(xi, exp_nilpotent({k: t * v for k, v in rep.x[alpha].items()}, rep.dim))
+    for r, passes in ((rep, True), (mutant, False)):
+        below = below_filtration(r, e, r.weyl(beta).conjugate(xi))
+        chk = verify_fixed_point(r, e, beta, eps)
+        assert chk["pass"] == (not below) == passes
+        # the printed size of a failure may underflow to 0.0, the verdict not
+        assert math.isclose(chk["residual"], math.hypot(*below), rel_tol=1e-12)
 
 
 def test_flag_residual_invariant_under_parabolic_factors(reps):
+    def residual(m):
+        return math.hypot(*map(abs, below_filtration(rep, e, sparse(m))))
+
     rep = reps[("A", 2)]
     rs = rep.rs
     e = grading((1, 1))
@@ -286,12 +331,11 @@ def test_flag_residual_invariant_under_parabolic_factors(reps):
     m = expm(arg)
     xi = expm(0.1 * x[root((-1, 0))]) @ expm(0.1 * x[root((0, -1))])
     conj = m @ xi @ expm(-arg)
-    base = flag_residual(rep, e, sparse(conj))
-    assert base < 1e-9
+    assert residual(conj) < 1e-9
     for gamma in rs.roots:
         if e.value(gamma) >= 0:
             shifted = conj @ expm(0.3 * x[gamma])
-            assert flag_residual(rep, e, sparse(shifted)) < 1e-9
+            assert residual(shifted) < 1e-9
 
 
 def test_grading_diagonal_matches_weight_eigenvalues(reps):

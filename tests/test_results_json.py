@@ -44,7 +44,7 @@ def _levi():
 
 
 RESULTS = {
-    "make_check": lambda: make_check("claim", 1, 0.5, sign=-1, info={"string": [0, 1]}),
+    "make_check": lambda: make_check("claim", 1, False, sign=-1, info={"string": [0, 1]}),
     "cayley": _cayley,
     "fixed_point": _fixed_point,
     "sl2_checks_I": lambda: sl2_cayley_checks("I"),
