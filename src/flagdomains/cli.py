@@ -276,6 +276,9 @@ def _iter_verify_checks(args):
         raise ValueError("a grading needs --family and --rank, or --cartan")
     eps_values = _DEFAULT_EPS if spec["eps"] is None else _parse_list(spec["eps"], "--eps", float)
     e = None if spec["grading"] is None else _resolve_grading(system, spec)
+    if not all(0.0 < eps <= 1.0 for eps in eps_values):
+        # refused whichever suites run, as a grading is
+        raise ValueError("eps must lie in (0, 1]")
     if suite in ("all", "chevalley"):
         for rs in _systems(system, _DEFAULT_CHEVALLEY):
             cc = structure_constants(rs)

@@ -52,12 +52,13 @@ class ConcavityReport(NamedTuple):
 
 
 def _string_verdict(
-    rs: RootSystem, e: GradingElement, beta: Root, alpha: Root
+    rs: RootSystem, beta: Root, vb: int, alpha: Root, va: int
 ) -> dict:
-    """The JSON entry of the string condition for one (alpha, beta) pair."""
+    """The JSON entry of the string condition for one (alpha, beta) pair,
+    given their grading values vb and va."""
     r, q, members = root_string(rs, alpha, beta)
-    endpoint = members[-1]
-    endpoint_in_p = e.value(endpoint) >= 0
+    # the grading is linear: the top alpha + q beta has value va + q vb
+    endpoint_in_p = va + q * vb >= 0
     if (r, q) not in ((0, 1), (0, 2)):
         verdict, reason = "FAIL", f"string shape (r, q) = ({r}, {q})"
     elif endpoint_in_p:
@@ -69,7 +70,7 @@ def _string_verdict(
         "alpha": list(alpha.coeffs),
         "r": r,
         "q": q,
-        "endpoint": list(endpoint.coeffs),
+        "endpoint": list(members[-1].coeffs),
         "endpoint_in_p": endpoint_in_p,
         "verdict": verdict,
         "reason": reason,
@@ -78,15 +79,19 @@ def _string_verdict(
 
 def _sweep_inputs(
     rs: RootSystem, e: GradingElement
-) -> tuple[tuple[Root, ...], tuple[Root, ...]]:
-    """The compact roots and the noncompact negative roots, in sweep order."""
+) -> tuple[tuple[tuple[Root, int], ...], tuple[tuple[Root, int], ...]]:
+    """The compact roots and the noncompact negative roots, in sweep order,
+    each paired with its grading value."""
     check_grading(rs, e)
     if e.is_zero:
         raise ValueError("trivial grading defines no proper parabolic")
     if any(n < 0 for n in e.coeffs):
         raise ValueError("grading coefficients must be nonnegative")
     table = classify_roots(rs, e)
-    return table.compact, tuple(a for a in table.noncompact if e.value(a) < 0)
+    return (
+        tuple((b, e.value(b)) for b in table.compact),
+        tuple((a, va) for a in table.noncompact if (va := e.value(a)) < 0),
+    )
 
 
 def check_pseudoconcavity(rs: RootSystem, e: GradingElement) -> ConcavityReport:
@@ -95,15 +100,17 @@ def check_pseudoconcavity(rs: RootSystem, e: GradingElement) -> ConcavityReport:
     betas, alphas = _sweep_inputs(rs, e)
     detail: dict[Root, tuple[dict, ...]] = {}
     witnesses = []
-    for beta in betas:
-        verdicts = tuple(_string_verdict(rs, e, beta, alpha) for alpha in alphas)
+    for beta, vb in betas:
+        verdicts = tuple(
+            _string_verdict(rs, beta, vb, alpha, va) for alpha, va in alphas
+        )
         detail[beta] = verdicts
         if all(v["verdict"] != "FAIL" for v in verdicts):
             witnesses.append(beta)
     return ConcavityReport(
         satisfied=bool(witnesses),
         witnesses=tuple(witnesses),
-        noncompact_negatives=alphas,
+        noncompact_negatives=tuple(a for a, _ in alphas),
         detail=detail,
     )
 
@@ -116,9 +123,10 @@ def witness_alphas(rs: RootSystem, e: GradingElement, beta: Root) -> tuple[Root,
     when beta is not one of its witnesses.
     """
     betas, alphas = _sweep_inputs(rs, e)
-    if beta not in betas or any(
-        _string_verdict(rs, e, beta, alpha)["verdict"] == "FAIL"
-        for alpha in alphas
+    vb = dict(betas).get(beta)
+    if vb is None or any(
+        _string_verdict(rs, beta, vb, alpha, va)["verdict"] == "FAIL"
+        for alpha, va in alphas
     ):
         raise ValueError(f"beta {beta} is not a witness for grading {e}")
-    return alphas
+    return tuple(a for a, _ in alphas)

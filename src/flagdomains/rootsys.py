@@ -127,7 +127,9 @@ class GradingElement(NamedTuple):
     __eq__, __ne__, __hash__ = _same_class_eq, object.__ne__, tuple.__hash__
 
     def value(self, a: Root) -> int:
-        return sum(n * c for n, c in zip(self.coeffs, a.coeffs, strict=True))
+        if len(a.coeffs) != len(self.coeffs):
+            raise ValueError(f"root {a} and grading {self} differ in rank")
+        return sum(map(operator.mul, self.coeffs, a.coeffs))
 
     @property
     def is_zero(self) -> bool:
@@ -453,7 +455,11 @@ def root_string(rs: RootSystem, a: Root, b: Root) -> tuple[int, int, tuple[Root,
         raise ValueError("the string through a in direction b needs a != +-b")
     down = rs.walk(i, rs.neg[j])
     up = rs.walk(i, j)
-    return len(down), len(up), tuple(rs.roots[k] for k in [*reversed(down), i, *up])
+    r = len(down)
+    down.reverse()
+    down.append(i)
+    down.extend(up)
+    return r, len(up), tuple(map(rs.roots.__getitem__, down))
 
 
 def coroot_coefficients(rs: RootSystem, a: Root) -> tuple[int, ...]:

@@ -34,7 +34,6 @@ from functools import cache
 from itertools import combinations
 
 from flagdomains.chevalley import ChevalleyConstants
-from flagdomains.concavity import _string_verdict
 from flagdomains.rootsys import (
     GradingElement,
     Root,
@@ -104,7 +103,7 @@ def analyze_string_condition(
         raise ValueError(
             f"alpha {alpha} is not a noncompact root of negative grading"
         )
-    return _string_verdict(rs, e, beta, alpha)
+    return reference_verdict(rs, e, beta, alpha).to_json_dict()
 
 
 class VerdictKind(str, Enum):

@@ -644,10 +644,15 @@ NOT_CLASSICAL = (
         (["--suite", "lemma41", "--eps", "x"], 2, "--eps must be a comma separated number list"),
         (["--suite", "chevalley", "--family", "A", "--rank", "2", "--grading", "1,99"], 4,
          "grading coefficients must stay within 16"),
+        # C2 with grading (1,1) has no witness, so no fixed-point check reads eps
+        (["--suite", "fixed-point", "--family", "C", "--rank", "2", "--grading", "1,1",
+          "--eps", "0"], 2, "eps must lie in (0, 1]"),
+        (["--suite", "lemma41", "--eps", "5"], 2, "eps must lie in (0, 1]"),
     ],
     ids=["eps", "grading-length", "grading-bound", "eps-range-all", "eps-range-fixed-point",
          "grading-trivial", "grading-negative", "g2-realization", "g2-realization-graded",
-         "eps-lemma41", "grading-bound-chevalley"],
+         "eps-lemma41", "grading-bound-chevalley", "eps-range-no-witness",
+         "eps-range-lemma41"],
 )
 def test_verify_refuses_fixed_point_inputs_before_any_check(capsys, argv, code, message):
     # every refusal comes before the first check line: all checks are

@@ -4,14 +4,18 @@ import re
 from itertools import product
 
 import pytest
-from conftest import ORACLE_SYSTEMS
+from conftest import ORACLE_SYSTEMS, RELABELLED_B4, relabelled_cartan
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from lie_oracles import analyze_string_condition, reference_report
 
+from flagdomains.cli import MAX_GRADING
 from flagdomains.concavity import check_pseudoconcavity, witness_alphas
 from flagdomains.realform import classify_roots
 from flagdomains.rootsys import (
     LieType,
     build_root_system,
+    from_cartan_matrix,
     grading,
     root,
     root_string,
@@ -217,3 +221,35 @@ def test_report_json_matches_the_oracle_on_the_grading_scan():
         family, rank, coeffs = next(stream)
         rs, e = systems[(family, rank)], grading(coeffs)
         assert check_pseudoconcavity(rs, e).to_json_dict() == reference_report(rs, e), coeffs
+
+
+@st.composite
+def graded_scan_systems(draw):
+    """A system of the grading scan, under its standard labelling or with
+    its simple roots renamed, and a nonzero grading in 0..MAX_GRADING."""
+    from perfbench.workloads import SCAN_SYSTEMS
+
+    family, rank = draw(st.sampled_from(SCAN_SYSTEMS))
+    perm = draw(st.just(tuple(range(rank))) | st.permutations(range(rank)))
+    rs = from_cartan_matrix(relabelled_cartan(LieType(family, rank), perm))
+    coeffs = draw(
+        st.lists(st.integers(0, MAX_GRADING), min_size=rank, max_size=rank).filter(any)
+    )
+    return rs, grading(coeffs)
+
+
+@given(case=graded_scan_systems())
+@example(case=(from_cartan_matrix(RELABELLED_B4), grading((1, 0, 1, 0))))
+@example(case=(from_cartan_matrix(RELABELLED_B4), grading((16, 3, 0, 15))))
+@settings(max_examples=150, deadline=None)
+def test_sweep_matches_the_oracles_on_gradings_up_to_the_bound(case):
+    # string tops valued by linearity against tops valued by root arithmetic,
+    # on coefficients past the 0..3 of the grading scan
+    rs, e = case
+    report = check_pseudoconcavity(rs, e)
+    assert report.to_json_dict() == reference_report(rs, e)
+    table = classify_roots(rs, e)
+    assert table.compact == tuple(a for a in rs.roots if e.value(a) % 2 == 0)
+    assert table.noncompact == tuple(a for a in rs.roots if e.value(a) % 2 == 1)
+    for beta in report.witnesses:
+        assert witness_alphas(rs, e, beta) == report.noncompact_negatives

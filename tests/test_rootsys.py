@@ -386,3 +386,11 @@ def test_constructors_refuse_truncated_numbers():
         root((True, 0))
     assert from_cartan_matrix([[2.0, -1.0], [-1, 2]]).lie_type == LieType("A", 2)
     assert grading((1.0, 0)).coeffs == (1, 0) and root((1, 1.0)).coeffs == (1, 1)
+
+
+@pytest.mark.parametrize("coeffs", [(1, 0), (1, 0, 0, 0)])
+def test_grading_value_refuses_a_root_of_another_rank(coeffs):
+    e = grading((1, 2, 3))
+    with pytest.raises(ValueError, match="differ in rank"):
+        e.value(root(coeffs))
+    assert e.value(root((1, 1, -1))) == 0
