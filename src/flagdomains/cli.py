@@ -19,6 +19,7 @@ import sys
 
 from .chevalley import jacobi_violations, structure_constants, verify_bracket_identities
 from .concavity import check_pseudoconcavity
+from .exact import make_check
 from .hodge import (
     DegenerationSpec,
     HodgeNumbers,
@@ -30,7 +31,6 @@ from .leviform import DefiningFunction, levi_analyze
 from .matrixrep import (
     eligible_conjugation_pairs,
     fundamental_rep,
-    make_check,
     verify_cayley_conjugation,
     verify_fixed_point,
 )
@@ -287,7 +287,7 @@ def _iter_verify_checks(args):
                 claim=f"chevalley-string-brackets {_system_name(rs)}",
                 residual=len(report.violations),
                 passed=not report.violations,
-                info={"pairs": len(report.entries)},
+                info={"pairs": len(report.entries), "vacuous": not report.entries},
             )
             violations = jacobi_violations(cc)
             yield make_check(

@@ -13,7 +13,7 @@ import math
 from collections import Counter, namedtuple
 from fractions import Fraction
 
-from .matrixrep import _scaled, _sum, make_check, product, shear_product
+from .exact import combo, make_check, product, shear_product
 from .rootsys import exact_int
 
 
@@ -257,14 +257,6 @@ _TAN_PI_8 = _SQRT2 + -1
 _SIN_PI_4 = _SQRT2 * Fraction(1, 2)
 
 
-def _combo(*terms) -> dict:
-    """The sparse matrix sum of c * m over the (c, m) terms."""
-    out: dict = {}
-    for c, m in terms:
-        out = _sum(out, _scaled(m, c))
-    return out
-
-
 def _conj(m: dict) -> dict:
     return {key: v.conjugate() for key, v in m.items()}
 
@@ -282,14 +274,14 @@ def _sl2_model(kind: str) -> tuple[int, dict, dict, dict]:
         dim, nplus, nminus = 3, {(0, 1): 2, (1, 2): 2}, {(1, 0): 1, (2, 1): 1}
     else:
         raise ValueError("kind must be 'I' or 'II'")
-    y = _combo((1, product(nplus, nminus)), (-1, product(nminus, nplus)))
+    y = combo((1, product(nplus, nminus)), (-1, product(nminus, nplus)))
     return dim, nplus, y, nminus
 
 
 def _shear_product(kind: str, t, s) -> dict:
     """exp(t e) exp(-s f) exp(t e) for e = i N+, f = -i N."""
     dim, nplus, _, nmat = _sl2_model(kind)
-    return shear_product(_scaled(nplus, t * _I), _scaled(nmat, s * _I), dim)
+    return shear_product(combo((t * _I, nplus)), combo((s * _I, nmat)), dim)
 
 
 def sl2_cayley_checks(kind: str) -> list[dict]:
@@ -311,35 +303,35 @@ def sl2_cayley_checks(kind: str) -> list[dict]:
     checks = []
 
     def check(claim, got, want):
-        diff = _combo((1, got), (-1, want))
+        diff = combo((1, got), (-1, want))
         residual = math.hypot(*(abs(complex(x)) for x in diff.values()))
         checks.append(make_check(f"sl2-cayley-{kind} {claim}", residual, not diff))
 
     if kind == "I":
-        check("d(v)", product(d, v), _combo((_SIN_PI_4, v), (_SIN_PI_4 * _I, nv)))
-        check("d(Nv)", product(d, nv), _combo((_SIN_PI_4 * _I, v), (_SIN_PI_4, nv)))
-        check("d(conj v)", product(d, _conj(v)), _scaled(_conj(product(d, nv)), _I))
-        check("d(N conj v)", product(product(d, nmat), _conj(v)), _scaled(_conj(product(d, v)), _I))
+        check("d(v)", product(d, v), combo((_SIN_PI_4, v), (_SIN_PI_4 * _I, nv)))
+        check("d(Nv)", product(d, nv), combo((_SIN_PI_4 * _I, v), (_SIN_PI_4, nv)))
+        check("d(conj v)", product(d, _conj(v)), combo((_I, _conj(product(d, nv)))))
+        check("d(N conj v)", product(product(d, nmat), _conj(v)), combo((_I, _conj(product(d, v)))))
         eigen_pairs = [(v, 1), (nv, -1)]
     else:
         n2v = product(nmat, nv)
-        check("d(v)", product(d, v), _combo((half, v), (i_half, nv), (-half / 2, n2v)))
-        check("d(Nv)", product(d, nv), _combo((_I, v), (i_half, n2v)))
-        check("d(N^2 v)", product(d, n2v), _scaled(_conj(product(d, v)), -2))
+        check("d(v)", product(d, v), combo((half, v), (i_half, nv), (-half / 2, n2v)))
+        check("d(Nv)", product(d, nv), combo((_I, v), (i_half, n2v)))
+        check("d(N^2 v)", product(d, n2v), combo((-2, _conj(product(d, v)))))
         eigen_pairs = [(v, 2), (nv, 0), (n2v, -2)]
 
     def ad(m):
         return product(product(d, m), d_inv)
 
     # conjugated triple closed forms
-    check("Ad(d) Y", ad(y), _combo((_I, nmat), (-_I, nplus)))
-    check("Ad(d) N", ad(nmat), _combo((half, nmat), (half, nplus), (i_half, y)))
-    check("Ad(d) N+", ad(nplus), _combo((half, nmat), (half, nplus), (-i_half, y)))
+    check("Ad(d) Y", ad(y), combo((_I, nmat), (-_I, nplus)))
+    check("Ad(d) N", ad(nmat), combo((half, nmat), (half, nplus), (i_half, y)))
+    check("Ad(d) N+", ad(nplus), combo((half, nmat), (half, nplus), (-i_half, y)))
 
     z = ad(y)
     for vec, scalar in eigen_pairs:
         w = product(d, vec)
-        check(f"grading eigenvalue {scalar:+.0f}", product(z, w), _scaled(w, scalar))
+        check(f"grading eigenvalue {scalar:+.0f}", product(z, w), combo((scalar, w)))
     return checks
 
 

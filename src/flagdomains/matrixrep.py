@@ -5,10 +5,9 @@ and so(2r) preserve the symmetric pairing with blocks [[0, I], [I, 0]]
 plus a trailing 1 in the odd case. Only the simple root vectors are
 written down by hand; every other root vector is produced by bracketing
 and dividing by the structure constant, so the realization reproduces the
-abstract table sign for sign, and the coroot of a is [x^a, x^{-a}]. A
-matrix is a sparse map from (row, column) to an exact int or Fraction;
-every root vector has at most two nonzero entries, each in
-{+-1/2, +-1, +-2}.
+abstract table sign for sign, and the coroot of a is [x^a, x^{-a}]. The
+matrices are those of `exact`, with int and Fraction entries; every root
+vector has at most two nonzero entries, each in {+-1/2, +-1, +-2}.
 
 The certificates conjugate by the squared Cayley matrix of a compact root
 b, the Weyl element w_b = exp(x^b) exp(-x^{-b}) exp(x^b), Tits' lift of
@@ -29,71 +28,8 @@ from typing import NamedTuple
 
 from .chevalley import structure_constants
 from .concavity import witness_alphas
+from .exact import combo, exp_nilpotent, make_check, product, shear_product
 from .rootsys import MAX_RANK, GradingElement, Root, RootSystem, _frozen, check_grading
-
-
-def make_check(claim, residual, passed, sign=None, info=None) -> dict:
-    """One verified claim as its JSON line. passed is the exact verdict, and
-    residual the float size of a failure, 0.0 on a pass."""
-    return {
-        "claim": claim,
-        "residual": float(residual),
-        "tolerance": 0.0,
-        "pass": passed,
-        "sign": sign,
-        "info": info,
-    }
-
-
-def product(a: dict, b: dict) -> dict:
-    """The product of two sparse matrices, without zero entries."""
-    rows: dict[int, list] = {}
-    for (k, l), v in b.items():
-        rows.setdefault(k, []).append((l, v))
-    out: dict = {}
-    for (i, k), u in a.items():
-        for l, v in rows.get(k, ()):
-            out[i, l] = out.get((i, l), 0) + u * v
-    return {key: v for key, v in out.items() if v}
-
-
-def _sum(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for key, v in b.items():
-        out[key] = out.get(key, 0) + v
-    return {key: v for key, v in out.items() if v}
-
-
-def _scaled(m: dict, c) -> dict:
-    return {key: c * v for key, v in m.items()} if c else {}
-
-
-def _bracket(m: dict, n: dict, c: int) -> dict:
-    """(mn - nm) / c."""
-    return _scaled(_sum(product(m, n), _scaled(product(n, m), -1)), Fraction(1, c))
-
-
-def _exp_minus_one(x: dict, dim: int) -> dict:
-    """exp(x) - 1 of a nilpotent dim x dim matrix, its terminating series."""
-    out, term = {}, x
-    for k in range(2, dim + 2):
-        out = _sum(out, term)
-        term = _scaled(product(term, x), Fraction(1, k))
-        if not term:
-            return out
-    raise ValueError("matrix is not nilpotent")
-
-
-def exp_nilpotent(x: dict, dim: int) -> dict:
-    """exp(x) of a nilpotent dim x dim matrix, summed as its terminating
-    power series; ValueError when x is not nilpotent."""
-    return _sum({(i, i): 1 for i in range(dim)}, _exp_minus_one(x, dim))
-
-
-def shear_product(x: dict, y: dict, dim: int) -> dict:
-    """exp(x) exp(y) exp(x) of two nilpotent dim x dim matrices."""
-    outer = exp_nilpotent(x, dim)
-    return product(product(outer, exp_nilpotent(y, dim)), outer)
 
 
 def _twice(v) -> int:
@@ -143,7 +79,7 @@ class MatrixRealization:
     def weyl(self, b: Root) -> WeylElement:
         """w_b = exp(x^b) exp(-x^{-b}) exp(x^b), built once per root."""
         if b not in self._weyl:
-            w = shear_product(self.x[b], _scaled(self.x[-b], -1), self.dim)
+            w = shear_product(self.x[b], combo((-1, self.x[-b])), self.dim)
             cols = {j: (i, _twice(v)) for (i, j), v in w.items()}
             if len(cols) != len(w) or len(cols) != self.dim:
                 raise ArithmeticError("the Weyl element is not a monomial matrix")
@@ -246,9 +182,10 @@ def fundamental_rep(rs: RootSystem) -> MatrixRealization:
         for s in simples:
             a = add[g][neg[s]]
             if a >= half:
-                c = cc.table[s][a]
-                x[roots[g]] = _bracket(x[roots[s]], x[roots[a]], c)
-                x[roots[neg[g]]] = _bracket(x[roots[neg[s]]], x[roots[neg[a]]], -c)
+                f = Fraction(1, cc.table[s][a])
+                xs, xa, ys, ya = x[roots[s]], x[roots[a]], x[roots[neg[s]]], x[roots[neg[a]]]
+                x[roots[g]] = combo((f, product(xs, xa)), (-f, product(xa, xs)))
+                x[roots[neg[g]]] = combo((-f, product(ys, ya)), (f, product(ya, ys)))
                 break
         else:
             raise AssertionError(f"{roots[g]} has no simple summand")
@@ -321,10 +258,11 @@ def verify_fixed_point(rep: MatrixRealization, e: GradingElement, beta: Root, ep
         raise ValueError("eps must lie in (0, 1]")
     alphas = witness_alphas(rs, e, beta)
     t = Fraction(str(eps))
-    xi = {(i, i): 1 for i in range(rep.dim)}
+    xi = one = {(i, i): 1 for i in range(rep.dim)}
     for alpha in alphas:
         # xi exp(t x) = xi + xi (exp(t x) - 1), where the second factor is sparse
-        xi = _sum(xi, product(xi, _exp_minus_one(_scaled(rep.x[alpha], t), rep.dim)))
+        step = combo((1, exp_nilpotent(combo((t, rep.x[alpha])), rep.dim)), (-1, one))
+        xi = combo((1, xi), (1, product(xi, step)))
     below = below_filtration(rep, e, rep.weyl(beta).conjugate(xi))
     return make_check(
         claim=f"cayley-fixed-point beta={beta} eps={eps}",

@@ -1,6 +1,6 @@
 """Float reference for the exact matrix layer: the numpy path it replaced.
 
-``dense`` turns a sparse exact matrix of ``flagdomains.matrixrep`` into a
+``dense`` turns a sparse exact matrix of ``flagdomains.exact`` into a
 complex numpy array. The certificates below are the float versions of
 ``verify_cayley_conjugation`` and ``verify_fixed_point``: Weyl elements as
 products of numerically summed unipotent factors, conjugation by matrix
@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from flagdomains.concavity import witness_alphas
-from flagdomains.matrixrep import make_check, product
+from flagdomains.exact import make_check, product
 from flagdomains.rootsys import check_grading, coroot_coefficients, root_string
 
 # float products carry rounding, so the float certificates pass below this

@@ -677,6 +677,11 @@ def test_verify_refuses_a_request_without_checks(capsys, system):
     assert run_cli(capsys, "verify", "--suite", "prop33", *system) == (
         2, "", "error: no check applies to this request\n"
     )
+    # nor has the string-bracket check a pair: its line is printed, and marked vacuous
+    code, out, _ = run_cli(capsys, "verify", "--suite", "chevalley", *system)
+    brackets = json.loads(out.splitlines()[0])
+    assert code == 0 and brackets["claim"] == "chevalley-string-brackets A1"
+    assert brackets["pass"] and brackets["info"] == {"pairs": 0, "vacuous": True}
 
 
 def test_cli_imports_no_dataclasses_or_inspect():

@@ -29,14 +29,13 @@ from matrix_oracle import (
 
 from flagdomains.chevalley import structure_constants
 from flagdomains.concavity import check_pseudoconcavity, witness_alphas
+from flagdomains.exact import exp_nilpotent, product
 from flagdomains.matrixrep import (
     MatrixRealization,
     WeylElement,
     below_filtration,
     eligible_conjugation_pairs,
-    exp_nilpotent,
     fundamental_rep,
-    product,
     verify_cayley_conjugation,
     verify_fixed_point,
 )

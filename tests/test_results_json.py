@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from flagdomains.exact import make_check
 from flagdomains.hodge import (
     DegenerationSpec,
     HodgeNumbers,
@@ -16,7 +17,6 @@ from flagdomains.leviform import DefiningFunction, levi_analyze
 from flagdomains.matrixrep import (
     eligible_conjugation_pairs,
     fundamental_rep,
-    make_check,
     verify_cayley_conjugation,
     verify_fixed_point,
 )
