@@ -34,7 +34,6 @@ from .matrixrep import (
     verify_cayley_conjugation,
     verify_fixed_point,
 )
-from .realform import classify_roots
 from .rootsys import (
     MAX_RANK,
     LieType,
@@ -54,6 +53,7 @@ EXIT_CLOSED_STDOUT = 141
 MAX_WEIGHT = 10
 MAX_DIM_V = 64
 MAX_GRADING = 16
+MAX_EPS = 16
 MAX_LEVI_N = 16
 
 VERIFY_SUITES = ("all", "chevalley", "prop33", "lemma41", "fixed-point")
@@ -201,11 +201,11 @@ def _cmd_theorem1(args) -> int:
     rs = _resolve_system(spec)
     e = _resolve_grading(rs, spec)
     report = check_pseudoconcavity(rs, e)
-    table = classify_roots(rs, e)
     payload = report.to_json_dict()
     payload["grading"] = list(e.coeffs)
-    payload["compact_roots"] = sorted(list(a.coeffs) for a in table.compact)
-    payload["noncompact_roots"] = sorted(list(a.coeffs) for a in table.noncompact)
+    compact = report.detail  # keyed by exactly the compact roots
+    payload["compact_roots"] = sorted(list(b.coeffs) for b in compact)
+    payload["noncompact_roots"] = sorted(list(a.coeffs) for a in rs.roots if a not in compact)
     pretty = [
         f"satisfied: {report.satisfied}",
         "witnesses: "
@@ -276,8 +276,10 @@ def _iter_verify_checks(args):
         raise ValueError("a grading needs --family and --rank, or --cartan")
     eps_values = _DEFAULT_EPS if spec["eps"] is None else _parse_list(spec["eps"], "--eps", float)
     e = None if spec["grading"] is None else _resolve_grading(system, spec)
+    # refused whichever suites run, as a grading is
+    if len(eps_values) > MAX_EPS:
+        raise OutOfBoundsError(f"{len(eps_values)} eps values exceed the bound {MAX_EPS}")
     if not all(0.0 < eps <= 1.0 for eps in eps_values):
-        # refused whichever suites run, as a grading is
         raise ValueError("eps must lie in (0, 1]")
     if suite in ("all", "chevalley"):
         for rs in _systems(system, _DEFAULT_CHEVALLEY):

@@ -317,14 +317,12 @@ def _build_cached(cartan: tuple[tuple[int, ...], ...]) -> RootSystem:
     lengths = _symmetrizer(cartan)
     if not _positive_definite(cartan, lengths):
         raise ValueError("matrix does not define a finite root system")
-    positives = _positive_roots(cartan)
     lie_type = _detect_family(cartan)
     rs = RootSystem(
         lie_type=lie_type,
         cartan=cartan,
         lengths=lengths,
-        # negation reverses the (height, coeffs) order of the positives
-        roots=tuple(-a for a in reversed(positives)) + tuple(positives),
+        roots=tuple(map(Root, _roots(cartan))),
     )
     if lie_type is not None:
         expected = _ROOT_COUNT[lie_type.family](lie_type.rank)
@@ -408,32 +406,27 @@ def _positive_definite(
     return True
 
 
-def _positive_roots(cartan: tuple[tuple[int, ...], ...]) -> list[Root]:
-    """Level-by-level closure of the simple roots under string extension.
+def _roots(cartan: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
+    """Every root, in the (height, coeffs) order that RootSystem indexes,
+    which negation reverses: the orbit of the simple roots under the simple
+    reflections r_i(a) = a - <a, s_i^v> s_i, since every root is W-conjugate
+    to a simple one (Humphreys, Introduction to Lie Algebras and
+    Representation Theory, 10.3).
 
     It terminates only for a matrix of finite type, which callers check first.
     """
     r = len(cartan)
-    simples = [Root(tuple(1 if j == i else 0 for j in range(r))) for i in range(r)]
-    known: set[Root] = set(simples)
-    current: set[Root] = set(simples)
-    while current:
-        nxt: set[Root] = set()
-        for a in current:
-            for i, s in enumerate(simples):
-                pairing = sum(c * cartan[j][i] for j, c in enumerate(a.coeffs))
-                down = 0
-                probe = a - s
-                while probe in known:
-                    down += 1
-                    probe = probe - s
-                if down - pairing >= 1:
-                    cand = a + s
-                    if cand not in known:
-                        nxt.add(cand)
-        known |= nxt
-        current = nxt
-    return sorted(known, key=lambda a: (a.height, a.coeffs))
+    known = {tuple(int(j == i) for j in range(r)) for i in range(r)}
+    todo = list(known)
+    while todo:
+        a = todo.pop()
+        for i in range(r):
+            pairing = sum(c * cartan[j][i] for j, c in enumerate(a))
+            image = a[:i] + (a[i] - pairing,) + a[i + 1:]
+            if image not in known:
+                known.add(image)
+                todo.append(image)
+    return sorted(known, key=lambda a: (sum(a), a))
 
 
 def _detect_family(cartan: tuple[tuple[int, ...], ...]) -> LieType | None:

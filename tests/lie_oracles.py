@@ -5,9 +5,11 @@ coordinates, without touching the package's Cartan-matrix enumeration,
 and compared after translating simple-root coefficient vectors into the
 same coordinates.
 
-Height-bounded enumeration: the package's level-by-level closure of the
-simple roots with the height guard that used to be its only test of
-finite type.
+Height-bounded enumeration: a level-by-level closure of the simple roots
+that probes root strings over `Root` objects, with a height guard that
+answers None for a matrix of infinite type. It shares nothing with the
+package, which enumerates the roots as the orbit of the simple roots
+under the simple reflections, on integer tuples.
 
 Root arithmetic: the root-string, structure-constant, bracket-identity,
 eligible-pair and Jacobi computations written with `Root` objects,

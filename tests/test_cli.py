@@ -648,11 +648,14 @@ NOT_CLASSICAL = (
         (["--suite", "fixed-point", "--family", "C", "--rank", "2", "--grading", "1,1",
           "--eps", "0"], 2, "eps must lie in (0, 1]"),
         (["--suite", "lemma41", "--eps", "5"], 2, "eps must lie in (0, 1]"),
+        # each eps costs a fixed-point certificate per witness, so the list is bounded
+        (["--suite", "lemma41", "--eps", ",".join(["0.5"] * 17)], 4,
+         "17 eps values exceed the bound 16"),
     ],
     ids=["eps", "grading-length", "grading-bound", "eps-range-all", "eps-range-fixed-point",
          "grading-trivial", "grading-negative", "g2-realization", "g2-realization-graded",
          "eps-lemma41", "grading-bound-chevalley", "eps-range-no-witness",
-         "eps-range-lemma41"],
+         "eps-range-lemma41", "eps-count"],
 )
 def test_verify_refuses_fixed_point_inputs_before_any_check(capsys, argv, code, message):
     # every refusal comes before the first check line: all checks are

@@ -156,9 +156,27 @@ def test_root_strings_match_root_arithmetic_relabelled():
     _assert_strings_match_root_arithmetic(rs)
 
 
+F4_CARTAN = [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
+E6_CARTAN = [
+    [2, 0, -1, 0, 0, 0],
+    [0, 2, 0, -1, 0, 0],
+    [-1, 0, 2, -1, 0, 0],
+    [0, -1, -1, 2, -1, 0],
+    [0, 0, 0, -1, 2, -1],
+    [0, 0, 0, 0, -1, 2],
+]
+# B3 on the first three simple roots, A2 on the last two
+B3_A2_CARTAN = [
+    [2, -1, 0, 0, 0],
+    [-1, 2, -2, 0, 0],
+    [0, -1, 2, 0, 0],
+    [0, 0, 0, 2, -1],
+    [0, 0, 0, -1, 2],
+]
+
 TABLE_CARTANS = (
     [standard_cartan(LieType(*key)) for key in ORACLE_SYSTEMS]
-    + [RELABELLED_B4, [[2, -1], [-3, 2]]]
+    + [RELABELLED_B4, [[2, -1], [-3, 2]], F4_CARTAN, E6_CARTAN, B3_A2_CARTAN]
 )
 
 
