@@ -211,7 +211,7 @@ def _cmd_theorem1(args) -> int:
         "witnesses: "
         + (", ".join(str(b) for b in report.witnesses) or "(none)"),
         "noncompact negatives: "
-        + ", ".join(str(a) for a in report.noncompact_negatives),
+        + (", ".join(str(a) for a in report.noncompact_negatives) or "(none)"),
     ]
     _emit(args, payload, pretty)
     return EXIT_OK
@@ -316,12 +316,12 @@ def _iter_verify_checks(args):
         else:
             raise ValueError("missing --grading")
         for rs, e in targets:
-            witnesses = check_pseudoconcavity(rs, e).witnesses
-            if witnesses:
+            report = check_pseudoconcavity(rs, e)
+            if report.witnesses:
                 rep = fundamental_rep(rs)
-                for beta in witnesses:
+                for beta in report.witnesses:
                     for eps in eps_values:
-                        yield verify_fixed_point(rep, e, beta, eps)
+                        yield verify_fixed_point(rep, report, beta, eps)
             else:
                 claim = f"fixed-point witness exists {_system_name(rs)} grading {list(e.coeffs)}"
                 yield make_check(claim=claim, residual=1.0, passed=False)

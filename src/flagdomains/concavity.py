@@ -24,12 +24,15 @@ from .rootsys import (
 
 class ConcavityReport(NamedTuple):
     """Verdict of the sweep, with every witness and the full detail map:
-    each compact root to the JSON entries of its strings, in sweep order."""
+    each compact root to the JSON entries of its strings, in sweep order;
+    rs and grading are the system and grading it was computed for."""
 
     satisfied: bool
     witnesses: tuple[Root, ...]
     noncompact_negatives: tuple[Root, ...]
     detail: dict
+    rs: RootSystem
+    grading: GradingElement
 
     def to_json_dict(self) -> dict:
         return {
@@ -77,30 +80,21 @@ def _string_verdict(
     }
 
 
-def _sweep_inputs(
-    rs: RootSystem, e: GradingElement
-) -> tuple[tuple[tuple[Root, int], ...], tuple[tuple[Root, int], ...]]:
-    """The compact roots and the noncompact negative roots, in sweep order,
-    each paired with its grading value."""
+def check_pseudoconcavity(rs: RootSystem, e: GradingElement) -> ConcavityReport:
+    """Sweep all compact roots for one that certifies every noncompact
+    negative root, and report the witnesses with full detail."""
     check_grading(rs, e)
     if e.is_zero:
         raise ValueError("trivial grading defines no proper parabolic")
     if any(n < 0 for n in e.coeffs):
         raise ValueError("grading coefficients must be nonnegative")
     table = classify_roots(rs, e)
-    return (
-        tuple((b, e.value(b)) for b in table.compact),
-        tuple((a, va) for a in table.noncompact if (va := e.value(a)) < 0),
-    )
-
-
-def check_pseudoconcavity(rs: RootSystem, e: GradingElement) -> ConcavityReport:
-    """Sweep all compact roots for one that certifies every noncompact
-    negative root, and report the witnesses with full detail."""
-    betas, alphas = _sweep_inputs(rs, e)
+    # the noncompact negative roots, in sweep order, with their grading values
+    alphas = tuple((a, va) for a in table.noncompact if (va := e.value(a)) < 0)
     detail: dict[Root, tuple[dict, ...]] = {}
     witnesses = []
-    for beta, vb in betas:
+    for beta in table.compact:
+        vb = e.value(beta)
         verdicts = tuple(
             _string_verdict(rs, beta, vb, alpha, va) for alpha, va in alphas
         )
@@ -112,21 +106,6 @@ def check_pseudoconcavity(rs: RootSystem, e: GradingElement) -> ConcavityReport:
         witnesses=tuple(witnesses),
         noncompact_negatives=tuple(a for a, _ in alphas),
         detail=detail,
+        rs=rs,
+        grading=e,
     )
-
-
-def witness_alphas(rs: RootSystem, e: GradingElement, beta: Root) -> tuple[Root, ...]:
-    """The noncompact negative roots, in sweep order, once beta is shown to
-    certify each of them; only beta's own strings are examined.
-
-    Raises ValueError for the gradings check_pseudoconcavity refuses and
-    when beta is not one of its witnesses.
-    """
-    betas, alphas = _sweep_inputs(rs, e)
-    vb = dict(betas).get(beta)
-    if vb is None or any(
-        _string_verdict(rs, beta, vb, alpha, va)["verdict"] == "FAIL"
-        for alpha, va in alphas
-    ):
-        raise ValueError(f"beta {beta} is not a witness for grading {e}")
-    return tuple(a for a, _ in alphas)

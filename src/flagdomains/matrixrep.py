@@ -27,7 +27,6 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from .chevalley import structure_constants
-from .concavity import witness_alphas
 from .exact import combo, exp_nilpotent, make_check, product, shear_product
 from .rootsys import MAX_RANK, GradingElement, Root, RootSystem, _frozen, check_grading
 
@@ -243,20 +242,24 @@ def below_filtration(rep: MatrixRealization, e: GradingElement, m: dict) -> list
     return [v for (t, s), v in m.items() if diag[t] < diag[s]]
 
 
-def verify_fixed_point(rep: MatrixRealization, e: GradingElement, beta: Root, eps: float) -> dict:
+def verify_fixed_point(rep: MatrixRealization, report, beta: Root, eps: float) -> dict:
     """Certify Ad(c(-beta)^2) applied to the neighborhood generator is in P.
 
-    beta must be a witness of the string criterion for this grading. The
-    generator is the ordered product of exp(eps x^{a_i}) over the
-    noncompact negative roots a_i, with eps taken exactly as the decimal
-    it prints as; membership in the parabolic subgroup is tested as
-    block-triangularity for the grading filtration.
+    report is the sweep (a ConcavityReport) for rep's system and a grading,
+    and beta one of its witnesses. The generator is the ordered product of
+    exp(eps x^{a_i}) over the report's noncompact negative roots a_i, with
+    eps taken exactly as the decimal it prints as; membership in the
+    parabolic subgroup is tested as block-triangularity for the grading
+    filtration.
     """
-    rs = rep.rs
     if not 0.0 < eps <= 1.0:
         # at eps 0 the generator is the identity, which every conjugation fixes
         raise ValueError("eps must lie in (0, 1]")
-    alphas = witness_alphas(rs, e, beta)
+    if report.rs != rep.rs:
+        raise ValueError("the report is for another root system")
+    e, alphas = report.grading, report.noncompact_negatives
+    if beta not in report.witnesses:
+        raise ValueError(f"beta {beta} is not a witness for grading {e}")
     t = Fraction(str(eps))
     xi = one = {(i, i): 1 for i in range(rep.dim)}
     for alpha in alphas:

@@ -14,7 +14,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from flagdomains.concavity import witness_alphas
 from flagdomains.exact import make_check, product
 from flagdomains.rootsys import check_grading, coroot_coefficients, root_string
 
@@ -190,8 +189,10 @@ def cayley_check(frep: FloatRealization, a, b, tol=TOL):
 
 
 def fixed_point_check(frep: FloatRealization, e, beta, eps, tol=TOL):
+    """The float certificate for a witness beta of grading e; the noncompact
+    negative roots are those of odd negative grading, in root order."""
     rep = frep.rep
-    alphas = witness_alphas(rep.rs, e, beta)
+    alphas = [a for a in rep.rs.roots if (v := e.value(a)) < 0 and v % 2]
     xi = np.eye(rep.dim, dtype=complex)
     for alpha in alphas:
         xi = xi @ exp_nilpotent(eps * frep.x[alpha])

@@ -148,8 +148,9 @@ def test_c07_fixed_point_certificates():
     ]
     for rs, e, beta in cases:
         rep = fundamental_rep(rs)
+        report = check_pseudoconcavity(rs, e)
         for eps in (0.01, 0.1, 1.0):
-            chk = verify_fixed_point(rep, e, beta, eps)
+            chk = verify_fixed_point(rep, report, beta, eps)
             assert chk["pass"] and chk["residual"] < 1e-9
     done(7, "conjugated neighborhood generators in P for eps 0.01, 0.1, 1.0")
 

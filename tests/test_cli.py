@@ -715,6 +715,13 @@ def test_vacuous_theorem1_verdict(capsys):
     assert doc["witnesses"] == doc["compact_roots"] and len(doc["witnesses"]) == 6
 
 
+def test_vacuous_theorem1_pretty_names_no_noncompact_negative(capsys):
+    code, out, _ = run_cli(capsys, "theorem1", "--family", "A", "--rank", "2",
+                           "--grading", "2,0", "--pretty")
+    assert code == 0
+    assert out.splitlines()[-1] == "noncompact negatives: (none)"
+
+
 def test_reproduce_examples_script_runs():
     script = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_examples.py"
     proc = subprocess.run(

@@ -26,6 +26,8 @@ def test_exact_is_a_leaf_and_hodge_skips_the_lie_algebra_stack():
     assert _package_imports("exact") == set()
     assert _package_imports("hodge") == {"exact", "rootsys"}
     assert "hodge" not in _package_imports("matrixrep")
+    # the fixed-point certificate reads its witness off the caller's sweep
+    assert "concavity" not in _package_imports("matrixrep")
     # theorem1 reads the compact roots off the sweep instead of classifying them again
     assert "realform" not in _package_imports("cli")
     # the reader finds the imports of cli, so the checks above are not vacuous

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -28,7 +29,7 @@ from matrix_oracle import (
 )
 
 from flagdomains.chevalley import structure_constants
-from flagdomains.concavity import check_pseudoconcavity, witness_alphas
+from flagdomains.concavity import check_pseudoconcavity
 from flagdomains.exact import exp_nilpotent, product
 from flagdomains.matrixrep import (
     MatrixRealization,
@@ -237,84 +238,170 @@ def test_cayley_conjugation_preconditions(reps):
 
 def test_fixed_point_certificates(reps):
     rep = reps[("A", 2)]
-    e = grading((1, 1))
+    report = check_pseudoconcavity(rep.rs, grading((1, 1)))
     for eps in (0.01, 0.1, 1.0):
-        chk = verify_fixed_point(rep, e, root((1, 1)), eps)
+        chk = verify_fixed_point(rep, report, root((1, 1)), eps)
         assert chk["pass"] and chk["residual"] < 1e-9
 
     so5 = from_cartan_matrix([[2, -1], [-2, 2]])
     rep2 = fundamental_rep(so5)
+    report2 = check_pseudoconcavity(so5, grading((1, 0)))
     for eps in (0.01, 0.1, 1.0):
-        chk = verify_fixed_point(rep2, grading((1, 0)), root((2, 1)), eps)
+        chk = verify_fixed_point(rep2, report2, root((2, 1)), eps)
         assert chk["pass"] and chk["residual"] < 1e-9
 
 
-def test_fixed_point_examines_only_the_witness_strings(monkeypatch):
-    from flagdomains import concavity
+def test_fixed_point_examines_no_root_string(monkeypatch):
+    # the witness and its noncompact negative roots are read off the sweep
+    import sys
 
-    calls = []
-    original = concavity.root_string
+    from flagdomains import rootsys
 
-    def counting(rs, a, b):
-        calls.append(b)
-        return original(rs, a, b)
-
-    monkeypatch.setattr(concavity, "root_string", counting)
     rs = build_root_system(LieType("B", 4))
     rep = fundamental_rep(rs)
     e = grading((0, 1, 0, 0))
+    report = check_pseudoconcavity(rs, e)
     beta = root((1, 2, 2, 2))
-    chk = verify_fixed_point(rep, e, beta, 0.5)
-    assert chk["pass"]
-    # one string per noncompact negative root, all in beta's direction
-    assert len(calls) == len(chk["info"]["alphas"]) and set(calls) == {beta}
+    calls = []
+    original = rootsys.root_string
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("flagdomains") and hasattr(module, "root_string"):
+            monkeypatch.setattr(module, "root_string", counting)
+    chk = verify_fixed_point(rep, report, beta, 0.5)
+    assert chk["pass"] and chk["info"]["alphas"]
+    assert calls == []
+    # the counter sees the sweep's strings, so the empty list above is not vacuous
+    check_pseudoconcavity(rs, e)
+    assert calls
 
 
 def test_fixed_point_rejects_non_witness(reps):
     rep = reps[("C", 2)]
-    with pytest.raises(ValueError):
-        verify_fixed_point(rep, grading((1, 1)), root((1, 1)), 0.1)
-    rep_a2 = reps[("A", 2)]
+    report = check_pseudoconcavity(rep.rs, grading((1, 1)))
+    assert not report.witnesses
+    with pytest.raises(ValueError, match=re.escape("beta (1,1) is not a witness for grading")):
+        verify_fixed_point(rep, report, root((1, 1)), 0.1)
+
+
+def test_fixed_point_rejects_a_report_for_another_system(reps):
+    # a B3 sweep handed to the C3 realization: same rank, another system
+    report = check_pseudoconcavity(build_root_system(LieType("B", 3)), grading((0, 1, 0)))
+    beta = report.witnesses[0]
+    with pytest.raises(ValueError, match="another root system"):
+        verify_fixed_point(reps[("C", 3)], report, beta, 0.5)
+
+
+def test_fixed_point_rejects_eps_outside_the_unit_interval(reps):
+    rep = reps[("A", 2)]
+    report = check_pseudoconcavity(rep.rs, grading((1, 1)))
     for eps in (1.5, 0.0, -0.0, 1e-400, -0.1, math.nan):
         with pytest.raises(ValueError, match=r"eps must lie in \(0, 1\]"):
-            verify_fixed_point(rep_a2, grading((1, 1)), root((1, 1)), eps)
+            verify_fixed_point(rep, report, root((1, 1)), eps)
+
+
+@pytest.mark.parametrize(
+    "family,rank",
+    [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 2), ("C", 3), ("D", 4)],
+)
+def test_fixed_point_accepts_exactly_the_sweep_witnesses(family, rank):
+    rs = build_root_system(LieType(family, rank))
+    rep = fundamental_rep(rs)
+    for bits in itertools.product((0, 1), repeat=rs.rank):
+        if not any(bits):
+            continue
+        e = grading(bits)
+        report = check_pseudoconcavity(rs, e)
+        alphas = [list(a.coeffs) for a in report.noncompact_negatives]
+        for beta in rs.roots:
+            if beta in report.witnesses:
+                assert verify_fixed_point(rep, report, beta, 1.0)["info"]["alphas"] == alphas
+            else:
+                message = re.escape(f"beta {beta} is not a witness for grading {e}")
+                with pytest.raises(ValueError, match=message):
+                    verify_fixed_point(rep, report, beta, 1.0)
 
 
 def _c2_fixed_point_case():
     """C2 with the grading (1, 0), its witness, and a copy of its realization
     whose Weyl element for the witness is the identity."""
     rep = fundamental_rep(build_root_system(LieType("C", 2)))
-    e = grading((1, 0))
-    (beta,) = check_pseudoconcavity(rep.rs, e).witnesses
+    report = check_pseudoconcavity(rep.rs, grading((1, 0)))
+    (beta,) = report.witnesses
+    return rep, _with_identity_weyl(rep, beta), report, beta
+
+
+def _with_identity_weyl(rep, *betas):
+    """A copy of rep whose Weyl element for each of betas is the identity."""
     mutant = MatrixRealization(rep.rs, rep.dim, rep.x)
-    mutant._weyl[beta] = WeylElement(tuple(range(rep.dim)), (2,) * rep.dim)
-    return rep, mutant, e, beta
+    for beta in betas:
+        mutant._weyl[beta] = WeylElement(tuple(range(rep.dim)), (2,) * rep.dim)
+    return mutant
 
 
 @pytest.mark.parametrize("eps", [0.1, 1e-9, 1e-10, 1e-12, 1e-200])
 def test_fixed_point_fails_without_the_conjugation_at_every_eps(eps):
     # the generator leaves P by entries of size eps, so a float threshold
     # would pass it once eps fell below that threshold
-    rep, mutant, e, beta = _c2_fixed_point_case()
-    assert verify_fixed_point(rep, e, beta, eps)["pass"]
-    chk = verify_fixed_point(mutant, e, beta, eps)
+    rep, mutant, report, beta = _c2_fixed_point_case()
+    assert verify_fixed_point(rep, report, beta, eps)["pass"]
+    chk = verify_fixed_point(mutant, report, beta, eps)
     assert not chk["pass"] and 0.0 < chk["residual"] < 10 * eps
 
 
 @given(eps=st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
 @settings(max_examples=60, deadline=None)
 def test_fixed_point_passes_exactly_when_nothing_lies_below_the_filtration(eps):
-    rep, mutant, e, beta = _c2_fixed_point_case()
+    rep, mutant, report, beta = _c2_fixed_point_case()
+    e = report.grading
     t = Fraction(str(eps))
     xi = {(i, i): 1 for i in range(rep.dim)}
-    for alpha in witness_alphas(rep.rs, e, beta):
+    for alpha in report.noncompact_negatives:
         xi = product(xi, exp_nilpotent({k: t * v for k, v in rep.x[alpha].items()}, rep.dim))
     for r, passes in ((rep, True), (mutant, False)):
         below = below_filtration(r, e, r.weyl(beta).conjugate(xi))
-        chk = verify_fixed_point(r, e, beta, eps)
+        chk = verify_fixed_point(r, report, beta, eps)
         assert chk["pass"] == (not below) == passes
         # the printed size of a failure may underflow to 0.0, the verdict not
         assert math.isclose(chk["residual"], math.hypot(*below), rel_tol=1e-12)
+
+
+def _pairs_certify(rep, report, beta) -> bool:
+    """Whether the prop33 lines of beta's pairs all pass, with every target
+    alpha + q beta of nonnegative grading."""
+    for alpha in report.noncompact_negatives:
+        chk = verify_cayley_conjugation(rep, alpha, beta)
+        if not (chk["pass"] and report.grading.value(root(chk["info"]["expected"])) >= 0):
+            return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "key",
+    [("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("C", 2), ("C", 3), ("D", 4)],
+    ids=lambda k: f"{k[0]}{k[1]}",
+)
+def test_fixed_point_agrees_with_the_conjugation_lines_of_its_pairs(key):
+    # Ad(w_beta) is an automorphism and s_beta(alpha) = alpha + q beta on a
+    # string with r = 0, so the fixed point follows from the pairs' lines
+    rs = build_root_system(LieType(*key))
+    rep = fundamental_rep(rs)
+    mutant = _with_identity_weyl(rep, *rs.roots)
+    for coeffs in itertools.product((0, 1, 2), repeat=rs.rank):
+        if not any(coeffs):
+            continue
+        report = check_pseudoconcavity(rs, grading(coeffs))
+        for beta in report.witnesses:
+            fixed = verify_fixed_point(rep, report, beta, 0.5)["pass"]
+            assert fixed == _pairs_certify(rep, report, beta), (coeffs, beta)
+            if report.noncompact_negatives:
+                # without the conjugation both sides fail
+                assert not verify_fixed_point(mutant, report, beta, 0.5)["pass"]
+                assert not _pairs_certify(mutant, report, beta)
 
 
 def test_flag_residual_invariant_under_parabolic_factors(reps):
@@ -414,9 +501,10 @@ def test_exact_fixed_point_checks_match_the_float_oracle(key):
         e = grading(coeffs)
         if e.is_zero:
             continue
-        for beta in check_pseudoconcavity(rs, e).witnesses:
+        report = check_pseudoconcavity(rs, e)
+        for beta in report.witnesses:
             for eps in (0.01, 0.1, 1.0):
-                exact = verify_fixed_point(rep, e, beta, eps)
+                exact = verify_fixed_point(rep, report, beta, eps)
                 assert exact == fixed_point_check(frep, e, beta, eps)
                 assert exact["pass"] and exact["residual"] == 0.0
 
@@ -430,13 +518,14 @@ def test_exact_fixed_point_residual_matches_the_oracle_when_it_fails(key, coeffs
     rs = systems[key]
     rep = fundamental_rep(rs)
     e = grading(coeffs)
-    beta = check_pseudoconcavity(rs, e).witnesses[0]
+    report = check_pseudoconcavity(rs, e)
+    beta = report.witnesses[0]
     x = dict(rep.x)
-    for alpha in witness_alphas(rs, e, beta):
+    for alpha in report.noncompact_negatives:
         x[alpha] = rep.x[-alpha]
     bent = MatrixRealization(rep.rs, rep.dim, x)
     for eps in (0.01, 0.1, 1.0):
-        exact = verify_fixed_point(bent, e, beta, eps)
+        exact = verify_fixed_point(bent, report, beta, eps)
         oracle = fixed_point_check(FloatRealization(bent), e, beta, eps)
         assert not exact["pass"] and not oracle["pass"]
         assert math.isclose(exact["residual"], oracle["residual"], rel_tol=1e-12)

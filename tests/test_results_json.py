@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from flagdomains.concavity import check_pseudoconcavity
 from flagdomains.exact import make_check
 from flagdomains.hodge import (
     DegenerationSpec,
@@ -29,8 +30,9 @@ def _cayley():
 
 
 def _fixed_point():
-    rep = fundamental_rep(build_root_system(LieType("A", 2)))
-    return verify_fixed_point(rep, grading((1, 1)), root((1, 1)), 0.1)
+    rs = build_root_system(LieType("A", 2))
+    report = check_pseudoconcavity(rs, grading((1, 1)))
+    return verify_fixed_point(fundamental_rep(rs), report, root((1, 1)), 0.1)
 
 
 def _boundary(h, spec):
