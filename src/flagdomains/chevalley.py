@@ -86,7 +86,7 @@ def structure_constants(rs: RootSystem) -> ChevalleyConstants:
         if not pairs:
             raise AssertionError(f"no special pair sums to {roots[g]}")
         a1, b1 = pairs[0]
-        special[(a1, b1)] = root_string(rs, roots[a1], roots[b1])[0] + 1
+        special[(a1, b1)] = root_string(rs, a1, b1)[0] + 1
         for a, b in pairs[1:]:
             t = 0
             d = add[a1][neg[a]]
@@ -146,7 +146,7 @@ def verify_bracket_identities(cc: ChevalleyConstants) -> BracketReport:
         for b in range(len(roots)):
             if a == b or a == neg[b]:
                 continue
-            r, q = rs.extents(a, b)
+            r, q, _ = root_string(rs, a, b)
             up = add[a][b]
             coeff = c[b][a] * c[neg[b]][up] if up >= 0 else 0
             entries.append((roots[a], roots[b], coeff, q * (r + 1)))

@@ -54,32 +54,6 @@ class ConcavityReport(NamedTuple):
         }
 
 
-def _string_verdict(
-    rs: RootSystem, beta: Root, vb: int, alpha: Root, va: int
-) -> dict:
-    """The JSON entry of the string condition for one (alpha, beta) pair,
-    given their grading values vb and va."""
-    r, q, members = root_string(rs, alpha, beta)
-    # the grading is linear: the top alpha + q beta has value va + q vb
-    endpoint_in_p = va + q * vb >= 0
-    if (r, q) not in ((0, 1), (0, 2)):
-        verdict, reason = "FAIL", f"string shape (r, q) = ({r}, {q})"
-    elif endpoint_in_p:
-        verdict, reason = ("OK_TYPE_A" if q == 1 else "OK_TYPE_B"), None
-    else:
-        step = "b" if q == 1 else "2b"
-        verdict, reason = "FAIL", f"endpoint a+{step} has negative grading"
-    return {
-        "alpha": list(alpha.coeffs),
-        "r": r,
-        "q": q,
-        "endpoint": list(members[-1].coeffs),
-        "endpoint_in_p": endpoint_in_p,
-        "verdict": verdict,
-        "reason": reason,
-    }
-
-
 def check_pseudoconcavity(rs: RootSystem, e: GradingElement) -> ConcavityReport:
     """Sweep all compact roots for one that certifies every noncompact
     negative root, and report the witnesses with full detail."""
@@ -89,22 +63,41 @@ def check_pseudoconcavity(rs: RootSystem, e: GradingElement) -> ConcavityReport:
     if any(n < 0 for n in e.coeffs):
         raise ValueError("grading coefficients must be nonnegative")
     table = classify_roots(rs, e)
-    # the noncompact negative roots, in sweep order, with their grading values
-    alphas = tuple((a, va) for a in table.noncompact if (va := e.value(a)) < 0)
+    roots = rs.roots
+    # the noncompact negative roots, in sweep order, by index with their grading values
+    alphas = tuple((rs.of(a), va) for a in table.noncompact if (va := e.value(a)) < 0)
     detail: dict[Root, tuple[dict, ...]] = {}
     witnesses = []
     for beta in table.compact:
-        vb = e.value(beta)
-        verdicts = tuple(
-            _string_verdict(rs, beta, vb, alpha, va) for alpha, va in alphas
-        )
-        detail[beta] = verdicts
+        j, vb = rs.of(beta), e.value(beta)
+        verdicts = []
+        for i, va in alphas:
+            r, q, top = root_string(rs, i, j)
+            # the grading is linear: the top alpha + q beta has value va + q vb
+            endpoint_in_p = va + q * vb >= 0
+            if (r, q) not in ((0, 1), (0, 2)):
+                verdict, reason = "FAIL", f"string shape (r, q) = ({r}, {q})"
+            elif endpoint_in_p:
+                verdict, reason = ("OK_TYPE_A" if q == 1 else "OK_TYPE_B"), None
+            else:
+                step = "b" if q == 1 else "2b"
+                verdict, reason = "FAIL", f"endpoint a+{step} has negative grading"
+            verdicts.append({
+                "alpha": list(roots[i].coeffs),
+                "r": r,
+                "q": q,
+                "endpoint": list(roots[top].coeffs),
+                "endpoint_in_p": endpoint_in_p,
+                "verdict": verdict,
+                "reason": reason,
+            })
+        detail[beta] = tuple(verdicts)
         if all(v["verdict"] != "FAIL" for v in verdicts):
             witnesses.append(beta)
     return ConcavityReport(
         satisfied=bool(witnesses),
         witnesses=tuple(witnesses),
-        noncompact_negatives=tuple(a for a, _ in alphas),
+        noncompact_negatives=tuple(roots[i] for i, _ in alphas),
         detail=detail,
         rs=rs,
         grading=e,

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 from .chevalley import structure_constants
 from .exact import combo, exp_nilpotent, make_check, product, shear_product
-from .rootsys import MAX_RANK, GradingElement, Root, RootSystem, _frozen, check_grading
+from .rootsys import MAX_RANK, GradingElement, Root, RootSystem, _frozen, check_grading, root_string
 
 
 def _twice(v) -> int:
@@ -200,13 +200,10 @@ def verify_cayley_conjugation(rep: MatrixRealization, a: Root, b: Root) -> dict:
     matches and are null otherwise.
     """
     rs = rep.rs
-    i, j = rs.of(a), rs.of(b)
-    if i == j or i == rs.neg[j]:
-        raise ValueError("the pair must be linearly independent")
-    r, q = rs.extents(i, j)
+    r, q, top = root_string(rs, rs.of(a), rs.of(b))
     if (r, q) not in ((0, 1), (0, 2)):
         raise ValueError(f"string shape (r, q) = ({r}, {q}) is outside (0,1)/(0,2)")
-    expected = rs.roots[rs.walk(i, j)[-1]]
+    expected = rs.roots[top]
     w = rep.weyl(b)
     xa, xe = rep.twice[a], rep.twice[expected]
     sign = next((s for s in (1, -1) if w.matches(xa, xe, s)), None)
@@ -283,5 +280,5 @@ def eligible_conjugation_pairs(rs: RootSystem) -> list[tuple[Root, Root]]:
         (roots[a], roots[b])
         for a in range(n)
         for b in range(n)
-        if a != b and a != neg[b] and rs.extents(a, b) in ((0, 1), (0, 2))
+        if a != b and a != neg[b] and root_string(rs, a, b)[:2] in ((0, 1), (0, 2))
     ]

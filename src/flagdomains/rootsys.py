@@ -159,6 +159,8 @@ class RootSystem:
     instance: ``pos`` inverts ``roots``, ``add[i][j]`` is the index of
     roots[i] + roots[j] or -1 when the sum is not a root, ``neg[i]`` the
     index of -roots[i], and ``norms[i]`` the squared length of roots[i].
+    Root strings are read off ``add`` by index: ``root_string(rs, i, j)``
+    gives the (r, q, top) of the roots[j]-string through roots[i].
     Equality and hashing see the Cartan matrix only, which determines the
     rest. Attributes cannot be assigned.
     """
@@ -213,20 +215,6 @@ class RootSystem:
             return self.pos[a]
         except KeyError:
             raise ValueError(f"{a} is not a root of this system") from None
-
-    def walk(self, i: int, j: int) -> list[int]:
-        """Indices of roots[i] + n roots[j] for n = 1, 2, ... while those are roots."""
-        add = self.add
-        out = []
-        k = add[i][j]
-        while k >= 0:
-            out.append(k)
-            k = add[k][j]
-        return out
-
-    def extents(self, i: int, j: int) -> tuple[int, int]:
-        """(r, q) of the roots[j]-string through roots[i], for i != j, neg[j]."""
-        return len(self.walk(i, self.neg[j])), len(self.walk(i, j))
 
     def simple_roots(self) -> tuple[Root, ...]:
         r = self.rank
@@ -440,19 +428,24 @@ def _detect_family(cartan: tuple[tuple[int, ...], ...]) -> LieType | None:
     return None
 
 
-def root_string(rs: RootSystem, a: Root, b: Root) -> tuple[int, int, tuple[Root, ...]]:
-    """(r, q, members) of the b-string through a: the unbroken progression
-    a + n b inside the root set, -r <= n <= q."""
-    i, j = rs.of(a), rs.of(b)
-    if i == j or i == rs.neg[j]:
-        raise ValueError("the string through a in direction b needs a != +-b")
-    down = rs.walk(i, rs.neg[j])
-    up = rs.walk(i, j)
-    r = len(down)
-    down.reverse()
-    down.append(i)
-    down.extend(up)
-    return r, len(up), tuple(map(rs.roots.__getitem__, down))
+def root_string(rs: RootSystem, i: int, j: int) -> tuple[int, int, int]:
+    """(r, q, top) of the roots[j]-string through roots[i]: the unbroken
+    progression roots[i] + n roots[j] inside the root set, -r <= n <= q,
+    and the index top of its last member roots[i] + q roots[j]."""
+    add, neg = rs.add, rs.neg
+    if i == j or i == neg[j]:
+        raise ValueError("a root string needs i != j and i != neg[j]")
+    down, r = neg[j], 0
+    k = add[i][down]
+    while k >= 0:
+        r += 1
+        k = add[k][down]
+    q, top = 0, i
+    k = add[i][j]
+    while k >= 0:
+        q += 1
+        top, k = k, add[k][j]
+    return r, q, top
 
 
 def coroot_coefficients(rs: RootSystem, a: Root) -> tuple[int, ...]:

@@ -23,8 +23,9 @@ from them.
 
 Test-only helpers, which the package itself does not use: positivity of
 a coefficient vector, the partition of the roots by grading value, the
-Cartan integer of two roots, the parabolic cut out by a grading, and the
-checked classification of a single (beta, alpha) string.
+Cartan integer of two roots, the parabolic cut out by a grading, the
+checked classification of a single (beta, alpha) string, and whether the
+flag domain of a grading is classical.
 """
 
 from __future__ import annotations
@@ -89,6 +90,27 @@ def parabolic_data(rs: RootSystem, e: GradingElement) -> ParabolicData:
     crossed = tuple(i + 1 for i, n in enumerate(e.coeffs) if n > 0)
     dim_domain = sum(1 for a in rs.roots if e.value(a) < 0)
     return ParabolicData(nonneg, crossed, dim_domain)
+
+
+def is_classical(rs: RootSystem, e: GradingElement) -> bool:
+    """Whether the flag domain of grading e is classical: it fibres
+    holomorphically over a Hermitian symmetric domain, so it carries
+    nonconstant holomorphic functions and is not pseudoconcave.
+
+    In root terms the noncompact negative roots are stable under the
+    compact ones: no compact b and noncompact negative a have a + b a
+    noncompact positive root (Griffiths, Robles and Toledo, "Quotients of
+    non-classical flag domains are not algebraic", Algebraic Geometry 1
+    (2014); Green, Griffiths and Kerr, Mumford-Tate Groups and Domains
+    (2012), ch. IV). a + b has odd value, so a root there is noncompact.
+    """
+    check_grading(rs, e)
+    roots = _root_set(rs)
+    compact = [b for b in rs.roots if e.value(b) % 2 == 0]
+    negatives = [a for a in rs.roots if e.value(a) % 2 and e.value(a) < 0]
+    return not any(
+        a + b in roots and e.value(a + b) > 0 for a in negatives for b in compact
+    )
 
 
 def analyze_string_condition(

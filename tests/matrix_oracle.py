@@ -13,9 +13,10 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from lie_oracles import reference_string
 
 from flagdomains.exact import make_check, product
-from flagdomains.rootsys import check_grading, coroot_coefficients, root_string
+from flagdomains.rootsys import check_grading, coroot_coefficients
 
 # float products carry rounding, so the float certificates pass below this
 TOL = 1e-9
@@ -168,7 +169,7 @@ def flag_residual(rep, e, m: np.ndarray) -> float:
 
 
 def cayley_check(frep: FloatRealization, a, b, tol=TOL):
-    r, q, _ = root_string(frep.rep.rs, a, b)
+    r, q, _ = reference_string(frep.rep.rs, a, b)
     expected = a + q * b
     image = frep.conjugate(b, frep.x[a])
     res, sign = min(

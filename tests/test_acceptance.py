@@ -83,8 +83,10 @@ def test_c03_c2_grading_11_not_satisfied():
     v = by_alpha[(0, -1)]
     assert v["verdict"] == "OK_TYPE_B"
     assert (v["r"], v["q"]) == (0, 2)
-    _, _, members = root_string(rs, root((0, -1)), beta)
-    assert [m.coeffs for m in members] == [(0, -1), (1, 0), (2, 1)]
+    i, j = rs.of(root((0, -1))), rs.of(beta)
+    r, q, top = root_string(rs, i, j)
+    members = (rs.roots[i], rs.roots[rs.add[i][j]], rs.roots[top])
+    assert (r, q) == (0, 2) and [m.coeffs for m in members] == [(0, -1), (1, 0), (2, 1)]
     for verdicts in report.detail.values():
         for v in verdicts:
             if v["alpha"] == [-1, 0]:
@@ -105,7 +107,7 @@ def test_c04_chevalley_property_suite():
                 c = cc.constant(a, b)
                 assert c == -cc.constant(b, a)
                 assert c == -cc.constant(-a, -b)
-                assert abs(c) == root_string(rs, a, b)[0] + 1
+                assert abs(c) == root_string(rs, rs.of(a), rs.of(b))[0] + 1
         assert jacobi_violations(cc) == []
         report = verify_bracket_identities(cc)
         assert report.violations == []

@@ -69,8 +69,9 @@ def test_sign_normalization_and_magnitude(family, rank):
             assert c != 0
             assert c == -cc.constant(b, a)
             assert c == -cc.constant(-a, -b)
-            assert abs(c) == root_string(rs, b, a)[0] + 1
-            assert abs(c) == root_string(rs, a, b)[0] + 1
+            i, j = rs.of(a), rs.of(b)
+            assert abs(c) == root_string(rs, j, i)[0] + 1
+            assert abs(c) == root_string(rs, i, j)[0] + 1
 
 
 @pytest.mark.parametrize("family,rank", CLASSICAL + [("D", 3)])

@@ -6,18 +6,24 @@ import pytest
 from conftest import ORACLE_SYSTEMS, RELABELLED_B4, relabelled_cartan
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from lie_oracles import analyze_string_condition, reference_report
+from lie_oracles import (
+    analyze_string_condition,
+    is_classical,
+    reference_report,
+    reference_string,
+)
 
+from flagdomains import concavity
 from flagdomains.cli import MAX_GRADING
 from flagdomains.concavity import check_pseudoconcavity
 from flagdomains.realform import classify_roots
 from flagdomains.rootsys import (
     LieType,
+    RootSystem,
     build_root_system,
     from_cartan_matrix,
     grading,
     root,
-    root_string,
 )
 
 
@@ -96,7 +102,7 @@ def brute_force_verdict(rs, e):
     for beta in compact:
         good = True
         for alpha in alphas:
-            r, q, _ = root_string(rs, alpha, beta)
+            r, q, _ = reference_string(rs, alpha, beta)
             if (r, q) == (0, 1):
                 ok = e.value(alpha + beta) >= 0
             elif (r, q) == (0, 2):
@@ -233,3 +239,68 @@ def test_sweep_matches_the_oracles_on_gradings_up_to_the_bound(case):
     assert table.noncompact == tuple(a for a in rs.roots if e.value(a) % 2 == 1)
     assert report.noncompact_negatives == tuple(a for a in table.noncompact if e.value(a) < 0)
     assert report.rs is rs and report.grading is e
+
+
+def test_sweep_reads_one_string_per_pair_by_index(monkeypatch):
+    rs = build_root_system(LieType("B", 4))
+    e = grading((0, 1, 0, 0))
+    table = classify_roots(rs, e)
+    pairs = len(table.compact) * sum(1 for a in table.noncompact if e.value(a) < 0)
+    strings, lookups = [], []
+    original_string, original_of = concavity.root_string, RootSystem.of
+
+    def counting_string(*args):
+        strings.append(args)
+        return original_string(*args)
+
+    def counting_of(self, a):
+        lookups.append(a)
+        return original_of(self, a)
+
+    monkeypatch.setattr(concavity, "root_string", counting_string)
+    monkeypatch.setattr(RootSystem, "of", counting_of)
+    check_pseudoconcavity(rs, e)
+    assert len(strings) == pairs > 0
+    # each root is mapped to its index once per sweep, not once per string
+    assert len(lookups) <= len(rs.roots)
+
+
+# every grading with coefficients 0..3 on these systems: 2,277 of them
+CLASSICAL_SCAN = [(f, r) for f in "ABC" for r in (2, 3, 4)] + [("D", 4), ("D", 5)]
+
+
+def test_satisfied_domains_are_non_classical():
+    # the paper's results are about non-classical domains: a classical one
+    # carries nonconstant holomorphic functions and cannot be pseudoconcave
+    vacuous = satisfied = 0
+    for key in CLASSICAL_SCAN:
+        rs = build_root_system(LieType(*key))
+        for coeffs in product(range(4), repeat=rs.rank):
+            if not any(coeffs):
+                continue
+            e = grading(coeffs)
+            report = check_pseudoconcavity(rs, e)
+            if not report.noncompact_negatives:
+                vacuous += 1
+            elif report.satisfied:
+                satisfied += 1
+                assert not is_classical(rs, e), (key, coeffs)
+    assert (vacuous, satisfied) == (121, 156)
+
+
+def test_classical_oracle_on_the_hermitian_symmetric_nodes():
+    # a single crossed node gives a classical domain exactly at the nodes
+    # whose coefficient in the highest root is 1
+    hermitian = {
+        "A": lambda n: list(range(1, n + 1)),
+        "B": lambda n: [1],
+        "C": lambda n: [n],
+        "D": lambda n: [1, n - 1, n],
+    }
+    for family, rank in CLASSICAL_SCAN:
+        rs = build_root_system(LieType(family, rank))
+        nodes = range(1, rank + 1)
+        found = [k for k in nodes if is_classical(rs, grading(int(i == k) for i in nodes))]
+        assert found == hermitian[family](rank), (family, rank)
+    for key, coeffs in ((("A", 2), (1, 1)), (("C", 2), (1, 0)), (("B", 2), (0, 1))):
+        assert not is_classical(build_root_system(LieType(*key)), grading(coeffs)), key

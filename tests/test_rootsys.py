@@ -105,44 +105,49 @@ def test_cartan_integer_rejects_nonroot(a2):
 
 
 def test_root_string_examples(a2, c2):
+    pos = a2.pos
     s1, s2 = a2.simple_roots()
-    assert root_string(a2, -s1, s1 + s2) == (0, 1, (root((-1, 0)), root((0, 1))))
+    assert root_string(a2, pos[-s1], pos[s1 + s2]) == (0, 1, pos[root((0, 1))])
 
+    pos = c2.pos
     t1, t2 = c2.simple_roots()
-    assert root_string(c2, -t2, t1 + t2) == (
-        0, 2, (root((0, -1)), root((1, 0)), root((2, 1)))
-    )
-    assert root_string(c2, -t1, t1 + t2) == (
-        1, 1, (root((-2, -1)), root((-1, 0)), root((0, 1)))
-    )
+    assert root_string(c2, pos[-t2], pos[t1 + t2]) == (0, 2, pos[root((2, 1))])
+    assert root_string(c2, pos[-t1], pos[t1 + t2]) == (1, 1, pos[root((0, 1))])
 
 
 def test_root_string_rejects_proportional(a2):
-    s1, _ = a2.simple_roots()
-    with pytest.raises(ValueError):
-        root_string(a2, s1, s1)
-    with pytest.raises(ValueError):
-        root_string(a2, s1, -s1)
+    i = a2.of(a2.simple_roots()[0])
+    with pytest.raises(ValueError, match="needs i != j"):
+        root_string(a2, i, i)
+    with pytest.raises(ValueError, match="needs i != j"):
+        root_string(a2, i, a2.neg[i])
 
 
 @pytest.mark.parametrize("family,rank", CLASSICAL)
 def test_string_extents_equal_cartan_integer(family, rank):
     rs = build_root_system(LieType(family, rank))
-    for a in rs.roots:
-        for b in rs.roots:
+    for i, a in enumerate(rs.roots):
+        for j, b in enumerate(rs.roots):
             if a == b or a == -b:
                 continue
-            r, q, _ = root_string(rs, a, b)
+            r, q, _ = root_string(rs, i, j)
             assert r - q == cartan_integer(rs, a, b)
-            assert root_string(rs, -a, b)[:2] == (q, r)
+            assert root_string(rs, rs.neg[i], j)[:2] == (q, r)
 
 
 def _assert_strings_match_root_arithmetic(rs):
-    for a in rs.roots:
-        for b in rs.roots:
-            if a == b or a == -b:
+    roots, neg = rs.roots, rs.neg
+    for i, a in enumerate(roots):
+        for j, b in enumerate(roots):
+            if i == j or i == neg[j]:
+                with pytest.raises(ValueError):
+                    root_string(rs, i, j)
                 continue
-            assert root_string(rs, a, b) == reference_string(rs, a, b)
+            r, q, top = root_string(rs, i, j)
+            expected_r, expected_q, members = reference_string(rs, a, b)
+            assert (r, q, roots[top]) == (expected_r, expected_q, members[-1])
+            # the string through -a is the mirror image of the one through a
+            assert root_string(rs, neg[i], j)[:2] == (q, r)
 
 
 @pytest.mark.parametrize("key", ORACLE_SYSTEMS, ids=lambda k: f"{k[0]}{k[1]}")
@@ -206,12 +211,18 @@ def test_index_tables():
         _assert_tables_match_root_arithmetic(cartan)
 
 
+def test_root_strings_match_root_arithmetic_on_the_table_cartans():
+    # the tests above cover the classical systems and RELABELLED_B4
+    for cartan in ([[2, -1], [-3, 2]], F4_CARTAN, E6_CARTAN, B3_A2_CARTAN):
+        _assert_strings_match_root_arithmetic(from_cartan_matrix(cartan))
+
+
 def test_index_is_built_on_first_use():
     # built past the cache, which may hold this system with its tables from an earlier test
     cartan = tuple(map(tuple, relabelled_cartan(LieType("C", 3), (1, 2, 0))))
     rs = _build_cached.__wrapped__(cartan)
     assert not {"pos", "add", "neg", "norms"} & set(vars(rs))
-    root_string(rs, *rs.simple_roots()[:2])
+    root_string(rs, *map(rs.of, rs.simple_roots()[:2]))
     assert {"pos", "add", "neg"} <= set(vars(rs)) and "norms" not in vars(rs)
 
 
