@@ -19,12 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .rootsys import (
-    Root,
-    RootSystem,
-    coroot_coefficients,
-    root_string,
-)
+from .rootsys import Root, RootSystem, coroot_coefficients, root_string
 
 
 class ChevalleyConstants(NamedTuple):
@@ -33,14 +28,6 @@ class ChevalleyConstants(NamedTuple):
 
     rs: RootSystem
     table: tuple[tuple[int, ...], ...]
-
-    def constant(self, a: Root, b: Root) -> int:
-        """c(a, b) for roots a, b; zero when a + b is not a root."""
-        rs = self.rs
-        i, j = rs.of(a), rs.of(b)
-        if i == rs.neg[j]:
-            raise ValueError("a + b = 0; that bracket is a Cartan element")
-        return self.table[i][j]
 
 
 # as many tables as from_cartan_matrix keeps systems
@@ -177,7 +164,7 @@ def _bracket_rows(cc: ChevalleyConstants) -> list[list[tuple]]:
             elif q == neg[p]:
                 row[q] = tuple(
                     (n_roots + i, v)
-                    for i, v in enumerate(coroot_coefficients(rs, a))
+                    for i, v in enumerate(coroot_coefficients(rs, p))
                     if v
                 )
         for i in range(rs.rank):

@@ -19,7 +19,7 @@ import sys
 
 from .chevalley import jacobi_violations, structure_constants, verify_bracket_identities
 from .concavity import check_pseudoconcavity
-from .exact import make_check
+from .exact import exact_int, make_check
 from .hodge import (
     DegenerationSpec,
     HodgeNumbers,
@@ -38,7 +38,6 @@ from .rootsys import (
     MAX_RANK,
     LieType,
     build_root_system,
-    exact_int,
     from_cartan_matrix,
     grading,
 )
@@ -300,8 +299,8 @@ def _iter_verify_checks(args):
     if suite in ("all", "prop33"):
         for rs in _systems(system, _DEFAULT_CONJUGATION):
             rep = fundamental_rep(rs)
-            for a, b in eligible_conjugation_pairs(rs):
-                yield verify_cayley_conjugation(rep, a, b)
+            for i, j in eligible_conjugation_pairs(rs):
+                yield verify_cayley_conjugation(rep, i, j)
     if suite in ("all", "lemma41"):
         for kind in ("I", "II"):
             yield from sl2_cayley_checks(kind)

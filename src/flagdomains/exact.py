@@ -4,10 +4,27 @@ A matrix is a sparse map from (row, column) to an exact number: an int, a
 Fraction, or an element of Q(exp(i pi/4)) as `hodge` writes it; no zero
 entry is stored, so {} is the zero matrix. The root-condition certificates
 in `matrixrep` and the sl2 identities in `hodge` both compute in this
-format. The module imports nothing from the package.
+format, and `exact_int` reads the integers of every parsed request. The
+module imports nothing from the package.
 """
 
+import operator
 from fractions import Fraction
+
+
+def exact_int(value, what: str = "a coefficient") -> int:
+    """value as an int when it is exactly one: an int, or an integral float
+    such as 2.0, since JSON has one number type. Bools, other floats,
+    strings and everything else raise ValueError, where int() would read
+    1.7 as 1, True as 1 and "3" as 3."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer")
 
 
 def make_check(claim, residual, passed, sign=None, info=None) -> dict:

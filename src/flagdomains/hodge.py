@@ -13,8 +13,7 @@ import math
 from collections import Counter, namedtuple
 from fractions import Fraction
 
-from .exact import combo, make_check, product, shear_product
-from .rootsys import exact_int
+from .exact import combo, exact_int, make_check, product, shear_product
 
 
 class InfeasibleDegeneration(ValueError):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .rootsys import exact_int
+from .exact import exact_int
 
 GRADIENT_TOL = 1e-8
 ZERO_EIGEN_REL = 1e-6

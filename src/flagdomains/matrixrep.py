@@ -63,27 +63,32 @@ class WeylElement(NamedTuple):
 
 
 class MatrixRealization:
-    """Root vectors of a classical algebra as sparse exact matrices, read-only."""
+    """Root vectors of a classical algebra as sparse exact matrices, read-only.
 
-    def __init__(self, rs: RootSystem, dim: int, x: dict):
+    ``x[i]`` is the root vector of rs.roots[i]; ``twice`` and ``weyl`` are
+    indexed the same way.
+    """
+
+    def __init__(self, rs: RootSystem, dim: int, x: tuple):
         vars(self).update(rs=rs, dim=dim, x=x, _weyl={})
 
     __setattr__ = __delattr__ = _frozen
 
     @cached_property
-    def twice(self) -> dict:
+    def twice(self) -> tuple:
         """2 x^a for every root a, with int entries."""
-        return {a: {key: _twice(v) for key, v in m.items()} for a, m in self.x.items()}
+        return tuple({key: _twice(v) for key, v in m.items()} for m in self.x)
 
-    def weyl(self, b: Root) -> WeylElement:
-        """w_b = exp(x^b) exp(-x^{-b}) exp(x^b), built once per root."""
-        if b not in self._weyl:
-            w = shear_product(self.x[b], combo((-1, self.x[-b])), self.dim)
-            cols = {j: (i, _twice(v)) for (i, j), v in w.items()}
+    def weyl(self, j: int) -> WeylElement:
+        """w_b = exp(x^b) exp(-x^{-b}) exp(x^b) for b = rs.roots[j], built once
+        per root."""
+        if j not in self._weyl:
+            w = shear_product(self.x[j], combo((-1, self.x[self.rs.neg[j]])), self.dim)
+            cols = {c: (r, _twice(v)) for (r, c), v in w.items()}
             if len(cols) != len(w) or len(cols) != self.dim:
                 raise ArithmeticError("the Weyl element is not a monomial matrix")
-            self._weyl[b] = WeylElement(*zip(*(cols[j] for j in range(self.dim))))
-        return self._weyl[b]
+            self._weyl[j] = WeylElement(*zip(*(cols[c] for c in range(self.dim))))
+        return self._weyl[j]
 
     def grading_diagonal(self, e: GradingElement) -> tuple[Fraction, ...]:
         """Exact eigenvalues of the grading element on the representation.
@@ -95,7 +100,7 @@ class MatrixRealization:
         """
         check_grading(self.rs, e)
         simples = zip(self.rs.simple_roots(), e.coeffs)
-        links = [(k, l, n) for s, n in simples for k, l in self.x[s]]
+        links = [(k, l, n) for s, n in simples for k, l in self.x[self.rs.of(s)]]
         diag = {0: Fraction(0)}
         while len(diag) < self.dim:
             known = len(diag)
@@ -170,29 +175,29 @@ def fundamental_rep(rs: RootSystem) -> MatrixRealization:
         raise ValueError(f"rank {t.rank} exceeds the supported bound {MAX_RANK}")
     cc = structure_constants(rs)
     dim, xs, ys = _BUILDERS[t.family](t.rank)
-    roots, add, neg, half = rs.roots, rs.add, rs.neg, rs.half
+    add, neg, half = rs.add, rs.neg, rs.half
     simples = [rs.of(s) for s in rs.simple_roots()]
-    x: dict[Root, dict] = {}
+    x: list = [None] * len(rs.roots)
     for s, xp, xn in zip(simples, xs, ys):
-        x[roots[s]] = xp
-        x[roots[neg[s]]] = xn
-    for g in range(half + rs.rank, len(roots)):
+        x[s], x[neg[s]] = xp, xn
+    for g in range(half + rs.rank, len(x)):
         # the positive roots past the simple ones, in height order
         for s in simples:
             a = add[g][neg[s]]
             if a >= half:
                 f = Fraction(1, cc.table[s][a])
-                xs, xa, ys, ya = x[roots[s]], x[roots[a]], x[roots[neg[s]]], x[roots[neg[a]]]
-                x[roots[g]] = combo((f, product(xs, xa)), (-f, product(xa, xs)))
-                x[roots[neg[g]]] = combo((-f, product(ys, ya)), (f, product(ya, ys)))
+                xs, xa, ys, ya = x[s], x[a], x[neg[s]], x[neg[a]]
+                x[g] = combo((f, product(xs, xa)), (-f, product(xa, xs)))
+                x[neg[g]] = combo((-f, product(ys, ya)), (f, product(ya, ys)))
                 break
         else:
-            raise AssertionError(f"{roots[g]} has no simple summand")
-    return MatrixRealization(rs=rs, dim=dim, x=x)
+            raise AssertionError(f"{rs.roots[g]} has no simple summand")
+    return MatrixRealization(rs=rs, dim=dim, x=tuple(x))
 
 
-def verify_cayley_conjugation(rep: MatrixRealization, a: Root, b: Root) -> dict:
-    """Certify that Ad(c(-b)^2) x^a is a signed root vector at the string top.
+def verify_cayley_conjugation(rep: MatrixRealization, i: int, j: int) -> dict:
+    """Certify that Ad(c(-b)^2) x^a is a signed root vector at the string top,
+    for a = rs.roots[i] and b = rs.roots[j].
 
     Requires the b-string through a to have shape (0, 1) or (0, 2). The
     residual is the distance of the image from the nearer of +-x^{a+qb},
@@ -200,29 +205,28 @@ def verify_cayley_conjugation(rep: MatrixRealization, a: Root, b: Root) -> dict:
     matches and are null otherwise.
     """
     rs = rep.rs
-    r, q, top = root_string(rs, rs.of(a), rs.of(b))
+    r, q, top = root_string(rs, i, j)
     if (r, q) not in ((0, 1), (0, 2)):
         raise ValueError(f"string shape (r, q) = ({r}, {q}) is outside (0,1)/(0,2)")
-    expected = rs.roots[top]
-    w = rep.weyl(b)
-    xa, xe = rep.twice[a], rep.twice[expected]
-    sign = next((s for s in (1, -1) if w.matches(xa, xe, s)), None)
+    w = rep.weyl(j)
+    sign = next((s for s in (1, -1) if w.matches(rep.twice[i], rep.twice[top], s)), None)
     res = 0.0
     if sign is None:
-        # the distance from the nearer of +-x^{expected}
-        image, target = w.conjugate(rep.x[a]), rep.x[expected]
+        # the distance from the nearer of +-x^{a+qb}
+        image, target = w.conjugate(rep.x[i]), rep.x[top]
         keys = image.keys() | target.keys()
         res = min(
             math.hypot(*(image.get(k, 0) - s * target.get(k, 0) for k in keys)) for s in (1, -1)
         )
+    expected = list(rs.roots[top].coeffs)
     return make_check(
-        claim=f"cayley-conjugation a={a} b={b}",
+        claim=f"cayley-conjugation a={rs.roots[i]} b={rs.roots[j]}",
         residual=res,
         passed=sign is not None,
         sign=sign,
         info={
-            "target": None if sign is None else list(expected.coeffs),
-            "expected": list(expected.coeffs),
+            "target": None if sign is None else expected,
+            "expected": expected,
             "string": [r, q],
         },
     )
@@ -257,13 +261,14 @@ def verify_fixed_point(rep: MatrixRealization, report, beta: Root, eps: float) -
     e, alphas = report.grading, report.noncompact_negatives
     if beta not in report.witnesses:
         raise ValueError(f"beta {beta} is not a witness for grading {e}")
+    of = rep.rs.of
     t = Fraction(str(eps))
     xi = one = {(i, i): 1 for i in range(rep.dim)}
     for alpha in alphas:
         # xi exp(t x) = xi + xi (exp(t x) - 1), where the second factor is sparse
-        step = combo((1, exp_nilpotent(combo((t, rep.x[alpha])), rep.dim)), (-1, one))
+        step = combo((1, exp_nilpotent(combo((t, rep.x[of(alpha)])), rep.dim)), (-1, one))
         xi = combo((1, xi), (1, product(xi, step)))
-    below = below_filtration(rep, e, rep.weyl(beta).conjugate(xi))
+    below = below_filtration(rep, e, rep.weyl(of(beta)).conjugate(xi))
     return make_check(
         claim=f"cayley-fixed-point beta={beta} eps={eps}",
         residual=math.hypot(*below),
@@ -272,13 +277,13 @@ def verify_fixed_point(rep: MatrixRealization, report, beta: Root, eps: float) -
     )
 
 
-def eligible_conjugation_pairs(rs: RootSystem) -> list[tuple[Root, Root]]:
-    """All ordered (a, b) with a != +-b whose b-string has shape (0,1)/(0,2)."""
-    roots, neg = rs.roots, rs.neg
-    n = len(roots)
+def eligible_conjugation_pairs(rs: RootSystem) -> list[tuple[int, int]]:
+    """All ordered root index pairs (i, j) with i != j, neg[j] whose
+    roots[j]-string through roots[i] has shape (0,1)/(0,2)."""
+    n, neg = len(rs.roots), rs.neg
     return [
-        (roots[a], roots[b])
-        for a in range(n)
-        for b in range(n)
-        if a != b and a != neg[b] and root_string(rs, a, b)[:2] in ((0, 1), (0, 2))
+        (i, j)
+        for i in range(n)
+        for j in range(n)
+        if i != j and i != neg[j] and root_string(rs, i, j)[:2] in ((0, 1), (0, 2))
     ]

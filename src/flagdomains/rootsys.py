@@ -16,6 +16,8 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
+from .exact import exact_int
+
 FAMILIES = ("A", "B", "C", "D")
 
 # the largest rank the CLI and the matrix realizations accept
@@ -29,21 +31,6 @@ _ROOT_COUNT = {
     "C": lambda r: 2 * r * r,
     "D": lambda r: 2 * r * (r - 1),
 }
-
-
-def exact_int(value, what: str = "a coefficient") -> int:
-    """value as an int when it is exactly one: an int, or an integral float
-    such as 2.0, since JSON has one number type. Bools, other floats,
-    strings and everything else raise ValueError, where int() would read
-    1.7 as 1, True as 1 and "3" as 3."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{what} must be an integer")
 
 
 class LieType(namedtuple("LieType", "family rank")):
@@ -73,29 +60,17 @@ def _same_class_eq(self, other) -> bool:
 class Root(NamedTuple):
     """Integer coefficient vector in the simple-root basis.
 
-    Arithmetic is plain lattice arithmetic; whether a vector is an actual
-    root of a given system is checked against that system on use. A Root
-    equals only a Root; hashing and ordering are the tuple's.
+    A Root is a label: the hot paths work on indices into ``rs.roots``, and
+    it defines no arithmetic, so + and * raise TypeError rather than act as
+    the tuple's concatenation and repetition. A Root equals only a Root;
+    hashing and ordering are the tuple's.
     """
 
     coeffs: tuple[int, ...]
 
     # object.__ne__ negates __eq__
     __eq__, __ne__, __hash__ = _same_class_eq, object.__ne__, tuple.__hash__
-
-    def __add__(self, other: "Root") -> "Root":
-        return Root(tuple(a + b for a, b in zip(self.coeffs, other.coeffs, strict=True)))
-
-    def __sub__(self, other: "Root") -> "Root":
-        return Root(tuple(a - b for a, b in zip(self.coeffs, other.coeffs, strict=True)))
-
-    def __neg__(self) -> "Root":
-        return Root(tuple(-a for a in self.coeffs))
-
-    def __mul__(self, k: int) -> "Root":
-        return Root(tuple(k * a for a in self.coeffs))
-
-    __rmul__ = __mul__
+    __add__ = __radd__ = __mul__ = __rmul__ = None
 
     @property
     def height(self) -> int:
@@ -125,6 +100,7 @@ class GradingElement(NamedTuple):
     coeffs: tuple[int, ...]
 
     __eq__, __ne__, __hash__ = _same_class_eq, object.__ne__, tuple.__hash__
+    __add__ = __radd__ = __mul__ = __rmul__ = None
 
     def value(self, a: Root) -> int:
         if len(a.coeffs) != len(self.coeffs):
@@ -183,10 +159,6 @@ class RootSystem:
     @property
     def half(self) -> int:
         return len(self.roots) // 2
-
-    @property
-    def positive_roots(self) -> tuple[Root, ...]:
-        return self.roots[self.half:]
 
     @cached_property
     def pos(self) -> dict[Root, int]:
@@ -448,12 +420,12 @@ def root_string(rs: RootSystem, i: int, j: int) -> tuple[int, int, int]:
     return r, q, top
 
 
-def coroot_coefficients(rs: RootSystem, a: Root) -> tuple[int, ...]:
-    """Integer expansion of the coroot of a over the simple coroots."""
-    la = rs.norms[rs.of(a)]
+def coroot_coefficients(rs: RootSystem, i: int) -> tuple[int, ...]:
+    """Integer expansion of the coroot of roots[i] over the simple coroots."""
+    a, la = rs.roots[i], rs.norms[i]
     out = []
-    for i, c in enumerate(a.coeffs):
-        v = Fraction(c) * rs.lengths[i] / la
+    for k, c in enumerate(a.coeffs):
+        v = Fraction(c) * rs.lengths[k] / la
         if v.denominator != 1:
             raise ArithmeticError(f"coroot expansion of {a} is not integral")
         out.append(int(v))

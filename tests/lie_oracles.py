@@ -11,10 +11,12 @@ answers None for a matrix of infinite type. It shares nothing with the
 package, which enumerates the roots as the orbit of the simple roots
 under the simple reflections, on integer tuples.
 
-Root arithmetic: the root-string, structure-constant, bracket-identity,
-eligible-pair and Jacobi computations written with `Root` objects,
-`Fraction` inner products and dict-based brackets, the slow paths that
-the package's indexed tables replace.
+Root arithmetic: `plus`, `minus`, `negative` and `times` act on `Root`
+coefficient vectors, which define no arithmetic of their own. The
+root-string, structure-constant, bracket-identity, eligible-pair and
+Jacobi computations are written with them, with `Fraction` inner products
+and dict-based brackets: the slow paths that the package's indexed tables
+replace.
 
 String verdicts: each (beta, alpha) string classified into a
 `StringVerdict` object by root arithmetic, as the package did before its
@@ -44,6 +46,22 @@ from flagdomains.rootsys import (
     check_grading,
     coroot_coefficients,
 )
+
+
+def plus(a: Root, b: Root) -> Root:
+    return Root(tuple(x + y for x, y in zip(a.coeffs, b.coeffs, strict=True)))
+
+
+def minus(a: Root, b: Root) -> Root:
+    return Root(tuple(x - y for x, y in zip(a.coeffs, b.coeffs, strict=True)))
+
+
+def negative(a: Root) -> Root:
+    return Root(tuple(-x for x in a.coeffs))
+
+
+def times(k: int, a: Root) -> Root:
+    return Root(tuple(k * x for x in a.coeffs))
 
 
 def is_positive(a: Root) -> bool:
@@ -109,7 +127,7 @@ def is_classical(rs: RootSystem, e: GradingElement) -> bool:
     compact = [b for b in rs.roots if e.value(b) % 2 == 0]
     negatives = [a for a in rs.roots if e.value(a) % 2 and e.value(a) < 0]
     return not any(
-        a + b in roots and e.value(a + b) > 0 for a in negatives for b in compact
+        plus(a, b) in roots and e.value(plus(a, b)) > 0 for a in negatives for b in compact
     )
 
 
@@ -302,12 +320,12 @@ def positive_roots_within(cartan, max_height: int = 64) -> list[Root] | None:
             for i, s in enumerate(simples):
                 pairing = sum(c * cartan[j][i] for j, c in enumerate(a.coeffs))
                 down = 0
-                probe = a - s
+                probe = minus(a, s)
                 while probe in known:
                     down += 1
-                    probe = probe - s
-                if down - pairing >= 1 and a + s not in known:
-                    nxt.add(a + s)
+                    probe = minus(probe, s)
+                if down - pairing >= 1 and plus(a, s) not in known:
+                    nxt.add(plus(a, s))
         known |= nxt
         current = nxt
         height += 1
@@ -325,12 +343,12 @@ def reference_string(rs, a, b) -> tuple[int, int, tuple]:
     """(r, q, members) of the b-string through a, by root arithmetic."""
     roots = _root_set(rs)
     q = 0
-    while (a + (q + 1) * b) in roots:
+    while plus(a, times(q + 1, b)) in roots:
         q += 1
     r = 0
-    while (a - (r + 1) * b) in roots:
+    while minus(a, times(r + 1, b)) in roots:
         r += 1
-    return r, q, tuple(a + n * b for n in range(-r, q + 1))
+    return r, q, tuple(plus(a, times(n, b)) for n in range(-r, q + 1))
 
 
 def positive_sum_table(cc) -> dict:
@@ -344,21 +362,28 @@ def positive_sum_table(cc) -> dict:
     }
 
 
+def table_constant(cc, a, b) -> int:
+    """c(a, b) as the package's table holds it, read by the indices of the
+    roots a and b: 0 where a + b is not a root, a + b = 0 included."""
+    of = cc.rs.of
+    return cc.table[of(a)][of(b)]
+
+
 def reference_constant(cc, a, b) -> int:
     """c(a, b) read from the table where the sum is positive; a negative sum
     is derived from c(-a, -b) = -c(a, b)."""
     pos = cc.rs.pos
-    s = a + b
+    s = plus(a, b)
     if s not in pos:
         return 0
     if is_positive(s):
         return cc.table[pos[a]][pos[b]]
-    return -cc.table[pos[-a]][pos[-b]]
+    return -cc.table[pos[negative(a)]][pos[negative(b)]]
 
 
 def reference_structure_table(rs) -> dict:
     """The extraspecial-sign constants table, by root arithmetic."""
-    pos = sorted(rs.positive_roots, key=lambda a: (a.height, a.coeffs))
+    pos = sorted(filter(is_positive, rs.roots), key=lambda a: (a.height, a.coeffs))
     order = {a: i for i, a in enumerate(pos)}
     roots = frozenset(rs.roots)
 
@@ -366,20 +391,20 @@ def reference_structure_table(rs) -> dict:
 
     def down_extent(a, b) -> int:
         k = 0
-        while (a - (k + 1) * b) in roots:
+        while minus(a, times(k + 1, b)) in roots:
             k += 1
         return k
 
     def lookup(a, b) -> int:
         if is_positive(a) and is_positive(b):
             return special[(a, b)] if order[a] < order[b] else -special[(b, a)]
-        na, nb = -a, -b
+        na, nb = negative(a), negative(b)
         if is_positive(na) and is_positive(nb):
             return -lookup(na, nb)
         if not is_positive(a):
             return -lookup(b, a)
-        s = a + b
-        c = -s
+        s = plus(a, b)
+        c = negative(s)
         if is_positive(s):
             val = Fraction(-lookup(nb, s)) * rs.length2(c) / rs.length2(a)
         else:
@@ -394,17 +419,17 @@ def reference_structure_table(rs) -> dict:
         for a in pos:
             if order[a] >= order[g]:
                 break
-            b = g - a
+            b = minus(g, a)
             if b in order and order[a] < order[b]:
                 pairs.append((a, b))
         a1, b1 = pairs[0]
         special[(a1, b1)] = down_extent(a1, b1) + 1
         for a, b in pairs[1:]:
             t = Fraction(0)
-            if (a1 - a) in roots:
-                t += lookup(-a, a1) * lookup(a1 - a, b1)
-            if (b1 - a) in roots:
-                t += lookup(b1, -a) * lookup(b1 - a, a1)
+            if minus(a1, a) in roots:
+                t += lookup(negative(a), a1) * lookup(minus(a1, a), b1)
+            if minus(b1, a) in roots:
+                t += lookup(b1, negative(a)) * lookup(minus(b1, a), a1)
             val = t * rs.length2(g) / (rs.length2(b) * special[(a1, b1)])
             assert val.denominator == 1 and val != 0
             special[(a, b)] = int(val)
@@ -412,7 +437,7 @@ def reference_structure_table(rs) -> dict:
     table = {}
     for a in roots:
         for b in roots:
-            s = a + b
+            s = plus(a, b)
             if s in roots and is_positive(s):
                 table[(a, b)] = lookup(a, b)
     return table
@@ -427,17 +452,19 @@ def reference_bracket_entries(cc) -> tuple[tuple, tuple]:
     chains = []
     for a in rs.roots:
         for b in rs.roots:
-            if a == b or a == -b:
+            if a == b or a == negative(b):
                 continue
             r, q, _ = reference_string(rs, a, b)
-            if (a + b) in roots:
-                coeff = reference_constant(cc, b, a) * reference_constant(cc, -b, a + b)
+            if plus(a, b) in roots:
+                coeff = reference_constant(cc, b, a) * reference_constant(
+                    cc, negative(b), plus(a, b)
+                )
             else:
                 coeff = 0
             entries.append((a, b, coeff, q * (r + 1)))
             if (r, q) == (0, 2):
-                prod = reference_constant(cc, b, a + b) * reference_constant(
-                    cc, -b, a + 2 * b
+                prod = reference_constant(cc, b, plus(a, b)) * reference_constant(
+                    cc, negative(b), plus(a, times(2, b))
                 )
                 chains.append((a, b, prod))
     return tuple(entries), tuple(chains)
@@ -448,7 +475,7 @@ def reference_eligible_pairs(rs) -> list:
     pairs = []
     for a in rs.roots:
         for b in rs.roots:
-            if a == b or a == -b:
+            if a == b or a == negative(b):
                 continue
             r, q, _ = reference_string(rs, a, b)
             if (r, q) in ((0, 1), (0, 2)):
@@ -474,13 +501,13 @@ def _basis_bracket(cc: ChevalleyConstants, s1, s2) -> dict:
     out: dict = {}
     if kind1 == "x" and kind2 == "x":
         a, b = data1, data2
-        s = a + b
+        s = plus(a, b)
         if s.is_zero:
-            for i, coef in enumerate(coroot_coefficients(rs, a)):
+            for i, coef in enumerate(coroot_coefficients(rs, rs.of(a))):
                 if coef:
                     _add_into(out, ("h", i), Fraction(coef))
         elif s in rs.pos:
-            _add_into(out, ("x", s), Fraction(cc.constant(a, b)))
+            _add_into(out, ("x", s), Fraction(reference_constant(cc, a, b)))
         return out
     if kind1 == "h" and kind2 == "x":
         i, a = data1, data2

@@ -6,14 +6,15 @@ complex numpy array. The certificates below are the float versions of
 products of numerically summed unipotent factors, conjugation by matrix
 products, residuals as float norms. ``cartan_diagonal`` is the exact
 reference for ``grading_diagonal``: E solved over the simple coroots from
-the Cartan matrix.
+the Cartan matrix. The oracles take `Root`s and read the realization,
+which is indexed like ``rs.roots``, through ``root_vector``.
 """
 
 import math
 from fractions import Fraction
 
 import numpy as np
-from lie_oracles import reference_string
+from lie_oracles import negative, plus, reference_string, times
 
 from flagdomains.exact import make_check, product
 from flagdomains.rootsys import check_grading, coroot_coefficients
@@ -41,9 +42,14 @@ def sparse(m: np.ndarray) -> dict:
     return {(int(i), int(j)): complex(m[i, j]) for i, j in np.argwhere(m != 0)}
 
 
+def root_vector(rep, a) -> dict:
+    """x^a for the root a; ValueError when a is not a root."""
+    return rep.x[rep.rs.of(a)]
+
+
 def coroot(rep, s) -> dict:
     """[x^s, x^{-s}], exact and sparse."""
-    xs, xns = rep.x[s], rep.x[-s]
+    xs, xns = root_vector(rep, s), root_vector(rep, negative(s))
     out = product(xs, xns)
     for key, v in product(xns, xs).items():
         out[key] = out.get(key, 0) - v
@@ -53,7 +59,7 @@ def coroot(rep, s) -> dict:
 def cartan_element(rep, a) -> np.ndarray:
     """The coroot of a as a matrix, an integer combination of the simple
     coroots [x^s, x^{-s}]."""
-    coeffs = coroot_coefficients(rep.rs, a)
+    coeffs = coroot_coefficients(rep.rs, rep.rs.of(a))
     out = np.zeros((rep.dim, rep.dim), dtype=complex)
     for s, c in zip(rep.rs.simple_roots(), coeffs):
         if c:
@@ -133,23 +139,23 @@ def shear_product(e: np.ndarray, f: np.ndarray, t: float, s: float) -> np.ndarra
 
 def cayley_matrix(rep, a) -> np.ndarray:
     """exp((pi/4)(x^{-a} - x^{a})) in the realization."""
-    rep.rs.of(a)
     theta = math.pi / 4
-    xna, xa = dense(rep.x[-a], rep.dim), dense(rep.x[a], rep.dim)
+    xna, xa = dense(root_vector(rep, negative(a)), rep.dim), dense(root_vector(rep, a), rep.dim)
     return shear_product(xna, xa, math.tan(theta / 2), math.sin(theta))
 
 
 class FloatRealization:
-    """Dense float copies of a realization's root vectors and Weyl elements."""
+    """Dense float copies of a realization's root vectors and Weyl elements,
+    keyed by `Root`."""
 
     def __init__(self, rep):
         self.rep = rep
-        self.x = {a: dense(m, rep.dim) for a, m in rep.x.items()}
+        self.x = {a: dense(m, rep.dim) for a, m in zip(rep.rs.roots, rep.x, strict=True)}
         self._weyl = {}
 
     def weyl(self, b):
         if b not in self._weyl:
-            xb, xnb = self.x[b], self.x[-b]
+            xb, xnb = self.x[b], self.x[negative(b)]
             self._weyl[b] = (shear_product(xb, xnb, 1, 1), shear_product(xb, xnb, -1, -1))
         return self._weyl[b]
 
@@ -170,7 +176,7 @@ def flag_residual(rep, e, m: np.ndarray) -> float:
 
 def cayley_check(frep: FloatRealization, a, b, tol=TOL):
     r, q, _ = reference_string(frep.rep.rs, a, b)
-    expected = a + q * b
+    expected = plus(a, times(q, b))
     image = frep.conjugate(b, frep.x[a])
     res, sign = min(
         (float(np.linalg.norm(image - sign * frep.x[expected])), sign) for sign in (1, -1)

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from lie_oracles import (
     analyze_string_condition,
     is_classical,
+    plus,
     reference_report,
     reference_string,
+    times,
 )
 
 from flagdomains import concavity
@@ -104,9 +106,9 @@ def brute_force_verdict(rs, e):
         for alpha in alphas:
             r, q, _ = reference_string(rs, alpha, beta)
             if (r, q) == (0, 1):
-                ok = e.value(alpha + beta) >= 0
+                ok = e.value(plus(alpha, beta)) >= 0
             elif (r, q) == (0, 2):
-                ok = e.value(alpha + 2 * beta) >= 0
+                ok = e.value(plus(alpha, times(2, beta))) >= 0
             else:
                 ok = False
             if not ok:

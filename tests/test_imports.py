@@ -24,7 +24,9 @@ def _package_imports(module: str) -> set[str]:
 
 def test_exact_is_a_leaf_and_hodge_skips_the_lie_algebra_stack():
     assert _package_imports("exact") == set()
-    assert _package_imports("hodge") == {"exact", "rootsys"}
+    # period and levi need no root code: exact_int lives in exact
+    assert _package_imports("hodge") == {"exact"}
+    assert _package_imports("leviform") == {"exact"}
     assert "hodge" not in _package_imports("matrixrep")
     # the fixed-point certificate reads its witness off the caller's sweep
     assert "concavity" not in _package_imports("matrixrep")

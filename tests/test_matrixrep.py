@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from conftest import CLASSICAL, ORACLE_SYSTEMS, RELABELLED_B4
-from lie_oracles import cartan_integer, reference_eligible_pairs
+from lie_oracles import cartan_integer, negative, plus, reference_eligible_pairs, table_constant
 from matrix_oracle import (
     FloatRealization,
     cartan_diagonal,
@@ -23,6 +23,7 @@ from matrix_oracle import (
     dense,
     fixed_point_check,
     invariant_form,
+    root_vector,
     shear_product,
     sparse,
     weyl_dense,
@@ -42,6 +43,7 @@ from flagdomains.matrixrep import (
 )
 from flagdomains.rootsys import (
     LieType,
+    RootSystem,
     build_root_system,
     from_cartan_matrix,
     grading,
@@ -61,21 +63,22 @@ def test_bracket_relations_exact(key, systems, reps):
     rs = systems[key]
     rep = reps[key]
     cc = structure_constants(rs)
-    x = {a: dense(m, rep.dim) for a, m in rep.x.items()}
+    x = FloatRealization(rep).x
     for a in rs.roots:
         ha = cartan_element(rep, a)
-        comm = x[a] @ x[-a] - x[-a] @ x[a]
+        comm = x[a] @ x[negative(a)] - x[negative(a)] @ x[a]
         assert np.linalg.norm(comm - ha) < 1e-12
         for s in rs.simple_roots():
             hs = dense(coroot(rep, s), rep.dim)
             comm = hs @ x[a] - x[a] @ hs
             assert np.linalg.norm(comm - cartan_integer(rs, a, s) * x[a]) < 1e-12
         for b in rs.roots:
-            if (a + b).is_zero:
+            if plus(a, b).is_zero:
                 continue
             comm = x[a] @ x[b] - x[b] @ x[a]
-            if (a + b) in rs.roots:
-                assert np.linalg.norm(comm - cc.constant(a, b) * x[a + b]) < 1e-12
+            if plus(a, b) in rs.roots:
+                c = table_constant(cc, a, b)
+                assert np.linalg.norm(comm - c * x[plus(a, b)]) < 1e-12
             else:
                 assert np.linalg.norm(comm) < 1e-12
 
@@ -86,7 +89,7 @@ def test_membership_in_classical_algebra(key, systems, reps):
     rep = reps[key]
     form = invariant_form(rep)
     coroots = [coroot(rep, s) for s in rs.simple_roots()]
-    elements = [dense(m, rep.dim) for m in [*rep.x.values(), *coroots]]
+    elements = [dense(m, rep.dim) for m in [*rep.x, *coroots]]
     for m in elements:
         if form is None:
             assert abs(np.trace(m)) < 1e-12
@@ -98,15 +101,15 @@ def test_a1_matches_standard_triple():
     rs = build_root_system(LieType("A", 1))
     rep = fundamental_rep(rs)
     alpha = rs.simple_roots()[0]
-    assert np.array_equal(dense(rep.x[alpha], 2).real, [[0, 1], [0, 0]])
-    assert np.array_equal(dense(rep.x[-alpha], 2).real, [[0, 0], [1, 0]])
+    assert np.array_equal(dense(root_vector(rep, alpha), 2).real, [[0, 1], [0, 0]])
+    assert np.array_equal(dense(root_vector(rep, negative(alpha)), 2).real, [[0, 0], [1, 0]])
     assert coroot(rep, alpha) == {(0, 0): 1, (1, 1): -1}
 
 
 def test_a2_root_vectors_are_signed_elementary(a2):
     rep = fundamental_rep(a2)
-    for a in a2.roots:
-        m = dense(rep.x[a], rep.dim)
+    for xa in rep.x:
+        m = dense(xa, rep.dim)
         nonzero = np.argwhere(np.abs(m) > 0)
         assert len(nonzero) == 1
         assert abs(abs(m[tuple(nonzero[0])]) - 1.0) < 1e-15
@@ -118,8 +121,8 @@ def test_a2_root_vectors_are_signed_elementary(a2):
 def test_c2_double_constant(c2):
     rep = fundamental_rep(c2)
     t1, t2 = c2.simple_roots()
-    x = {a: dense(m, rep.dim) for a, m in rep.x.items()}
-    comm = x[t1] @ x[t1 + t2] - x[t1 + t2] @ x[t1]
+    x = FloatRealization(rep).x
+    comm = x[t1] @ x[plus(t1, t2)] - x[plus(t1, t2)] @ x[t1]
     target = x[root((2, 1))]
     assert (
         np.linalg.norm(comm - 2 * target) < 1e-12
@@ -153,8 +156,7 @@ def test_exponential_inverse(key):
     rs = build_root_system(LieType(*key))
     rep = fundamental_rep(rs)
     eye = np.eye(rep.dim)
-    for a in rs.roots:
-        x = rep.x[a]
+    for x in rep.x:
         minus = {k: -v for k, v in x.items()}
         inverse = product(exp_nilpotent(x, rep.dim), exp_nilpotent(minus, rep.dim))
         assert np.array_equal(dense(inverse, rep.dim), eye)
@@ -165,11 +167,11 @@ def test_unipotent_factors_match_expm(key):
     rs = build_root_system(LieType(*key))
     rep = fundamental_rep(rs)
     eye = np.eye(rep.dim)
-    for a in rs.roots:
-        xa, xna = dense(rep.x[a], rep.dim), dense(rep.x[-a], rep.dim)
+    for j, a in enumerate(rs.roots):
+        xa, xna = dense(rep.x[j], rep.dim), dense(root_vector(rep, negative(a)), rep.dim)
         assert not (xa @ xa @ xa).any()
-        assert np.linalg.norm(dense(exp_nilpotent(rep.x[a], rep.dim), rep.dim) - expm(xa)) < 1e-12
-        weyl = weyl_dense(rep.weyl(a))
+        assert np.linalg.norm(dense(exp_nilpotent(rep.x[j], rep.dim), rep.dim) - expm(xa)) < 1e-12
+        weyl = weyl_dense(rep.weyl(j))
         assert np.linalg.norm(weyl - expm((math.pi / 2) * (xa - xna))) < 1e-12
         assert np.array_equal(weyl @ shear_product(xa, xna, -1, -1), eye)
         assert np.array_equal(weyl, shear_product(xa, xna, 1, 1))
@@ -180,7 +182,8 @@ def test_exp_nilpotent_rejects_non_nilpotent(reps):
     rep = reps[("A", 2)]
     a = root((1, 1))
     # x^a and x^{-a} have disjoint supports
-    difference = {**rep.x[a], **{k: -v for k, v in rep.x[-a].items()}}
+    xa, xna = root_vector(rep, a), root_vector(rep, negative(a))
+    difference = {**xa, **{k: -v for k, v in xna.items()}}
     with pytest.raises(ValueError):
         exp_nilpotent(difference, rep.dim)
 
@@ -191,9 +194,9 @@ def test_cayley_conjugation_all_eligible_pairs(key, systems, reps):
     rep = reps[key]
     pairs = eligible_conjugation_pairs(rs)
     assert pairs
-    for a, b in pairs:
-        chk = verify_cayley_conjugation(rep, a, b)
-        assert chk["pass"], (a, b, chk["residual"])
+    for i, j in pairs:
+        chk = verify_cayley_conjugation(rep, i, j)
+        assert chk["pass"], (rs.roots[i], rs.roots[j], chk["residual"])
         assert chk["residual"] < 1e-9
         assert chk["sign"] in (1, -1)
         assert chk["info"]["target"] == chk["info"]["expected"]
@@ -201,11 +204,13 @@ def test_cayley_conjugation_all_eligible_pairs(key, systems, reps):
 
 def test_cayley_conjugation_examples(a2, c2, reps):
     rep_a2 = reps[("A", 2)]
-    chk = verify_cayley_conjugation(rep_a2, root((-1, 0)), root((1, 1)))
+    chk = verify_cayley_conjugation(rep_a2, a2.of(root((-1, 0))), a2.of(root((1, 1))))
+    assert chk["claim"] == "cayley-conjugation a=(-1,0) b=(1,1)"
     assert chk["info"]["target"] == [0, 1]
 
     rep_c2 = reps[("C", 2)]
-    chk = verify_cayley_conjugation(rep_c2, root((0, -1)), root((1, 1)))
+    chk = verify_cayley_conjugation(rep_c2, c2.of(root((0, -1))), c2.of(root((1, 1))))
+    assert chk["claim"] == "cayley-conjugation a=(0,-1) b=(1,1)"
     assert chk["info"]["target"] == [2, 1]
     assert chk["info"]["string"] == [0, 2]
 
@@ -214,26 +219,26 @@ def test_cayley_conjugation_examples(a2, c2, reps):
 def test_cayley_conjugation_fails_on_a_swapped_endpoint(key, systems, reps):
     rs = systems[key]
     rep = reps[key]
-    for a, b in eligible_conjugation_pairs(rs):
-        chk = verify_cayley_conjugation(rep, a, b)
-        expected = root(tuple(chk["info"]["expected"]))
-        other = next(g for g in rs.roots if g not in (a, b, -b, expected))
-        x = dict(rep.x)
+    for i, j in eligible_conjugation_pairs(rs):
+        chk = verify_cayley_conjugation(rep, i, j)
+        expected = rs.of(root(chk["info"]["expected"]))
+        other = next(g for g in range(len(rs.roots)) if g not in (i, j, rs.neg[j], expected))
+        x = list(rep.x)
         x[expected], x[other] = rep.x[other], rep.x[expected]
-        chk = verify_cayley_conjugation(MatrixRealization(rep.rs, rep.dim, x), a, b)
-        assert not chk["pass"], (a, b)
+        chk = verify_cayley_conjugation(MatrixRealization(rep.rs, rep.dim, tuple(x)), i, j)
+        assert not chk["pass"], (rs.roots[i], rs.roots[j])
         assert chk["info"]["target"] is None and chk["sign"] is None
 
 
 def test_cayley_conjugation_preconditions(reps):
     rep = reps[("A", 1)]
-    alpha = root((1,))
+    alpha = rep.rs.of(root((1,)))
     with pytest.raises(ValueError):
         verify_cayley_conjugation(rep, alpha, alpha)
-    rep_c2 = reps[("C", 2)]
+    rs = reps[("C", 2)].rs
     with pytest.raises(ValueError):
         # the (1, 1) string shape is not eligible
-        verify_cayley_conjugation(rep_c2, root((-1, 0)), root((1, 1)))
+        verify_cayley_conjugation(reps[("C", 2)], rs.of(root((-1, 0))), rs.of(root((1, 1))))
 
 
 def test_fixed_point_certificates(reps):
@@ -339,7 +344,7 @@ def _with_identity_weyl(rep, *betas):
     """A copy of rep whose Weyl element for each of betas is the identity."""
     mutant = MatrixRealization(rep.rs, rep.dim, rep.x)
     for beta in betas:
-        mutant._weyl[beta] = WeylElement(tuple(range(rep.dim)), (2,) * rep.dim)
+        mutant._weyl[rep.rs.of(beta)] = WeylElement(tuple(range(rep.dim)), (2,) * rep.dim)
     return mutant
 
 
@@ -361,9 +366,10 @@ def test_fixed_point_passes_exactly_when_nothing_lies_below_the_filtration(eps):
     t = Fraction(str(eps))
     xi = {(i, i): 1 for i in range(rep.dim)}
     for alpha in report.noncompact_negatives:
-        xi = product(xi, exp_nilpotent({k: t * v for k, v in rep.x[alpha].items()}, rep.dim))
+        xa = root_vector(rep, alpha)
+        xi = product(xi, exp_nilpotent({k: t * v for k, v in xa.items()}, rep.dim))
     for r, passes in ((rep, True), (mutant, False)):
-        below = below_filtration(r, e, r.weyl(beta).conjugate(xi))
+        below = below_filtration(r, e, r.weyl(rep.rs.of(beta)).conjugate(xi))
         chk = verify_fixed_point(r, report, beta, eps)
         assert chk["pass"] == (not below) == passes
         # the printed size of a failure may underflow to 0.0, the verdict not
@@ -373,8 +379,9 @@ def test_fixed_point_passes_exactly_when_nothing_lies_below_the_filtration(eps):
 def _pairs_certify(rep, report, beta) -> bool:
     """Whether the prop33 lines of beta's pairs all pass, with every target
     alpha + q beta of nonnegative grading."""
+    of = rep.rs.of
     for alpha in report.noncompact_negatives:
-        chk = verify_cayley_conjugation(rep, alpha, beta)
+        chk = verify_cayley_conjugation(rep, of(alpha), of(beta))
         if not (chk["pass"] and report.grading.value(root(chk["info"]["expected"])) >= 0):
             return False
     return True
@@ -412,8 +419,8 @@ def test_flag_residual_invariant_under_parabolic_factors(reps):
     rs = rep.rs
     e = grading((1, 1))
     beta = root((1, 1))
-    x = {a: dense(m, rep.dim) for a, m in rep.x.items()}
-    arg = (math.pi / 2) * (x[beta] - x[-beta])
+    x = FloatRealization(rep).x
+    arg = (math.pi / 2) * (x[beta] - x[negative(beta)])
     m = expm(arg)
     xi = expm(0.1 * x[root((-1, 0))]) @ expm(0.1 * x[root((0, -1))])
     conj = m @ xi @ expm(-arg)
@@ -449,8 +456,9 @@ def test_grading_diagonal_matches_the_cartan_solve(key):
 def test_grading_diagonal_rejects_an_unlinked_basis(reps):
     # without x^{s_1}, no simple root vector reaches e_0 in A2
     rep = reps[("A", 2)]
-    s1 = rep.rs.simple_roots()[0]
-    unlinked = MatrixRealization(rep.rs, rep.dim, {**rep.x, s1: {}})
+    x = list(rep.x)
+    x[rep.rs.of(rep.rs.simple_roots()[0])] = {}
+    unlinked = MatrixRealization(rep.rs, rep.dim, tuple(x))
     with pytest.raises(ArithmeticError, match="do not link the basis"):
         unlinked.grading_diagonal(grading((1, 1)))
 
@@ -463,16 +471,20 @@ def test_rep_requires_detected_family():
         fundamental_rep(g2)
 
 
+def _root_pairs(rs, pairs):
+    return [(rs.roots[i], rs.roots[j]) for i, j in pairs]
+
+
 @pytest.mark.parametrize("key", ORACLE_SYSTEMS, ids=lambda k: f"{k[0]}{k[1]}")
 def test_eligible_pairs_match_root_arithmetic(key):
     rs = build_root_system(LieType(*key))
-    assert eligible_conjugation_pairs(rs) == reference_eligible_pairs(rs)
+    assert _root_pairs(rs, eligible_conjugation_pairs(rs)) == reference_eligible_pairs(rs)
 
 
 def test_eligible_pairs_match_root_arithmetic_relabelled():
     rs = from_cartan_matrix(RELABELLED_B4)
     assert rs.lie_type is None
-    assert eligible_conjugation_pairs(rs) == reference_eligible_pairs(rs)
+    assert _root_pairs(rs, eligible_conjugation_pairs(rs)) == reference_eligible_pairs(rs)
 
 
 @pytest.mark.parametrize("key", ORACLE_SYSTEMS, ids=lambda k: f"{k[0]}{k[1]}")
@@ -481,9 +493,9 @@ def test_exact_cayley_checks_match_the_float_oracle(key):
     rep = fundamental_rep(rs)
     frep = FloatRealization(rep)
     pairs = eligible_conjugation_pairs(rs)
-    for a, b in pairs:
-        exact = verify_cayley_conjugation(rep, a, b)
-        assert exact == cayley_check(frep, a, b)
+    for i, j in pairs:
+        exact = verify_cayley_conjugation(rep, i, j)
+        assert exact == cayley_check(frep, rs.roots[i], rs.roots[j])
         assert exact["residual"] == 0.0
     if key[1] == 6:
         # 3,780 pairs over A6, B6, C6 and D6
@@ -520,10 +532,10 @@ def test_exact_fixed_point_residual_matches_the_oracle_when_it_fails(key, coeffs
     e = grading(coeffs)
     report = check_pseudoconcavity(rs, e)
     beta = report.witnesses[0]
-    x = dict(rep.x)
+    x = list(rep.x)
     for alpha in report.noncompact_negatives:
-        x[alpha] = rep.x[-alpha]
-    bent = MatrixRealization(rep.rs, rep.dim, x)
+        x[rs.of(alpha)] = root_vector(rep, negative(alpha))
+    bent = MatrixRealization(rep.rs, rep.dim, tuple(x))
     for eps in (0.01, 0.1, 1.0):
         exact = verify_fixed_point(bent, report, beta, eps)
         oracle = fixed_point_check(FloatRealization(bent), e, beta, eps)
@@ -533,8 +545,43 @@ def test_exact_fixed_point_residual_matches_the_oracle_when_it_fails(key, coeffs
 
 def test_weyl_elements_are_built_once_per_root(reps):
     rep = reps[("B", 3)]
-    b = root((0, 1, 1))
+    b = rep.rs.of(root((0, 1, 1)))
     assert rep.weyl(b) is rep.weyl(b)
     w = rep.weyl(b)
     assert sorted(w.perm) == list(range(rep.dim))
     assert {abs(t) for t in w.twice} <= {1, 2, 4}
+
+
+def test_cayley_lines_read_strings_and_weyl_elements_by_index(monkeypatch):
+    import sys
+
+    from flagdomains import rootsys
+
+    rs = build_root_system(LieType("B", 4))
+    # a fresh copy, so no earlier test has built its Weyl elements
+    rep = MatrixRealization(rs, fundamental_rep(rs).dim, fundamental_rep(rs).x)
+    strings, lookups = [], []
+    original_string, original_of = rootsys.root_string, RootSystem.of
+
+    def counting_string(*args):
+        strings.append(args)
+        return original_string(*args)
+
+    def counting_of(self, a):
+        lookups.append(a)
+        return original_of(self, a)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("flagdomains") and hasattr(module, "root_string"):
+            monkeypatch.setattr(module, "root_string", counting_string)
+    monkeypatch.setattr(RootSystem, "of", counting_of)
+    pairs = eligible_conjugation_pairs(rs)
+    n = len(rs.roots)
+    # one string per ordered pair i != +-j
+    assert len(strings) == n * (n - 2)
+    strings.clear()
+    for i, j in pairs:
+        assert verify_cayley_conjugation(rep, i, j)["pass"]
+    assert len(strings) == len(pairs) > 0
+    assert lookups == []
+    assert len(rep._weyl) == len({j for _, j in pairs})

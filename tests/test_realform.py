@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CLASSICAL, ORACLE_SYSTEMS
+from lie_oracles import negative, plus
 
 from flagdomains.concavity import check_pseudoconcavity
 from flagdomains.realform import classify_roots
@@ -57,11 +58,11 @@ def test_partition_and_parity_additivity(key, raw):
     table = classify_roots(rs, e)
     assert set(table.compact) | set(table.noncompact) == set(rs.roots)
     assert not set(table.compact) & set(table.noncompact)
-    assert {-a for a in table.compact} == set(table.compact)
-    assert {-a for a in table.noncompact} == set(table.noncompact)
+    assert {negative(a) for a in table.compact} == set(table.compact)
+    assert {negative(a) for a in table.noncompact} == set(table.noncompact)
     for a in table.compact:
         for b in table.compact:
-            s = a + b
+            s = plus(a, b)
             if s in rs.roots:
                 assert s in table.compact
     if any(e.coeffs):

@@ -36,7 +36,7 @@ RECORDS = {
     "BracketReport": lambda: verify_bracket_identities(structure_constants(_a2())),
     "DefiningFunction": lambda: DefiningFunction.from_polynomial(1, [0], [{"c": 1}]),
     "MatrixRealization": lambda: fundamental_rep(_a2()),
-    "WeylElement": lambda: fundamental_rep(_a2()).weyl(root((1, 0))),
+    "WeylElement": lambda: fundamental_rep(_a2()).weyl(_a2().of(root((1, 0)))),
     "HodgeNumbers": lambda: HodgeNumbers(1, (1, 1)),
     "DegenerationSpec": lambda: DegenerationSpec("I", 0),
 }
@@ -61,6 +61,17 @@ def test_roots_equal_only_roots():
     assert a != ((1, 0),) and ((1, 0),) != a
     assert not a == GradingElement((1, 0)) and not a == ((1, 0),)
     assert {a: 1}.get(Root((1, 0))) == 1 and ((1, 0),) not in {a}
+
+
+@pytest.mark.parametrize("make", [root, grading], ids=["Root", "GradingElement"])
+def test_roots_and_gradings_define_no_arithmetic(make):
+    # as tuples they would concatenate and repeat: a leftover a + b in an
+    # oracle would build a nested tuple instead of failing
+    a, b = make((1, 0)), make((0, 1))
+    ops = (lambda: a + b, lambda: (1, 0) + a, lambda: a * 2, lambda: 2 * a, lambda: a - b, lambda: -a)
+    for op in ops:
+        with pytest.raises(TypeError):
+            op()
 
 
 def test_roots_sort_by_their_coefficients():
