@@ -45,13 +45,14 @@ def main():
     show("sp(4) picture: C2 with grading (1,1)",
          check_pseudoconcavity(c2, grading((1, 1))).to_json_dict())
 
-    # the fixed-point certificate reads its witness off the sweep's report
+    # the fixed-point certificate reads its witness off the sweep's report,
+    # by the witness's index in rs.roots
     show("fixed-point certificate, A2 witness (1,1), eps=0.1",
          verify_fixed_point(fundamental_rep(a2), check_pseudoconcavity(a2, grading((1, 1))),
-                            root((1, 1)), 0.1))
+                            a2.roots.index(root((1, 1))), 0.1))
     show("fixed-point certificate, so(5) witness (2,1), eps=0.1",
          verify_fixed_point(fundamental_rep(so5), check_pseudoconcavity(so5, grading((1, 0))),
-                            root((2, 1)), 0.1))
+                            so5.roots.index(root((2, 1))), 0.1))
 
     show("period domain, weight 3, h = (1,1,1,1)",
          period_report(HodgeNumbers.from_descending(3, [1, 1, 1, 1])))

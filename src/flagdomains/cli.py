@@ -79,6 +79,14 @@ class BadJSONError(ValueError):
     pass
 
 
+# the exit code of each refusal that is not a plain bad request
+_REFUSALS = (
+    (BadJSONError, EXIT_BAD_JSON),
+    (OutOfBoundsError, EXIT_OUT_OF_BOUNDS),
+    (InfeasibleDegeneration, EXIT_INFEASIBLE),
+)
+
+
 def _parse_json(text: str, where: str):
     try:
         return json.loads(text)
@@ -202,15 +210,18 @@ def _cmd_theorem1(args) -> int:
     report = check_pseudoconcavity(rs, e)
     payload = report.to_json_dict()
     payload["grading"] = list(e.coeffs)
-    compact = report.detail  # keyed by exactly the compact roots
-    payload["compact_roots"] = sorted(list(b.coeffs) for b in compact)
-    payload["noncompact_roots"] = sorted(list(a.coeffs) for a in rs.roots if a not in compact)
+    roots = rs.roots
+    compact = report.detail  # keyed by the indices of exactly the compact roots
+    payload["compact_roots"] = sorted(list(roots[j].coeffs) for j in compact)
+    payload["noncompact_roots"] = sorted(
+        list(a.coeffs) for j, a in enumerate(roots) if j not in compact
+    )
     pretty = [
         f"satisfied: {report.satisfied}",
         "witnesses: "
-        + (", ".join(str(b) for b in report.witnesses) or "(none)"),
+        + (", ".join(str(roots[j]) for j in report.witnesses) or "(none)"),
         "noncompact negatives: "
-        + (", ".join(str(a) for a in report.noncompact_negatives) or "(none)"),
+        + (", ".join(str(roots[i]) for i in report.noncompact_negatives) or "(none)"),
     ]
     _emit(args, payload, pretty)
     return EXIT_OK
@@ -315,12 +326,13 @@ def _iter_verify_checks(args):
         else:
             raise ValueError("missing --grading")
         for rs, e in targets:
+            # a system without a matrix realization is refused whatever the grading
+            rep = fundamental_rep(rs)
             report = check_pseudoconcavity(rs, e)
             if report.witnesses:
-                rep = fundamental_rep(rs)
-                for beta in report.witnesses:
+                for j in report.witnesses:
                     for eps in eps_values:
-                        yield verify_fixed_point(rep, report, beta, eps)
+                        yield verify_fixed_point(rep, report, j, eps)
             else:
                 claim = f"fixed-point witness exists {_system_name(rs)} grading {list(e.coeffs)}"
                 yield make_check(claim=claim, residual=1.0, passed=False)
@@ -425,18 +437,9 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_CLOSED_STDOUT
-    except BadJSONError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_JSON
-    except OutOfBoundsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_OUT_OF_BOUNDS
-    except InfeasibleDegeneration as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return next((code for kind, code in _REFUSALS if isinstance(exc, kind)), EXIT_USAGE)
 
 
 if __name__ == "__main__":

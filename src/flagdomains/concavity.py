@@ -13,43 +13,37 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .realform import classify_roots
-from .rootsys import (
-    GradingElement,
-    Root,
-    RootSystem,
-    check_grading,
-    root_string,
-)
+from .rootsys import GradingElement, RootSystem, check_grading, root_string
 
 
 class ConcavityReport(NamedTuple):
     """Verdict of the sweep, with every witness and the full detail map:
     each compact root to the JSON entries of its strings, in sweep order;
-    rs and grading are the system and grading it was computed for."""
+    rs and grading are the system and grading it was computed for. Every
+    root is named by its index in ``rs.roots``."""
 
     satisfied: bool
-    witnesses: tuple[Root, ...]
-    noncompact_negatives: tuple[Root, ...]
+    witnesses: tuple[int, ...]
+    noncompact_negatives: tuple[int, ...]
     detail: dict
     rs: RootSystem
     grading: GradingElement
 
     def to_json_dict(self) -> dict:
+        roots = self.rs.roots
         return {
             "satisfied": self.satisfied,
-            "witnesses": [list(b.coeffs) for b in self.witnesses],
+            "witnesses": [list(roots[j].coeffs) for j in self.witnesses],
             "noncompact_negatives": [
-                list(a.coeffs) for a in self.noncompact_negatives
+                list(roots[i].coeffs) for i in self.noncompact_negatives
             ],
             "detail": [
                 {
-                    "beta": list(b.coeffs),
-                    "is_witness": b in self.witnesses,
-                    "verdicts": list(verdicts),
+                    "beta": list(roots[j].coeffs),
+                    "is_witness": j in self.witnesses,
+                    "verdicts": list(self.detail[j]),
                 }
-                for b, verdicts in sorted(
-                    self.detail.items(), key=lambda kv: kv[0].coeffs
-                )
+                for j in sorted(self.detail, key=lambda j: roots[j].coeffs)
             ],
         }
 
@@ -62,19 +56,20 @@ def check_pseudoconcavity(rs: RootSystem, e: GradingElement) -> ConcavityReport:
         raise ValueError("trivial grading defines no proper parabolic")
     if any(n < 0 for n in e.coeffs):
         raise ValueError("grading coefficients must be nonnegative")
-    table = classify_roots(rs, e)
+    values = classify_roots(rs, e).values
     roots = rs.roots
-    # the noncompact negative roots, in sweep order, by index with their grading values
-    alphas = tuple((rs.of(a), va) for a in table.noncompact if (va := e.value(a)) < 0)
-    detail: dict[Root, tuple[dict, ...]] = {}
+    # the noncompact negative roots, in sweep order
+    alphas = tuple(i for i, v in enumerate(values) if v % 2 and v < 0)
+    detail: dict[int, tuple[dict, ...]] = {}
     witnesses = []
-    for beta in table.compact:
-        j, vb = rs.of(beta), e.value(beta)
+    for j, vb in enumerate(values):
+        if vb % 2:
+            continue
         verdicts = []
-        for i, va in alphas:
+        for i in alphas:
             r, q, top = root_string(rs, i, j)
             # the grading is linear: the top alpha + q beta has value va + q vb
-            endpoint_in_p = va + q * vb >= 0
+            endpoint_in_p = values[i] + q * vb >= 0
             if (r, q) not in ((0, 1), (0, 2)):
                 verdict, reason = "FAIL", f"string shape (r, q) = ({r}, {q})"
             elif endpoint_in_p:
@@ -91,13 +86,13 @@ def check_pseudoconcavity(rs: RootSystem, e: GradingElement) -> ConcavityReport:
                 "verdict": verdict,
                 "reason": reason,
             })
-        detail[beta] = tuple(verdicts)
+        detail[j] = tuple(verdicts)
         if all(v["verdict"] != "FAIL" for v in verdicts):
-            witnesses.append(beta)
+            witnesses.append(j)
     return ConcavityReport(
         satisfied=bool(witnesses),
         witnesses=tuple(witnesses),
-        noncompact_negatives=tuple(roots[i] for i, _ in alphas),
+        noncompact_negatives=alphas,
         detail=detail,
         rs=rs,
         grading=e,

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 from .chevalley import structure_constants
 from .exact import combo, exp_nilpotent, make_check, product, shear_product
-from .rootsys import MAX_RANK, GradingElement, Root, RootSystem, _frozen, check_grading, root_string
+from .rootsys import MAX_RANK, GradingElement, RootSystem, _frozen, check_grading, root_string
 
 
 def _twice(v) -> int:
@@ -99,8 +99,7 @@ class MatrixRealization:
         traceless; ArithmeticError when those vectors do not link the basis.
         """
         check_grading(self.rs, e)
-        simples = zip(self.rs.simple_roots(), e.coeffs)
-        links = [(k, l, n) for s, n in simples for k, l in self.x[self.rs.of(s)]]
+        links = [(k, l, n) for s, n in zip(self.rs.simple, e.coeffs) for k, l in self.x[s]]
         diag = {0: Fraction(0)}
         while len(diag) < self.dim:
             known = len(diag)
@@ -175,8 +174,7 @@ def fundamental_rep(rs: RootSystem) -> MatrixRealization:
         raise ValueError(f"rank {t.rank} exceeds the supported bound {MAX_RANK}")
     cc = structure_constants(rs)
     dim, xs, ys = _BUILDERS[t.family](t.rank)
-    add, neg, half = rs.add, rs.neg, rs.half
-    simples = [rs.of(s) for s in rs.simple_roots()]
+    add, neg, half, simples = rs.add, rs.neg, rs.half, rs.simple
     x: list = [None] * len(rs.roots)
     for s, xp, xn in zip(simples, xs, ys):
         x[s], x[neg[s]] = xp, xn
@@ -243,14 +241,15 @@ def below_filtration(rep: MatrixRealization, e: GradingElement, m: dict) -> list
     return [v for (t, s), v in m.items() if diag[t] < diag[s]]
 
 
-def verify_fixed_point(rep: MatrixRealization, report, beta: Root, eps: float) -> dict:
-    """Certify Ad(c(-beta)^2) applied to the neighborhood generator is in P.
+def verify_fixed_point(rep: MatrixRealization, report, j: int, eps: float) -> dict:
+    """Certify Ad(c(-beta)^2) applied to the neighborhood generator is in P,
+    for beta = rs.roots[j].
 
     report is the sweep (a ConcavityReport) for rep's system and a grading,
-    and beta one of its witnesses. The generator is the ordered product of
-    exp(eps x^{a_i}) over the report's noncompact negative roots a_i, with
-    eps taken exactly as the decimal it prints as; membership in the
-    parabolic subgroup is tested as block-triangularity for the grading
+    and j the index of one of its witnesses. The generator is the ordered
+    product of exp(eps x^{a_i}) over the report's noncompact negative roots
+    a_i, with eps taken exactly as the decimal it prints as; membership in
+    the parabolic subgroup is tested as block-triangularity for the grading
     filtration.
     """
     if not 0.0 < eps <= 1.0:
@@ -259,21 +258,21 @@ def verify_fixed_point(rep: MatrixRealization, report, beta: Root, eps: float) -
     if report.rs != rep.rs:
         raise ValueError("the report is for another root system")
     e, alphas = report.grading, report.noncompact_negatives
-    if beta not in report.witnesses:
-        raise ValueError(f"beta {beta} is not a witness for grading {e}")
-    of = rep.rs.of
+    if j not in report.witnesses:
+        raise ValueError(f"beta {j} is not a witness for grading {e}")
+    roots = rep.rs.roots
     t = Fraction(str(eps))
-    xi = one = {(i, i): 1 for i in range(rep.dim)}
-    for alpha in alphas:
+    xi = one = {(k, k): 1 for k in range(rep.dim)}
+    for i in alphas:
         # xi exp(t x) = xi + xi (exp(t x) - 1), where the second factor is sparse
-        step = combo((1, exp_nilpotent(combo((t, rep.x[of(alpha)])), rep.dim)), (-1, one))
+        step = combo((1, exp_nilpotent(combo((t, rep.x[i])), rep.dim)), (-1, one))
         xi = combo((1, xi), (1, product(xi, step)))
-    below = below_filtration(rep, e, rep.weyl(of(beta)).conjugate(xi))
+    below = below_filtration(rep, e, rep.weyl(j).conjugate(xi))
     return make_check(
-        claim=f"cayley-fixed-point beta={beta} eps={eps}",
+        claim=f"cayley-fixed-point beta={roots[j]} eps={eps}",
         residual=math.hypot(*below),
         passed=not below,
-        info={"alphas": [list(a.coeffs) for a in alphas]},
+        info={"alphas": [list(roots[i].coeffs) for i in alphas]},
     )
 
 

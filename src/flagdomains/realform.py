@@ -14,17 +14,19 @@ from .rootsys import GradingElement, Root, RootSystem, check_grading
 
 
 class CompactnessTable(NamedTuple):
-    """The two parts of ``rs.roots``, each in the order of ``rs.roots``."""
+    """The two parts of ``rs.roots``, each in the order of ``rs.roots``, and
+    the grading value of every root, indexed like ``rs.roots``."""
 
     compact: tuple[Root, ...]
     noncompact: tuple[Root, ...]
+    values: tuple[int, ...]
 
 
 def classify_roots(rs: RootSystem, e: GradingElement) -> CompactnessTable:
     """Partition the roots into compact (even grading) and noncompact (odd)."""
     check_grading(rs, e)
+    values = tuple(map(e.value, rs.roots))
     parts: tuple[list[Root], list[Root]] = ([], [])
-    for a in rs.roots:
-        parts[e.value(a) % 2].append(a)
-    return CompactnessTable(compact=tuple(parts[0]), noncompact=tuple(parts[1]))
-
+    for a, v in zip(rs.roots, values):
+        parts[v % 2].append(a)
+    return CompactnessTable(compact=tuple(parts[0]), noncompact=tuple(parts[1]), values=values)

@@ -132,9 +132,10 @@ class RootSystem:
     ``roots`` lists every root in height order, negatives first, so index i
     is positive exactly when i >= ``half`` and -roots[i] is roots[n-1-i].
     The tables the hot paths walk are built on first use and kept on the
-    instance: ``pos`` inverts ``roots``, ``add[i][j]`` is the index of
-    roots[i] + roots[j] or -1 when the sum is not a root, ``neg[i]`` the
-    index of -roots[i], and ``norms[i]`` the squared length of roots[i].
+    instance: ``simple[k]`` is the index of the k-th simple root in
+    Cartan-matrix order, ``add[i][j]`` that of roots[i] + roots[j] or -1
+    when the sum is not a root, ``neg[i]`` that of -roots[i], and
+    ``norms[i]`` the squared length of roots[i].
     Root strings are read off ``add`` by index: ``root_string(rs, i, j)``
     gives the (r, q, top) of the roots[j]-string through roots[i].
     Equality and hashing see the Cartan matrix only, which determines the
@@ -161,8 +162,10 @@ class RootSystem:
         return len(self.roots) // 2
 
     @cached_property
-    def pos(self) -> dict[Root, int]:
-        return {a: i for i, a in enumerate(self.roots)}
+    def simple(self) -> tuple[int, ...]:
+        # the height-1 roots open the positive half, sorted by coefficients,
+        # so the last simple root comes first
+        return tuple(self.half + self.rank - 1 - k for k in range(self.rank))
 
     @cached_property
     def add(self) -> tuple[tuple[int, ...], ...]:
@@ -180,19 +183,6 @@ class RootSystem:
     @cached_property
     def norms(self) -> tuple[Fraction, ...]:
         return tuple(self.length2(a) for a in self.roots)
-
-    def of(self, a: Root) -> int:
-        """The index of a, or ValueError when a is not a root."""
-        try:
-            return self.pos[a]
-        except KeyError:
-            raise ValueError(f"{a} is not a root of this system") from None
-
-    def simple_roots(self) -> tuple[Root, ...]:
-        r = self.rank
-        return tuple(
-            Root(tuple(1 if j == i else 0 for j in range(r))) for i in range(r)
-        )
 
     def inner(self, a: Root, b: Root) -> Fraction:
         """Symmetrized bilinear form (a, b), exact."""

@@ -47,6 +47,17 @@ CARTANS = {
     "RELABELLED_B4": [[2, 0, -1, -1], [0, 2, 0, -1], [-1, 0, 2, 0], [-1, -2, 0, 2]],
 }
 
+# fixed-point requests on systems given by a Cartan matrix, with and without
+# a witness: none of these systems has a matrix realization
+FIXED_POINT_CARTANS = [
+    (CARTANS["G2"], "1,0"),
+    (CARTANS["G2"], "0,1"),
+    (CARTANS["G2"], "1,1"),
+    (CARTANS["RELABELLED_B4"], "1,0,0,0"),
+    (CARTANS["RELABELLED_B4"], "0,1,0,0"),
+    ([[2, 0], [0, 2]], "1,2"),
+]
+
 REFUSALS = [
     ["describe"],
     ["describe", "--family", "E", "--rank", "6"],
@@ -152,6 +163,9 @@ def requests() -> list[list[str]]:
         out.append(["verify", "--suite", "chevalley", *system])
         for g in ((1,) * rank, (1,) + (0,) * (rank - 1), (0,) * (rank - 1) + (2,)):
             out.append(["theorem1", *system, "--grading", ",".join(map(str, g))])
+    for cartan, g in FIXED_POINT_CARTANS:
+        system = ["--cartan", json.dumps(cartan)]
+        out.append(["verify", "--suite", "fixed-point", *system, "--grading", g])
     for n in range(1, 17):
         out.append(["levi", "--spec", _levi_spec(n)])
     out += [["levi", "--spec", _levi_spec(n), "--pretty"] for n in (1, 2, 3)]

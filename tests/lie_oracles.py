@@ -79,8 +79,8 @@ def graded_pieces(rs, e) -> dict[int, frozenset[Root]]:
 
 def cartan_integer(rs: RootSystem, a: Root, b: Root) -> int:
     """The pairing 2(a, b)/(b, b); an integer for roots of the system."""
-    rs.of(a)
-    rs.of(b)
+    rs.roots.index(a)
+    rs.roots.index(b)
     v = 2 * rs.inner(a, b) / rs.length2(b)
     if v.denominator != 1:
         raise ArithmeticError(f"pairing <{a},{b}> is not integral")
@@ -136,8 +136,8 @@ def analyze_string_condition(
 ) -> dict:
     """Classify the beta-string through alpha against the two allowed shapes."""
     check_grading(rs, e)
-    rs.of(beta)
-    rs.of(alpha)
+    rs.roots.index(beta)
+    rs.roots.index(alpha)
     if e.value(beta) % 2 != 0:
         raise ValueError(f"beta {beta} is not compact for this grading")
     va = e.value(alpha)
@@ -339,6 +339,18 @@ def _root_set(rs) -> frozenset:
     return frozenset(rs.roots)
 
 
+@cache
+def root_index(rs) -> dict:
+    """Each root of rs to its index in rs.roots, as a dictionary."""
+    return {a: i for i, a in enumerate(rs.roots)}
+
+
+def simple_roots(rs) -> tuple[Root, ...]:
+    """The simple roots as unit coefficient vectors, in Cartan-matrix order."""
+    r = rs.rank
+    return tuple(Root(tuple(int(j == k) for j in range(r))) for k in range(r))
+
+
 def reference_string(rs, a, b) -> tuple[int, int, tuple]:
     """(r, q, members) of the b-string through a, by root arithmetic."""
     roots = _root_set(rs)
@@ -365,14 +377,14 @@ def positive_sum_table(cc) -> dict:
 def table_constant(cc, a, b) -> int:
     """c(a, b) as the package's table holds it, read by the indices of the
     roots a and b: 0 where a + b is not a root, a + b = 0 included."""
-    of = cc.rs.of
-    return cc.table[of(a)][of(b)]
+    index = root_index(cc.rs)
+    return cc.table[index[a]][index[b]]
 
 
 def reference_constant(cc, a, b) -> int:
     """c(a, b) read from the table where the sum is positive; a negative sum
     is derived from c(-a, -b) = -c(a, b)."""
-    pos = cc.rs.pos
+    pos = root_index(cc.rs)
     s = plus(a, b)
     if s not in pos:
         return 0
@@ -503,10 +515,10 @@ def _basis_bracket(cc: ChevalleyConstants, s1, s2) -> dict:
         a, b = data1, data2
         s = plus(a, b)
         if s.is_zero:
-            for i, coef in enumerate(coroot_coefficients(rs, rs.of(a))):
+            for i, coef in enumerate(coroot_coefficients(rs, rs.roots.index(a))):
                 if coef:
                     _add_into(out, ("h", i), Fraction(coef))
-        elif s in rs.pos:
+        elif s in root_index(rs):
             _add_into(out, ("x", s), Fraction(reference_constant(cc, a, b)))
         return out
     if kind1 == "h" and kind2 == "x":

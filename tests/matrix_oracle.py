@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from lie_oracles import negative, plus, reference_string, times
+from lie_oracles import negative, plus, reference_string, simple_roots, times
 
 from flagdomains.exact import make_check, product
 from flagdomains.rootsys import check_grading, coroot_coefficients
@@ -44,7 +44,7 @@ def sparse(m: np.ndarray) -> dict:
 
 def root_vector(rep, a) -> dict:
     """x^a for the root a; ValueError when a is not a root."""
-    return rep.x[rep.rs.of(a)]
+    return rep.x[rep.rs.roots.index(a)]
 
 
 def coroot(rep, s) -> dict:
@@ -59,9 +59,9 @@ def coroot(rep, s) -> dict:
 def cartan_element(rep, a) -> np.ndarray:
     """The coroot of a as a matrix, an integer combination of the simple
     coroots [x^s, x^{-s}]."""
-    coeffs = coroot_coefficients(rep.rs, rep.rs.of(a))
+    coeffs = coroot_coefficients(rep.rs, rep.rs.roots.index(a))
     out = np.zeros((rep.dim, rep.dim), dtype=complex)
-    for s, c in zip(rep.rs.simple_roots(), coeffs):
+    for s, c in zip(simple_roots(rep.rs), coeffs):
         if c:
             out += c * dense(coroot(rep, s), rep.dim)
     return out
@@ -92,7 +92,7 @@ def cartan_diagonal(rep, e) -> tuple[Fraction, ...]:
     """The diagonal of E = sum_k w_k [x^{s_k}, x^{-s_k}], exact."""
     w = grading_cartan_coefficients(rep.rs, e)
     diag = [Fraction(0)] * rep.dim
-    for wk, s in zip(w, rep.rs.simple_roots()):
+    for wk, s in zip(w, simple_roots(rep.rs)):
         hs = coroot(rep, s)
         for t in range(rep.dim):
             diag[t] += wk * hs.get((t, t), 0)

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 from hodge_oracle import validate_diamond
-from lie_oracles import negative, parabolic_data, plus, table_constant
+from lie_oracles import negative, parabolic_data, plus, simple_roots, table_constant
 from matrix_oracle import cayley_matrix
 
 from flagdomains.chevalley import (
@@ -53,9 +53,9 @@ def test_c01_a2_grading_11_reproduction(capsys):
     rs = build_root_system(LieType("A", 2))
     report = check_pseudoconcavity(rs, grading((1, 1)))
     assert report.satisfied
-    assert {w.coeffs for w in report.witnesses} == {(1, 1)}
-    assert all(w.coeffs in ((1, 1), (-1, -1)) for w in report.witnesses)
-    assert {a.coeffs for a in report.noncompact_negatives} == {(-1, 0), (0, -1)}
+    assert {rs.roots[j].coeffs for j in report.witnesses} == {(1, 1)}
+    assert all(rs.roots[j].coeffs in ((1, 1), (-1, -1)) for j in report.witnesses)
+    assert {rs.roots[i].coeffs for i in report.noncompact_negatives} == {(-1, 0), (0, -1)}
     code = cli_main(["theorem1", "--family", "A", "--rank", "2", "--grading", "1,1"])
     out = capsys.readouterr().out
     assert code == 0
@@ -68,9 +68,9 @@ def test_c02_so5_labeling_reproduction():
     rs = from_cartan_matrix(SO5_CARTAN)
     report = check_pseudoconcavity(rs, grading((1, 0)))
     assert report.satisfied
-    assert {w.coeffs for w in report.witnesses} == {(2, 1)}
-    assert all(w.coeffs in ((2, 1), (-2, -1)) for w in report.witnesses)
-    assert {a.coeffs for a in report.noncompact_negatives} == {(-1, 0), (-1, -1)}
+    assert {rs.roots[j].coeffs for j in report.witnesses} == {(2, 1)}
+    assert all(rs.roots[j].coeffs in ((2, 1), (-2, -1)) for j in report.witnesses)
+    assert {rs.roots[i].coeffs for i in report.noncompact_negatives} == {(-1, 0), (-1, -1)}
     done(2, "so(5)-labeled grading (1,0) pseudoconcave with witness 2s1+s2")
 
 
@@ -78,12 +78,11 @@ def test_c03_c2_grading_11_not_satisfied():
     rs = build_root_system(LieType("C", 2))
     report = check_pseudoconcavity(rs, grading((1, 1)))
     assert not report.satisfied and report.witnesses == ()
-    beta = root((1, 1))
-    by_alpha = {tuple(v["alpha"]): v for v in report.detail[beta]}
+    i, j = rs.roots.index(root((0, -1))), rs.roots.index(root((1, 1)))
+    by_alpha = {tuple(v["alpha"]): v for v in report.detail[j]}
     v = by_alpha[(0, -1)]
     assert v["verdict"] == "OK_TYPE_B"
     assert (v["r"], v["q"]) == (0, 2)
-    i, j = rs.of(root((0, -1))), rs.of(beta)
     r, q, top = root_string(rs, i, j)
     members = (rs.roots[i], rs.roots[rs.add[i][j]], rs.roots[top])
     assert (r, q) == (0, 2) and [m.coeffs for m in members] == [(0, -1), (1, 0), (2, 1)]
@@ -99,15 +98,15 @@ def test_c04_chevalley_property_suite():
     for fam, rank in keys:
         rs = build_root_system(LieType(fam, rank))
         cc = structure_constants(rs)
-        for a in rs.roots:
-            for b in rs.roots:
+        for i, a in enumerate(rs.roots):
+            for j, b in enumerate(rs.roots):
                 s = plus(a, b)
                 if s.is_zero or s not in rs.roots:
                     continue
                 c = table_constant(cc, a, b)
                 assert c == -table_constant(cc, b, a)
                 assert c == -table_constant(cc, negative(a), negative(b))
-                assert abs(c) == root_string(rs, rs.of(a), rs.of(b))[0] + 1
+                assert abs(c) == root_string(rs, i, j)[0] + 1
         assert jacobi_violations(cc) == []
         report = verify_bracket_identities(cc)
         assert report.violations == []
@@ -131,7 +130,7 @@ def test_c05_cayley_conjugation_suite():
 def test_c06_rank1_cayley_matrix():
     rs = build_root_system(LieType("A", 1))
     rep = fundamental_rep(rs)
-    alpha = rs.simple_roots()[0]
+    alpha = simple_roots(rs)[0]
     c = cayley_matrix(rep, alpha)
     want = np.array([[1.0, -1.0], [1.0, 1.0]]) / math.sqrt(2)
     assert np.max(np.abs(c - want)) < 1e-12
@@ -152,7 +151,7 @@ def test_c07_fixed_point_certificates():
         rep = fundamental_rep(rs)
         report = check_pseudoconcavity(rs, e)
         for eps in (0.01, 0.1, 1.0):
-            chk = verify_fixed_point(rep, report, beta, eps)
+            chk = verify_fixed_point(rep, report, rs.roots.index(beta), eps)
             assert chk["pass"] and chk["residual"] < 1e-9
     done(7, "conjugated neighborhood generators in P for eps 0.01, 0.1, 1.0")
 

@@ -14,6 +14,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import RELABELLED_B4
+
 import flagdomains
 from flagdomains.cli import EXIT_CLOSED_STDOUT, main
 from flagdomains.leviform import DefiningFunction
@@ -651,11 +653,17 @@ NOT_CLASSICAL = (
         # each eps costs a fixed-point certificate per witness, so the list is bounded
         (["--suite", "lemma41", "--eps", ",".join(["0.5"] * 17)], 4,
          "17 eps values exceed the bound 16"),
+        # no witness, but no realization to certify one with either: refused
+        # up front, as the gradings with a witness are
+        (["--suite", "fixed-point", "--cartan", G2_CARTAN, "--grading", "1,0"], 2, NOT_CLASSICAL),
+        (["--suite", "fixed-point", "--cartan", json.dumps(RELABELLED_B4),
+          "--grading", "0,1,0,0"], 2, NOT_CLASSICAL),
     ],
     ids=["eps", "grading-length", "grading-bound", "eps-range-all", "eps-range-fixed-point",
          "grading-trivial", "grading-negative", "g2-realization", "g2-realization-graded",
          "eps-lemma41", "grading-bound-chevalley", "eps-range-no-witness",
-         "eps-range-lemma41", "eps-count"],
+         "eps-range-lemma41", "eps-count", "g2-fixed-point-no-witness",
+         "relabelled-fixed-point-no-witness"],
 )
 def test_verify_refuses_fixed_point_inputs_before_any_check(capsys, argv, code, message):
     # every refusal comes before the first check line: all checks are

@@ -20,8 +20,8 @@ from flagdomains.cli import MAX_GRADING
 from flagdomains.concavity import check_pseudoconcavity
 from flagdomains.realform import classify_roots
 from flagdomains.rootsys import (
+    GradingElement,
     LieType,
-    RootSystem,
     build_root_system,
     from_cartan_matrix,
     grading,
@@ -32,24 +32,25 @@ from flagdomains.rootsys import (
 def test_a2_satisfied(a2):
     report = check_pseudoconcavity(a2, grading((1, 1)))
     assert report.satisfied
-    assert [w.coeffs for w in report.witnesses] == [(1, 1)]
-    assert {a.coeffs for a in report.noncompact_negatives} == {(-1, 0), (0, -1)}
-    for v in report.detail[root((1, 1))]:
+    assert [a2.roots[j].coeffs for j in report.witnesses] == [(1, 1)]
+    assert {a2.roots[i].coeffs for i in report.noncompact_negatives} == {(-1, 0), (0, -1)}
+    for v in report.detail[a2.roots.index(root((1, 1)))]:
         assert v["verdict"] == "OK_TYPE_A"
 
 
 def test_so5_labeling_satisfied(so5_labeled):
     report = check_pseudoconcavity(so5_labeled, grading((1, 0)))
     assert report.satisfied
-    assert [w.coeffs for w in report.witnesses] == [(2, 1)]
-    assert {a.coeffs for a in report.noncompact_negatives} == {(-1, 0), (-1, -1)}
+    roots = so5_labeled.roots
+    assert [roots[j].coeffs for j in report.witnesses] == [(2, 1)]
+    assert {roots[i].coeffs for i in report.noncompact_negatives} == {(-1, 0), (-1, -1)}
 
 
 def test_c2_not_satisfied(c2):
     report = check_pseudoconcavity(c2, grading((1, 1)))
     assert not report.satisfied
     assert report.witnesses == ()
-    beta = root((1, 1))
+    beta = c2.roots.index(root((1, 1)))
     verdicts = {tuple(v["alpha"]): v for v in report.detail[beta]}
     v_sigma2 = verdicts[(0, -1)]
     assert v_sigma2["verdict"] == "OK_TYPE_B"
@@ -132,7 +133,7 @@ def test_agreement_with_brute_force(family, rank):
         report = check_pseudoconcavity(rs, e)
         sat, winners = brute_force_verdict(rs, e)
         assert report.satisfied == sat
-        assert set(report.witnesses) == winners
+        assert {rs.roots[j] for j in report.witnesses} == winners
 
 
 def permuted_grading(bits, perm):
@@ -184,7 +185,7 @@ def test_satisfied_iff_witnesses(systems):
 def test_detail_covers_all_compact_roots(c2):
     e = grading((1, 1))
     report = check_pseudoconcavity(c2, e)
-    assert set(report.detail) == set(classify_roots(c2, e).compact)
+    assert {c2.roots[j] for j in report.detail} == set(classify_roots(c2, e).compact)
     n_alphas = sum(1 for a in classify_roots(c2, e).noncompact if e.value(a) < 0)
     for verdicts in report.detail.values():
         assert len(verdicts) == n_alphas
@@ -239,7 +240,10 @@ def test_sweep_matches_the_oracles_on_gradings_up_to_the_bound(case):
     table = classify_roots(rs, e)
     assert table.compact == tuple(a for a in rs.roots if e.value(a) % 2 == 0)
     assert table.noncompact == tuple(a for a in rs.roots if e.value(a) % 2 == 1)
-    assert report.noncompact_negatives == tuple(a for a in table.noncompact if e.value(a) < 0)
+    assert table.values == tuple(e.value(a) for a in rs.roots)
+    assert tuple(rs.roots[i] for i in report.noncompact_negatives) == tuple(
+        a for a in table.noncompact if e.value(a) < 0
+    )
     assert report.rs is rs and report.grading is e
 
 
@@ -248,23 +252,23 @@ def test_sweep_reads_one_string_per_pair_by_index(monkeypatch):
     e = grading((0, 1, 0, 0))
     table = classify_roots(rs, e)
     pairs = len(table.compact) * sum(1 for a in table.noncompact if e.value(a) < 0)
-    strings, lookups = [], []
-    original_string, original_of = concavity.root_string, RootSystem.of
+    strings, values = [], []
+    original_string, original_value = concavity.root_string, GradingElement.value
 
     def counting_string(*args):
         strings.append(args)
         return original_string(*args)
 
-    def counting_of(self, a):
-        lookups.append(a)
-        return original_of(self, a)
+    def counting_value(self, a):
+        values.append(a)
+        return original_value(self, a)
 
     monkeypatch.setattr(concavity, "root_string", counting_string)
-    monkeypatch.setattr(RootSystem, "of", counting_of)
+    monkeypatch.setattr(GradingElement, "value", counting_value)
     check_pseudoconcavity(rs, e)
     assert len(strings) == pairs > 0
-    # each root is mapped to its index once per sweep, not once per string
-    assert len(lookups) <= len(rs.roots)
+    # each root is graded once per sweep, and strings are read by index
+    assert len(values) == len(rs.roots)
 
 
 # every grading with coefficients 0..3 on these systems: 2,277 of them

@@ -12,7 +12,14 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from conftest import CLASSICAL, ORACLE_SYSTEMS, RELABELLED_B4
-from lie_oracles import cartan_integer, negative, plus, reference_eligible_pairs, table_constant
+from lie_oracles import (
+    cartan_integer,
+    negative,
+    plus,
+    reference_eligible_pairs,
+    simple_roots,
+    table_constant,
+)
 from matrix_oracle import (
     FloatRealization,
     cartan_diagonal,
@@ -43,7 +50,6 @@ from flagdomains.matrixrep import (
 )
 from flagdomains.rootsys import (
     LieType,
-    RootSystem,
     build_root_system,
     from_cartan_matrix,
     grading,
@@ -68,7 +74,7 @@ def test_bracket_relations_exact(key, systems, reps):
         ha = cartan_element(rep, a)
         comm = x[a] @ x[negative(a)] - x[negative(a)] @ x[a]
         assert np.linalg.norm(comm - ha) < 1e-12
-        for s in rs.simple_roots():
+        for s in simple_roots(rs):
             hs = dense(coroot(rep, s), rep.dim)
             comm = hs @ x[a] - x[a] @ hs
             assert np.linalg.norm(comm - cartan_integer(rs, a, s) * x[a]) < 1e-12
@@ -88,7 +94,7 @@ def test_membership_in_classical_algebra(key, systems, reps):
     rs = systems[key]
     rep = reps[key]
     form = invariant_form(rep)
-    coroots = [coroot(rep, s) for s in rs.simple_roots()]
+    coroots = [coroot(rep, s) for s in simple_roots(rs)]
     elements = [dense(m, rep.dim) for m in [*rep.x, *coroots]]
     for m in elements:
         if form is None:
@@ -100,7 +106,7 @@ def test_membership_in_classical_algebra(key, systems, reps):
 def test_a1_matches_standard_triple():
     rs = build_root_system(LieType("A", 1))
     rep = fundamental_rep(rs)
-    alpha = rs.simple_roots()[0]
+    alpha = simple_roots(rs)[0]
     assert np.array_equal(dense(root_vector(rep, alpha), 2).real, [[0, 1], [0, 0]])
     assert np.array_equal(dense(root_vector(rep, negative(alpha)), 2).real, [[0, 0], [1, 0]])
     assert coroot(rep, alpha) == {(0, 0): 1, (1, 1): -1}
@@ -113,14 +119,14 @@ def test_a2_root_vectors_are_signed_elementary(a2):
         nonzero = np.argwhere(np.abs(m) > 0)
         assert len(nonzero) == 1
         assert abs(abs(m[tuple(nonzero[0])]) - 1.0) < 1e-15
-    for s in a2.simple_roots():
+    for s in simple_roots(a2):
         hs = dense(coroot(rep, s), rep.dim)
         assert np.linalg.norm(hs - np.diag(np.diag(hs))) == 0.0
 
 
 def test_c2_double_constant(c2):
     rep = fundamental_rep(c2)
-    t1, t2 = c2.simple_roots()
+    t1, t2 = simple_roots(c2)
     x = FloatRealization(rep).x
     comm = x[t1] @ x[plus(t1, t2)] - x[plus(t1, t2)] @ x[t1]
     target = x[root((2, 1))]
@@ -139,7 +145,7 @@ def test_unsupported_rank():
 def test_cayley_matrix_a1():
     rs = build_root_system(LieType("A", 1))
     rep = fundamental_rep(rs)
-    alpha = rs.simple_roots()[0]
+    alpha = simple_roots(rs)[0]
     c = cayley_matrix(rep, alpha)
     want = np.array([[1, -1], [1, 1]]) / math.sqrt(2)
     assert np.linalg.norm(c - want) < 1e-12
@@ -204,12 +210,14 @@ def test_cayley_conjugation_all_eligible_pairs(key, systems, reps):
 
 def test_cayley_conjugation_examples(a2, c2, reps):
     rep_a2 = reps[("A", 2)]
-    chk = verify_cayley_conjugation(rep_a2, a2.of(root((-1, 0))), a2.of(root((1, 1))))
+    i, j = a2.roots.index(root((-1, 0))), a2.roots.index(root((1, 1)))
+    chk = verify_cayley_conjugation(rep_a2, i, j)
     assert chk["claim"] == "cayley-conjugation a=(-1,0) b=(1,1)"
     assert chk["info"]["target"] == [0, 1]
 
     rep_c2 = reps[("C", 2)]
-    chk = verify_cayley_conjugation(rep_c2, c2.of(root((0, -1))), c2.of(root((1, 1))))
+    i, j = c2.roots.index(root((0, -1))), c2.roots.index(root((1, 1)))
+    chk = verify_cayley_conjugation(rep_c2, i, j)
     assert chk["claim"] == "cayley-conjugation a=(0,-1) b=(1,1)"
     assert chk["info"]["target"] == [2, 1]
     assert chk["info"]["string"] == [0, 2]
@@ -221,7 +229,7 @@ def test_cayley_conjugation_fails_on_a_swapped_endpoint(key, systems, reps):
     rep = reps[key]
     for i, j in eligible_conjugation_pairs(rs):
         chk = verify_cayley_conjugation(rep, i, j)
-        expected = rs.of(root(chk["info"]["expected"]))
+        expected = rs.roots.index(root(chk["info"]["expected"]))
         other = next(g for g in range(len(rs.roots)) if g not in (i, j, rs.neg[j], expected))
         x = list(rep.x)
         x[expected], x[other] = rep.x[other], rep.x[expected]
@@ -232,27 +240,31 @@ def test_cayley_conjugation_fails_on_a_swapped_endpoint(key, systems, reps):
 
 def test_cayley_conjugation_preconditions(reps):
     rep = reps[("A", 1)]
-    alpha = rep.rs.of(root((1,)))
+    alpha = rep.rs.roots.index(root((1,)))
     with pytest.raises(ValueError):
         verify_cayley_conjugation(rep, alpha, alpha)
     rs = reps[("C", 2)].rs
+    i, j = rs.roots.index(root((-1, 0))), rs.roots.index(root((1, 1)))
     with pytest.raises(ValueError):
         # the (1, 1) string shape is not eligible
-        verify_cayley_conjugation(reps[("C", 2)], rs.of(root((-1, 0))), rs.of(root((1, 1))))
+        verify_cayley_conjugation(reps[("C", 2)], i, j)
 
 
 def test_fixed_point_certificates(reps):
     rep = reps[("A", 2)]
     report = check_pseudoconcavity(rep.rs, grading((1, 1)))
+    beta = rep.rs.roots.index(root((1, 1)))
     for eps in (0.01, 0.1, 1.0):
-        chk = verify_fixed_point(rep, report, root((1, 1)), eps)
+        chk = verify_fixed_point(rep, report, beta, eps)
         assert chk["pass"] and chk["residual"] < 1e-9
+        assert chk["claim"] == f"cayley-fixed-point beta=(1,1) eps={eps}"
 
     so5 = from_cartan_matrix([[2, -1], [-2, 2]])
     rep2 = fundamental_rep(so5)
     report2 = check_pseudoconcavity(so5, grading((1, 0)))
+    beta = so5.roots.index(root((2, 1)))
     for eps in (0.01, 0.1, 1.0):
-        chk = verify_fixed_point(rep2, report2, root((2, 1)), eps)
+        chk = verify_fixed_point(rep2, report2, beta, eps)
         assert chk["pass"] and chk["residual"] < 1e-9
 
 
@@ -266,7 +278,7 @@ def test_fixed_point_examines_no_root_string(monkeypatch):
     rep = fundamental_rep(rs)
     e = grading((0, 1, 0, 0))
     report = check_pseudoconcavity(rs, e)
-    beta = root((1, 2, 2, 2))
+    beta = rs.roots.index(root((1, 2, 2, 2)))
     calls = []
     original = rootsys.root_string
 
@@ -289,6 +301,10 @@ def test_fixed_point_rejects_non_witness(reps):
     rep = reps[("C", 2)]
     report = check_pseudoconcavity(rep.rs, grading((1, 1)))
     assert not report.witnesses
+    j = rep.rs.roots.index(root((1, 1)))
+    with pytest.raises(ValueError, match=re.escape(f"beta {j} is not a witness for grading")):
+        verify_fixed_point(rep, report, j, 0.1)
+    # a Root in place of its index is no witness either, rather than a TypeError
     with pytest.raises(ValueError, match=re.escape("beta (1,1) is not a witness for grading")):
         verify_fixed_point(rep, report, root((1, 1)), 0.1)
 
@@ -304,9 +320,10 @@ def test_fixed_point_rejects_a_report_for_another_system(reps):
 def test_fixed_point_rejects_eps_outside_the_unit_interval(reps):
     rep = reps[("A", 2)]
     report = check_pseudoconcavity(rep.rs, grading((1, 1)))
+    beta = rep.rs.roots.index(root((1, 1)))
     for eps in (1.5, 0.0, -0.0, 1e-400, -0.1, math.nan):
         with pytest.raises(ValueError, match=r"eps must lie in \(0, 1\]"):
-            verify_fixed_point(rep, report, root((1, 1)), eps)
+            verify_fixed_point(rep, report, beta, eps)
 
 
 @pytest.mark.parametrize(
@@ -321,14 +338,20 @@ def test_fixed_point_accepts_exactly_the_sweep_witnesses(family, rank):
             continue
         e = grading(bits)
         report = check_pseudoconcavity(rs, e)
-        alphas = [list(a.coeffs) for a in report.noncompact_negatives]
-        for beta in rs.roots:
-            if beta in report.witnesses:
-                assert verify_fixed_point(rep, report, beta, 1.0)["info"]["alphas"] == alphas
+        alphas = [list(rs.roots[i].coeffs) for i in report.noncompact_negatives]
+        for j, beta in enumerate(rs.roots):
+            if j in report.witnesses:
+                chk = verify_fixed_point(rep, report, j, 1.0)
+                assert chk["info"]["alphas"] == alphas
+                assert chk["claim"] == f"cayley-fixed-point beta={beta} eps=1.0"
             else:
-                message = re.escape(f"beta {beta} is not a witness for grading {e}")
+                message = re.escape(f"beta {j} is not a witness for grading {e}")
                 with pytest.raises(ValueError, match=message):
-                    verify_fixed_point(rep, report, beta, 1.0)
+                    verify_fixed_point(rep, report, j, 1.0)
+            # the root itself is not its index
+            message = re.escape(f"beta {beta} is not a witness for grading {e}")
+            with pytest.raises(ValueError, match=message):
+                verify_fixed_point(rep, report, beta, 1.0)
 
 
 def _c2_fixed_point_case():
@@ -341,10 +364,11 @@ def _c2_fixed_point_case():
 
 
 def _with_identity_weyl(rep, *betas):
-    """A copy of rep whose Weyl element for each of betas is the identity."""
+    """A copy of rep whose Weyl element for each root index in betas is the
+    identity."""
     mutant = MatrixRealization(rep.rs, rep.dim, rep.x)
     for beta in betas:
-        mutant._weyl[rep.rs.of(beta)] = WeylElement(tuple(range(rep.dim)), (2,) * rep.dim)
+        mutant._weyl[beta] = WeylElement(tuple(range(rep.dim)), (2,) * rep.dim)
     return mutant
 
 
@@ -366,10 +390,10 @@ def test_fixed_point_passes_exactly_when_nothing_lies_below_the_filtration(eps):
     t = Fraction(str(eps))
     xi = {(i, i): 1 for i in range(rep.dim)}
     for alpha in report.noncompact_negatives:
-        xa = root_vector(rep, alpha)
+        xa = root_vector(rep, rep.rs.roots[alpha])
         xi = product(xi, exp_nilpotent({k: t * v for k, v in xa.items()}, rep.dim))
     for r, passes in ((rep, True), (mutant, False)):
-        below = below_filtration(r, e, r.weyl(rep.rs.of(beta)).conjugate(xi))
+        below = below_filtration(r, e, r.weyl(beta).conjugate(xi))
         chk = verify_fixed_point(r, report, beta, eps)
         assert chk["pass"] == (not below) == passes
         # the printed size of a failure may underflow to 0.0, the verdict not
@@ -379,9 +403,8 @@ def test_fixed_point_passes_exactly_when_nothing_lies_below_the_filtration(eps):
 def _pairs_certify(rep, report, beta) -> bool:
     """Whether the prop33 lines of beta's pairs all pass, with every target
     alpha + q beta of nonnegative grading."""
-    of = rep.rs.of
     for alpha in report.noncompact_negatives:
-        chk = verify_cayley_conjugation(rep, of(alpha), of(beta))
+        chk = verify_cayley_conjugation(rep, alpha, beta)
         if not (chk["pass"] and report.grading.value(root(chk["info"]["expected"])) >= 0):
             return False
     return True
@@ -397,7 +420,7 @@ def test_fixed_point_agrees_with_the_conjugation_lines_of_its_pairs(key):
     # string with r = 0, so the fixed point follows from the pairs' lines
     rs = build_root_system(LieType(*key))
     rep = fundamental_rep(rs)
-    mutant = _with_identity_weyl(rep, *rs.roots)
+    mutant = _with_identity_weyl(rep, *range(len(rs.roots)))
     for coeffs in itertools.product((0, 1, 2), repeat=rs.rank):
         if not any(coeffs):
             continue
@@ -457,7 +480,7 @@ def test_grading_diagonal_rejects_an_unlinked_basis(reps):
     # without x^{s_1}, no simple root vector reaches e_0 in A2
     rep = reps[("A", 2)]
     x = list(rep.x)
-    x[rep.rs.of(rep.rs.simple_roots()[0])] = {}
+    x[rep.rs.simple[0]] = {}
     unlinked = MatrixRealization(rep.rs, rep.dim, tuple(x))
     with pytest.raises(ArithmeticError, match="do not link the basis"):
         unlinked.grading_diagonal(grading((1, 1)))
@@ -517,7 +540,7 @@ def test_exact_fixed_point_checks_match_the_float_oracle(key):
         for beta in report.witnesses:
             for eps in (0.01, 0.1, 1.0):
                 exact = verify_fixed_point(rep, report, beta, eps)
-                assert exact == fixed_point_check(frep, e, beta, eps)
+                assert exact == fixed_point_check(frep, e, rs.roots[beta], eps)
                 assert exact["pass"] and exact["residual"] == 0.0
 
 
@@ -534,18 +557,18 @@ def test_exact_fixed_point_residual_matches_the_oracle_when_it_fails(key, coeffs
     beta = report.witnesses[0]
     x = list(rep.x)
     for alpha in report.noncompact_negatives:
-        x[rs.of(alpha)] = root_vector(rep, negative(alpha))
+        x[alpha] = root_vector(rep, negative(rs.roots[alpha]))
     bent = MatrixRealization(rep.rs, rep.dim, tuple(x))
     for eps in (0.01, 0.1, 1.0):
         exact = verify_fixed_point(bent, report, beta, eps)
-        oracle = fixed_point_check(FloatRealization(bent), e, beta, eps)
+        oracle = fixed_point_check(FloatRealization(bent), e, rs.roots[beta], eps)
         assert not exact["pass"] and not oracle["pass"]
         assert math.isclose(exact["residual"], oracle["residual"], rel_tol=1e-12)
 
 
 def test_weyl_elements_are_built_once_per_root(reps):
     rep = reps[("B", 3)]
-    b = rep.rs.of(root((0, 1, 1)))
+    b = rep.rs.roots.index(root((0, 1, 1)))
     assert rep.weyl(b) is rep.weyl(b)
     w = rep.weyl(b)
     assert sorted(w.perm) == list(range(rep.dim))
@@ -560,21 +583,16 @@ def test_cayley_lines_read_strings_and_weyl_elements_by_index(monkeypatch):
     rs = build_root_system(LieType("B", 4))
     # a fresh copy, so no earlier test has built its Weyl elements
     rep = MatrixRealization(rs, fundamental_rep(rs).dim, fundamental_rep(rs).x)
-    strings, lookups = [], []
-    original_string, original_of = rootsys.root_string, RootSystem.of
+    strings = []
+    original_string = rootsys.root_string
 
     def counting_string(*args):
         strings.append(args)
         return original_string(*args)
 
-    def counting_of(self, a):
-        lookups.append(a)
-        return original_of(self, a)
-
     for name, module in list(sys.modules.items()):
         if name.startswith("flagdomains") and hasattr(module, "root_string"):
             monkeypatch.setattr(module, "root_string", counting_string)
-    monkeypatch.setattr(RootSystem, "of", counting_of)
     pairs = eligible_conjugation_pairs(rs)
     n = len(rs.roots)
     # one string per ordered pair i != +-j
@@ -583,5 +601,4 @@ def test_cayley_lines_read_strings_and_weyl_elements_by_index(monkeypatch):
     for i, j in pairs:
         assert verify_cayley_conjugation(rep, i, j)["pass"]
     assert len(strings) == len(pairs) > 0
-    assert lookups == []
     assert len(rep._weyl) == len({j for _, j in pairs})

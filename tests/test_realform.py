@@ -37,7 +37,7 @@ def test_c2_classification(c2):
 
 
 def noncompact_negatives(rs, e):
-    return check_pseudoconcavity(rs, e).noncompact_negatives
+    return tuple(rs.roots[i] for i in check_pseudoconcavity(rs, e).noncompact_negatives)
 
 
 def test_noncompact_negatives_examples(a2, so5_labeled):
@@ -75,6 +75,7 @@ def test_classify_roots_partitions_the_roots_in_their_order(key):
     rs = build_root_system(LieType(*key))
     for e in (grading((1,) * rs.rank), grading((0,) * (rs.rank - 1) + (1,)), grading((2,) * rs.rank)):
         table = classify_roots(rs, e)
+        assert table.values == tuple(e.value(a) for a in rs.roots)
         assert table.compact == tuple(a for a in rs.roots if e.value(a) % 2 == 0)
         assert table.noncompact == tuple(a for a in rs.roots if e.value(a) % 2 != 0)
         assert noncompact_negatives(rs, e) == tuple(

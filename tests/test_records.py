@@ -36,7 +36,7 @@ RECORDS = {
     "BracketReport": lambda: verify_bracket_identities(structure_constants(_a2())),
     "DefiningFunction": lambda: DefiningFunction.from_polynomial(1, [0], [{"c": 1}]),
     "MatrixRealization": lambda: fundamental_rep(_a2()),
-    "WeylElement": lambda: fundamental_rep(_a2()).weyl(_a2().of(root((1, 0)))),
+    "WeylElement": lambda: fundamental_rep(_a2()).weyl(_a2().roots.index(root((1, 0)))),
     "HodgeNumbers": lambda: HodgeNumbers(1, (1, 1)),
     "DegenerationSpec": lambda: DegenerationSpec("I", 0),
 }

@@ -32,7 +32,7 @@ def _cayley():
 def _fixed_point():
     rs = build_root_system(LieType("A", 2))
     report = check_pseudoconcavity(rs, grading((1, 1)))
-    return verify_fixed_point(fundamental_rep(rs), report, root((1, 1)), 0.1)
+    return verify_fixed_point(fundamental_rep(rs), report, rs.roots.index(root((1, 1))), 0.1)
 
 
 def _boundary(h, spec):

@@ -22,6 +22,8 @@ from lie_oracles import (
     plus,
     positive_roots_within,
     reference_string,
+    root_index,
+    simple_roots,
     to_euclid,
 )
 
@@ -93,9 +95,9 @@ def test_a1_roots():
 
 
 def test_cartan_integer_examples(a2, c2):
-    s1, s2 = a2.simple_roots()
+    s1, s2 = simple_roots(a2)
     assert cartan_integer(a2, s1, s2) == -1
-    t1, t2 = c2.simple_roots()
+    t1, t2 = simple_roots(c2)
     assert {cartan_integer(c2, t1, t2), cartan_integer(c2, t2, t1)} == {-1, -2}
     for a in a2.roots:
         assert cartan_integer(a2, a, a) == 2
@@ -107,18 +109,18 @@ def test_cartan_integer_rejects_nonroot(a2):
 
 
 def test_root_string_examples(a2, c2):
-    pos = a2.pos
-    s1, s2 = a2.simple_roots()
+    pos = root_index(a2)
+    s1, s2 = simple_roots(a2)
     assert root_string(a2, pos[negative(s1)], pos[plus(s1, s2)]) == (0, 1, pos[root((0, 1))])
 
-    pos = c2.pos
-    t1, t2 = c2.simple_roots()
+    pos = root_index(c2)
+    t1, t2 = simple_roots(c2)
     assert root_string(c2, pos[negative(t2)], pos[plus(t1, t2)]) == (0, 2, pos[root((2, 1))])
     assert root_string(c2, pos[negative(t1)], pos[plus(t1, t2)]) == (1, 1, pos[root((0, 1))])
 
 
 def test_root_string_rejects_proportional(a2):
-    i = a2.of(a2.simple_roots()[0])
+    i = a2.simple[0]
     with pytest.raises(ValueError, match="needs i != j"):
         root_string(a2, i, i)
     with pytest.raises(ValueError, match="needs i != j"):
@@ -195,8 +197,8 @@ def _assert_tables_match_root_arithmetic(cartan):
     assert list(rs.roots) == [negative(a) for a in reversed(positives)] + positives
     assert rs.roots[rs.half:] == tuple(positives)
     members = frozenset(rs.roots)
-    assert len(members) == len(rs.pos) == len(rs.roots) == 2 * rs.half
-    assert all(rs.pos[a] == i for i, a in enumerate(rs.roots))
+    assert len(members) == len(rs.roots) == 2 * rs.half
+    assert tuple(rs.roots[s] for s in rs.simple) == simple_roots(rs)
     for i, a in enumerate(rs.roots):
         assert rs.roots[rs.neg[i]] == negative(a)
         assert rs.norms[i] == rs.length2(a)
@@ -223,9 +225,9 @@ def test_index_is_built_on_first_use():
     # built past the cache, which may hold this system with its tables from an earlier test
     cartan = tuple(map(tuple, relabelled_cartan(LieType("C", 3), (1, 2, 0))))
     rs = _build_cached.__wrapped__(cartan)
-    assert not {"pos", "add", "neg", "norms"} & set(vars(rs))
-    root_string(rs, *map(rs.of, rs.simple_roots()[:2]))
-    assert {"pos", "add", "neg"} <= set(vars(rs)) and "norms" not in vars(rs)
+    assert not {"simple", "add", "neg", "norms"} & set(vars(rs))
+    root_string(rs, *rs.simple[:2])
+    assert {"simple", "add", "neg"} <= set(vars(rs)) and "norms" not in vars(rs)
 
 
 def test_caches_stay_bounded():
