@@ -9,21 +9,11 @@ numbers (1,1,1,1) and weight 2 with (2,1,2).
 
 import json
 
-from flagdomains import (
-    DefiningFunction,
-    HodgeNumbers,
-    build_root_system,
-    check_pseudoconcavity,
-    from_cartan_matrix,
-    fundamental_rep,
-    grading,
-    levi_analyze,
-    period_report,
-    root,
-    sl2_cayley_checks,
-    verify_fixed_point,
-)
-from flagdomains.rootsys import LieType
+from flagdomains.concavity import check_pseudoconcavity
+from flagdomains.hodge import HodgeNumbers, period_report, sl2_cayley_checks
+from flagdomains.leviform import DefiningFunction, levi_analyze
+from flagdomains.matrixrep import fundamental_rep, verify_fixed_point
+from flagdomains.rootsys import LieType, build_root_system, from_cartan_matrix, grading
 
 
 def show(title, payload):
@@ -45,14 +35,13 @@ def main():
     show("sp(4) picture: C2 with grading (1,1)",
          check_pseudoconcavity(c2, grading((1, 1))).to_json_dict())
 
-    # the fixed-point certificate reads its witness off the sweep's report,
-    # by the witness's index in rs.roots
-    show("fixed-point certificate, A2 witness (1,1), eps=0.1",
-         verify_fixed_point(fundamental_rep(a2), check_pseudoconcavity(a2, grading((1, 1))),
-                            a2.roots.index(root((1, 1))), 0.1))
-    show("fixed-point certificate, so(5) witness (2,1), eps=0.1",
-         verify_fixed_point(fundamental_rep(so5), check_pseudoconcavity(so5, grading((1, 0))),
-                            so5.roots.index(root((2, 1))), 0.1))
+    # the fixed-point certificate gives one line per witness of the sweep and
+    # eps; each of these sweeps has a single witness
+    for title, rs, coeffs in (("A2 witness (1,1)", a2, (1, 1)),
+                              ("so(5) witness (2,1)", so5, (1, 0))):
+        report = check_pseudoconcavity(rs, grading(coeffs))
+        (line,) = verify_fixed_point(fundamental_rep(rs), report, [0.1])
+        show(f"fixed-point certificate, {title}, eps=0.1", line)
 
     show("period domain, weight 3, h = (1,1,1,1)",
          period_report(HodgeNumbers.from_descending(3, [1, 1, 1, 1])))

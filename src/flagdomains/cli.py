@@ -291,6 +291,10 @@ def _iter_verify_checks(args):
         raise OutOfBoundsError(f"{len(eps_values)} eps values exceed the bound {MAX_EPS}")
     if not all(0.0 < eps <= 1.0 for eps in eps_values):
         raise ValueError("eps must lie in (0, 1]")
+    if system and suite in ("all", "prop33"):
+        # prop33 needs the realization, so a system without one is refused
+        # before any suite runs
+        fundamental_rep(system)
     if suite in ("all", "chevalley"):
         for rs in _systems(system, _DEFAULT_CHEVALLEY):
             cc = structure_constants(rs)
@@ -327,15 +331,7 @@ def _iter_verify_checks(args):
             raise ValueError("missing --grading")
         for rs, e in targets:
             # a system without a matrix realization is refused whatever the grading
-            rep = fundamental_rep(rs)
-            report = check_pseudoconcavity(rs, e)
-            if report.witnesses:
-                for j in report.witnesses:
-                    for eps in eps_values:
-                        yield verify_fixed_point(rep, report, j, eps)
-            else:
-                claim = f"fixed-point witness exists {_system_name(rs)} grading {list(e.coeffs)}"
-                yield make_check(claim=claim, residual=1.0, passed=False)
+            yield from verify_fixed_point(fundamental_rep(rs), check_pseudoconcavity(rs, e), eps_values)
 
 
 def _cmd_verify(args) -> int:

@@ -230,50 +230,48 @@ def verify_cayley_conjugation(rep: MatrixRealization, i: int, j: int) -> dict:
     )
 
 
-def below_filtration(rep: MatrixRealization, e: GradingElement, m: dict) -> list:
-    """The entries of the sparse matrix m below the grading filtration.
-
-    Entry (t, s) is admissible when the grading eigenvalue of row t is at
-    least the one of column s, so m is block-triangular exactly when the
-    list is empty.
-    """
-    diag = rep.grading_diagonal(e)
-    return [v for (t, s), v in m.items() if diag[t] < diag[s]]
-
-
-def verify_fixed_point(rep: MatrixRealization, report, j: int, eps: float) -> dict:
+def verify_fixed_point(rep: MatrixRealization, report, eps_values) -> list[dict]:
     """Certify Ad(c(-beta)^2) applied to the neighborhood generator is in P,
-    for beta = rs.roots[j].
+    for every witness beta of the sweep and every eps in eps_values.
 
-    report is the sweep (a ConcavityReport) for rep's system and a grading,
-    and j the index of one of its witnesses. The generator is the ordered
-    product of exp(eps x^{a_i}) over the report's noncompact negative roots
-    a_i, with eps taken exactly as the decimal it prints as; membership in
-    the parabolic subgroup is tested as block-triangularity for the grading
-    filtration.
+    report is the sweep (a ConcavityReport) for rep's system and a grading.
+    The generator is the ordered product of exp(eps x^{a_i}) over the
+    report's noncompact negative roots a_i, with eps taken exactly as the
+    decimal it prints as; membership in the parabolic subgroup is tested as
+    block-triangularity for the grading filtration: entry (k, l) is
+    admissible when the grading eigenvalue of e_k is at least the one of
+    e_l. One line per witness and eps, witnesses in sweep order and eps in
+    the given order; a sweep without a witness gives one failing line.
     """
-    if not 0.0 < eps <= 1.0:
+    if not all(0.0 < eps <= 1.0 for eps in eps_values):
         # at eps 0 the generator is the identity, which every conjugation fixes
         raise ValueError("eps must lie in (0, 1]")
-    if report.rs != rep.rs:
+    rs = rep.rs
+    if report.rs != rs:
         raise ValueError("the report is for another root system")
     e, alphas = report.grading, report.noncompact_negatives
-    if j not in report.witnesses:
-        raise ValueError(f"beta {j} is not a witness for grading {e}")
-    roots = rep.rs.roots
-    t = Fraction(str(eps))
-    xi = one = {(k, k): 1 for k in range(rep.dim)}
-    for i in alphas:
-        # xi exp(t x) = xi + xi (exp(t x) - 1), where the second factor is sparse
-        step = combo((1, exp_nilpotent(combo((t, rep.x[i])), rep.dim)), (-1, one))
-        xi = combo((1, xi), (1, product(xi, step)))
-    below = below_filtration(rep, e, rep.weyl(j).conjugate(xi))
-    return make_check(
-        claim=f"cayley-fixed-point beta={roots[j]} eps={eps}",
-        residual=math.hypot(*below),
-        passed=not below,
-        info={"alphas": [list(roots[i].coeffs) for i in alphas]},
-    )
+    if not report.witnesses:
+        claim = f"fixed-point witness exists {rs.lie_type} grading {list(e.coeffs)}"
+        return [make_check(claim=claim, residual=1.0, passed=False)]
+    diag = rep.grading_diagonal(e)
+    one = {(k, k): 1 for k in range(rep.dim)}
+    generators = []
+    for eps in eps_values:
+        t, xi = Fraction(str(eps)), one
+        for i in alphas:
+            # xi exp(t x) = xi + xi (exp(t x) - 1), where the second factor is sparse
+            step = combo((1, exp_nilpotent(combo((t, rep.x[i])), rep.dim)), (-1, one))
+            xi = combo((1, xi), (1, product(xi, step)))
+        generators.append((eps, xi))
+    lines = []
+    for j in report.witnesses:
+        w = rep.weyl(j)
+        for eps, xi in generators:
+            below = [v for (k, l), v in w.conjugate(xi).items() if diag[k] < diag[l]]
+            claim = f"cayley-fixed-point beta={rs.roots[j]} eps={eps}"
+            info = {"alphas": [list(rs.roots[i].coeffs) for i in alphas]}
+            lines.append(make_check(claim, math.hypot(*below), not below, info=info))
+    return lines
 
 
 def eligible_conjugation_pairs(rs: RootSystem) -> list[tuple[int, int]]:

@@ -58,6 +58,18 @@ FIXED_POINT_CARTANS = [
     ([[2, 0], [0, 2]], "1,2"),
 ]
 
+SIXTEEN_EPS = ",".join(f"{k / 16:g}" for k in range(1, 17))
+
+# fixed-point requests with a given eps list: the first three gradings are
+# vacuous sweeps with many witnesses, which pin the order witness by
+# witness, then eps by eps; the last has one witness
+FIXED_POINT_EPS = [
+    (["--family", "C", "--rank", "3", "--grading", "2,2,2"], "0.5,1"),
+    (["--family", "D", "--rank", "4", "--grading", "2,0,0,2"], "0.01,0.25,0.5,1"),
+    (["--family", "B", "--rank", "6", "--grading", "2,0,0,2,0,0"], SIXTEEN_EPS),
+    (["--family", "B", "--rank", "6", "--grading", "0,1,0,0,0,0"], SIXTEEN_EPS),
+]
+
 REFUSALS = [
     ["describe"],
     ["describe", "--family", "E", "--rank", "6"],
@@ -93,6 +105,9 @@ REFUSALS = [
     ["verify", "--suite", "lemma41", "--eps", ",".join(["0.5"] * 17)],
     ["verify", "--suite", "all", "--family", "A", "--rank", "2", "--grading", "1,1", "--eps", "2"],
     ["verify", "--suite", "fixed-point", "--family", "A", "--rank", "2", "--grading", "0,0"],
+    # suite all on a system without a matrix realization
+    ["verify", "--cartan", json.dumps(CARTANS["G2"])],
+    ["verify", "--cartan", json.dumps(CARTANS["E6"]), "--grading", "1,0,0,0,0,0"],
     ["levi"],
     ["levi", "--spec", "[]"],
     ["levi", "--spec", '{"n": 17}'],
@@ -166,6 +181,10 @@ def requests() -> list[list[str]]:
     for cartan, g in FIXED_POINT_CARTANS:
         system = ["--cartan", json.dumps(cartan)]
         out.append(["verify", "--suite", "fixed-point", *system, "--grading", g])
+    for system, eps in FIXED_POINT_EPS:
+        out.append(["verify", "--suite", "fixed-point", *system, "--eps", eps])
+    out.append(["verify", "--suite", "fixed-point", *FIXED_POINT_EPS[1][0], "--eps",
+                FIXED_POINT_EPS[1][1], "--pretty"])
     for n in range(1, 17):
         out.append(["levi", "--spec", _levi_spec(n)])
     out += [["levi", "--spec", _levi_spec(n), "--pretty"] for n in (1, 2, 3)]

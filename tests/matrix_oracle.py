@@ -6,8 +6,9 @@ complex numpy array. The certificates below are the float versions of
 products of numerically summed unipotent factors, conjugation by matrix
 products, residuals as float norms. ``cartan_diagonal`` is the exact
 reference for ``grading_diagonal``: E solved over the simple coroots from
-the Cartan matrix. The oracles take `Root`s and read the realization,
-which is indexed like ``rs.roots``, through ``root_vector``.
+the Cartan matrix, which ``below_filtration`` reads to list the entries
+of a matrix outside the parabolic. The oracles take `Root`s and read the
+realization, which is indexed like ``rs.roots``, through ``root_vector``.
 """
 
 import math
@@ -97,6 +98,17 @@ def cartan_diagonal(rep, e) -> tuple[Fraction, ...]:
         for t in range(rep.dim):
             diag[t] += wk * hs.get((t, t), 0)
     return tuple(diag)
+
+
+def below_filtration(rep, e, m: dict) -> list:
+    """The entries of the sparse matrix m below the grading filtration.
+
+    Entry (t, s) is admissible when the grading eigenvalue of row t is at
+    least the one of column s, so m is block-triangular exactly when the
+    list is empty; the eigenvalues are those of ``cartan_diagonal``.
+    """
+    diag = cartan_diagonal(rep, e)
+    return [v for (t, s), v in m.items() if diag[t] < diag[s]]
 
 
 def invariant_form(rep) -> np.ndarray | None:

@@ -148,11 +148,12 @@ def test_c07_fixed_point_certificates():
         (from_cartan_matrix(SO5_CARTAN), grading((1, 0)), root((2, 1))),
     ]
     for rs, e, beta in cases:
-        rep = fundamental_rep(rs)
         report = check_pseudoconcavity(rs, e)
-        for eps in (0.01, 0.1, 1.0):
-            chk = verify_fixed_point(rep, report, rs.roots.index(beta), eps)
-            assert chk["pass"] and chk["residual"] < 1e-9
+        lines = verify_fixed_point(fundamental_rep(rs), report, (0.01, 0.1, 1.0))
+        assert [chk["claim"] for chk in lines] == [
+            f"cayley-fixed-point beta={beta} eps={eps}" for eps in (0.01, 0.1, 1.0)
+        ]
+        assert all(chk["pass"] and chk["residual"] < 1e-9 for chk in lines)
     done(7, "conjugated neighborhood generators in P for eps 0.01, 0.1, 1.0")
 
 

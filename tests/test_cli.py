@@ -672,6 +672,37 @@ def test_verify_refuses_fixed_point_inputs_before_any_check(capsys, argv, code, 
     assert run_cli(capsys, "verify", *argv) == (code, "", f"error: {message}\n")
 
 
+E6_CARTAN = json.dumps([
+    [2, 0, -1, 0, 0, 0],
+    [0, 2, 0, -1, 0, 0],
+    [-1, 0, 2, -1, 0, 0],
+    [0, -1, -1, 2, -1, 0],
+    [0, 0, 0, -1, 2, -1],
+    [0, 0, 0, 0, -1, 2],
+])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--cartan", E6_CARTAN, "--grading", "1,0,0,0,0,0"], ["--cartan", G2_CARTAN]],
+    ids=["e6-graded", "g2"],
+)
+def test_verify_refuses_an_unrealized_system_before_any_suite_runs(capsys, monkeypatch, argv):
+    # suite all would otherwise compute the whole chevalley suite before
+    # prop33 found no realization
+    calls = []
+    for name in ("structure_constants", "jacobi_violations"):
+        original = getattr(flagdomains.cli, name)
+        monkeypatch.setattr(
+            flagdomains.cli, name, lambda *a, f=original, n=name: calls.append(n) or f(*a)
+        )
+    assert run_cli(capsys, "verify", *argv) == (2, "", f"error: {NOT_CLASSICAL}\n")
+    assert calls == []
+    # the counters see the chevalley suite, so the empty list above is not vacuous
+    assert run_cli(capsys, "verify", "--suite", "chevalley", "--cartan", G2_CARTAN)[0] == 0
+    assert calls == ["structure_constants", "jacobi_violations"]
+
+
 @pytest.mark.parametrize("eps", ["0", "-0", "1e-400", "0.5,0.0"])
 def test_verify_refuses_an_eps_that_reads_as_zero(capsys, eps):
     # at eps 0 the neighbourhood generator is the identity, so the fixed-point

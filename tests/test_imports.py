@@ -1,11 +1,16 @@
 """The import edges between the modules of the package, read from their source."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import flagdomains
 
 PACKAGE = Path(flagdomains.__file__).parent
+MODULES = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__", "__main__"}
 
 
 def _package_imports(module: str) -> set[str]:
@@ -34,3 +39,23 @@ def test_exact_is_a_leaf_and_hodge_skips_the_lie_algebra_stack():
     assert "realform" not in _package_imports("cli")
     # the reader finds the imports of cli, so the checks above are not vacuous
     assert _package_imports("cli") >= {"exact", "hodge", "matrixrep", "rootsys"}
+
+
+def _loaded_by(statement: str) -> set[str]:
+    """The package modules a fresh interpreter holds after the statement."""
+    probe = f"import json, sys\n{statement}\nprint(json.dumps(sorted(sys.modules)))"
+    path = os.environ.get("PYTHONPATH")
+    src = str(PACKAGE.parent)
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60,
+        check=True,
+    ).stdout
+    return {m.split(".")[1] for m in json.loads(out) if m.startswith("flagdomains.")}
+
+
+def test_the_package_loads_only_the_sweep_and_the_cli_loads_everything():
+    # __init__ re-exports only what the benchmark reads as flagdomains.*
+    assert _loaded_by("import flagdomains") == {"exact", "rootsys", "realform", "concavity"}
+    assert _loaded_by("import flagdomains.cli") == MODULES
+    assert {"cli", "matrixrep", "hodge", "leviform", "chevalley"} <= MODULES

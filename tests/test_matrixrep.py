@@ -2,7 +2,6 @@
 
 import itertools
 import math
-import re
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +21,7 @@ from lie_oracles import (
 )
 from matrix_oracle import (
     FloatRealization,
+    below_filtration,
     cartan_diagonal,
     cartan_element,
     coroot,
@@ -36,13 +36,14 @@ from matrix_oracle import (
     weyl_dense,
 )
 
+from flagdomains import matrixrep
 from flagdomains.chevalley import structure_constants
+from flagdomains.cli import main as cli_main
 from flagdomains.concavity import check_pseudoconcavity
 from flagdomains.exact import exp_nilpotent, product
 from flagdomains.matrixrep import (
     MatrixRealization,
     WeylElement,
-    below_filtration,
     eligible_conjugation_pairs,
     fundamental_rep,
     verify_cayley_conjugation,
@@ -253,23 +254,23 @@ def test_cayley_conjugation_preconditions(reps):
 def test_fixed_point_certificates(reps):
     rep = reps[("A", 2)]
     report = check_pseudoconcavity(rep.rs, grading((1, 1)))
-    beta = rep.rs.roots.index(root((1, 1)))
-    for eps in (0.01, 0.1, 1.0):
-        chk = verify_fixed_point(rep, report, beta, eps)
-        assert chk["pass"] and chk["residual"] < 1e-9
-        assert chk["claim"] == f"cayley-fixed-point beta=(1,1) eps={eps}"
+    lines = verify_fixed_point(rep, report, (0.01, 0.1, 1.0))
+    assert [chk["claim"] for chk in lines] == [
+        f"cayley-fixed-point beta=(1,1) eps={eps}" for eps in (0.01, 0.1, 1.0)
+    ]
+    assert all(chk["pass"] and chk["residual"] < 1e-9 for chk in lines)
 
     so5 = from_cartan_matrix([[2, -1], [-2, 2]])
-    rep2 = fundamental_rep(so5)
     report2 = check_pseudoconcavity(so5, grading((1, 0)))
-    beta = so5.roots.index(root((2, 1)))
-    for eps in (0.01, 0.1, 1.0):
-        chk = verify_fixed_point(rep2, report2, beta, eps)
-        assert chk["pass"] and chk["residual"] < 1e-9
+    lines = verify_fixed_point(fundamental_rep(so5), report2, (0.01, 0.1, 1.0))
+    assert [chk["claim"] for chk in lines] == [
+        f"cayley-fixed-point beta=(2,1) eps={eps}" for eps in (0.01, 0.1, 1.0)
+    ]
+    assert all(chk["pass"] and chk["residual"] < 1e-9 for chk in lines)
 
 
 def test_fixed_point_examines_no_root_string(monkeypatch):
-    # the witness and its noncompact negative roots are read off the sweep
+    # the witnesses and their noncompact negative roots are read off the sweep
     import sys
 
     from flagdomains import rootsys
@@ -278,7 +279,6 @@ def test_fixed_point_examines_no_root_string(monkeypatch):
     rep = fundamental_rep(rs)
     e = grading((0, 1, 0, 0))
     report = check_pseudoconcavity(rs, e)
-    beta = rs.roots.index(root((1, 2, 2, 2)))
     calls = []
     original = rootsys.root_string
 
@@ -289,41 +289,121 @@ def test_fixed_point_examines_no_root_string(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("flagdomains") and hasattr(module, "root_string"):
             monkeypatch.setattr(module, "root_string", counting)
-    chk = verify_fixed_point(rep, report, beta, 0.5)
-    assert chk["pass"] and chk["info"]["alphas"]
+    lines = verify_fixed_point(rep, report, [0.5])
+    assert lines and all(chk["pass"] and chk["info"]["alphas"] for chk in lines)
     assert calls == []
     # the counter sees the sweep's strings, so the empty list above is not vacuous
     check_pseudoconcavity(rs, e)
     assert calls
 
 
-def test_fixed_point_rejects_non_witness(reps):
+def test_fixed_point_lines_are_the_witnesses_by_eps(reps):
+    # C3 with grading (2, 2, 2) has 18 witnesses: one line per witness and
+    # eps, witness by witness in sweep order, then eps in the given order
+    rep = reps[("C", 3)]
+    rs = rep.rs
+    report = check_pseudoconcavity(rs, grading((2, 2, 2)))
+    eps_values = (1.0, 0.5, 0.01)
+    lines = verify_fixed_point(rep, report, eps_values)
+    assert len(report.witnesses) == 18
+    assert [chk["claim"] for chk in lines] == [
+        f"cayley-fixed-point beta={rs.roots[j]} eps={eps}"
+        for j in report.witnesses
+        for eps in eps_values
+    ]
+    # each line has its own info, so changing one changes no other
+    lines[0]["info"]["alphas"].append("x")
+    assert all(chk["info"] == {"alphas": []} for chk in lines[1:])
+    # a sweep without a witness gives its one failing line, whatever the eps
     rep = reps[("C", 2)]
     report = check_pseudoconcavity(rep.rs, grading((1, 1)))
     assert not report.witnesses
-    j = rep.rs.roots.index(root((1, 1)))
-    with pytest.raises(ValueError, match=re.escape(f"beta {j} is not a witness for grading")):
-        verify_fixed_point(rep, report, j, 0.1)
-    # a Root in place of its index is no witness either, rather than a TypeError
-    with pytest.raises(ValueError, match=re.escape("beta (1,1) is not a witness for grading")):
-        verify_fixed_point(rep, report, root((1, 1)), 0.1)
+    assert verify_fixed_point(rep, report, eps_values) == [{
+        "claim": "fixed-point witness exists C2 grading [1, 1]",
+        "residual": 1.0,
+        "tolerance": 0.0,
+        "pass": False,
+        "sign": None,
+        "info": None,
+    }]
+
+
+def _count_fixed_point_work(monkeypatch):
+    """Counters of grading_diagonal and of matrixrep's exp_nilpotent calls."""
+    counts = {"diagonal": 0, "exp": 0}
+    diagonal, exp = MatrixRealization.grading_diagonal, matrixrep.exp_nilpotent
+
+    def counting_diagonal(self, e):
+        counts["diagonal"] += 1
+        return diagonal(self, e)
+
+    def counting_exp(*args):
+        counts["exp"] += 1
+        return exp(*args)
+
+    monkeypatch.setattr(MatrixRealization, "grading_diagonal", counting_diagonal)
+    monkeypatch.setattr(matrixrep, "exp_nilpotent", counting_exp)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "key,coeffs,copies",
+    [
+        (("A", 2), (1, 1), 1),
+        # the one witness three times over: the work does not grow with it
+        (("A", 2), (1, 1), 3),
+        (("B", 4), (0, 1, 0, 0), 1),
+        (("B", 4), (0, 1, 0, 0), 4),
+        # a vacuous sweep, with 24 witnesses and no noncompact negative root
+        (("D", 4), (2, 0, 0, 2), 1),
+    ],
+)
+def test_fixed_point_builds_the_diagonal_once_and_a_generator_per_eps(
+    monkeypatch, key, coeffs, copies
+):
+    rs = build_root_system(LieType(*key))
+    rep = fundamental_rep(rs)
+    report = check_pseudoconcavity(rs, grading(coeffs))
+    report = report._replace(witnesses=report.witnesses * copies)
+    counts = _count_fixed_point_work(monkeypatch)
+    eps_values = (0.01, 0.5, 1.0)
+    lines = verify_fixed_point(rep, report, eps_values)
+    assert len(lines) == len(report.witnesses) * len(eps_values) > 0
+    assert counts == {
+        "diagonal": 1,
+        "exp": len(eps_values) * len(report.noncompact_negatives),
+    }
+
+
+def test_the_widest_fixed_point_request_builds_one_diagonal(monkeypatch, capsys):
+    # B6 with grading (2,0,0,2,0,0) at 16 eps prints 1,152 lines, 72
+    # witnesses by 16 eps, from a single grading diagonal
+    counts = _count_fixed_point_work(monkeypatch)
+    eps = ",".join(f"{k / 16:g}" for k in range(1, 17))
+    argv = ["verify", "--suite", "fixed-point", "--family", "B", "--rank", "6",
+            "--grading", "2,0,0,2,0,0", "--eps", eps]
+    assert cli_main(argv) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1152
+    assert counts == {"diagonal": 1, "exp": 0}
 
 
 def test_fixed_point_rejects_a_report_for_another_system(reps):
     # a B3 sweep handed to the C3 realization: same rank, another system
     report = check_pseudoconcavity(build_root_system(LieType("B", 3)), grading((0, 1, 0)))
-    beta = report.witnesses[0]
     with pytest.raises(ValueError, match="another root system"):
-        verify_fixed_point(reps[("C", 3)], report, beta, 0.5)
+        verify_fixed_point(reps[("C", 3)], report, [0.5])
 
 
 def test_fixed_point_rejects_eps_outside_the_unit_interval(reps):
     rep = reps[("A", 2)]
     report = check_pseudoconcavity(rep.rs, grading((1, 1)))
-    beta = rep.rs.roots.index(root((1, 1)))
+    # C2 with grading (1, 1) has no witness, so no line depends on eps
+    rep2 = reps[("C", 2)]
+    report2 = check_pseudoconcavity(rep2.rs, grading((1, 1)))
     for eps in (1.5, 0.0, -0.0, 1e-400, -0.1, math.nan):
-        with pytest.raises(ValueError, match=r"eps must lie in \(0, 1\]"):
-            verify_fixed_point(rep, report, beta, eps)
+        for r, rpt in ((rep, report), (rep2, report2)):
+            with pytest.raises(ValueError, match=r"eps must lie in \(0, 1\]"):
+                verify_fixed_point(r, rpt, [0.5, eps])
 
 
 @pytest.mark.parametrize(
@@ -339,19 +419,16 @@ def test_fixed_point_accepts_exactly_the_sweep_witnesses(family, rank):
         e = grading(bits)
         report = check_pseudoconcavity(rs, e)
         alphas = [list(rs.roots[i].coeffs) for i in report.noncompact_negatives]
-        for j, beta in enumerate(rs.roots):
-            if j in report.witnesses:
-                chk = verify_fixed_point(rep, report, j, 1.0)
-                assert chk["info"]["alphas"] == alphas
-                assert chk["claim"] == f"cayley-fixed-point beta={beta} eps=1.0"
-            else:
-                message = re.escape(f"beta {j} is not a witness for grading {e}")
-                with pytest.raises(ValueError, match=message):
-                    verify_fixed_point(rep, report, j, 1.0)
-            # the root itself is not its index
-            message = re.escape(f"beta {beta} is not a witness for grading {e}")
-            with pytest.raises(ValueError, match=message):
-                verify_fixed_point(rep, report, beta, 1.0)
+        lines = verify_fixed_point(rep, report, [1.0])
+        if report.witnesses:
+            assert [chk["claim"] for chk in lines] == [
+                f"cayley-fixed-point beta={rs.roots[j]} eps=1.0" for j in report.witnesses
+            ]
+            assert all(chk["info"]["alphas"] == alphas for chk in lines)
+        else:
+            (chk,) = lines
+            assert chk["claim"] == f"fixed-point witness exists {rs.lie_type} grading {list(bits)}"
+            assert not chk["pass"]
 
 
 def _c2_fixed_point_case():
@@ -377,8 +454,8 @@ def test_fixed_point_fails_without_the_conjugation_at_every_eps(eps):
     # the generator leaves P by entries of size eps, so a float threshold
     # would pass it once eps fell below that threshold
     rep, mutant, report, beta = _c2_fixed_point_case()
-    assert verify_fixed_point(rep, report, beta, eps)["pass"]
-    chk = verify_fixed_point(mutant, report, beta, eps)
+    assert verify_fixed_point(rep, report, [eps])[0]["pass"]
+    (chk,) = verify_fixed_point(mutant, report, [eps])
     assert not chk["pass"] and 0.0 < chk["residual"] < 10 * eps
 
 
@@ -394,7 +471,7 @@ def test_fixed_point_passes_exactly_when_nothing_lies_below_the_filtration(eps):
         xi = product(xi, exp_nilpotent({k: t * v for k, v in xa.items()}, rep.dim))
     for r, passes in ((rep, True), (mutant, False)):
         below = below_filtration(r, e, r.weyl(beta).conjugate(xi))
-        chk = verify_fixed_point(r, report, beta, eps)
+        (chk,) = verify_fixed_point(r, report, [eps])
         assert chk["pass"] == (not below) == passes
         # the printed size of a failure may underflow to 0.0, the verdict not
         assert math.isclose(chk["residual"], math.hypot(*below), rel_tol=1e-12)
@@ -425,13 +502,15 @@ def test_fixed_point_agrees_with_the_conjugation_lines_of_its_pairs(key):
         if not any(coeffs):
             continue
         report = check_pseudoconcavity(rs, grading(coeffs))
-        for beta in report.witnesses:
-            fixed = verify_fixed_point(rep, report, beta, 0.5)["pass"]
-            assert fixed == _pairs_certify(rep, report, beta), (coeffs, beta)
-            if report.noncompact_negatives:
-                # without the conjugation both sides fail
-                assert not verify_fixed_point(mutant, report, beta, 0.5)["pass"]
-                assert not _pairs_certify(mutant, report, beta)
+        if not report.witnesses:
+            continue
+        lines = verify_fixed_point(rep, report, [0.5])
+        for beta, chk in zip(report.witnesses, lines, strict=True):
+            assert chk["pass"] == _pairs_certify(rep, report, beta), (coeffs, beta)
+        if report.noncompact_negatives:
+            # without the conjugation both sides fail
+            assert not any(chk["pass"] for chk in verify_fixed_point(mutant, report, [0.5]))
+            assert not any(_pairs_certify(mutant, report, beta) for beta in report.witnesses)
 
 
 def test_flag_residual_invariant_under_parabolic_factors(reps):
@@ -537,11 +616,16 @@ def test_exact_fixed_point_checks_match_the_float_oracle(key):
         if e.is_zero:
             continue
         report = check_pseudoconcavity(rs, e)
-        for beta in report.witnesses:
-            for eps in (0.01, 0.1, 1.0):
-                exact = verify_fixed_point(rep, report, beta, eps)
-                assert exact == fixed_point_check(frep, e, rs.roots[beta], eps)
-                assert exact["pass"] and exact["residual"] == 0.0
+        if not report.witnesses:
+            continue
+        eps_values = (0.01, 0.1, 1.0)
+        exact = verify_fixed_point(rep, report, eps_values)
+        assert exact == [
+            fixed_point_check(frep, e, rs.roots[beta], eps)
+            for beta in report.witnesses
+            for eps in eps_values
+        ]
+        assert all(chk["pass"] and chk["residual"] == 0.0 for chk in exact)
 
 
 @pytest.mark.parametrize(
@@ -554,13 +638,13 @@ def test_exact_fixed_point_residual_matches_the_oracle_when_it_fails(key, coeffs
     rep = fundamental_rep(rs)
     e = grading(coeffs)
     report = check_pseudoconcavity(rs, e)
-    beta = report.witnesses[0]
+    (beta,) = report.witnesses
     x = list(rep.x)
     for alpha in report.noncompact_negatives:
         x[alpha] = root_vector(rep, negative(rs.roots[alpha]))
     bent = MatrixRealization(rep.rs, rep.dim, tuple(x))
-    for eps in (0.01, 0.1, 1.0):
-        exact = verify_fixed_point(bent, report, beta, eps)
+    eps_values = (0.01, 0.1, 1.0)
+    for eps, exact in zip(eps_values, verify_fixed_point(bent, report, eps_values), strict=True):
         oracle = fixed_point_check(FloatRealization(bent), e, rs.roots[beta], eps)
         assert not exact["pass"] and not oracle["pass"]
         assert math.isclose(exact["residual"], oracle["residual"], rel_tol=1e-12)

@@ -21,7 +21,7 @@ from flagdomains.matrixrep import (
     verify_cayley_conjugation,
     verify_fixed_point,
 )
-from flagdomains.rootsys import LieType, build_root_system, grading, root
+from flagdomains.rootsys import LieType, build_root_system, grading
 
 
 def _cayley():
@@ -29,10 +29,10 @@ def _cayley():
     return verify_cayley_conjugation(fundamental_rep(rs), *eligible_conjugation_pairs(rs)[0])
 
 
-def _fixed_point():
-    rs = build_root_system(LieType("A", 2))
-    report = check_pseudoconcavity(rs, grading((1, 1)))
-    return verify_fixed_point(fundamental_rep(rs), report, rs.roots.index(root((1, 1))), 0.1)
+def _fixed_point(family, coeffs):
+    rs = build_root_system(LieType(family, len(coeffs)))
+    report = check_pseudoconcavity(rs, grading(coeffs))
+    return verify_fixed_point(fundamental_rep(rs), report, [0.1, 1.0])
 
 
 def _boundary(h, spec):
@@ -48,7 +48,8 @@ def _levi():
 RESULTS = {
     "make_check": lambda: make_check("claim", 1, False, sign=-1, info={"string": [0, 1]}),
     "cayley": _cayley,
-    "fixed_point": _fixed_point,
+    "fixed_point": lambda: _fixed_point("A", (1, 1)),
+    "fixed_point_no_witness": lambda: _fixed_point("C", (1, 1)),
     "sl2_checks_I": lambda: sl2_cayley_checks("I"),
     "sl2_checks_II": lambda: sl2_cayley_checks("II"),
     "levi": _levi,
