@@ -2,8 +2,10 @@
 
 Positive roots are ordered by height and then lexicographically. For each
 non-simple positive root the minimal special pair summing to it (the
-extraspecial pair) receives the positive sign; every other constant
-follows from antisymmetry and the Jacobi identity. The resulting table
+extraspecial pair) receives the positive sign, and the other special pairs
+follow from lower heights (Carter, Simple Groups of Lie Type, 4.1). Each
+pair fills its triple a + b + c = 0 through antisymmetry and
+c(a, b)/(c, c) = c(b, c)/(a, a) = c(c, a)/(b, b). The resulting table
 satisfies
 
     c(a, b) = -c(b, a) = -c(-a, -b),    |c(a, b)| = r + 1,
@@ -15,7 +17,6 @@ c(-a, -b) = -c(a, b).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -35,36 +36,24 @@ class ChevalleyConstants(NamedTuple):
 def structure_constants(rs: RootSystem) -> ChevalleyConstants:
     """Build the constants table with the extraspecial sign convention."""
     roots, add, neg, l2, half = rs.roots, rs.add, rs.neg, rs.norms, rs.half
-    # Indices from `half` on are the positive roots in height order.
-    special: dict[tuple[int, int], int] = {}
+    n = len(roots)
+    table = [[0] * n for _ in range(n)]
 
-    def lookup(a: int, b: int) -> int:
-        # Valid whenever a + b is a root and every positive pair with a
-        # lower height sum is already in `special`.
-        if a >= half and b >= half:
-            return special[(a, b)] if a < b else -special[(b, a)]
-        na, nb = neg[a], neg[b]
-        if na >= half and nb >= half:
-            return -lookup(na, nb)
-        if a < half:
-            return -lookup(b, a)
-        # a > 0 > b; rewrite through the triple (a, b, c) with a+b+c = 0,
-        # where c(a,b)/(c,c) = c(b,c)/(a,a) = c(c,a)/(b,b).
-        s = add[a][b]
-        c = neg[s]
-        if s >= half:
-            val = Fraction(-lookup(nb, s)) * l2[c] / l2[a]
-        else:
-            val = Fraction(lookup(c, a)) * l2[c] / l2[b]
-        if val.denominator != 1 or val == 0:
-            raise ArithmeticError(
-                f"inconsistent structure constant for ({roots[a]}, {roots[b]})"
-            )
-        return int(val)
+    def put(a: int, b: int, v) -> None:
+        # the 12 constants of the triple a + b + c = 0, from c(a, b) = v
+        c = neg[add[a][b]]
+        for x, y, w in ((a, b, v), (b, c, v * l2[a] / l2[c]), (c, a, v * l2[b] / l2[c])):
+            if w.denominator != 1 or w == 0:
+                raise ArithmeticError(
+                    f"inconsistent structure constant for ({roots[x]}, {roots[y]})"
+                )
+            w = int(w)
+            table[x][y] = table[neg[y]][neg[x]] = w
+            table[y][x] = table[neg[x]][neg[y]] = -w
 
-    for g in range(half, len(roots)):
-        if roots[g].height < 2:
-            continue
+    for g in range(half + rs.rank, n):
+        # the positive roots past the simple ones, in height order, and the
+        # special pairs a < b with a + b = g, the extraspecial one first
         pairs = []
         for a in range(half, g):
             b = add[g][neg[a]]
@@ -73,29 +62,17 @@ def structure_constants(rs: RootSystem) -> ChevalleyConstants:
         if not pairs:
             raise AssertionError(f"no special pair sums to {roots[g]}")
         a1, b1 = pairs[0]
-        special[(a1, b1)] = root_string(rs, a1, b1)[0] + 1
+        put(a1, b1, root_string(rs, a1, b1)[0] + 1)
         for a, b in pairs[1:]:
+            # every constant read here lies on a triple of lower height
             t = 0
             d = add[a1][neg[a]]
             if d >= 0:
-                t += lookup(neg[a], a1) * lookup(d, b1)
+                t += table[neg[a]][a1] * table[d][b1]
             d = add[b1][neg[a]]
             if d >= 0:
-                t += lookup(b1, neg[a]) * lookup(d, a1)
-            val = Fraction(t) * l2[g] / (l2[b] * special[(a1, b1)])
-            if val.denominator != 1 or val == 0:
-                raise ArithmeticError(
-                    f"inconsistent structure constant for ({roots[a]}, {roots[b]})"
-                )
-            special[(a, b)] = int(val)
-
-    n = len(roots)
-    table = [[0] * n for _ in range(n)]
-    for a in range(n):
-        for b, s in enumerate(add[a]):
-            if s >= half:
-                table[a][b] = v = lookup(a, b)
-                table[neg[a]][neg[b]] = -v
+                t += table[b1][neg[a]] * table[d][a1]
+            put(a, b, t * l2[g] / (l2[b] * table[a1][b1]))
     return ChevalleyConstants(rs=rs, table=tuple(map(tuple, table)))
 
 

@@ -1,9 +1,9 @@
 """Exact enumeration of classical root systems and root-string combinatorics.
 
 Roots are integer coefficient vectors over a fixed set of simple roots.
-The inner product comes from the symmetrized Cartan matrix, normalized so
-long roots have squared length 2, and every operation runs in exact
-rational arithmetic. Root systems are built either from a family label
+The symmetrized Cartan matrix gives the simple roots their squared
+lengths, long roots 2, and a reflection carries them to every root; all
+arithmetic is exact. Root systems are built either from a family label
 (A, B, C, D) or from an explicit Cartan matrix, which makes both
 orientations of the rank-two B/C labelings available.
 """
@@ -72,14 +72,6 @@ class Root(NamedTuple):
     __eq__, __ne__, __hash__ = _same_class_eq, object.__ne__, tuple.__hash__
     __add__ = __radd__ = __mul__ = __rmul__ = None
 
-    @property
-    def height(self) -> int:
-        return sum(self.coeffs)
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
     def __str__(self):
         return "(" + ",".join(str(c) for c in self.coeffs) + ")"
 
@@ -125,25 +117,27 @@ def _frozen(self, name, *value):
 
 
 class RootSystem:
-    """A finite root system with exact inner-product data.
+    """A finite root system with exact squared lengths.
 
     ``lengths`` holds the squared length of each simple root; long roots
     are normalized to squared length 2 within each irreducible component.
     ``roots`` lists every root in height order, negatives first, so index i
-    is positive exactly when i >= ``half`` and -roots[i] is roots[n-1-i].
-    The tables the hot paths walk are built on first use and kept on the
-    instance: ``simple[k]`` is the index of the k-th simple root in
+    is positive exactly when i >= ``half`` and -roots[i] is roots[n-1-i],
+    and ``norms[i]`` is the squared length of roots[i]; both are built
+    together. The tables the hot paths walk are built on first use and kept
+    on the instance: ``simple[k]`` is the index of the k-th simple root in
     Cartan-matrix order, ``add[i][j]`` that of roots[i] + roots[j] or -1
-    when the sum is not a root, ``neg[i]`` that of -roots[i], and
-    ``norms[i]`` the squared length of roots[i].
+    when the sum is not a root, and ``neg[i]`` that of -roots[i].
     Root strings are read off ``add`` by index: ``root_string(rs, i, j)``
     gives the (r, q, top) of the roots[j]-string through roots[i].
     Equality and hashing see the Cartan matrix only, which determines the
     rest. Attributes cannot be assigned.
     """
 
-    def __init__(self, lie_type, cartan, lengths, roots):
-        vars(self).update(lie_type=lie_type, cartan=cartan, lengths=lengths, roots=roots)
+    def __init__(self, lie_type, cartan, lengths, roots, norms):
+        vars(self).update(
+            lie_type=lie_type, cartan=cartan, lengths=lengths, roots=roots, norms=norms
+        )
 
     __setattr__ = __delattr__ = _frozen
 
@@ -179,23 +173,6 @@ class RootSystem:
     @cached_property
     def neg(self) -> tuple[int, ...]:
         return tuple(range(len(self.roots) - 1, -1, -1))
-
-    @cached_property
-    def norms(self) -> tuple[Fraction, ...]:
-        return tuple(self.length2(a) for a in self.roots)
-
-    def inner(self, a: Root, b: Root) -> Fraction:
-        """Symmetrized bilinear form (a, b), exact."""
-        total = Fraction(0)
-        for j, bj in enumerate(b.coeffs):
-            if bj:
-                # the integer pairing of a with the simple coroot of s_j
-                pairing = sum(ai * self.cartan[i][j] for i, ai in enumerate(a.coeffs))
-                total += bj * pairing * self.lengths[j]
-        return total / 2
-
-    def length2(self, a: Root) -> Fraction:
-        return self.inner(a, a)
 
     def to_json_dict(self) -> dict:
         return {
@@ -268,11 +245,13 @@ def _build_cached(cartan: tuple[tuple[int, ...], ...]) -> RootSystem:
     if not _positive_definite(cartan, lengths):
         raise ValueError("matrix does not define a finite root system")
     lie_type = _detect_family(cartan)
+    orbit = _roots(cartan, lengths)
     rs = RootSystem(
         lie_type=lie_type,
         cartan=cartan,
         lengths=lengths,
-        roots=tuple(map(Root, _roots(cartan))),
+        roots=tuple(map(Root, orbit)),
+        norms=tuple(orbit.values()),
     )
     if lie_type is not None:
         expected = _ROOT_COUNT[lie_type.family](lie_type.rank)
@@ -356,17 +335,20 @@ def _positive_definite(
     return True
 
 
-def _roots(cartan: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
-    """Every root, in the (height, coeffs) order that RootSystem indexes,
-    which negation reverses: the orbit of the simple roots under the simple
-    reflections r_i(a) = a - <a, s_i^v> s_i, since every root is W-conjugate
-    to a simple one (Humphreys, Introduction to Lie Algebras and
-    Representation Theory, 10.3).
+def _roots(
+    cartan: tuple[tuple[int, ...], ...], lengths: tuple[Fraction, ...]
+) -> dict[tuple[int, ...], Fraction]:
+    """Every root with its squared length, in the (height, coeffs) order
+    that RootSystem indexes, which negation reverses: the orbit of the
+    simple roots under the simple reflections r_i(a) = a - <a, s_i^v> s_i,
+    since every root is W-conjugate to a simple one (Humphreys, Introduction
+    to Lie Algebras and Representation Theory, 10.3). A reflection keeps
+    the length, so each image takes that of the root it came from.
 
     It terminates only for a matrix of finite type, which callers check first.
     """
     r = len(cartan)
-    known = {tuple(int(j == i) for j in range(r)) for i in range(r)}
+    known = {tuple(int(j == i) for j in range(r)): lengths[i] for i in range(r)}
     todo = list(known)
     while todo:
         a = todo.pop()
@@ -374,9 +356,9 @@ def _roots(cartan: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
             pairing = sum(c * cartan[j][i] for j, c in enumerate(a))
             image = a[:i] + (a[i] - pairing,) + a[i + 1:]
             if image not in known:
-                known.add(image)
+                known[image] = known[a]
                 todo.append(image)
-    return sorted(known, key=lambda a: (sum(a), a))
+    return dict(sorted(known.items(), key=lambda kv: (sum(kv[0]), kv[0])))
 
 
 def _detect_family(cartan: tuple[tuple[int, ...], ...]) -> LieType | None:

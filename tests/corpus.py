@@ -45,6 +45,10 @@ CARTANS = {
     ],
     # B4 with its simple roots renamed (2, 0, 3, 1), as RELABELLED_B4 in conftest
     "RELABELLED_B4": [[2, 0, -1, -1], [0, 2, 0, -1], [-1, 0, 2, 0], [-1, -2, 0, 2]],
+    # G2 with the long simple root first
+    "G2_TRANSPOSED": [[2, -3], [-1, 2]],
+    "A1xA1": [[2, 0], [0, 2]],
+    "B2xA1": [[2, -2, 0], [-1, 2, 0], [0, 0, 2]],
 }
 
 # fixed-point requests on systems given by a Cartan matrix, with and without

@@ -15,8 +15,9 @@ Root arithmetic: `plus`, `minus`, `negative` and `times` act on `Root`
 coefficient vectors, which define no arithmetic of their own. The
 root-string, structure-constant, bracket-identity, eligible-pair and
 Jacobi computations are written with them, with `Fraction` inner products
-and dict-based brackets: the slow paths that the package's indexed tables
-replace.
+and dict-based brackets, and each structure constant is derived on demand
+by a recursive lookup through antisymmetry: the slow paths that the
+package's indexed tables and its triple-at-a-time fill replace.
 
 String verdicts: each (beta, alpha) string classified into a
 `StringVerdict` object by root arithmetic, as the package did before its
@@ -24,10 +25,12 @@ sweep built the JSON entries directly, and the theorem1 report assembled
 from them.
 
 Test-only helpers, which the package itself does not use: positivity of
-a coefficient vector, the partition of the roots by grading value, the
-Cartan integer of two roots, the parabolic cut out by a grading, the
-checked classification of a single (beta, alpha) string, and whether the
-flag domain of a grading is classical.
+a coefficient vector, the bilinear form built from the Cartan matrix and
+the simple-root lengths (the package keeps only the squared length of
+each root, carried along its reflection orbit), the partition of the
+roots by grading value, the Cartan integer of two roots, the parabolic
+cut out by a grading, the checked classification of a single (beta,
+alpha) string, and whether the flag domain of a grading is classical.
 """
 
 from __future__ import annotations
@@ -68,6 +71,16 @@ def is_positive(a: Root) -> bool:
     return any(a.coeffs) and min(a.coeffs) >= 0
 
 
+def inner(rs: RootSystem, a: Root, b: Root) -> Fraction:
+    """The symmetrized bilinear form (a, b), exact: sum_j b_j <a, s_j^v> (s_j, s_j)/2
+    over the simple roots s_j, from ``rs.cartan`` and ``rs.lengths`` alone."""
+    total = Fraction(0)
+    for j, bj in enumerate(b.coeffs):
+        pairing = sum(ai * rs.cartan[i][j] for i, ai in enumerate(a.coeffs))
+        total += bj * pairing * rs.lengths[j]
+    return total / 2
+
+
 def graded_pieces(rs, e) -> dict[int, frozenset[Root]]:
     """Partition of the roots by grading value; only nonempty pieces appear."""
     check_grading(rs, e)
@@ -81,7 +94,7 @@ def cartan_integer(rs: RootSystem, a: Root, b: Root) -> int:
     """The pairing 2(a, b)/(b, b); an integer for roots of the system."""
     rs.roots.index(a)
     rs.roots.index(b)
-    v = 2 * rs.inner(a, b) / rs.length2(b)
+    v = 2 * inner(rs, a, b) / inner(rs, b, b)
     if v.denominator != 1:
         raise ArithmeticError(f"pairing <{a},{b}> is not integral")
     return int(v)
@@ -331,7 +344,7 @@ def positive_roots_within(cartan, max_height: int = 64) -> list[Root] | None:
         height += 1
         if height > max_height:
             return None
-    return sorted(known, key=lambda a: (a.height, a.coeffs))
+    return sorted(known, key=lambda a: (sum(a.coeffs), a.coeffs))
 
 
 @cache
@@ -395,7 +408,7 @@ def reference_constant(cc, a, b) -> int:
 
 def reference_structure_table(rs) -> dict:
     """The extraspecial-sign constants table, by root arithmetic."""
-    pos = sorted(filter(is_positive, rs.roots), key=lambda a: (a.height, a.coeffs))
+    pos = sorted(filter(is_positive, rs.roots), key=lambda a: (sum(a.coeffs), a.coeffs))
     order = {a: i for i, a in enumerate(pos)}
     roots = frozenset(rs.roots)
 
@@ -418,14 +431,14 @@ def reference_structure_table(rs) -> dict:
         s = plus(a, b)
         c = negative(s)
         if is_positive(s):
-            val = Fraction(-lookup(nb, s)) * rs.length2(c) / rs.length2(a)
+            val = Fraction(-lookup(nb, s)) * inner(rs, c, c) / inner(rs, a, a)
         else:
-            val = Fraction(lookup(c, a)) * rs.length2(c) / rs.length2(b)
+            val = Fraction(lookup(c, a)) * inner(rs, c, c) / inner(rs, b, b)
         assert val.denominator == 1 and val != 0
         return int(val)
 
     for g in pos:
-        if g.height < 2:
+        if sum(g.coeffs) < 2:
             continue
         pairs = []
         for a in pos:
@@ -442,7 +455,7 @@ def reference_structure_table(rs) -> dict:
                 t += lookup(negative(a), a1) * lookup(minus(a1, a), b1)
             if minus(b1, a) in roots:
                 t += lookup(b1, negative(a)) * lookup(minus(b1, a), a1)
-            val = t * rs.length2(g) / (rs.length2(b) * special[(a1, b1)])
+            val = t * inner(rs, g, g) / (inner(rs, b, b) * special[(a1, b1)])
             assert val.denominator == 1 and val != 0
             special[(a, b)] = int(val)
 
@@ -514,7 +527,7 @@ def _basis_bracket(cc: ChevalleyConstants, s1, s2) -> dict:
     if kind1 == "x" and kind2 == "x":
         a, b = data1, data2
         s = plus(a, b)
-        if s.is_zero:
+        if not any(s.coeffs):
             for i, coef in enumerate(coroot_coefficients(rs, rs.roots.index(a))):
                 if coef:
                     _add_into(out, ("h", i), Fraction(coef))

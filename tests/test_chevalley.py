@@ -1,8 +1,11 @@
 """Structure constants: sign normalization, magnitudes, Jacobi, string brackets."""
 
+import re
+
 import pytest
 
 from conftest import CLASSICAL, ORACLE_SYSTEMS, RELABELLED_B4
+from corpus import CARTANS
 from lie_oracles import (
     jacobi_violations as jacobi_scan,
     negative,
@@ -16,6 +19,7 @@ from lie_oracles import (
     times,
 )
 
+from flagdomains import chevalley
 from flagdomains.chevalley import (
     ChevalleyConstants,
     jacobi_violations,
@@ -24,10 +28,12 @@ from flagdomains.chevalley import (
 )
 from flagdomains.rootsys import (
     LieType,
+    RootSystem,
     build_root_system,
     from_cartan_matrix,
     root,
     root_string,
+    standard_cartan,
 )
 
 RANK_LE_4 = CLASSICAL + [("A", 4), ("B", 4), ("C", 4), ("D", 3)]
@@ -68,7 +74,7 @@ def test_sign_normalization_and_magnitude(family, rank):
     for i, a in enumerate(rs.roots):
         for j, b in enumerate(rs.roots):
             s = plus(a, b)
-            if s.is_zero or s not in roots:
+            if not any(s.coeffs) or s not in roots:
                 continue
             c = table_constant(cc, a, b)
             assert c != 0
@@ -183,3 +189,36 @@ def test_constants_and_brackets_match_root_arithmetic_relabelled():
     assert rs.lie_type is None
     _assert_matches_root_arithmetic(rs)
     assert jacobi_violations(structure_constants(rs)) == []
+
+
+@pytest.mark.parametrize("name", ["G2", "G2_TRANSPOSED", "F4", "E6", "A1xA1", "B2xA1"])
+def test_constants_and_brackets_match_root_arithmetic_beyond_the_classical(name):
+    rs = from_cartan_matrix(CARTANS[name])
+    _assert_matches_root_arithmetic(rs)
+
+
+def test_a_non_integral_triple_is_refused():
+    b2 = build_root_system(LieType("B", 2))
+    # the short root (-1,-1) given the long squared length
+    norms = list(b2.norms)
+    assert b2.roots[1] == root((-1, -1)) and norms[1] == 1
+    norms[1] = 2
+    rs = RootSystem(b2.lie_type, b2.cartan, b2.lengths, b2.roots, tuple(norms))
+    with pytest.raises(ArithmeticError, match=re.escape("((1,0), (-1,-1))")):
+        structure_constants.__wrapped__(rs)
+
+
+@pytest.mark.parametrize(
+    "cartan", [standard_cartan(LieType("B", 6)), CARTANS["G2"]], ids=["B6", "G2"]
+)
+def test_one_root_string_per_non_simple_positive_root(cartan, monkeypatch):
+    rs = from_cartan_matrix(cartan)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return root_string(*args)
+
+    monkeypatch.setattr(chevalley, "root_string", counted)
+    structure_constants.__wrapped__(rs)
+    assert len(calls) == rs.half - rs.rank

@@ -83,7 +83,9 @@ def test_roots_sort_by_their_coefficients():
 def test_root_systems_compare_by_their_cartan_data():
     cartan = standard_cartan(LieType("B", 3))
     built = build_root_system(LieType("B", 3))
-    copy = RootSystem(built.lie_type, cartan, built.lengths, built.roots[::-1])
+    copy = RootSystem(
+        built.lie_type, cartan, built.lengths, built.roots[::-1], built.norms[::-1]
+    )
     assert copy == built and hash(copy) == hash(built)
     assert from_cartan_matrix([list(row) for row in cartan]) == built
     assert built != build_root_system(LieType("C", 3)) and built != cartan
