@@ -2,28 +2,30 @@
 
 sl(r+1) acts on C^{r+1}; sp(2r) preserves J = [[0, I], [-I, 0]]; so(2r+1)
 and so(2r) preserve the symmetric pairing with blocks [[0, I], [I, 0]]
-plus a trailing 1 in the odd case. Only the simple root vectors are
+plus a trailing 2 in the odd case. Only the simple root vectors are
 written down by hand; every other root vector is produced by bracketing
-and dividing by the structure constant, so the realization reproduces the
-abstract table sign for sign, and the coroot of a is [x^a, x^{-a}]. The
-matrices are those of `exact`, with int and Fraction entries; every root
-vector has at most two nonzero entries, each in {+-1/2, +-1, +-2}.
+and dividing exactly by the integer structure constant, so the
+realization reproduces the abstract table sign for sign, and the coroot
+of a is [x^a, x^{-a}]. The basis spans an admissible lattice (Steinberg,
+Lectures on Chevalley Groups, section 2; Humphreys, Introduction to Lie
+Algebras, section 27): every root vector is an int matrix with at most
+two nonzero entries, each in {+-1, +-2}.
 
 The certificates conjugate by the squared Cayley matrix of a compact root
 b, the Weyl element w_b = exp(x^b) exp(-x^{-b}) exp(x^b), Tits' lift of
-the reflection in b. In this weight basis w_b is monomial (Steinberg,
-Lectures on Chevalley Groups, section 3): it sends e_j to s_j e_{p(j)} for
-a permutation p and scalars s_j in {+-1/2, +-1, +-2}, kept per root as p
-and 2 s. Ad(w_b) moves entry (k, l) of a matrix to (p(k), p(l)) scaled by
-s_k / s_l, so a conjugation check compares a few integers, and the
-fixed-point check, with eps read exactly from its decimal text, is exact.
+the reflection in b. On this lattice w_b is a signed permutation matrix
+(Steinberg, section 3): it sends e_j to s_j e_{p(j)} for a permutation p
+and signs s_j in {+-1}. Ad(w_b) moves entry (k, l) of a matrix to
+(p(k), p(l)) and negates it when s_k and s_l differ, so a conjugation
+check compares a few integers, and the fixed-point check, with eps read
+exactly from its decimal text, is exact.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
 from .chevalley import structure_constants
@@ -31,42 +33,34 @@ from .exact import combo, exp_nilpotent, make_check, product, shear_product
 from .rootsys import MAX_RANK, GradingElement, RootSystem, _frozen, check_grading, root_string
 
 
-def _twice(v) -> int:
-    d = 2 * Fraction(v)
-    if d.denominator != 1:
-        raise ArithmeticError(f"{v} is not a multiple of 1/2")
-    return int(d)
+def _divided(m: dict, c: int) -> dict:
+    """m / c entry for entry; ArithmeticError when c does not divide an entry."""
+    out = {}
+    for key, v in m.items():
+        q, rest = divmod(v, c)
+        if rest:
+            raise ArithmeticError(f"{v} is not a multiple of {c}")
+        out[key] = q
+    return out
 
 
 class WeylElement(NamedTuple):
-    """A monomial matrix: e_j goes to (twice[j] / 2) e_{perm[j]}."""
+    """A signed permutation matrix: e_j goes to sign[j] e_{perm[j]}."""
 
     perm: tuple[int, ...]
-    twice: tuple[int, ...]
+    sign: tuple[int, ...]
 
     def conjugate(self, m: dict) -> dict:
         """Ad(w) m = w m w^{-1}."""
-        p, t = self.perm, self.twice
-        return {(p[k], p[l]): v * Fraction(t[k], t[l]) for (k, l), v in m.items()}
-
-    def matches(self, m2: dict, target2: dict, sign: int) -> bool:
-        """Whether Ad(w) m = sign * target, given twice their entries.
-
-        Entry by entry this reads target[p(k), p(l)] s_l = sign m[k, l] s_k,
-        four times which is an identity of integers.
-        """
-        p, t = self.perm, self.twice
-        return len(m2) == len(target2) and all(
-            target2.get((p[k], p[l]), 0) * t[l] == sign * v * t[k]
-            for (k, l), v in m2.items()
-        )
+        p, s = self.perm, self.sign
+        return {(p[k], p[l]): v if s[k] == s[l] else -v for (k, l), v in m.items()}
 
 
 class MatrixRealization:
     """Root vectors of a classical algebra as sparse exact matrices, read-only.
 
-    ``x[i]`` is the root vector of rs.roots[i]; ``twice`` and ``weyl`` are
-    indexed the same way.
+    ``x[i]`` is the root vector of rs.roots[i], an int matrix with entries
+    in {+-1, +-2}; ``weyl`` is indexed the same way.
     """
 
     def __init__(self, rs: RootSystem, dim: int, x: tuple):
@@ -74,19 +68,14 @@ class MatrixRealization:
 
     __setattr__ = __delattr__ = _frozen
 
-    @cached_property
-    def twice(self) -> tuple:
-        """2 x^a for every root a, with int entries."""
-        return tuple({key: _twice(v) for key, v in m.items()} for m in self.x)
-
     def weyl(self, j: int) -> WeylElement:
         """w_b = exp(x^b) exp(-x^{-b}) exp(x^b) for b = rs.roots[j], built once
-        per root."""
+        per root; ArithmeticError when it is not a signed permutation matrix."""
         if j not in self._weyl:
             w = shear_product(self.x[j], combo((-1, self.x[self.rs.neg[j]])), self.dim)
-            cols = {c: (r, _twice(v)) for (r, c), v in w.items()}
+            cols = {c: (r, int(v)) for (r, c), v in w.items() if v in (1, -1)}
             if len(cols) != len(w) or len(cols) != self.dim:
-                raise ArithmeticError("the Weyl element is not a monomial matrix")
+                raise ArithmeticError("the Weyl element is not a signed permutation matrix")
             self._weyl[j] = WeylElement(*zip(*(cols[c] for c in range(self.dim))))
         return self._weyl[j]
 
@@ -138,9 +127,10 @@ def _simple_sp(r: int):
 
 def _simple_so_odd(r: int):
     xs, ys = _first_type(r)
-    # the short root e_r; the asymmetric 2 makes [x, y] its coroot, with entries +-2
-    xs.append({(r - 1, 2 * r): 1, (2 * r, 2 * r - 1): -1})
-    ys.append({(2 * r, r - 1): 2, (2 * r - 1, 2 * r): -2})
+    # the short root e_r, scaled so that the basis spans an admissible
+    # lattice; [x, y] is its coroot, with entries +-2
+    xs.append({(r - 1, 2 * r): 2, (2 * r, 2 * r - 1): -1})
+    ys.append({(2 * r, r - 1): 1, (2 * r - 1, 2 * r): -2})
     return 2 * r + 1, xs, ys
 
 
@@ -163,7 +153,11 @@ _BUILDERS = {
 
 @lru_cache(maxsize=32)  # as structure_constants: one per cached system
 def fundamental_rep(rs: RootSystem) -> MatrixRealization:
-    """Defining representation with root vectors matching the abstract table."""
+    """Defining representation with root vectors matching the abstract table.
+
+    Each bracket is divided exactly by its structure constant, so every
+    entry stays an int; ArithmeticError when a constant does not divide.
+    """
     t = rs.lie_type
     if t is None:
         raise ValueError(
@@ -183,10 +177,10 @@ def fundamental_rep(rs: RootSystem) -> MatrixRealization:
         for s in simples:
             a = add[g][neg[s]]
             if a >= half:
-                f = Fraction(1, cc.table[s][a])
+                c = cc.table[s][a]
                 xs, xa, ys, ya = x[s], x[a], x[neg[s]], x[neg[a]]
-                x[g] = combo((f, product(xs, xa)), (-f, product(xa, xs)))
-                x[neg[g]] = combo((-f, product(ys, ya)), (f, product(ya, ys)))
+                x[g] = _divided(combo((1, product(xs, xa)), (-1, product(xa, xs))), c)
+                x[neg[g]] = _divided(combo((1, product(ya, ys)), (-1, product(ys, ya))), c)
                 break
         else:
             raise AssertionError(f"{rs.roots[g]} has no simple summand")
@@ -206,12 +200,11 @@ def verify_cayley_conjugation(rep: MatrixRealization, i: int, j: int) -> dict:
     r, q, top = root_string(rs, i, j)
     if (r, q) not in ((0, 1), (0, 2)):
         raise ValueError(f"string shape (r, q) = ({r}, {q}) is outside (0,1)/(0,2)")
-    w = rep.weyl(j)
-    sign = next((s for s in (1, -1) if w.matches(rep.twice[i], rep.twice[top], s)), None)
+    image, target = rep.weyl(j).conjugate(rep.x[i]), rep.x[top]
+    sign = next((s for s in (1, -1) if image == combo((s, target))), None)
     res = 0.0
     if sign is None:
         # the distance from the nearer of +-x^{a+qb}
-        image, target = w.conjugate(rep.x[i]), rep.x[top]
         keys = image.keys() | target.keys()
         res = min(
             math.hypot(*(image.get(k, 0) - s * target.get(k, 0) for k in keys)) for s in (1, -1)

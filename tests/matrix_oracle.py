@@ -32,10 +32,10 @@ def dense(m: dict, dim: int) -> np.ndarray:
 
 
 def weyl_dense(w) -> np.ndarray:
-    """The monomial matrix of a WeylElement: column j holds twice[j] / 2 in row perm[j]."""
+    """The signed permutation matrix of a WeylElement: column j holds sign[j] in row perm[j]."""
     out = np.zeros((len(w.perm), len(w.perm)), dtype=complex)
-    for j, (i, t) in enumerate(zip(w.perm, w.twice)):
-        out[i, j] = t / 2
+    for j, (i, s) in enumerate(zip(w.perm, w.sign)):
+        out[i, j] = s
     return out
 
 
@@ -126,7 +126,7 @@ def invariant_form(rep) -> np.ndarray | None:
         m[:r, r : 2 * r] = np.eye(r)
         m[r : 2 * r, :r] = np.eye(r)
         if t.family == "B":
-            m[2 * r, 2 * r] = 1.0
+            m[2 * r, 2 * r] = 2.0
     return m
 
 

@@ -234,9 +234,31 @@ def test_cayley_conjugation_fails_on_a_swapped_endpoint(key, systems, reps):
         other = next(g for g in range(len(rs.roots)) if g not in (i, j, rs.neg[j], expected))
         x = list(rep.x)
         x[expected], x[other] = rep.x[other], rep.x[expected]
-        chk = verify_cayley_conjugation(MatrixRealization(rep.rs, rep.dim, tuple(x)), i, j)
+        mutant = MatrixRealization(rep.rs, rep.dim, tuple(x))
+        chk = verify_cayley_conjugation(mutant, i, j)
         assert not chk["pass"], (rs.roots[i], rs.roots[j])
         assert chk["info"]["target"] is None and chk["sign"] is None
+        # the residual is the distance from the nearer of +-x^{a+qb}
+        oracle = cayley_check(FloatRealization(mutant), rs.roots[i], rs.roots[j])
+        assert math.isclose(chk["residual"], oracle["residual"], rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("key", [("B", 2), ("C", 3)])
+def test_cayley_residual_is_the_distance_from_the_nearer_sign(key, systems, reps):
+    # the string top bent to -Ad(w_b) x^a with one entry dropped: the image
+    # is nearer to minus the top, at the distance of the dropped entry
+    rs = systems[key]
+    rep = reps[key]
+    i, j = next((i, j) for i, j in eligible_conjugation_pairs(rs) if len(rep.x[i]) == 2)
+    top = rs.roots.index(root(verify_cayley_conjugation(rep, i, j)["info"]["expected"]))
+    (_, dropped), *kept = rep.weyl(j).conjugate(rep.x[i]).items()
+    x = list(rep.x)
+    x[top] = {k: -v for k, v in kept}
+    mutant = MatrixRealization(rs, rep.dim, tuple(x))
+    chk = verify_cayley_conjugation(mutant, i, j)
+    assert not chk["pass"] and chk["residual"] == abs(dropped)
+    oracle = cayley_check(FloatRealization(mutant), rs.roots[i], rs.roots[j])
+    assert math.isclose(chk["residual"], oracle["residual"], rel_tol=1e-12)
 
 
 def test_cayley_conjugation_preconditions(reps):
@@ -445,7 +467,7 @@ def _with_identity_weyl(rep, *betas):
     identity."""
     mutant = MatrixRealization(rep.rs, rep.dim, rep.x)
     for beta in betas:
-        mutant._weyl[beta] = WeylElement(tuple(range(rep.dim)), (2,) * rep.dim)
+        mutant._weyl[beta] = WeylElement(tuple(range(rep.dim)), (1,) * rep.dim)
     return mutant
 
 
@@ -656,7 +678,51 @@ def test_weyl_elements_are_built_once_per_root(reps):
     assert rep.weyl(b) is rep.weyl(b)
     w = rep.weyl(b)
     assert sorted(w.perm) == list(range(rep.dim))
-    assert {abs(t) for t in w.twice} <= {1, 2, 4}
+
+
+@pytest.mark.parametrize("key", ORACLE_SYSTEMS, ids=lambda k: f"{k[0]}{k[1]}")
+def test_root_vectors_are_integral_and_weyl_elements_signed_permutations(key):
+    # the basis spans an admissible lattice, so no entry is a fraction
+    rep = fundamental_rep(build_root_system(LieType(*key)))
+    for m in rep.x:
+        assert m and all(type(v) is int and abs(v) in (1, 2) for v in m.values())
+    for j in range(len(rep.x)):
+        w = rep.weyl(j)
+        assert sorted(w.perm) == list(range(rep.dim))
+        assert all(type(s) is int and s in (1, -1) for s in w.sign)
+
+
+def test_a_bracket_its_constant_does_not_divide_is_refused(monkeypatch):
+    # the so(2r+1) short root vectors off the admissible lattice, as
+    # E_{u_r, w} - E_{w, v_r} and 2 E_{w, u_r} - 2 E_{v_r, w}: some bracket
+    # with constant 2 has an odd entry
+    so_odd = matrixrep._BUILDERS["B"]
+
+    def off_lattice(r):
+        dim, xs, ys = so_odd(r)
+        xs[-1] = {(r - 1, 2 * r): 1, (2 * r, 2 * r - 1): -1}
+        ys[-1] = {(2 * r, r - 1): 2, (2 * r - 1, 2 * r): -2}
+        return dim, xs, ys
+
+    monkeypatch.setitem(matrixrep._BUILDERS, "B", off_lattice)
+    with pytest.raises(ArithmeticError, match="is not a multiple of 2"):
+        fundamental_rep.__wrapped__(build_root_system(LieType("B", 3)))
+
+
+@pytest.mark.parametrize(
+    "scale,neg_scale",
+    # not monomial; monomial with scalars 2 and -1/2
+    [(2, 1), (2, Fraction(1, 2))],
+)
+def test_a_weyl_element_off_the_signed_permutations_is_refused(reps, scale, neg_scale):
+    rep = reps[("A", 2)]
+    j = rep.rs.simple[0]
+    x = list(rep.x)
+    x[j] = {k: scale * v for k, v in x[j].items()}
+    x[rep.rs.neg[j]] = {k: neg_scale * v for k, v in x[rep.rs.neg[j]].items()}
+    bent = MatrixRealization(rep.rs, rep.dim, tuple(x))
+    with pytest.raises(ArithmeticError, match="not a signed permutation matrix"):
+        bent.weyl(j)
 
 
 def test_cayley_lines_read_strings_and_weyl_elements_by_index(monkeypatch):
