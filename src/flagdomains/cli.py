@@ -29,18 +29,13 @@ from .hodge import (
 )
 from .leviform import DefiningFunction, levi_analyze
 from .matrixrep import (
+    check_eps,
     eligible_conjugation_pairs,
     fundamental_rep,
     verify_cayley_conjugation,
     verify_fixed_point,
 )
-from .rootsys import (
-    MAX_RANK,
-    LieType,
-    build_root_system,
-    from_cartan_matrix,
-    grading,
-)
+from .rootsys import LieType, build_root_system, check_grading, from_cartan_matrix, grading
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -49,6 +44,7 @@ EXIT_OUT_OF_BOUNDS = 4
 EXIT_INFEASIBLE = 5
 EXIT_CLOSED_STDOUT = 141
 
+MAX_RANK = 6
 MAX_WEIGHT = 10
 MAX_DIM_V = 64
 MAX_GRADING = 16
@@ -150,36 +146,34 @@ def _resolve_system(spec: dict):
     family = spec.get("family")
     rank = spec.get("rank")
     cartan = spec.get("cartan")
-    if cartan is not None:
-        if isinstance(cartan, str):
-            cartan = _parse_json(cartan, "--cartan")
-        # enumeration can run for a long time, so the bound comes first
-        if isinstance(cartan, list) and len(cartan) > MAX_RANK:
-            raise OutOfBoundsError(f"rank {len(cartan)} exceeds the bound {MAX_RANK}")
-        rs = from_cartan_matrix(cartan)
-        if rank is not None and exact_int(rank, "--rank") != rs.rank:
-            raise ValueError("--rank disagrees with the Cartan matrix size")
-        if family is not None and str(family).upper() != (rs.lie_type and rs.lie_type.family):
-            raise ValueError("--family disagrees with the Cartan matrix")
-    else:
+    if cartan is None:
         if family is None or rank is None:
             raise ValueError("need --family and --rank, or --cartan")
         t = LieType(str(family).upper(), exact_int(rank, "--rank"))
-        if t.rank > MAX_RANK:
-            raise OutOfBoundsError(f"rank {t.rank} exceeds the bound {MAX_RANK}")
-        rs = build_root_system(t)
+        size = t.rank
+    else:
+        if isinstance(cartan, str):
+            cartan = _parse_json(cartan, "--cartan")
+        size = len(cartan) if isinstance(cartan, list) else 0
+    # enumeration can run for a long time, so the bound comes first
+    if size > MAX_RANK:
+        raise OutOfBoundsError(f"rank {size} exceeds the bound {MAX_RANK}")
+    if cartan is None:
+        return build_root_system(t)
+    rs = from_cartan_matrix(cartan)
+    if rank is not None and exact_int(rank, "--rank") != rs.rank:
+        raise ValueError("--rank disagrees with the Cartan matrix size")
+    if family is not None and str(family).upper() != (rs.lie_type and rs.lie_type.family):
+        raise ValueError("--family disagrees with the Cartan matrix")
     return rs
 
 
 def _resolve_grading(rs, spec: dict):
-    coeffs = _parse_list(spec.get("grading"), "--grading")
-    if len(coeffs) != rs.rank:
-        raise ValueError(
-            f"grading has {len(coeffs)} coefficients, the system has rank {rs.rank}"
-        )
-    if any(abs(c) > MAX_GRADING for c in coeffs):
+    e = grading(_parse_list(spec.get("grading"), "--grading"))
+    check_grading(rs, e)
+    if any(abs(c) > MAX_GRADING for c in e.coeffs):
         raise OutOfBoundsError(f"grading coefficients must stay within {MAX_GRADING}")
-    return grading(coeffs)
+    return e
 
 
 def _emit(args, payload, pretty_lines=None) -> None:
@@ -289,8 +283,7 @@ def _iter_verify_checks(args):
     # refused whichever suites run, as a grading is
     if len(eps_values) > MAX_EPS:
         raise OutOfBoundsError(f"{len(eps_values)} eps values exceed the bound {MAX_EPS}")
-    if not all(0.0 < eps <= 1.0 for eps in eps_values):
-        raise ValueError("eps must lie in (0, 1]")
+    check_eps(eps_values)
     if system and suite in ("all", "prop33"):
         # prop33 needs the realization, so a system without one is refused
         # before any suite runs

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .realform import classify_roots
-from .rootsys import GradingElement, RootSystem, check_grading, root_string
+from .rootsys import GradingElement, RootSystem, root_string
 
 
 class ConcavityReport(NamedTuple):
@@ -51,7 +51,6 @@ class ConcavityReport(NamedTuple):
 def check_pseudoconcavity(rs: RootSystem, e: GradingElement) -> ConcavityReport:
     """Sweep all compact roots for one that certifies every noncompact
     negative root, and report the witnesses with full detail."""
-    check_grading(rs, e)
     if e.is_zero:
         raise ValueError("trivial grading defines no proper parabolic")
     if any(n < 0 for n in e.coeffs):

@@ -28,8 +28,6 @@ class HodgeNumbers(namedtuple("HodgeNumbers", "weight h")):
     _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, weight: int, h: tuple[int, ...]):
-        if weight < 0:
-            raise ValueError("weight must be nonnegative")
         if len(h) != weight + 1:
             raise ValueError(f"need {weight + 1} Hodge numbers for weight {weight}")
         if any(v < 0 for v in h):

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 from .chevalley import structure_constants
 from .exact import combo, exp_nilpotent, make_check, product, shear_product
-from .rootsys import MAX_RANK, GradingElement, RootSystem, _frozen, check_grading, root_string
+from .rootsys import GradingElement, RootSystem, _frozen, root_string
 
 
 def _divided(m: dict, c: int) -> dict:
@@ -85,10 +85,12 @@ class MatrixRealization:
         [E, x^s] = n_s x^s, so an entry (k, l) of x^s puts the eigenvalue of
         e_k exactly n_s above the one of e_l. They are propagated from
         e_0 = 0 along the simple root vectors, then shifted so that E is
-        traceless; ArithmeticError when those vectors do not link the basis.
+        traceless. ValueError when e has not one coefficient per simple
+        root, ArithmeticError when those vectors do not link the basis.
         """
-        check_grading(self.rs, e)
-        links = [(k, l, n) for s, n in zip(self.rs.simple, e.coeffs) for k, l in self.x[s]]
+        links = [
+            (k, l, n) for s, n in zip(self.rs.simple, e.coeffs, strict=True) for k, l in self.x[s]
+        ]
         diag = {0: Fraction(0)}
         while len(diag) < self.dim:
             known = len(diag)
@@ -164,8 +166,6 @@ def fundamental_rep(rs: RootSystem) -> MatrixRealization:
             "matrix realization needs a system whose Cartan matrix matches a "
             "standard classical labeling"
         )
-    if t.rank > MAX_RANK:
-        raise ValueError(f"rank {t.rank} exceeds the supported bound {MAX_RANK}")
     cc = structure_constants(rs)
     dim, xs, ys = _BUILDERS[t.family](t.rank)
     add, neg, half, simples = rs.add, rs.neg, rs.half, rs.simple
@@ -223,6 +223,13 @@ def verify_cayley_conjugation(rep: MatrixRealization, i: int, j: int) -> dict:
     )
 
 
+def check_eps(eps_values) -> None:
+    """Refuse an eps outside (0, 1]: at eps 0 the generator is the identity,
+    which every conjugation fixes."""
+    if not all(0.0 < eps <= 1.0 for eps in eps_values):
+        raise ValueError("eps must lie in (0, 1]")
+
+
 def verify_fixed_point(rep: MatrixRealization, report, eps_values) -> list[dict]:
     """Certify Ad(c(-beta)^2) applied to the neighborhood generator is in P,
     for every witness beta of the sweep and every eps in eps_values.
@@ -236,9 +243,7 @@ def verify_fixed_point(rep: MatrixRealization, report, eps_values) -> list[dict]
     e_l. One line per witness and eps, witnesses in sweep order and eps in
     the given order; a sweep without a witness gives one failing line.
     """
-    if not all(0.0 < eps <= 1.0 for eps in eps_values):
-        # at eps 0 the generator is the identity, which every conjugation fixes
-        raise ValueError("eps must lie in (0, 1]")
+    check_eps(eps_values)
     rs = rep.rs
     if report.rs != rs:
         raise ValueError("the report is for another root system")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .rootsys import GradingElement, Root, RootSystem, check_grading
+from .rootsys import GradingElement, Root, RootSystem
 
 
 class CompactnessTable(NamedTuple):
@@ -24,7 +24,6 @@ class CompactnessTable(NamedTuple):
 
 def classify_roots(rs: RootSystem, e: GradingElement) -> CompactnessTable:
     """Partition the roots into compact (even grading) and noncompact (odd)."""
-    check_grading(rs, e)
     values = tuple(map(e.value, rs.roots))
     parts: tuple[list[Root], list[Root]] = ([], [])
     for a, v in zip(rs.roots, values):

@@ -20,9 +20,6 @@ from .exact import exact_int
 
 FAMILIES = ("A", "B", "C", "D")
 
-# the largest rank the CLI and the matrix realizations accept
-MAX_RANK = 6
-
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
 
 _ROOT_COUNT = {
@@ -184,9 +181,10 @@ class RootSystem:
 
 
 def check_grading(rs: RootSystem, e: GradingElement) -> None:
+    """Refuse a grading without one coefficient per simple root of rs."""
     if len(e.coeffs) != rs.rank:
         raise ValueError(
-            f"grading element has {len(e.coeffs)} coefficients, system has rank {rs.rank}"
+            f"grading has {len(e.coeffs)} coefficients, the system has rank {rs.rank}"
         )
 
 

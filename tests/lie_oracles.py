@@ -27,10 +27,11 @@ from them.
 Test-only helpers, which the package itself does not use: positivity of
 a coefficient vector, the bilinear form built from the Cartan matrix and
 the simple-root lengths (the package keeps only the squared length of
-each root, carried along its reflection orbit), the partition of the
-roots by grading value, the Cartan integer of two roots, the parabolic
-cut out by a grading, the checked classification of a single (beta,
-alpha) string, and whether the flag domain of a grading is classical.
+each root, carried along its reflection orbit), a grading's length
+check of its own, the partition of the roots by grading value, the
+Cartan integer of two roots, the parabolic cut out by a grading, the
+checked classification of a single (beta, alpha) string, and whether the
+flag domain of a grading is classical.
 """
 
 from __future__ import annotations
@@ -42,13 +43,13 @@ from functools import cache
 from itertools import combinations
 
 from flagdomains.chevalley import ChevalleyConstants
-from flagdomains.rootsys import (
-    GradingElement,
-    Root,
-    RootSystem,
-    check_grading,
-    coroot_coefficients,
-)
+from flagdomains.rootsys import GradingElement, Root, RootSystem, coroot_coefficients
+
+
+def check_grading(rs: RootSystem, e: GradingElement) -> None:
+    """One coefficient per simple root, checked apart from the package's rule."""
+    if len(e.coeffs) != len(rs.cartan):
+        raise ValueError(f"grading {e} does not fit a system of rank {len(rs.cartan)}")
 
 
 def plus(a: Root, b: Root) -> Root:

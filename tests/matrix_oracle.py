@@ -15,10 +15,10 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from lie_oracles import negative, plus, reference_string, simple_roots, times
+from lie_oracles import check_grading, negative, plus, reference_string, simple_roots, times
 
 from flagdomains.exact import make_check, product
-from flagdomains.rootsys import check_grading, coroot_coefficients
+from flagdomains.rootsys import coroot_coefficients
 
 # float products carry rounding, so the float certificates pass below this
 TOL = 1e-9

@@ -176,10 +176,15 @@ def test_input_file_mirrors_flags(tmp_path, capsys):
     assert json.loads(out)["satisfied"] is True
 
 
-def test_exit_code_bad_json(capsys):
+def test_exit_code_bad_json(tmp_path, capsys):
     code, _, err = run_cli(capsys, "describe", "--cartan", "not json")
     assert code == 3
     assert "JSON" in err
+    path = tmp_path / "req.json"
+    path.write_text("[1, 2]")
+    assert run_cli(capsys, "describe", "--input", str(path)) == (
+        3, "", f"error: input file {path} must hold a JSON object\n"
+    )
 
 
 def test_exit_code_out_of_bounds(capsys):
@@ -427,6 +432,25 @@ def test_family_rank_bound_comes_before_enumeration(capsys):
     assert code == 4 and out == "" and "rank 200 exceeds" in err
 
 
+def test_unsupported_rank_is_refused_before_any_enumeration(capsys, monkeypatch):
+    # A7 would enumerate and realize, but the bound refuses it first
+    calls = []
+    for name in ("build_root_system", "from_cartan_matrix"):
+        original = getattr(flagdomains.cli, name)
+        monkeypatch.setattr(
+            flagdomains.cli, name, lambda *a, f=original, n=name: calls.append(n) or f(*a)
+        )
+    a7 = json.dumps(standard_cartan(LieType("A", 7)))
+    for system in (["--family", "A", "--rank", "7"], ["--cartan", a7]):
+        assert run_cli(capsys, "describe", *system) == (4, "", "error: rank 7 exceeds the bound 6\n")
+    assert calls == []
+    # the counters see rank 6, so the empty list above is not vacuous
+    a6 = json.dumps(standard_cartan(LieType("A", 6)))
+    for system in (["--family", "A", "--rank", "6"], ["--cartan", a6]):
+        assert run_cli(capsys, "describe", *system)[0] == 0
+    assert calls == ["build_root_system", "from_cartan_matrix"]
+
+
 def test_rank_bound_comes_before_enumeration():
     # not of finite type; enumerating it first would not finish
     cartan = [[2 if i == j else -2 for j in range(7)] for i in range(7)]
@@ -468,13 +492,18 @@ PERIOD_W2 = ["period", "--weight", "2", "--h", "1,1,1"]
         (["levi", "--spec", MALFORMED_LEVI % '[{"c": "-1"}]'], "a coefficient must be"),
         (["levi", "--spec", MALFORMED_LEVI % '[{"c": [true, false]}]'], "a coefficient must be"),
         (["levi", "--spec", '{"n": 1, "z0": ["1"], "terms": []}'], "a z0 entry must be"),
+        (["describe", "--cartan", "[[2,-1,-1],[-2,2,-1],[-1,-1,2]]"],
+         "Cartan matrix is not symmetrizable"),
+        (["period", "--weight", "1", "--h=-1,-1"], "Hodge numbers must be nonnegative"),
+        (["describe", "--input", str(Path(__file__).with_name("no-such-request.json"))],
+         "cannot read input file"),
     ],
     ids=["cartan-scalar", "cartan-flat", "z0-scalar", "term-not-object",
          "exponent-not-list", "negative-exponent-at-zero", "derivative-overflow",
          "n-not-integer", "degeneration-scalar", "pivot-not-integer",
          "cartan-non-integral", "exponent-non-integral", "pivot-bool",
          "coefficient-bool", "coefficient-string", "coefficient-bool-pair",
-         "z0-string"],
+         "z0-string", "cartan-not-symmetrizable", "h-negative", "input-missing"],
 )
 def test_malformed_input_exits_2_without_traceback(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)

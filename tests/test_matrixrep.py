@@ -137,12 +137,6 @@ def test_c2_double_constant(c2):
     )
 
 
-def test_unsupported_rank():
-    rs = build_root_system(LieType("A", 7))
-    with pytest.raises(ValueError, match="exceeds the supported bound 6"):
-        fundamental_rep(rs)
-
-
 def test_cayley_matrix_a1():
     rs = build_root_system(LieType("A", 1))
     rep = fundamental_rep(rs)
@@ -585,6 +579,13 @@ def test_grading_diagonal_rejects_an_unlinked_basis(reps):
     unlinked = MatrixRealization(rep.rs, rep.dim, tuple(x))
     with pytest.raises(ArithmeticError, match="do not link the basis"):
         unlinked.grading_diagonal(grading((1, 1)))
+
+
+@pytest.mark.parametrize("coeffs", [(1,), (1, 1, 0)], ids=["short", "long"])
+def test_grading_diagonal_refuses_a_grading_of_another_rank(reps, coeffs):
+    # one coefficient per simple root vector: none is dropped or left unpaired
+    with pytest.raises(ValueError):
+        reps[("A", 2)].grading_diagonal(grading(coeffs))
 
 
 def test_rep_requires_detected_family():

@@ -98,10 +98,12 @@ def test_root_systems_compare_by_their_cartan_data():
         (lambda: LieType("A", 2)._replace(rank=0), "family A needs rank >= 1, got 0"),
         (lambda: HodgeNumbers(2, (1, 0, 2)), "Hodge numbers must be conjugation symmetric"),
         (lambda: HodgeNumbers(1, (1, 1))._replace(weight=2), "need 3 Hodge numbers for weight 2"),
+        (lambda: HodgeNumbers(-1, ()), "total dimension must be positive"),
         (lambda: DegenerationSpec("I"), "type I needs a pivot p0"),
         (lambda: DegenerationSpec("II")._replace(kind="III"), "kind must be 'I' or 'II'"),
     ],
-    ids=["lie-type", "lie-type-replace", "hodge", "hodge-replace", "spec", "spec-replace"],
+    ids=["lie-type", "lie-type-replace", "hodge", "hodge-replace", "hodge-negative-weight",
+         "spec", "spec-replace"],
 )
 def test_validating_records_refuse_bad_fields(make, message):
     with pytest.raises(ValueError, match=message):
