@@ -20,6 +20,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
+from .exact import make_check
 from .rootsys import Root, RootSystem, coroot_coefficients, root_string
 
 
@@ -97,9 +98,10 @@ def verify_bracket_identities(cc: ChevalleyConstants) -> BracketReport:
     """Check the string identity on every linearly independent root pair.
 
     For each ordered pair (a, b) with a != +-b the coefficient of x^a in
-    [x^{-b}, [x^b, x^a]] must equal q(r+1) for the b-string through a;
-    pairs with a (0, 2) string must additionally satisfy
-    c(b, a+b) c(-b, a+2b) = 2.
+    [x^{-b}, [x^b, x^a]] must equal q(r+1) for the b-string through a.
+    A pair with a (0, 2) string also records c(b, a+b) c(-b, a+2b) = 2 in
+    ``chain_entries``; that is the coefficient of the pair (a+b, b), whose
+    expected value is 2, so it repeats a check ``entries`` already holds.
     """
     rs = cc.rs
     roots, add, neg = rs.roots, rs.add, rs.neg
@@ -211,3 +213,24 @@ def jacobi_violations(cc: ChevalleyConstants) -> list:
         bad = sorted({key // n for key, v in acc.items() if v})
         violations.extend((syms[i], syms[jk // n], syms[jk % n]) for jk in bad)
     return violations
+
+
+def chevalley_checks(rs: RootSystem) -> list[dict]:
+    """The chevalley suite's two lines for rs: the string-bracket identities,
+    marked vacuous when rs has no linearly independent root pair, and the
+    Jacobi identity on the whole basis."""
+    name = str(rs.lie_type) if rs.lie_type else f"rank{rs.rank}"
+    cc = structure_constants(rs)
+    report = verify_bracket_identities(cc)
+    violations = jacobi_violations(cc)
+    return [
+        make_check(
+            claim=f"chevalley-string-brackets {name}",
+            residual=len(report.violations),
+            passed=not report.violations,
+            info={"pairs": len(report.entries), "vacuous": not report.entries},
+        ),
+        make_check(
+            claim=f"chevalley-jacobi {name}", residual=len(violations), passed=not violations
+        ),
+    ]

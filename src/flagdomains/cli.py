@@ -17,9 +17,9 @@ import os
 import re
 import sys
 
-from .chevalley import jacobi_violations, structure_constants, verify_bracket_identities
+from .chevalley import chevalley_checks
 from .concavity import check_pseudoconcavity
-from .exact import exact_int, make_check
+from .exact import exact_int
 from .hodge import (
     DegenerationSpec,
     HodgeNumbers,
@@ -28,13 +28,7 @@ from .hodge import (
     sl2_cayley_checks,
 )
 from .leviform import DefiningFunction, levi_analyze
-from .matrixrep import (
-    check_eps,
-    eligible_conjugation_pairs,
-    fundamental_rep,
-    verify_cayley_conjugation,
-    verify_fixed_point,
-)
+from .matrixrep import check_eps, fundamental_rep, verify_cayley_conjugation, verify_fixed_point
 from .rootsys import LieType, build_root_system, check_grading, from_cartan_matrix, grading
 
 EXIT_OK = 0
@@ -259,10 +253,6 @@ def _cmd_period(args) -> int:
     return EXIT_OK
 
 
-def _system_name(rs) -> str:
-    return str(rs.lie_type) if rs.lie_type else f"rank{rs.rank}"
-
-
 def _systems(system, defaults) -> list:
     """The given system, else the (family, rank) defaults built."""
     return [system] if system else [build_root_system(LieType(f, r)) for f, r in defaults]
@@ -290,25 +280,10 @@ def _iter_verify_checks(args):
         fundamental_rep(system)
     if suite in ("all", "chevalley"):
         for rs in _systems(system, _DEFAULT_CHEVALLEY):
-            cc = structure_constants(rs)
-            report = verify_bracket_identities(cc)
-            yield make_check(
-                claim=f"chevalley-string-brackets {_system_name(rs)}",
-                residual=len(report.violations),
-                passed=not report.violations,
-                info={"pairs": len(report.entries), "vacuous": not report.entries},
-            )
-            violations = jacobi_violations(cc)
-            yield make_check(
-                claim=f"chevalley-jacobi {_system_name(rs)}",
-                residual=len(violations),
-                passed=not violations,
-            )
+            yield from chevalley_checks(rs)
     if suite in ("all", "prop33"):
         for rs in _systems(system, _DEFAULT_CONJUGATION):
-            rep = fundamental_rep(rs)
-            for i, j in eligible_conjugation_pairs(rs):
-                yield verify_cayley_conjugation(rep, i, j)
+            yield from verify_cayley_conjugation(fundamental_rep(rs))
     if suite in ("all", "lemma41"):
         for kind in ("I", "II"):
             yield from sl2_cayley_checks(kind)

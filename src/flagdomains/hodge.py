@@ -170,20 +170,20 @@ def _candidate_ps(n: int, d: DegenerationSpec):
             yield d.p0 + 2 * ell, ell
             yield d.p0 - 2 * ell + 1, ell
     else:
+        # the negative branch p = m + 1 - 2 ell never gives the first witness:
+        # its cell mirrors the one at p = m - 1 + 2 ell, tried one step earlier
         m = n // 2
-        yield m + 1, 0
-        for ell in range(1, n + 2):
+        for ell in range(n + 2):
             yield m + 2 * ell + 1, ell
-            yield m - 2 * ell + 1, -ell
 
 
 def _boundary(d: DegenerationSpec, dia: dict) -> dict:
     """The boundary verdict read off a diamond already built for d:
     condition_met, with the witness p and ell or nulls.
 
-    The weight row of the limit diamond is read on all of [0, n], the
-    right half through conjugation symmetry; the witness with the
-    smallest |ell| is returned.
+    The witness with the smallest |ell| is returned, the positive branch
+    first. Type II reads only p > m = n/2: a weight-row cell left of the
+    middle equals its mirror p -> n - p by conjugation symmetry.
     """
     n = dia["weight"]
     for p, ell in _candidate_ps(n, d):

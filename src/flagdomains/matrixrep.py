@@ -23,6 +23,7 @@ exactly from its decimal text, is exact.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -84,9 +85,11 @@ class MatrixRealization:
 
         [E, x^s] = n_s x^s, so an entry (k, l) of x^s puts the eigenvalue of
         e_k exactly n_s above the one of e_l. They are propagated from
-        e_0 = 0 along the simple root vectors, then shifted so that E is
-        traceless. ValueError when e has not one coefficient per simple
-        root, ArithmeticError when those vectors do not link the basis.
+        e_0 = 0 along the simple root vectors, each link from a known row k
+        to its column l (on the A-D bases no link needs the other way),
+        then shifted so that E is traceless. ValueError when e has not one
+        coefficient per simple root, ArithmeticError when those vectors do
+        not link the basis.
         """
         links = [
             (k, l, n) for s, n in zip(self.rs.simple, e.coeffs, strict=True) for k, l in self.x[s]
@@ -95,9 +98,7 @@ class MatrixRealization:
         while len(diag) < self.dim:
             known = len(diag)
             for k, l, n in links:
-                if l in diag and k not in diag:
-                    diag[k] = diag[l] + n
-                elif k in diag and l not in diag:
+                if k in diag and l not in diag:
                     diag[l] = diag[k] - n
             if len(diag) == known:
                 raise ArithmeticError("the simple root vectors do not link the basis")
@@ -187,40 +188,50 @@ def fundamental_rep(rs: RootSystem) -> MatrixRealization:
     return MatrixRealization(rs=rs, dim=dim, x=tuple(x))
 
 
-def verify_cayley_conjugation(rep: MatrixRealization, i: int, j: int) -> dict:
+def verify_cayley_conjugation(rep: MatrixRealization) -> list[dict]:
     """Certify that Ad(c(-b)^2) x^a is a signed root vector at the string top,
-    for a = rs.roots[i] and b = rs.roots[j].
+    for every ordered pair a = rs.roots[i], b = rs.roots[j] with a != +-b
+    whose b-string through a has shape (0, 1) or (0, 2).
 
-    Requires the b-string through a to have shape (0, 1) or (0, 2). The
-    residual is the distance of the image from the nearer of +-x^{a+qb},
-    exactly 0.0 on a match; target and sign name the endpoint when it
-    matches and are null otherwise.
+    One line per such pair, i then j in root order. The residual is the
+    distance of the image from the nearer of +-x^{a+qb}, exactly 0.0 on a
+    match; target and sign name the endpoint when it matches and are null
+    otherwise.
     """
     rs = rep.rs
-    r, q, top = root_string(rs, i, j)
-    if (r, q) not in ((0, 1), (0, 2)):
-        raise ValueError(f"string shape (r, q) = ({r}, {q}) is outside (0,1)/(0,2)")
-    image, target = rep.weyl(j).conjugate(rep.x[i]), rep.x[top]
-    sign = next((s for s in (1, -1) if image == combo((s, target))), None)
-    res = 0.0
-    if sign is None:
-        # the distance from the nearer of +-x^{a+qb}
-        keys = image.keys() | target.keys()
-        res = min(
-            math.hypot(*(image.get(k, 0) - s * target.get(k, 0) for k in keys)) for s in (1, -1)
+    n, neg = len(rs.roots), rs.neg
+    lines = []
+    for i, j in itertools.product(range(n), repeat=2):
+        if i == j or i == neg[j]:
+            continue
+        r, q, top = root_string(rs, i, j)
+        if (r, q) not in ((0, 1), (0, 2)):
+            continue
+        image, target = rep.weyl(j).conjugate(rep.x[i]), rep.x[top]
+        sign = next((s for s in (1, -1) if image == combo((s, target))), None)
+        res = 0.0
+        if sign is None:
+            # the distance from the nearer of +-x^{a+qb}
+            keys = image.keys() | target.keys()
+            res = min(
+                math.hypot(*(image.get(k, 0) - s * target.get(k, 0) for k in keys))
+                for s in (1, -1)
+            )
+        expected = list(rs.roots[top].coeffs)
+        lines.append(
+            make_check(
+                claim=f"cayley-conjugation a={rs.roots[i]} b={rs.roots[j]}",
+                residual=res,
+                passed=sign is not None,
+                sign=sign,
+                info={
+                    "target": None if sign is None else expected,
+                    "expected": expected,
+                    "string": [r, q],
+                },
+            )
         )
-    expected = list(rs.roots[top].coeffs)
-    return make_check(
-        claim=f"cayley-conjugation a={rs.roots[i]} b={rs.roots[j]}",
-        residual=res,
-        passed=sign is not None,
-        sign=sign,
-        info={
-            "target": None if sign is None else expected,
-            "expected": expected,
-            "string": [r, q],
-        },
-    )
+    return lines
 
 
 def check_eps(eps_values) -> None:
@@ -270,15 +281,3 @@ def verify_fixed_point(rep: MatrixRealization, report, eps_values) -> list[dict]
             info = {"alphas": [list(rs.roots[i].coeffs) for i in alphas]}
             lines.append(make_check(claim, math.hypot(*below), not below, info=info))
     return lines
-
-
-def eligible_conjugation_pairs(rs: RootSystem) -> list[tuple[int, int]]:
-    """All ordered root index pairs (i, j) with i != j, neg[j] whose
-    roots[j]-string through roots[i] has shape (0,1)/(0,2)."""
-    n, neg = len(rs.roots), rs.neg
-    return [
-        (i, j)
-        for i in range(n)
-        for j in range(n)
-        if i != j and i != neg[j] and root_string(rs, i, j)[:2] in ((0, 1), (0, 2))
-    ]

@@ -220,5 +220,10 @@ def test_one_root_string_per_non_simple_positive_root(cartan, monkeypatch):
         return root_string(*args)
 
     monkeypatch.setattr(chevalley, "root_string", counted)
-    structure_constants.__wrapped__(rs)
+    cc = structure_constants.__wrapped__(rs)
     assert len(calls) == rs.half - rs.rank
+    # the bracket identities read one string per ordered pair a != +-b
+    calls.clear()
+    verify_bracket_identities(cc)
+    n = len(rs.roots)
+    assert len(calls) == n * (n - 2)

@@ -721,9 +721,9 @@ def test_verify_refuses_an_unrealized_system_before_any_suite_runs(capsys, monke
     # prop33 found no realization
     calls = []
     for name in ("structure_constants", "jacobi_violations"):
-        original = getattr(flagdomains.cli, name)
+        original = getattr(flagdomains.chevalley, name)
         monkeypatch.setattr(
-            flagdomains.cli, name, lambda *a, f=original, n=name: calls.append(n) or f(*a)
+            flagdomains.chevalley, name, lambda *a, f=original, n=name: calls.append(n) or f(*a)
         )
     assert run_cli(capsys, "verify", *argv) == (2, "", f"error: {NOT_CLASSICAL}\n")
     assert calls == []

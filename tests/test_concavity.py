@@ -247,9 +247,15 @@ def test_sweep_matches_the_oracles_on_gradings_up_to_the_bound(case):
     assert report.rs is rs and report.grading is e
 
 
-def test_sweep_reads_one_string_per_pair_by_index(monkeypatch):
-    rs = build_root_system(LieType("B", 4))
-    e = grading((0, 1, 0, 0))
+@pytest.mark.parametrize(
+    "key,coeffs",
+    [(("A", 4), (1, 0, 0, 1)), (("B", 4), (0, 1, 0, 0)), (("C", 4), (1, 0, 1, 0)),
+     (("D", 4), (0, 1, 0, 0))],
+    ids=["A4", "B4", "C4", "D4"],
+)
+def test_sweep_reads_one_string_per_pair_by_index(monkeypatch, key, coeffs):
+    rs = build_root_system(LieType(*key))
+    e = grading(coeffs)
     table = classify_roots(rs, e)
     pairs = len(table.compact) * sum(1 for a in table.noncompact if e.value(a) < 0)
     strings, values = [], []

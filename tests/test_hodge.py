@@ -240,15 +240,28 @@ def _brute_admissible(spec, n, p):
     return (p - m - 1) % 2 == 0
 
 
+def _brute_ell(spec, n, p):
+    """ell of an admissible p, with 0 for the positive branch and 1 for the other."""
+    if spec.kind == "I":
+        d = p - spec.p0
+        return (d // 2, 0) if d >= 2 else ((1 - d) // 2, 1)
+    ell = (p - n // 2 - 1) // 2
+    return ell, int(ell < 0)
+
+
 def _brute_boundary(h, spec):
+    """The verdict over every admissible p: the witness (p, ell) with the
+    smallest |ell|, positive branch first, or (None, None)."""
     dia = limit_diamond(h, spec)
     n = h.weight
     hits = [
-        p
+        (abs(ell), branch, p, ell)
         for p in range(-n, 2 * n + 1)
         if _brute_admissible(spec, n, p) and cell(dia, p, n - p) != 0
+        for ell, branch in [_brute_ell(spec, n, p)]
     ]
-    return bool(hits)
+    _, _, p, ell = min(hits, default=(None, None, None, None))
+    return {"condition_met": bool(hits), "witness_p": p, "witness_ell": ell}
 
 
 small_h = st.integers(min_value=0, max_value=3)
@@ -268,7 +281,7 @@ def test_boundary_condition_agrees_with_brute_force(weight, data):
         values[0] = values[-1] = 1
     h = HodgeNumbers.from_descending(weight, values)
     for spec, verdict in minimal_degenerations(h):
-        assert verdict["condition_met"] == _brute_boundary(h, spec)
+        assert verdict == _brute_boundary(h, spec)
         dia = limit_diamond(h, spec)
         assert validate_diamond(h, spec, dia) == []
         assert sum(dia["entries"].values()) == h.dim()

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from conftest import CLASSICAL, ORACLE_SYSTEMS, RELABELLED_B4
+from conftest import CLASSICAL, ORACLE_SYSTEMS
 from lie_oracles import (
     cartan_integer,
     negative,
@@ -44,7 +44,6 @@ from flagdomains.exact import exp_nilpotent, product
 from flagdomains.matrixrep import (
     MatrixRealization,
     WeylElement,
-    eligible_conjugation_pairs,
     fundamental_rep,
     verify_cayley_conjugation,
     verify_fixed_point,
@@ -63,6 +62,22 @@ REP_SYSTEMS = CLASSICAL
 @pytest.fixture(scope="module")
 def reps(systems):
     return {key: fundamental_rep(rs) for key, rs in systems.items()}
+
+
+def _cayley_line(rep, a, b) -> dict:
+    """The prop33 line of the pair (a, b) of roots."""
+    claim = f"cayley-conjugation a={a} b={b}"
+    return next(chk for chk in verify_cayley_conjugation(rep) if chk["claim"] == claim)
+
+
+def _bent(rep, x) -> MatrixRealization:
+    """The root vectors x with rep's Weyl elements. verify_cayley_conjugation
+    builds the Weyl element of every eligible b, and one built from a bent
+    vector need not be a signed permutation; the pair under test bends no
+    vector of its own b, so its Weyl element is the same either way."""
+    bent = MatrixRealization(rep.rs, rep.dim, tuple(x))
+    bent._weyl.update((j, rep.weyl(j)) for j in range(len(x)))
+    return bent
 
 
 @pytest.mark.parametrize("key", REP_SYSTEMS)
@@ -191,29 +206,20 @@ def test_exp_nilpotent_rejects_non_nilpotent(reps):
 
 @pytest.mark.parametrize("key", [("A", 2), ("A", 3), ("B", 2), ("C", 2), ("D", 4)])
 def test_cayley_conjugation_all_eligible_pairs(key, systems, reps):
-    rs = systems[key]
-    rep = reps[key]
-    pairs = eligible_conjugation_pairs(rs)
-    assert pairs
-    for i, j in pairs:
-        chk = verify_cayley_conjugation(rep, i, j)
-        assert chk["pass"], (rs.roots[i], rs.roots[j], chk["residual"])
+    lines = verify_cayley_conjugation(reps[key])
+    assert lines
+    for chk in lines:
+        assert chk["pass"], (chk["claim"], chk["residual"])
         assert chk["residual"] < 1e-9
         assert chk["sign"] in (1, -1)
         assert chk["info"]["target"] == chk["info"]["expected"]
 
 
-def test_cayley_conjugation_examples(a2, c2, reps):
-    rep_a2 = reps[("A", 2)]
-    i, j = a2.roots.index(root((-1, 0))), a2.roots.index(root((1, 1)))
-    chk = verify_cayley_conjugation(rep_a2, i, j)
-    assert chk["claim"] == "cayley-conjugation a=(-1,0) b=(1,1)"
+def test_cayley_conjugation_examples(reps):
+    chk = _cayley_line(reps[("A", 2)], root((-1, 0)), root((1, 1)))
     assert chk["info"]["target"] == [0, 1]
 
-    rep_c2 = reps[("C", 2)]
-    i, j = c2.roots.index(root((0, -1))), c2.roots.index(root((1, 1)))
-    chk = verify_cayley_conjugation(rep_c2, i, j)
-    assert chk["claim"] == "cayley-conjugation a=(0,-1) b=(1,1)"
+    chk = _cayley_line(reps[("C", 2)], root((0, -1)), root((1, 1)))
     assert chk["info"]["target"] == [2, 1]
     assert chk["info"]["string"] == [0, 2]
 
@@ -222,18 +228,19 @@ def test_cayley_conjugation_examples(a2, c2, reps):
 def test_cayley_conjugation_fails_on_a_swapped_endpoint(key, systems, reps):
     rs = systems[key]
     rep = reps[key]
-    for i, j in eligible_conjugation_pairs(rs):
-        chk = verify_cayley_conjugation(rep, i, j)
+    pairs = reference_eligible_pairs(rs)
+    for (a, b), chk in zip(pairs, verify_cayley_conjugation(rep), strict=True):
+        i, j = rs.roots.index(a), rs.roots.index(b)
         expected = rs.roots.index(root(chk["info"]["expected"]))
         other = next(g for g in range(len(rs.roots)) if g not in (i, j, rs.neg[j], expected))
         x = list(rep.x)
         x[expected], x[other] = rep.x[other], rep.x[expected]
-        mutant = MatrixRealization(rep.rs, rep.dim, tuple(x))
-        chk = verify_cayley_conjugation(mutant, i, j)
-        assert not chk["pass"], (rs.roots[i], rs.roots[j])
+        mutant = _bent(rep, x)
+        chk = _cayley_line(mutant, a, b)
+        assert not chk["pass"], (a, b)
         assert chk["info"]["target"] is None and chk["sign"] is None
         # the residual is the distance from the nearer of +-x^{a+qb}
-        oracle = cayley_check(FloatRealization(mutant), rs.roots[i], rs.roots[j])
+        oracle = cayley_check(FloatRealization(mutant), a, b)
         assert math.isclose(chk["residual"], oracle["residual"], rel_tol=1e-12)
 
 
@@ -243,28 +250,17 @@ def test_cayley_residual_is_the_distance_from_the_nearer_sign(key, systems, reps
     # is nearer to minus the top, at the distance of the dropped entry
     rs = systems[key]
     rep = reps[key]
-    i, j = next((i, j) for i, j in eligible_conjugation_pairs(rs) if len(rep.x[i]) == 2)
-    top = rs.roots.index(root(verify_cayley_conjugation(rep, i, j)["info"]["expected"]))
+    a, b = next((a, b) for a, b in reference_eligible_pairs(rs) if len(root_vector(rep, a)) == 2)
+    i, j = rs.roots.index(a), rs.roots.index(b)
+    top = rs.roots.index(root(_cayley_line(rep, a, b)["info"]["expected"]))
     (_, dropped), *kept = rep.weyl(j).conjugate(rep.x[i]).items()
     x = list(rep.x)
     x[top] = {k: -v for k, v in kept}
-    mutant = MatrixRealization(rs, rep.dim, tuple(x))
-    chk = verify_cayley_conjugation(mutant, i, j)
+    mutant = _bent(rep, x)
+    chk = _cayley_line(mutant, a, b)
     assert not chk["pass"] and chk["residual"] == abs(dropped)
-    oracle = cayley_check(FloatRealization(mutant), rs.roots[i], rs.roots[j])
+    oracle = cayley_check(FloatRealization(mutant), a, b)
     assert math.isclose(chk["residual"], oracle["residual"], rel_tol=1e-12)
-
-
-def test_cayley_conjugation_preconditions(reps):
-    rep = reps[("A", 1)]
-    alpha = rep.rs.roots.index(root((1,)))
-    with pytest.raises(ValueError):
-        verify_cayley_conjugation(rep, alpha, alpha)
-    rs = reps[("C", 2)].rs
-    i, j = rs.roots.index(root((-1, 0))), rs.roots.index(root((1, 1)))
-    with pytest.raises(ValueError):
-        # the (1, 1) string shape is not eligible
-        verify_cayley_conjugation(reps[("C", 2)], i, j)
 
 
 def test_fixed_point_certificates(reps):
@@ -496,8 +492,9 @@ def test_fixed_point_passes_exactly_when_nothing_lies_below_the_filtration(eps):
 def _pairs_certify(rep, report, beta) -> bool:
     """Whether the prop33 lines of beta's pairs all pass, with every target
     alpha + q beta of nonnegative grading."""
+    roots = rep.rs.roots
     for alpha in report.noncompact_negatives:
-        chk = verify_cayley_conjugation(rep, alpha, beta)
+        chk = _cayley_line(rep, roots[alpha], roots[beta])
         if not (chk["pass"] and report.grading.value(root(chk["info"]["expected"])) >= 0):
             return False
     return True
@@ -596,20 +593,12 @@ def test_rep_requires_detected_family():
         fundamental_rep(g2)
 
 
-def _root_pairs(rs, pairs):
-    return [(rs.roots[i], rs.roots[j]) for i, j in pairs]
-
-
 @pytest.mark.parametrize("key", ORACLE_SYSTEMS, ids=lambda k: f"{k[0]}{k[1]}")
 def test_eligible_pairs_match_root_arithmetic(key):
+    # one line per ordered pair with a (0,1)/(0,2) string, in root order
     rs = build_root_system(LieType(*key))
-    assert _root_pairs(rs, eligible_conjugation_pairs(rs)) == reference_eligible_pairs(rs)
-
-
-def test_eligible_pairs_match_root_arithmetic_relabelled():
-    rs = from_cartan_matrix(RELABELLED_B4)
-    assert rs.lie_type is None
-    assert _root_pairs(rs, eligible_conjugation_pairs(rs)) == reference_eligible_pairs(rs)
+    claims = [chk["claim"] for chk in verify_cayley_conjugation(fundamental_rep(rs))]
+    assert claims == [f"cayley-conjugation a={a} b={b}" for a, b in reference_eligible_pairs(rs)]
 
 
 @pytest.mark.parametrize("key", ORACLE_SYSTEMS, ids=lambda k: f"{k[0]}{k[1]}")
@@ -617,14 +606,12 @@ def test_exact_cayley_checks_match_the_float_oracle(key):
     rs = build_root_system(LieType(*key))
     rep = fundamental_rep(rs)
     frep = FloatRealization(rep)
-    pairs = eligible_conjugation_pairs(rs)
-    for i, j in pairs:
-        exact = verify_cayley_conjugation(rep, i, j)
-        assert exact == cayley_check(frep, rs.roots[i], rs.roots[j])
-        assert exact["residual"] == 0.0
+    exact = verify_cayley_conjugation(rep)
+    assert exact == [cayley_check(frep, a, b) for a, b in reference_eligible_pairs(rs)]
+    assert all(chk["residual"] == 0.0 for chk in exact)
     if key[1] == 6:
         # 3,780 pairs over A6, B6, C6 and D6
-        assert len(pairs) == {"A": 420, "B": 1200, "C": 1200, "D": 960}[key[0]]
+        assert len(exact) == {"A": 420, "B": 1200, "C": 1200, "D": 960}[key[0]]
 
 
 @pytest.mark.parametrize(
@@ -726,12 +713,16 @@ def test_a_weyl_element_off_the_signed_permutations_is_refused(reps, scale, neg_
         bent.weyl(j)
 
 
-def test_cayley_lines_read_strings_and_weyl_elements_by_index(monkeypatch):
+@pytest.mark.parametrize(
+    "key", [("A", 4), ("B", 4), ("C", 4), ("D", 4)], ids=lambda k: f"{k[0]}{k[1]}"
+)
+def test_cayley_lines_read_strings_and_weyl_elements_by_index(monkeypatch, key):
     import sys
 
     from flagdomains import rootsys
 
-    rs = build_root_system(LieType("B", 4))
+    rs = build_root_system(LieType(*key))
+    bs = {b for _, b in reference_eligible_pairs(rs)}
     # a fresh copy, so no earlier test has built its Weyl elements
     rep = MatrixRealization(rs, fundamental_rep(rs).dim, fundamental_rep(rs).x)
     strings = []
@@ -744,12 +735,10 @@ def test_cayley_lines_read_strings_and_weyl_elements_by_index(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("flagdomains") and hasattr(module, "root_string"):
             monkeypatch.setattr(module, "root_string", counting_string)
-    pairs = eligible_conjugation_pairs(rs)
+    lines = verify_cayley_conjugation(rep)
+    assert lines and all(chk["pass"] for chk in lines)
     n = len(rs.roots)
-    # one string per ordered pair i != +-j
+    # one string per ordered pair i != +-j, read once
     assert len(strings) == n * (n - 2)
-    strings.clear()
-    for i, j in pairs:
-        assert verify_cayley_conjugation(rep, i, j)["pass"]
-    assert len(strings) == len(pairs) > 0
-    assert len(rep._weyl) == len({j for _, j in pairs})
+    # one Weyl element per distinct b of an eligible pair
+    assert len(rep._weyl) == len(bs)

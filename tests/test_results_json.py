@@ -15,18 +15,12 @@ from flagdomains.hodge import (
     sl2_cayley_checks,
 )
 from flagdomains.leviform import DefiningFunction, levi_analyze
-from flagdomains.matrixrep import (
-    eligible_conjugation_pairs,
-    fundamental_rep,
-    verify_cayley_conjugation,
-    verify_fixed_point,
-)
+from flagdomains.matrixrep import fundamental_rep, verify_cayley_conjugation, verify_fixed_point
 from flagdomains.rootsys import LieType, build_root_system, grading
 
 
 def _cayley():
-    rs = build_root_system(LieType("B", 2))
-    return verify_cayley_conjugation(fundamental_rep(rs), *eligible_conjugation_pairs(rs)[0])
+    return verify_cayley_conjugation(fundamental_rep(build_root_system(LieType("B", 2))))
 
 
 def _fixed_point(family, coeffs):
