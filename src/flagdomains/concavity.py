@@ -15,6 +15,17 @@ from typing import NamedTuple
 from .realform import classify_roots
 from .rootsys import GradingElement, RootSystem, root_string
 
+# A string in a reduced root system has at most four roots (Humphreys,
+# Introduction to Lie Algebras and Representation Theory, 9.4), so r + q <= 3
+# names every shape a sweep can meet.
+_SHAPE_FAILURES = {
+    (r, q): f"string shape (r, q) = ({r}, {q})" for r in range(4) for q in range(4 - r)
+}
+_ENDPOINT_FAILURES = {
+    1: "endpoint a+b has negative grading",
+    2: "endpoint a+2b has negative grading",
+}
+
 
 class ConcavityReport(NamedTuple):
     """Verdict of the sweep, with every witness and the full detail map:
@@ -56,7 +67,7 @@ def check_pseudoconcavity(rs: RootSystem, e: GradingElement) -> ConcavityReport:
     if any(n < 0 for n in e.coeffs):
         raise ValueError("grading coefficients must be nonnegative")
     values = classify_roots(rs, e).values
-    roots = rs.roots
+    coeffs = [a.coeffs for a in rs.roots]
     # the noncompact negative roots, in sweep order
     alphas = tuple(i for i, v in enumerate(values) if v % 2 and v < 0)
     detail: dict[int, tuple[dict, ...]] = {}
@@ -65,28 +76,29 @@ def check_pseudoconcavity(rs: RootSystem, e: GradingElement) -> ConcavityReport:
         if vb % 2:
             continue
         verdicts = []
+        certified = True
         for i in alphas:
             r, q, top = root_string(rs, i, j)
             # the grading is linear: the top alpha + q beta has value va + q vb
             endpoint_in_p = values[i] + q * vb >= 0
-            if (r, q) not in ((0, 1), (0, 2)):
-                verdict, reason = "FAIL", f"string shape (r, q) = ({r}, {q})"
+            # the two allowed shapes: (r, q) = (0, 1) or (0, 2)
+            if r or not 0 < q < 3:
+                verdict, reason, certified = "FAIL", _SHAPE_FAILURES[r, q], False
             elif endpoint_in_p:
                 verdict, reason = ("OK_TYPE_A" if q == 1 else "OK_TYPE_B"), None
             else:
-                step = "b" if q == 1 else "2b"
-                verdict, reason = "FAIL", f"endpoint a+{step} has negative grading"
+                verdict, reason, certified = "FAIL", _ENDPOINT_FAILURES[q], False
             verdicts.append({
-                "alpha": list(roots[i].coeffs),
+                "alpha": list(coeffs[i]),
                 "r": r,
                 "q": q,
-                "endpoint": list(roots[top].coeffs),
+                "endpoint": list(coeffs[top]),
                 "endpoint_in_p": endpoint_in_p,
                 "verdict": verdict,
                 "reason": reason,
             })
         detail[j] = tuple(verdicts)
-        if all(v["verdict"] != "FAIL" for v in verdicts):
+        if certified:
             witnesses.append(j)
     return ConcavityReport(
         satisfied=bool(witnesses),

@@ -10,10 +10,10 @@ orientations of the rank-two B/C labelings available.
 
 from __future__ import annotations
 
-import operator
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import mul
 from typing import NamedTuple
 
 from .exact import exact_int
@@ -92,9 +92,10 @@ class GradingElement(NamedTuple):
     __add__ = __radd__ = __mul__ = __rmul__ = None
 
     def value(self, a: Root) -> int:
-        if len(a.coeffs) != len(self.coeffs):
+        coeffs, ac = self.coeffs, a.coeffs
+        if len(ac) != len(coeffs):
             raise ValueError(f"root {a} and grading {self} differ in rank")
-        return sum(map(operator.mul, self.coeffs, a.coeffs))
+        return sum(map(mul, coeffs, ac))
 
     @property
     def is_zero(self) -> bool:

@@ -42,6 +42,18 @@ def relabelled_cartan(t: LieType, perm) -> list[list[int]]:
 # B4 with its simple roots renamed; no standard labeling matches it
 RELABELLED_B4 = relabelled_cartan(LieType("B", 4), (2, 0, 3, 1))
 
+# G2 with its short simple root first, then with its long one first
+G2_CARTANS = ([[2, -1], [-3, 2]], [[2, -3], [-1, 2]])
+F4_CARTAN = [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
+E6_CARTAN = [
+    [2, 0, -1, 0, 0, 0],
+    [0, 2, 0, -1, 0, 0],
+    [-1, 0, 2, -1, 0, 0],
+    [0, -1, -1, 2, -1, 0],
+    [0, 0, 0, -1, 2, -1],
+    [0, 0, 0, 0, -1, 2],
+]
+
 
 @pytest.fixture(scope="session")
 def systems():

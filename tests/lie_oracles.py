@@ -197,7 +197,14 @@ def reference_verdict(
     rs: RootSystem, e: GradingElement, beta: Root, alpha: Root
 ) -> StringVerdict:
     """The verdict on the beta-string through alpha, by root arithmetic."""
-    r, q, members = reference_string(rs, alpha, beta)
+    return verdict_on_string(e, beta, alpha, reference_string(rs, alpha, beta))
+
+
+def verdict_on_string(e: GradingElement, beta: Root, alpha: Root, string) -> StringVerdict:
+    """The verdict on the beta-string through alpha, given its
+    ``reference_string`` (r, q, members); a string depends on the system
+    alone, so a scan over many gradings can walk each one once."""
+    r, q, members = string
     endpoint = members[-1]
     endpoint_in_p = e.value(endpoint) >= 0
     if (r, q) == (0, 1):

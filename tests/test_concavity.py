@@ -3,7 +3,14 @@
 from itertools import product
 
 import pytest
-from conftest import ORACLE_SYSTEMS, RELABELLED_B4, relabelled_cartan
+from conftest import (
+    E6_CARTAN,
+    F4_CARTAN,
+    G2_CARTANS,
+    ORACLE_SYSTEMS,
+    RELABELLED_B4,
+    relabelled_cartan,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from lie_oracles import (
@@ -13,6 +20,7 @@ from lie_oracles import (
     reference_report,
     reference_string,
     times,
+    verdict_on_string,
 )
 
 from flagdomains import concavity
@@ -26,6 +34,8 @@ from flagdomains.rootsys import (
     from_cartan_matrix,
     grading,
     root,
+    root_string,
+    standard_cartan,
 )
 
 
@@ -316,3 +326,56 @@ def test_classical_oracle_on_the_hermitian_symmetric_nodes():
         assert found == hermitian[family](rank), (family, rank)
     for key, coeffs in ((("A", 2), (1, 1)), (("C", 2), (1, 0)), (("B", 2), (0, 1))):
         assert not is_classical(build_root_system(LieType(*key)), grading(coeffs)), key
+
+
+@pytest.mark.parametrize(
+    "cartan",
+    [standard_cartan(LieType(*key)) for key in CLASSICAL_SCAN] + list(G2_CARTANS),
+    ids=[f"{f}{r}" for f, r in CLASSICAL_SCAN] + ["G2", "G2-long-first"],
+)
+def test_every_detail_entry_matches_root_arithmetic(cartan):
+    # every grading 0..3, entry by entry: alpha, r, q, endpoint, endpoint_in_p,
+    # verdict and the reason text, against strings walked by root arithmetic
+    rs = from_cartan_matrix(cartan)
+    strings = {}
+    for coeffs in product(range(4), repeat=rs.rank):
+        if not any(coeffs):
+            continue
+        e = grading(coeffs)
+        report = check_pseudoconcavity(rs, e)
+        betas = [b for b in rs.roots if e.value(b) % 2 == 0]
+        alphas = [a for a in rs.roots if e.value(a) % 2 and e.value(a) < 0]
+        assert [rs.roots[j] for j in report.detail] == betas, coeffs
+        for j, entries in report.detail.items():
+            beta = rs.roots[j]
+            assert len(entries) == len(alphas)
+            for alpha, entry in zip(alphas, entries):
+                if (alpha, beta) not in strings:
+                    strings[alpha, beta] = reference_string(rs, alpha, beta)
+                expected = verdict_on_string(e, beta, alpha, strings[alpha, beta])
+                assert entry == expected.to_json_dict(), (coeffs, beta, alpha)
+        assert report.witnesses == tuple(
+            j for j, entries in report.detail.items()
+            if all(v["verdict"] != "FAIL" for v in entries)
+        ), coeffs
+
+
+def test_every_string_shape_has_its_reason():
+    # the classical systems up to rank 6, G2 both ways, F4, E6 and B2 x A1
+    cartans = (
+        [standard_cartan(LieType(*key)) for key in ORACLE_SYSTEMS]
+        + list(G2_CARTANS)
+        + [F4_CARTAN, E6_CARTAN, [[2, -2, 0], [-1, 2, 0], [0, 0, 2]]]
+    )
+    shapes = set()
+    for cartan in cartans:
+        rs = from_cartan_matrix(cartan)
+        for i in range(len(rs.roots)):
+            for j in range(len(rs.roots)):
+                if j != i and j != rs.neg[i]:
+                    shapes.add(root_string(rs, i, j)[:2])
+    assert shapes <= concavity._SHAPE_FAILURES.keys()
+    # G2 reaches the longest strings, four roots
+    assert {(0, 3), (3, 0)} <= shapes
+    for (r, q), reason in concavity._SHAPE_FAILURES.items():
+        assert reason == f"string shape (r, q) = ({r}, {q})"

@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 
 from itertools import islice, permutations, product
 
-from conftest import CLASSICAL, ORACLE_SYSTEMS, RELABELLED_B4, relabelled_cartan
+from conftest import (
+    CLASSICAL,
+    E6_CARTAN,
+    F4_CARTAN,
+    ORACLE_SYSTEMS,
+    RELABELLED_B4,
+    relabelled_cartan,
+)
 from lie_oracles import (
     cartan_integer,
     euclid_cartan_integer,
@@ -166,15 +173,6 @@ def test_root_strings_match_root_arithmetic_relabelled():
     _assert_strings_match_root_arithmetic(rs)
 
 
-F4_CARTAN = [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
-E6_CARTAN = [
-    [2, 0, -1, 0, 0, 0],
-    [0, 2, 0, -1, 0, 0],
-    [-1, 0, 2, -1, 0, 0],
-    [0, -1, -1, 2, -1, 0],
-    [0, 0, 0, -1, 2, -1],
-    [0, 0, 0, 0, -1, 2],
-]
 # B3 on the first three simple roots, A2 on the last two
 B3_A2_CARTAN = [
     [2, -1, 0, 0, 0],
