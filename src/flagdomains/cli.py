@@ -233,8 +233,7 @@ def _cmd_period(args) -> int:
             deg = _parse_json(deg, "--degeneration")
         if not isinstance(deg, dict):
             raise ValueError("--degeneration must be a JSON object")
-        p0 = deg.get("p0")
-        only = DegenerationSpec(deg.get("kind"), None if p0 is None else exact_int(p0, "p0"))
+        only = DegenerationSpec(deg.get("kind"), deg.get("p0"))
     payload = period_report(h, only)
     pretty = [
         f"group: {payload['group']['family']} {tuple(payload['group']['parameters'])}"

@@ -41,7 +41,7 @@ class ConcavityReport(NamedTuple):
     grading: GradingElement
 
     def to_json_dict(self) -> dict:
-        roots = self.rs.roots
+        roots, witnesses = self.rs.roots, set(self.witnesses)
         return {
             "satisfied": self.satisfied,
             "witnesses": [list(roots[j].coeffs) for j in self.witnesses],
@@ -51,10 +51,10 @@ class ConcavityReport(NamedTuple):
             "detail": [
                 {
                     "beta": list(roots[j].coeffs),
-                    "is_witness": j in self.witnesses,
+                    "is_witness": j in witnesses,
                     "verdicts": list(self.detail[j]),
                 }
-                for j in sorted(self.detail, key=lambda j: roots[j].coeffs)
+                for j in sorted(self.detail, key=roots.__getitem__)
             ],
         }
 

@@ -1,11 +1,12 @@
 """Exact sparse matrices and the verify line built from an exact verdict.
 
-A matrix is a sparse map from (row, column) to an exact number: an int, a
-Fraction, or an element of Q(exp(i pi/4)) as `hodge` writes it; no zero
-entry is stored, so {} is the zero matrix. The root-condition certificates
-in `matrixrep` and the sl2 identities in `hodge` both compute in this
-format, and `exact_int` reads the integers of every parsed request. The
-module imports nothing from the package.
+A matrix is a sparse map from (row, column) to an exact number, an int or
+a Fraction; no zero entry is stored, so {} is the zero matrix. The
+root-condition certificates in `matrixrep` and the sl2 identities in
+`hodge` both compute in this format, `hodge` holding a complex matrix
+A + iB as the real block matrix [[A, -B], [B, A]], and `exact_int` reads
+the integers of every parsed request. The module imports nothing from
+the package.
 """
 
 import operator

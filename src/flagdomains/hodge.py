@@ -12,8 +12,9 @@ from __future__ import annotations
 import math
 from collections import Counter, namedtuple
 from fractions import Fraction
+from functools import partial
 
-from .exact import combo, exact_int, make_check, product, shear_product
+from .exact import combo, exact_int, make_check, product
 
 
 class InfeasibleDegeneration(ValueError):
@@ -41,14 +42,12 @@ class HodgeNumbers(namedtuple("HodgeNumbers", "weight h")):
 
     @classmethod
     def from_descending(cls, weight: int, values) -> "HodgeNumbers":
-        """Build from [h^{n,0}, ..., h^{0,n}] as used on the command line."""
-        vals = tuple(exact_int(v) for v in values)
-        return cls(weight=weight, h=tuple(reversed(vals)))
+        """Build from [h^{n,0}, ..., h^{0,n}] as used on the command line;
+        h^p = h^{n-p}, so that list is h read in either order."""
+        return cls(weight=weight, h=tuple(exact_int(v) for v in values))
 
     def hp(self, p: int) -> int:
-        if 0 <= p <= self.weight:
-            return self.h[p]
-        return 0
+        return self.h[p] if 0 <= p <= self.weight else 0
 
     def dim(self) -> int:
         return sum(self.h)
@@ -106,9 +105,7 @@ class DegenerationSpec(namedtuple("DegenerationSpec", "kind p0", defaults=(None,
             raise ValueError("type I needs a pivot p0")
         if kind == "II" and p0 is not None:
             raise ValueError("type II takes no pivot")
-        if p0 is not None and (isinstance(p0, bool) or not isinstance(p0, int)):
-            raise ValueError("the pivot p0 must be an integer")
-        return super().__new__(cls, kind, p0)
+        return super().__new__(cls, kind, None if p0 is None else exact_int(p0, "p0"))
 
     def label(self) -> str:
         return f"type I with p0={self.p0}" if self.kind == "I" else "type II"
@@ -204,60 +201,6 @@ def _minimal_diamonds(h: HodgeNumbers) -> list[tuple[DegenerationSpec, dict]]:
     return out
 
 
-class Cyclotomic:
-    """a[0] + a[1] z + a[2] z^2 + a[3] z^3 with int or Fraction a[k] and
-    z = exp(i pi/4), so z^4 = -1, i = z^2 and sqrt 2 = z - z^3."""
-
-    __slots__ = ("a",)
-
-    def __init__(self, a):
-        self.a = tuple(a)
-
-    @staticmethod
-    def of(v) -> "Cyclotomic":
-        return v if isinstance(v, Cyclotomic) else Cyclotomic((v, 0, 0, 0))
-
-    def __add__(self, other):
-        return Cyclotomic(x + y for x, y in zip(self.a, Cyclotomic.of(other).a))
-
-    def __mul__(self, other):
-        out = [0] * 4
-        for j, y in enumerate(Cyclotomic.of(other).a):
-            for k, x in enumerate(self.a):
-                # z^(j+k) = -z^(j+k-4) past z^3
-                out[(j + k) % 4] += x * y if j + k < 4 else -x * y
-        return Cyclotomic(out)
-
-    __radd__, __rmul__ = __add__, __mul__
-
-    def __neg__(self):
-        return self * -1
-
-    def __bool__(self) -> bool:
-        return any(self.a)
-
-    def conjugate(self) -> "Cyclotomic":
-        # conj(z^k) = z^-k = -z^(4-k)
-        a0, a1, a2, a3 = self.a
-        return Cyclotomic((a0, -a3, -a2, -a1))
-
-    def __complex__(self) -> complex:
-        a0, a1, a2, a3 = self.a
-        r = math.sqrt(0.5)
-        return complex(a0 + (a1 - a3) * r, a2 + (a1 + a3) * r)
-
-
-_I = Cyclotomic((0, 0, 1, 0))
-_SQRT2 = Cyclotomic((0, 1, 0, -1))
-# the shear parameters of theta = pi/4: tan(pi/8) and sin(pi/4) = 1/sqrt 2
-_TAN_PI_8 = _SQRT2 + -1
-_SIN_PI_4 = _SQRT2 * Fraction(1, 2)
-
-
-def _conj(m: dict) -> dict:
-    return {key: v.conjugate() for key, v in m.items()}
-
-
 def _sl2_model(kind: str) -> tuple[int, dict, dict, dict]:
     """Standard triple in the representation matching the degeneration kind.
 
@@ -275,66 +218,92 @@ def _sl2_model(kind: str) -> tuple[int, dict, dict, dict]:
     return dim, nplus, y, nminus
 
 
-def _shear_product(kind: str, t, s) -> dict:
-    """exp(t e) exp(-s f) exp(t e) for e = i N+, f = -i N."""
+def _realify(re: dict, im: dict, dim: int) -> dict:
+    """The complex dim x dim matrix A + iB as the real block matrix
+    [[A, -B], [B, A]]; a complex vector a + ib is the column [a; b]."""
+    out = {}
+    for (r, c), v in re.items():
+        out[r, c] = out[r + dim, c + dim] = v
+    for (r, c), v in im.items():
+        out[r + dim, c], out[r, c + dim] = v, -v
+    return out
+
+
+def _cayley(kind: str) -> tuple[dict, dict]:
+    """d = exp(i pi/4 X) for X = N+ + N and its inverse, realified; for type I,
+    sqrt 2 d. exp(i theta X) is the polynomial in X that agrees with
+    exp(i theta x) on the eigenvalues x of X (Higham, Functions of Matrices,
+    1.2): X^2 = 1 in type I gives d = (1 + iX)/sqrt 2, X^3 = 4X in type II
+    gives d = 1 + iX/2 - X^2/4. The inverse is the same polynomial with
+    i -> -i, halved for sqrt 2 d since (1 + iX)(1 - iX) = 2."""
     dim, nplus, _, nmat = _sl2_model(kind)
-    return shear_product(combo((t * _I, nplus)), combo((s * _I, nmat)), dim)
+    x = combo((1, nplus), (1, nmat))
+    one = {(r, r): 1 for r in range(dim)}
+    if kind == "I":
+        re, im, scale = one, x, Fraction(1, 2)
+    else:
+        re = combo((1, one), (Fraction(-1, 4), product(x, x)))
+        im, scale = combo((Fraction(1, 2), x)), 1
+    return _realify(re, im, dim), _realify(combo((scale, re)), combo((-scale, im)), dim)
 
 
 def sl2_cayley_checks(kind: str) -> list[dict]:
     """All closed-form identities for d = exp(i pi/4 (N+ + N)), one check each.
 
-    The entries lie in Q(exp(i pi/4)) and are computed exactly, so a check
-    passes when the exact difference is zero; its residual is the float
-    norm of that difference.
+    d is a polynomial in N+ + N read off its minimal polynomial (`_cayley`),
+    and every complex matrix is held as its real block matrix, so the
+    entries are ints and Fractions and a check passes when the exact
+    difference is zero. Every type I claim is homogeneous in d, so type I
+    checks sqrt 2 d, whose entries are Gaussian integers. A failing line's
+    residual is the float norm of the realified difference, for type I the
+    difference for sqrt 2 d.
     """
-    _, nplus, y, nmat = _sl2_model(kind)
-    # (i N+, Y, -i N) is an sl2 triple, so the shear product with
-    # t = tan(theta/2), s = sin(theta) is the rotation by theta = pi/4 in it
-    t, s = _TAN_PI_8, _SIN_PI_4
-    d, d_inv = _shear_product(kind, t, s), _shear_product(kind, -t, -s)
+    dim, *triple = _sl2_model(kind)
+    nplus, y, nmat = (_realify(m, {}, dim) for m in triple)
+    d, d_inv = _cayley(kind)
+    # i is the block matrix J, and conjugating a vector negates its lower half
+    i = partial(product, _realify({}, {(r, r): 1 for r in range(dim)}, dim))
+    conj = partial(product, {(r, r): 1 if r < dim else -1 for r in range(2 * dim)})
+
     # a vector is a one-column matrix
     v = {(0, 0): 1}
     nv = product(nmat, v)
-    half, i_half = Fraction(1, 2), _I * Fraction(1, 2)
+    half = Fraction(1, 2)
     checks = []
 
     def check(claim, got, want):
         diff = combo((1, got), (-1, want))
-        residual = math.hypot(*(abs(complex(x)) for x in diff.values()))
+        residual = math.hypot(*map(float, diff.values()))
         checks.append(make_check(f"sl2-cayley-{kind} {claim}", residual, not diff))
 
     if kind == "I":
-        check("d(v)", product(d, v), combo((_SIN_PI_4, v), (_SIN_PI_4 * _I, nv)))
-        check("d(Nv)", product(d, nv), combo((_SIN_PI_4 * _I, v), (_SIN_PI_4, nv)))
-        check("d(conj v)", product(d, _conj(v)), combo((_I, _conj(product(d, nv)))))
-        check("d(N conj v)", product(product(d, nmat), _conj(v)), combo((_I, _conj(product(d, v)))))
+        check("d(v)", product(d, v), combo((1, v), (1, i(nv))))
+        check("d(Nv)", product(d, nv), combo((1, i(v)), (1, nv)))
+        check("d(conj v)", product(d, conj(v)), i(conj(product(d, nv))))
+        check("d(N conj v)", product(product(d, nmat), conj(v)), i(conj(product(d, v))))
         eigen_pairs = [(v, 1), (nv, -1)]
     else:
         n2v = product(nmat, nv)
-        check("d(v)", product(d, v), combo((half, v), (i_half, nv), (-half / 2, n2v)))
-        check("d(Nv)", product(d, nv), combo((_I, v), (i_half, n2v)))
-        check("d(N^2 v)", product(d, n2v), combo((-2, _conj(product(d, v)))))
+        check("d(v)", product(d, v), combo((half, v), (half, i(nv)), (-half / 2, n2v)))
+        check("d(Nv)", product(d, nv), i(combo((1, v), (half, n2v))))
+        check("d(N^2 v)", product(d, n2v), combo((-2, conj(product(d, v)))))
         eigen_pairs = [(v, 2), (nv, 0), (n2v, -2)]
 
     def ad(m):
         return product(product(d, m), d_inv)
 
-    # conjugated triple closed forms
-    check("Ad(d) Y", ad(y), combo((_I, nmat), (-_I, nplus)))
-    check("Ad(d) N", ad(nmat), combo((half, nmat), (half, nplus), (i_half, y)))
-    check("Ad(d) N+", ad(nplus), combo((half, nmat), (half, nplus), (-i_half, y)))
-
+    # conjugated triple closed forms; Ad(d) Y is the grading of the eigenvalue checks
     z = ad(y)
+    check("Ad(d) Y", z, i(combo((1, nmat), (-1, nplus))))
+    check("Ad(d) N", ad(nmat), combo((half, nmat), (half, nplus), (half, i(y))))
+    check("Ad(d) N+", ad(nplus), combo((half, nmat), (half, nplus), (-half, i(y))))
     for vec, scalar in eigen_pairs:
         w = product(d, vec)
         check(f"grading eigenvalue {scalar:+.0f}", product(z, w), combo((scalar, w)))
     return checks
 
 
-def period_report(
-    h: HodgeNumbers, only: DegenerationSpec | None = None
-) -> dict:
+def period_report(h: HodgeNumbers, only: DegenerationSpec | None = None) -> dict:
     """JSON-ready summary: group, grading eigenvalues, degeneration verdicts."""
     group = group_of_period_domain(h)
     eigs = [
@@ -356,7 +325,7 @@ def period_report(
     ]
     return {
         "weight": h.weight,
-        "hodge_numbers": [h.hp(p) for p in range(h.weight, -1, -1)],
+        "hodge_numbers": list(h.h),
         "group": group,
         "grading_values": eigs,
         "degenerations": degenerations,

@@ -6,10 +6,11 @@ states the feasibility clauses, `limit_diamond` fills the weight row from
 special cases and mirrors it, and `validate_diamond` is an independent
 pass over the defining clauses, conjugation symmetry and chain symmetry.
 
-`sl2_cayley_residuals` is the float model of the sl2 closed forms that
-the package used before it computed them exactly in Q(exp(i pi/4)):
-dense complex numpy matrices, t = tan(pi/8) and s = sin(pi/4) as floats,
-and residuals as float norms.
+`sl2_cayley_residuals` is a float model of the sl2 closed forms that
+derives d independently of the package: the package reads d off the
+minimal polynomial of N+ + N, the model takes the three-shear product
+exp(t e) exp(-s f) exp(t e) on dense complex numpy matrices, with
+t = tan(pi/8) and s = sin(pi/4) as floats and residuals as float norms.
 """
 
 from __future__ import annotations

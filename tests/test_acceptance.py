@@ -155,7 +155,7 @@ def test_c08_sl2_cayley_closed_forms():
         assert all(c["pass"] and c["residual"] == 0.0 for c in checks)
     names = {c["claim"] for c in sl2_cayley_checks("II")}
     assert any("d(N^2 v)" in n for n in names)
-    done(8, "sl2 Cayley closed forms hold exactly in Q(exp(i pi/4))")
+    done(8, "sl2 Cayley closed forms hold exactly over the Gaussian rationals")
 
 
 def test_c09_weight3_degenerations():

@@ -11,7 +11,7 @@ from matrix_oracle import dense
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flagdomains import hodge
+from flagdomains import exact, hodge
 from flagdomains.hodge import (
     DegenerationSpec,
     HodgeNumbers,
@@ -194,9 +194,11 @@ def test_spec_constructor_validation():
         DegenerationSpec(kind="I")
     with pytest.raises(ValueError):
         DegenerationSpec(kind="II", p0=1)
-    for pivot in (True, False, 1.0):
-        with pytest.raises(ValueError, match="the pivot p0 must be an integer"):
+    for pivot in (True, False, 1.5, "1"):
+        with pytest.raises(ValueError, match="^p0 must be an integer$"):
             DegenerationSpec(kind="I", p0=pivot)
+    # an integral float reads as its int, as JSON gives one number type
+    assert DegenerationSpec(kind="I", p0=1.0) == ("I", 1) and type(DegenerationSpec("I", 1.0).p0) is int
 
 
 def boundary(h, spec):
@@ -337,20 +339,36 @@ def test_string_rule_matches_oracle_for_larger_hodge_numbers(weight, data):
     _assert_rule_matches_oracle(h, spec)
 
 
+DIMS = {"I": 2, "II": 3}
+
+
+def unrealify(m: dict, dim: int) -> np.ndarray:
+    """The complex dim x dim matrix A + iB of its real block matrix [[A, -B], [B, A]]."""
+    big = dense(m, 2 * dim).real
+    return big[:dim, :dim] + 1j * big[dim:, :dim]
+
+
+def cayley_dense(kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """The package's d and d^-1 as complex arrays, type I's sqrt 2 taken out."""
+    d, d_inv = hodge._cayley(kind)
+    scale = np.sqrt(2) if kind == "I" else 1.0
+    return unrealify(d, DIMS[kind]) / scale, unrealify(d_inv, DIMS[kind]) * scale
+
+
+def expm_cayley(kind: str) -> np.ndarray:
+    from scipy.linalg import expm
+
+    nplus, _, nmat = hodge_oracle.sl2_model(kind)
+    return expm(1j * np.pi / 4 * (nplus + nmat))
+
+
 def test_sl2_cayley_type1():
     checks = sl2_cayley_checks("I")
     assert all(c["pass"] and c["residual"] == 0.0 for c in checks)
+    d, _ = cayley_dense("I")
+    assert np.abs(d - expm_cayley("I")).max() < 1e-12
     # explicit value: d(e1) = (e1 + i e2)/sqrt(2)
-    import math
-
-    from scipy.linalg import expm
-
-    nplus = np.array([[0, 1], [0, 0]], dtype=complex)
-    nmat = np.array([[0, 0], [1, 0]], dtype=complex)
-    d = expm(1j * math.pi / 4 * (nplus + nmat))
-    got = d @ np.array([1, 0], dtype=complex)
-    want = np.array([1, 1j]) / math.sqrt(2)
-    assert np.linalg.norm(got - want) < 1e-12
+    assert np.abs(d[:, 0] - np.array([1, 1j]) / np.sqrt(2)).max() < 1e-12
 
 
 def test_sl2_cayley_type2():
@@ -358,6 +376,8 @@ def test_sl2_cayley_type2():
     assert all(c["pass"] and c["residual"] == 0.0 for c in checks)
     names = {c["claim"] for c in checks}
     assert any("d(N^2 v)" in n for n in names)
+    d, _ = cayley_dense("II")
+    assert np.abs(d - expm_cayley("II")).max() < 1e-12
 
 
 def test_sl2_cayley_guard():
@@ -365,51 +385,87 @@ def test_sl2_cayley_guard():
         sl2_cayley_checks("III")
 
 
+def sl2_x(kind: str) -> dict:
+    """X = N+ + N of the package's triple."""
+    _, nplus, _, nmat = hodge._sl2_model(kind)
+    return exact.combo((1, nplus), (1, nmat))
+
+
+def test_sl2_minimal_polynomials():
+    x = sl2_x("I")
+    assert exact.product(x, x) == {(0, 0): 1, (1, 1): 1}
+    x = sl2_x("II")
+    assert exact.product(exact.product(x, x), x) == exact.combo((4, x))
+
+
+@pytest.mark.parametrize("kind", ["I", "II"])
+def test_sl2_cayley_inverse_is_exact(kind):
+    d, d_inv = hodge._cayley(kind)
+    assert exact.product(d, d_inv) == {(r, r): 1 for r in range(2 * DIMS[kind])}
+    # and every entry is an int or a Fraction
+    assert all(type(v) in (int, Fraction) for v in (*d.values(), *d_inv.values()))
+
+
 @pytest.mark.parametrize("kind,dim", [("I", 2), ("II", 3)])
-def test_sl2_exact_shear_products_match_the_float_model(kind, dim):
+def test_sl2_cayley_element_matches_the_float_shear_products(kind, dim):
+    # the oracle builds d as a float three-shear product, the package from
+    # the minimal polynomial of N+ + N
+    assert not hasattr(hodge, "shear_product")
     d, d_inv = hodge_oracle.sl2_shear_products(kind)
-    t, s = hodge._TAN_PI_8, hodge._SIN_PI_4
-    assert np.abs(dense(hodge._shear_product(kind, t, s), dim) - d).max() < 1e-15
-    assert np.abs(dense(hodge._shear_product(kind, -t, -s), dim) - d_inv).max() < 1e-15
+    got, got_inv = cayley_dense(kind)
+    assert got.shape == (dim, dim)
+    assert np.abs(got - d).max() < 1e-15
+    assert np.abs(got_inv - d_inv).max() < 1e-15
     # the float model checks the same claims, in the same order, to rounding
     floats = hodge_oracle.sl2_cayley_residuals(kind)
     assert [c["claim"] for c in sl2_cayley_checks(kind)] == [claim for claim, _ in floats]
     assert all(r < 1e-12 for _, r in floats)
 
 
+def constant_off_by(monkeypatch, delta):
+    """Patch the constant coefficient of d, and not of its inverse, by delta."""
+    cayley = hodge._cayley
+
+    def patched(kind):
+        d, d_inv = cayley(kind)
+        one = {(r, r): 1 for r in range(2 * DIMS[kind])}
+        return exact.combo((1, d), (delta, one)), d_inv
+
+    monkeypatch.setattr(hodge, "_cayley", patched)
+
+
 def test_sl2_residual_is_not_vacuous(monkeypatch):
-    # t = 1/2 in place of tan(pi/8) gives a shear product that is not the rotation
-    monkeypatch.setattr(hodge, "_TAN_PI_8", Fraction(1, 2))
+    constant_off_by(monkeypatch, Fraction(1, 2))
     for kind in ("I", "II"):
         first = sl2_cayley_checks(kind)[0]
         assert first["claim"] == f"sl2-cayley-{kind} d(v)"
         assert first["residual"] > 0.0 and not first["pass"]
 
 
-def test_sl2_checks_fail_on_a_tan_pi_8_off_by_1e_20(monkeypatch):
+def test_sl2_checks_fail_on_a_coefficient_off_by_1e_20(monkeypatch):
     # every residual stays below 1e-19, so a float threshold of 1e-12 passed it
-    monkeypatch.setattr(hodge, "_TAN_PI_8", hodge._TAN_PI_8 + Fraction(1, 10**20))
+    constant_off_by(monkeypatch, Fraction(1, 10**20))
     for kind in ("I", "II"):
         failed = [c for c in sl2_cayley_checks(kind) if not c["pass"]]
         assert failed and all(0.0 < c["residual"] < 1e-19 for c in failed)
 
 
-def test_cyclotomic_arithmetic_matches_complex_numbers():
+def test_realified_arithmetic_matches_complex_numbers():
     rng = np.random.default_rng(3)
+    dim = 3
+
+    def gaussian_rational():
+        """A random matrix with Gaussian-rational entries, realified and as numpy."""
+        re, im = (rng.integers(-9, 10, (dim, dim)) for _ in "ab")
+        parts = ({key: Fraction(int(v), 7) for key, v in np.ndenumerate(m)} for m in (re, im))
+        return exact.combo((1, hodge._realify(*parts, dim))), (re + 1j * im) / 7
+
     for _ in range(50):
-        a, b = (
-            hodge.Cyclotomic(Fraction(int(v), 7) for v in rng.integers(-9, 10, 4)) for _ in "ab"
-        )
-        for got, want in (
-            (a + b, complex(a) + complex(b)),
-            (a * b, complex(a) * complex(b)),
-            (-a, -complex(a)),
-            (a.conjugate(), complex(a).conjugate()),
-        ):
-            assert abs(complex(got) - want) < 1e-12
-    assert complex(hodge._I) == 1j
-    assert abs(complex(hodge._TAN_PI_8) - np.tan(np.pi / 8)) < 1e-15
-    assert abs(complex(hodge._SIN_PI_4) - np.sin(np.pi / 4)) < 1e-15
-    # z^4 = -1 makes i^2 = -1 and (z - z^3)^2 = 2 exact
-    assert not hodge._I * hodge._I + 1
-    assert not hodge._SQRT2 * hodge._SQRT2 + -2
+        (a, ca), (b, cb) = gaussian_rational(), gaussian_rational()
+        assert np.abs(unrealify(exact.product(a, b), dim) - ca @ cb).max() < 1e-12
+        assert np.abs(unrealify(exact.combo((1, a), (1, b)), dim) - (ca + cb)).max() < 1e-12
+        # a vector a + ib is the column [a; b], and its conjugate negates the lower half
+        column = {(r, 0): v for (r, c), v in a.items() if c == 0}
+        conj = {(r, c): -v if r >= dim else v for (r, c), v in column.items()}
+        got = dense(conj, 2 * dim).real[:, 0]
+        assert np.abs(got[:dim] + 1j * got[dim:] - np.conj(ca[:, 0])).max() < 1e-12
