@@ -31,7 +31,9 @@ class ConcavityReport(NamedTuple):
     """Verdict of the sweep, with every witness and the full detail map:
     each compact root to the JSON entries of its strings, in sweep order;
     rs and grading are the system and grading it was computed for. Every
-    root is named by its index in ``rs.roots``."""
+    root is named by its index in ``rs.roots``. The entries of one report
+    share their coefficient lists: every ``alpha`` or ``endpoint`` naming
+    the same root is the same list, so treat the entries as read-only."""
 
     satisfied: bool
     witnesses: tuple[int, ...]
@@ -67,7 +69,8 @@ def check_pseudoconcavity(rs: RootSystem, e: GradingElement) -> ConcavityReport:
     if any(n < 0 for n in e.coeffs):
         raise ValueError("grading coefficients must be nonnegative")
     values = classify_roots(rs, e).values
-    coeffs = [a.coeffs for a in rs.roots]
+    # one list per root per sweep, shared by every entry that names the root
+    coeffs = [list(a.coeffs) for a in rs.roots]
     # the noncompact negative roots, in sweep order
     alphas = tuple(i for i, v in enumerate(values) if v % 2 and v < 0)
     detail: dict[int, tuple[dict, ...]] = {}
@@ -89,10 +92,10 @@ def check_pseudoconcavity(rs: RootSystem, e: GradingElement) -> ConcavityReport:
             else:
                 verdict, reason, certified = "FAIL", _ENDPOINT_FAILURES[q], False
             verdicts.append({
-                "alpha": list(coeffs[i]),
+                "alpha": coeffs[i],
                 "r": r,
                 "q": q,
-                "endpoint": list(coeffs[top]),
+                "endpoint": coeffs[top],
                 "endpoint_in_p": endpoint_in_p,
                 "verdict": verdict,
                 "reason": reason,

@@ -169,22 +169,17 @@ def fundamental_rep(rs: RootSystem) -> MatrixRealization:
         )
     cc = structure_constants(rs)
     dim, xs, ys = _BUILDERS[t.family](t.rank)
-    add, neg, half, simples = rs.add, rs.neg, rs.half, rs.simple
+    neg, simples = rs.neg, rs.simple
     x: list = [None] * len(rs.roots)
     for s, xp, xn in zip(simples, xs, ys):
         x[s], x[neg[s]] = xp, xn
-    for g in range(half + rs.rank, len(x)):
-        # the positive roots past the simple ones, in height order
-        for s in simples:
-            a = add[g][neg[s]]
-            if a >= half:
-                c = cc.table[s][a]
-                xs, xa, ys, ya = x[s], x[a], x[neg[s]], x[neg[a]]
-                x[g] = _divided(combo((1, product(xs, xa)), (-1, product(xa, xs))), c)
-                x[neg[g]] = _divided(combo((1, product(ya, ys)), (-1, product(ys, ya))), c)
-                break
-        else:
-            raise AssertionError(f"{rs.roots[g]} has no simple summand")
+    for g, a, k in rs.steps:
+        # roots[g] = roots[a] + the k-th simple root, in height order
+        s = simples[k]
+        c = cc.table[s][a]
+        xs, xa, ys, ya = x[s], x[a], x[neg[s]], x[neg[a]]
+        x[g] = _divided(combo((1, product(xs, xa)), (-1, product(xa, xs))), c)
+        x[neg[g]] = _divided(combo((1, product(ya, ys)), (-1, product(ys, ya))), c)
     return MatrixRealization(rs=rs, dim=dim, x=tuple(x))
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .rootsys import GradingElement, Root, RootSystem
+from .rootsys import GradingElement, Root, RootSystem, check_grading
 
 
 class CompactnessTable(NamedTuple):
@@ -23,9 +23,22 @@ class CompactnessTable(NamedTuple):
 
 
 def classify_roots(rs: RootSystem, e: GradingElement) -> CompactnessTable:
-    """Partition the roots into compact (even grading) and noncompact (odd)."""
-    values = tuple(map(e.value, rs.roots))
+    """Partition the roots into compact (even grading) and noncompact (odd).
+
+    The grading is linear, so the values are built along ``rs.steps``: one
+    addition per positive root past the simple ones, and -v on the mirror
+    half."""
+    check_grading(rs, e)
+    coeffs, half = e.coeffs, rs.half
+    values = [0] * len(rs.roots)
+    for s, i in enumerate(rs.simple):
+        values[i] = coeffs[s]
+    for k, p, s in rs.steps:
+        values[k] = values[p] + coeffs[s]
+    values[:half] = [-v for v in reversed(values[half:])]
     parts: tuple[list[Root], list[Root]] = ([], [])
     for a, v in zip(rs.roots, values):
         parts[v % 2].append(a)
-    return CompactnessTable(compact=tuple(parts[0]), noncompact=tuple(parts[1]), values=values)
+    return CompactnessTable(
+        compact=tuple(parts[0]), noncompact=tuple(parts[1]), values=tuple(values)
+    )

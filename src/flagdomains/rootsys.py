@@ -125,7 +125,11 @@ class RootSystem:
     together. The tables the hot paths walk are built on first use and kept
     on the instance: ``simple[k]`` is the index of the k-th simple root in
     Cartan-matrix order, ``add[i][j]`` that of roots[i] + roots[j] or -1
-    when the sum is not a root, and ``neg[i]`` that of -roots[i].
+    when the sum is not a root, ``neg[i]`` that of -roots[i], and ``steps``,
+    one (k, p, s) per positive root of height > 1 in index order, with
+    roots[k] = roots[p] + the s-th simple root and p < k, so a linear
+    function is known on every root from its values on the simple roots
+    by one addition per root.
     Root strings are read off ``add`` by index: ``root_string(rs, i, j)``
     gives the (r, q, top) of the roots[j]-string through roots[i].
     Equality and hashing see the Cartan matrix only, which determines the
@@ -171,6 +175,17 @@ class RootSystem:
     @cached_property
     def neg(self) -> tuple[int, ...]:
         return tuple(range(len(self.roots) - 1, -1, -1))
+
+    @cached_property
+    def steps(self) -> tuple[tuple[int, int, int], ...]:
+        # a positive root of height > 1 is a positive root plus a simple one
+        # (Humphreys 10.2); that root has lower height, so a lower index
+        add, down = self.add, [self.neg[i] for i in self.simple]
+        steps = []
+        for k in range(self.half + self.rank, len(self.roots)):
+            s, p = next((s, add[k][d]) for s, d in enumerate(down) if add[k][d] >= 0)
+            steps.append((k, p, s))
+        return tuple(steps)
 
     def to_json_dict(self) -> dict:
         return {

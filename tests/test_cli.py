@@ -2,6 +2,7 @@
 
 import collections
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -790,14 +791,34 @@ def test_vacuous_theorem1_pretty_names_no_noncompact_negative(capsys):
     assert out.splitlines()[-1] == "noncompact negatives: (none)"
 
 
+REPRODUCE_EXAMPLES = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_examples.py"
+
+
 def test_reproduce_examples_script_runs():
-    script = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_examples.py"
     proc = subprocess.run(
-        [sys.executable, str(script)],
+        [sys.executable, str(REPRODUCE_EXAMPLES)],
         capture_output=True, text=True, env=child_env(), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert "== Levi form on the unit sphere from inside" in proc.stdout
+
+
+@pytest.mark.parametrize("certificate", ["verify_fixed_point", "sl2_cayley_checks"])
+def test_reproduce_examples_exits_1_on_a_failed_certificate_line(capsys, certificate):
+    spec = importlib.util.spec_from_file_location("reproduce_examples", REPRODUCE_EXAMPLES)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    original, failed = getattr(script, certificate), []
+
+    def failing_last_line(*args):
+        lines = original(*args)
+        lines[-1] = dict(lines[-1], **{"pass": False})
+        failed.append(f"FAILED: {lines[-1]['claim']}")
+        return lines
+
+    setattr(script, certificate, failing_last_line)
+    assert script.main() == 1
+    assert capsys.readouterr().err.splitlines() == failed != []
 
 
 @given(

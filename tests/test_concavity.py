@@ -107,6 +107,15 @@ def test_check_rejects_bad_gradings(a2):
         check_pseudoconcavity(a2, grading((1, -1)))
 
 
+@pytest.mark.parametrize("coeffs", [(1, 1), (1, 1, 1, 1)], ids=["short", "long"])
+@pytest.mark.parametrize("decide", [check_pseudoconcavity, classify_roots])
+def test_gradings_of_another_rank_are_refused(decide, coeffs):
+    rs = build_root_system(LieType("B", 3))
+    message = f"grading has {len(coeffs)} coefficients, the system has rank 3"
+    with pytest.raises(ValueError, match=message):
+        decide(rs, grading(coeffs))
+
+
 def brute_force_verdict(rs, e):
     """Independent scan using only strings, membership and parity."""
     compact = [a for a in rs.roots if e.value(a) % 2 == 0]
@@ -281,10 +290,20 @@ def test_sweep_reads_one_string_per_pair_by_index(monkeypatch, key, coeffs):
 
     monkeypatch.setattr(concavity, "root_string", counting_string)
     monkeypatch.setattr(GradingElement, "value", counting_value)
-    check_pseudoconcavity(rs, e)
+    report = check_pseudoconcavity(rs, e)
     assert len(strings) == pairs > 0
-    # each root is graded once per sweep, and strings are read by index
-    assert len(values) == len(rs.roots)
+    # strings are read by index, and no root is graded by a dot product:
+    # the values come off one step per positive root past the simple ones
+    assert values == []
+    assert len(rs.steps) == rs.half - rs.rank
+    # the entries share one coefficient list per root
+    lists = {
+        id(v[field])
+        for entries in report.detail.values()
+        for v in entries
+        for field in ("alpha", "endpoint")
+    }
+    assert len(lists) <= len(rs.roots)
 
 
 # every grading with coefficients 0..3 on these systems: 2,277 of them

@@ -37,6 +37,7 @@ from lie_oracles import (
 
 from flagdomains.chevalley import structure_constants
 from flagdomains.exact import exact_int
+from flagdomains.realform import classify_roots
 from flagdomains.rootsys import (
     LieType,
     _build_cached,
@@ -215,6 +216,33 @@ def test_index_tables():
         _assert_tables_match_root_arithmetic(cartan)
 
 
+@pytest.mark.parametrize("cartan", TABLE_CARTANS)
+def test_steps_build_each_positive_root_from_a_lower_one(cartan):
+    rs = from_cartan_matrix(cartan)
+    assert [k for k, _, _ in rs.steps] == [
+        k for k in range(rs.half, len(rs.roots)) if sum(rs.roots[k].coeffs) >= 2
+    ]
+    for k, p, s in rs.steps:
+        assert rs.half <= p < k
+        unit = tuple(int(t == s) for t in range(rs.rank))
+        assert rs.roots[k].coeffs == tuple(map(sum, zip(rs.roots[p].coeffs, unit)))
+
+
+@st.composite
+def graded_table_systems(draw):
+    """A system of TABLE_CARTANS and a grading of any sign on it."""
+    rs = from_cartan_matrix(draw(st.sampled_from(TABLE_CARTANS)))
+    coeffs = draw(st.lists(st.integers(-20, 20), min_size=rs.rank, max_size=rs.rank))
+    return rs, grading(coeffs)
+
+
+@given(case=graded_table_systems())
+@settings(max_examples=150, deadline=None)
+def test_values_along_the_steps_equal_the_dot_products(case):
+    rs, e = case
+    assert classify_roots(rs, e).values == tuple(e.value(a) for a in rs.roots)
+
+
 def test_root_strings_match_root_arithmetic_on_the_table_cartans():
     # the tests above cover the classical systems and RELABELLED_B4
     for cartan in ([[2, -1], [-3, 2]], F4_CARTAN, E6_CARTAN, B3_A2_CARTAN):
@@ -227,9 +255,13 @@ def test_index_is_built_on_first_use():
     rs = _build_cached.__wrapped__(cartan)
     # the norms come with the roots, from the same reflection orbit
     assert "norms" in vars(rs) and len(rs.norms) == len(rs.roots)
-    assert not {"simple", "add", "neg"} & set(vars(rs))
+    assert not {"simple", "add", "neg", "steps"} & set(vars(rs))
     root_string(rs, *rs.simple[:2])
     assert {"simple", "add", "neg"} <= set(vars(rs))
+    # a root string needs no steps; grading the roots builds them
+    assert "steps" not in vars(rs)
+    classify_roots(rs, grading((1, 0, 1)))
+    assert "steps" in vars(rs)
 
 
 def test_caches_stay_bounded():
