@@ -1,10 +1,10 @@
 """Signed structure constants of a Chevalley basis.
 
 Positive roots are ordered by height and then lexicographically. For each
-non-simple positive root the minimal special pair summing to it (the
-extraspecial pair) receives the positive sign, and the other special pairs
-follow from lower heights (Carter, Simple Groups of Lie Type, 4.1). Each
-pair fills its triple a + b + c = 0 through antisymmetry and
+non-simple positive root the minimal special pair summing to it, the
+extraspecial pair that RootSystem.steps names, gets the positive sign, and
+the others follow from lower heights (Carter, Simple Groups of Lie Type,
+4.1). Each pair fills its triple a + b + c = 0 through antisymmetry and
 c(a, b)/(c, c) = c(b, c)/(a, a) = c(c, a)/(b, b). The resulting table
 satisfies
 
@@ -17,7 +17,6 @@ c(-a, -b) = -c(a, b).
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import NamedTuple
 
 from .exact import make_check
@@ -32,11 +31,9 @@ class ChevalleyConstants(NamedTuple):
     table: tuple[tuple[int, ...], ...]
 
 
-# as many tables as from_cartan_matrix keeps systems
-@lru_cache(maxsize=32)
 def structure_constants(rs: RootSystem) -> ChevalleyConstants:
     """Build the constants table with the extraspecial sign convention."""
-    roots, add, neg, l2, half = rs.roots, rs.add, rs.neg, rs.norms, rs.half
+    roots, add, neg, l2 = rs.roots, rs.add, rs.neg, rs.norms
     n = len(roots)
     table = [[0] * n for _ in range(n)]
 
@@ -52,19 +49,15 @@ def structure_constants(rs: RootSystem) -> ChevalleyConstants:
             table[x][y] = table[neg[y]][neg[x]] = w
             table[y][x] = table[neg[x]][neg[y]] = -w
 
-    for g in range(half + rs.rank, n):
-        # the positive roots past the simple ones, in height order, and the
-        # special pairs a < b with a + b = g, the extraspecial one first
-        pairs = []
-        for a in range(half, g):
-            b = add[g][neg[a]]
-            if b >= half and a < b:
-                pairs.append((a, b))
-        if not pairs:
-            raise AssertionError(f"no special pair sums to {roots[g]}")
-        a1, b1 = pairs[0]
+    for g, b1, s in rs.steps:
+        # the positive roots past the simple ones, in height order, each with
+        # its extraspecial pair (a1, b1) and then the other special pairs a < b
+        a1 = rs.simple[s]
         put(a1, b1, root_string(rs, a1, b1)[0] + 1)
-        for a, b in pairs[1:]:
+        for a in range(a1 + 1, g):
+            b = add[g][neg[a]]
+            if b < a:
+                continue
             # every constant read here lies on a triple of lower height
             t = 0
             d = add[a1][neg[a]]

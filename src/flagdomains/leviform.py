@@ -16,7 +16,9 @@ from typing import NamedTuple
 from .exact import exact_int
 
 GRADIENT_TOL = 1e-8
-ZERO_EIGEN_REL = 1e-6
+UNIT_ROUNDOFF = math.ulp(1.0) / 2
+# the rounding of the projection and of the Jacobi sweep, in units of n u |H|_F
+SWEEP_ERROR = 64
 
 # c * prod z_k^{e_k} * prod conj(z_k)^{f_k} as (c, e, f)
 Term = tuple[complex, tuple[int, ...], tuple[int, ...]]
@@ -93,34 +95,56 @@ def _lowered(e: tuple[int, ...], k: int) -> tuple[int, ...]:
     return e[:k] + (e[k] - 1,) + e[k + 1 :]
 
 
-def _derivatives(f: DefiningFunction) -> tuple[list, list]:
+def _derivatives(f: DefiningFunction) -> tuple[list, list, float, float]:
     """Wirtinger gradient and complex Hessian of Re P at z0, in closed form,
-    as lists of Python complex numbers.
+    as lists of Python complex numbers, with bounds on the norms of their
+    rounding errors.
 
     For a term c z^e conj(z)^f of P, d_k P gets c e_k z^{e-d_k} conj(z)^f
     and d_k dbar_l P gets c e_k f_l z^{e-d_k} conj(z)^{f-d_l}. For
     Re P = (P + conj P)/2 the gradient is (P_k + conj(P_kbar))/2 and the
     Hessian is the Hermitian part of the mixed table P_{k lbar}; halved
     first, a sum overflows only where its value does.
+    An entry sums values of degree at most d + 2 over the T terms of degree
+    at most d, so it errs by at most (T + 6(d + 3)) u times the sum of their
+    moduli, u the unit roundoff (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 3.1-3.3, Lemma 3.5: 2 sqrt 2 u per complex product,
+    a power up to 100 being a chain of them, as much again for divisions).
     """
     n = f.n
     z = f.z0
     zb = [v.conjugate() for v in z]
     dz, dzb = [0j] * n, [0j] * n
     mixed = [[0j] * n for _ in range(n)]
+    # the sums of the moduli of what each entry adds up
+    adz, adzb = [0.0] * n, [0.0] * n
+    amixed = [[0.0] * n for _ in range(n)]
     for c, e, fb in f.terms:
         ls = [ell for ell in range(n) if fb[ell]]
         for k in range(n):
             if e[k]:
                 ce, ek = c * e[k], _lowered(e, k)
-                dz[k] += _monomial(ce, ek, fb, z, zb)
+                v = _monomial(ce, ek, fb, z, zb)
+                dz[k] += v
+                adz[k] += abs(v)
                 for ell in ls:
-                    mixed[k][ell] += _monomial(ce * fb[ell], ek, _lowered(fb, ell), z, zb)
+                    v = _monomial(ce * fb[ell], ek, _lowered(fb, ell), z, zb)
+                    mixed[k][ell] += v
+                    amixed[k][ell] += abs(v)
         for ell in ls:
-            dzb[ell] += _monomial(c * fb[ell], e, _lowered(fb, ell), z, zb)
+            v = _monomial(c * fb[ell], e, _lowered(fb, ell), z, zb)
+            dzb[ell] += v
+            adzb[ell] += abs(v)
+    degree = max((sum(map(abs, e)) + sum(map(abs, fb)) for _, e, fb in f.terms), default=0)
+    gamma = (len(f.terms) + 6 * (degree + 3)) * UNIT_ROUNDOFF
+    gerr = gamma * _norm(0.5 * a + 0.5 * b for a, b in zip(adz, adzb))
+    herr = gamma * _norm(
+        0.5 * a + 0.5 * b for row, col in zip(amixed, zip(*amixed)) for a, b in zip(row, col)
+    )
     half = [[0.5 * x for x in row] for row in mixed]
     grad = [0.5 * a + 0.5 * b.conjugate() for a, b in zip(dz, dzb)]
-    return grad, [[x + y.conjugate() for x, y in zip(hk, col)] for hk, col in zip(half, zip(*half))]
+    hess = [[x + y.conjugate() for x, y in zip(hk, col)] for hk, col in zip(half, zip(*half))]
+    return grad, hess, gerr, herr
 
 
 def _norm(values) -> float:
@@ -160,19 +184,21 @@ def levi_analyze(f: DefiningFunction) -> dict:
     z0, how many are negative, the verdict and the gradient norm.
 
     Raises when a negative exponent meets a zero coordinate of z0, when a
-    power of a z0 coordinate overflows, when the derivatives there or their
-    norms are not finite, and when the gradient vanishes at z0: no smooth
-    boundary there. Eigenvalues below 1e-6 of the Hessian norm are exact zeros.
+    power of a z0 coordinate overflows, when the derivatives there, their
+    norms or their rounding bounds are not finite, and when the gradient
+    vanishes at z0: no smooth boundary there. An eigenvalue within the
+    rounding bound of its computation is reported as 0.0, and every other
+    one is counted by its sign.
     """
     try:
-        grad, hess = _derivatives(f)
+        grad, hess, gerr, herr = _derivatives(f)
     except ZeroDivisionError:
         raise ValueError("a negative exponent meets a zero coordinate of z0") from None
     except OverflowError:
         raise ValueError("a power of a z0 coordinate overflows") from None
     gnorm, hnorm = _norm(grad), _norm(v for row in hess for v in row)
     # the eigenvalues on the plane are at most hnorm, so they are finite too
-    if not (math.isfinite(gnorm) and math.isfinite(hnorm)):
+    if not all(map(math.isfinite, (gnorm, hnorm, gerr, herr))):
         raise ValueError("the derivatives at z0 are not finite or too large")
     if gnorm < GRADIENT_TOL:
         raise ValueError("gradient vanishes at z0; not a smooth boundary point")
@@ -191,7 +217,11 @@ def levi_analyze(f: DefiningFunction) -> dict:
     ])
     # P H P is 0 on u, off the plane: that eigenvalue is the smallest in modulus
     raw.remove(min(raw, key=abs))
-    vals = sorted(0.0 if abs(x) < ZERO_EIGEN_REL else scale * x for x in raw)
+    # by Weyl's inequality an eigenvalue moves at most by the error's norm: the
+    # Hessian's, the plane's turn 2 |dg| / |g| and the projection's and sweep's
+    # (Golub and Van Loan 8.5; Demmel and Veselic, SIAM J. Matrix Anal. Appl. 13)
+    bound = herr / scale + 2 * gerr / gnorm + SWEEP_ERROR * f.n * UNIT_ROUNDOFF
+    vals = sorted(0.0 if abs(x) <= bound else scale * x for x in raw)
     negatives = sum(1 for v in vals if v < 0)
     return {
         "eigenvalues": vals,

@@ -3,13 +3,13 @@
 sl(r+1) acts on C^{r+1}; sp(2r) preserves J = [[0, I], [-I, 0]]; so(2r+1)
 and so(2r) preserve the symmetric pairing with blocks [[0, I], [I, 0]]
 plus a trailing 2 in the odd case. Only the simple root vectors are
-written down by hand; every other root vector is produced by bracketing
-and dividing exactly by the integer structure constant, so the
-realization reproduces the abstract table sign for sign, and the coroot
-of a is [x^a, x^{-a}]. The basis spans an admissible lattice (Steinberg,
-Lectures on Chevalley Groups, section 2; Humphreys, Introduction to Lie
-Algebras, section 27): every root vector is an int matrix with at most
-two nonzero entries, each in {+-1, +-2}.
+written by hand; every other one is a bracket along an extraspecial pair
+of RootSystem.steps divided exactly by r + 1, the convention of the
+`chevalley` table, which the realization so reproduces without reading it.
+The coroot of a is [x^a, x^{-a}]. The basis spans an admissible lattice
+(Steinberg, Lectures on Chevalley Groups, section 2; Humphreys,
+Introduction to Lie Algebras, section 27): every root vector is an int
+matrix with at most two nonzero entries, each in {+-1, +-2}.
 
 The certificates conjugate by the squared Cayley matrix of a compact root
 b, the Weyl element w_b = exp(x^b) exp(-x^{-b}) exp(x^b), Tits' lift of
@@ -29,7 +29,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .chevalley import structure_constants
 from .exact import combo, exp_nilpotent, make_check, product, shear_product
 from .rootsys import GradingElement, RootSystem, _frozen, root_string
 
@@ -154,12 +153,12 @@ _BUILDERS = {
 }
 
 
-@lru_cache(maxsize=32)  # as structure_constants: one per cached system
+@lru_cache(maxsize=32)  # one verify request asks up to 3 times: refusal, prop33, fixed-point
 def fundamental_rep(rs: RootSystem) -> MatrixRealization:
-    """Defining representation with root vectors matching the abstract table.
+    """Defining representation in a Chevalley basis with extraspecial signs.
 
-    Each bracket is divided exactly by its structure constant, so every
-    entry stays an int; ArithmeticError when a constant does not divide.
+    Each bracket along an extraspecial pair (s, a) of rs.steps is divided by
+    r + 1 for the a-string through s; ArithmeticError when it does not divide.
     """
     t = rs.lie_type
     if t is None:
@@ -167,7 +166,6 @@ def fundamental_rep(rs: RootSystem) -> MatrixRealization:
             "matrix realization needs a system whose Cartan matrix matches a "
             "standard classical labeling"
         )
-    cc = structure_constants(rs)
     dim, xs, ys = _BUILDERS[t.family](t.rank)
     neg, simples = rs.neg, rs.simple
     x: list = [None] * len(rs.roots)
@@ -176,7 +174,7 @@ def fundamental_rep(rs: RootSystem) -> MatrixRealization:
     for g, a, k in rs.steps:
         # roots[g] = roots[a] + the k-th simple root, in height order
         s = simples[k]
-        c = cc.table[s][a]
+        c = root_string(rs, s, a)[0] + 1
         xs, xa, ys, ya = x[s], x[a], x[neg[s]], x[neg[a]]
         x[g] = _divided(combo((1, product(xs, xa)), (-1, product(xa, xs))), c)
         x[neg[g]] = _divided(combo((1, product(ya, ys)), (-1, product(ys, ya))), c)

@@ -129,7 +129,9 @@ class RootSystem:
     one (k, p, s) per positive root of height > 1 in index order, with
     roots[k] = roots[p] + the s-th simple root and p < k, so a linear
     function is known on every root from its values on the simple roots
-    by one addition per root.
+    by one addition per root. The s-th simple root is the one of lowest
+    index that fits, so (simple[s], p) is the extraspecial pair of roots[k]
+    (Carter, Simple Groups of Lie Type, 4.1-4.2).
     Root strings are read off ``add`` by index: ``root_string(rs, i, j)``
     gives the (r, q, top) of the roots[j]-string through roots[i].
     Equality and hashing see the Cartan matrix only, which determines the
@@ -178,12 +180,11 @@ class RootSystem:
 
     @cached_property
     def steps(self) -> tuple[tuple[int, int, int], ...]:
-        # a positive root of height > 1 is a positive root plus a simple one
-        # (Humphreys 10.2); that root has lower height, so a lower index
-        add, down = self.add, [self.neg[i] for i in self.simple]
+        # a positive root of height > 1 is a lower positive root plus a simple one (Humphreys 10.2)
+        add, down = self.add, [(s, self.neg[self.simple[s]]) for s in reversed(range(self.rank))]
         steps = []
         for k in range(self.half + self.rank, len(self.roots)):
-            s, p = next((s, add[k][d]) for s, d in enumerate(down) if add[k][d] >= 0)
+            s, p = next((s, add[k][d]) for s, d in down if add[k][d] >= 0)
             steps.append((k, p, s))
         return tuple(steps)
 

@@ -2,14 +2,18 @@
 
 This is the central-difference path ``flagdomains.leviform`` used before
 its derivatives became exact, kept verbatim apart from taking the real
-scalar field as a plain callable.
+scalar field as a plain callable and from its zero rule. That rule is its
+own, not the package's rounding bound: an eigenvalue is 0.0 below the
+tolerance numpy.linalg.matrix_rank uses by default, the largest modulus
+times the dimension times machine epsilon, so a threshold in the package
+that swallows a real eigenvalue shows against it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from flagdomains.leviform import GRADIENT_TOL, ZERO_EIGEN_REL
+from flagdomains.leviform import GRADIENT_TOL
 
 STEP_SCALE = 1e-4
 
@@ -101,7 +105,7 @@ def fd_levi_analyze(func, z0) -> dict:
     restricted = plane.conj().T @ hess.T @ plane
     restricted = 0.5 * (restricted + restricted.conj().T)
     raw = np.linalg.eigvalsh(restricted) if len(z0) > 1 else np.array([])
-    threshold = ZERO_EIGEN_REL * float(np.linalg.norm(hess))
+    threshold = float(np.max(np.abs(raw), initial=0.0)) * len(raw) * np.finfo(float).eps
     vals = sorted(0.0 if abs(v) < threshold else float(v) for v in raw)
     negatives = sum(1 for v in vals if v < 0)
     return {

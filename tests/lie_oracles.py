@@ -414,6 +414,21 @@ def reference_constant(cc, a, b) -> int:
     return -cc.table[pos[negative(a)]][pos[negative(b)]]
 
 
+def special_pairs(rs, g: Root) -> list[tuple[Root, Root]]:
+    """The positive pairs (a, b) with a + b = g and a before b in (height,
+    coefficients) order, sorted by a: the first is the extraspecial pair."""
+    pos = sorted(filter(is_positive, rs.roots), key=lambda a: (sum(a.coeffs), a.coeffs))
+    order = {a: i for i, a in enumerate(pos)}
+    pairs = []
+    for a in pos:
+        if order[a] >= order[g]:
+            break
+        b = minus(g, a)
+        if b in order and order[a] < order[b]:
+            pairs.append((a, b))
+    return pairs
+
+
 def reference_structure_table(rs) -> dict:
     """The extraspecial-sign constants table, by root arithmetic."""
     pos = sorted(filter(is_positive, rs.roots), key=lambda a: (sum(a.coeffs), a.coeffs))
@@ -448,13 +463,7 @@ def reference_structure_table(rs) -> dict:
     for g in pos:
         if sum(g.coeffs) < 2:
             continue
-        pairs = []
-        for a in pos:
-            if order[a] >= order[g]:
-                break
-            b = minus(g, a)
-            if b in order and order[a] < order[b]:
-                pairs.append((a, b))
+        pairs = special_pairs(rs, g)
         a1, b1 = pairs[0]
         special[(a1, b1)] = down_extent(a1, b1) + 1
         for a, b in pairs[1:]:

@@ -35,6 +35,9 @@ def test_exact_is_a_leaf_and_hodge_skips_the_lie_algebra_stack():
     assert "hodge" not in _package_imports("matrixrep")
     # the fixed-point certificate reads its witness off the caller's sweep
     assert "concavity" not in _package_imports("matrixrep")
+    # the realization divides by r + 1 along the extraspecial pairs of
+    # rs.steps, which the constants table reads as well
+    assert "chevalley" not in _package_imports("matrixrep")
     # theorem1 reads the compact roots off the sweep instead of classifying them again
     assert "realform" not in _package_imports("cli")
     # the reader finds the imports of cli, so the checks above are not vacuous

@@ -1,5 +1,6 @@
 """Levi form analysis from closed-form Wirtinger derivatives."""
 
+import math
 import typing
 
 import numpy as np
@@ -261,3 +262,75 @@ def test_large_finite_derivatives_are_answered(power):
     report = levi_analyze(f)
     assert report["negatives"] == 1 and report["gradient_norm"] == scale
     assert np.allclose(report["eigenvalues"], [lam2 * scale, lam3 * scale], rtol=1e-12, atol=0)
+
+
+# coordinates (x12, x13, x14, x23, x24, x34) of the unipotent chart of C^4,
+# v_i = e_i + sum_{j>i} x_ij e_j
+CHART = ("12", "13", "14", "23", "24", "34")
+
+
+def squared_modulus(sign, *monomials):
+    """Terms of sign |sum s m|^2 over the (s, m) pairs, each m the names of
+    its chart coordinates, as in "12 23 34"."""
+
+    def exponents(m):
+        return [m.split().count(name) for name in CHART]
+
+    return [
+        {"c": sign * s * t, "z": exponents(m), "zbar": exponents(mb)}
+        for s, m in monomials
+        for t, mb in monomials
+    ]
+
+
+# rho = det Gram(F_3) for h = diag(1, 1, -1, -1), F_3 = span(v_1, v_2, v_3), by
+# Cauchy-Binet over the 3 x 3 minors of (v_1 v_2 v_3): 22 terms; the boundary
+# piece of the open orbit of sign sequence (+, -, +, -) where F_3 degenerates
+RHO_F3 = (
+    squared_modulus(-1, (1, ""))
+    + squared_modulus(-1, (1, "34"))
+    + squared_modulus(1, (1, "24"), (-1, "23 34"))
+    + squared_modulus(1, (1, "14"), (-1, "13 34"), (-1, "12 24"), (1, "12 23 34"))
+)
+RHO_F3_POINT = [
+    [10.154454611390175, 0.3451496968690866],
+    [-1.446608948396503, -0.13834039168633228],
+    [3.857117006465681, 0.9005477047674437],
+    [-0.29993100016580965, 0.3001932315862401],
+    [-3.380524046742389, -2.3794946671686095],
+    [-0.7399992092178458, 10.090124312465951],
+]
+
+
+def test_a_small_negative_eigenvalue_beside_a_large_hessian_is_counted():
+    # rho is 4.2e-13 at the point and |H|_F is 1.1e4; the eigenvalue -9.65e-3
+    # lies below 1e-6 |H|_F, where a fixed relative zero threshold took it for
+    # 0. rho depends on F_3 alone, 3 of the 6 coordinates, so the other three
+    # directions give exact zeros, which stay 0.0
+    assert len(RHO_F3) == 22
+    report = levi_analyze(DefiningFunction.from_polynomial(6, RHO_F3_POINT, RHO_F3))
+    assert report["negatives"] == 1 and report["pseudoconcave_point"]
+    negative, *zeros, positive = report["eigenvalues"]
+    assert zeros == [0.0, 0.0, 0.0]
+    assert math.isclose(negative, -9.645773096e-3, rel_tol=1e-6)
+    assert math.isclose(positive, 1.0159611856, rel_tol=1e-6)
+    assert math.isclose(report["gradient_norm"], 1049.5508509, rel_tol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        # 2 Re z_1 - |z_1|^2 + |z_2|^2, constant along z_3
+        linear_terms(np.array([1, 0, 0], dtype=complex)) + modulus_terms([-1, 1, 0]),
+        # 2 Re z_1 - |z_1|^2 + |z_2 + z_3|^2, constant along z_2 - z_3
+        linear_terms(np.array([1, 0, 0], dtype=complex)) + modulus_terms([-1, 0, 0])
+        + hermitian_terms(np.array([[0, 0, 0], [0, 1, 1], [0, 1, 1]], dtype=complex)),
+    ],
+    ids=["z3", "z2-z3"],
+)
+def test_an_exact_zero_eigenvalue_prints_as_zero(terms):
+    # rounding leaves the zero at 7.9e-17 and 2.1e-16 before the bound applies
+    z0 = [[0.3, 0.4], [1.1, -0.2], [-0.5, 0.9]]
+    report = levi_analyze(DefiningFunction.from_polynomial(3, z0, terms))
+    negative, zero = report["eigenvalues"]
+    assert negative < 0 and zero == 0.0 and report["negatives"] == 1

@@ -13,11 +13,14 @@ from scipy.linalg import expm
 from conftest import CLASSICAL, ORACLE_SYSTEMS
 from lie_oracles import (
     cartan_integer,
+    euclid_cartan_integer,
+    euclid_roots,
     negative,
     plus,
     reference_eligible_pairs,
     simple_roots,
     table_constant,
+    to_euclid,
 )
 from matrix_oracle import (
     FloatRealization,
@@ -36,11 +39,11 @@ from matrix_oracle import (
     weyl_dense,
 )
 
-from flagdomains import matrixrep
+from flagdomains import chevalley, cli, matrixrep
 from flagdomains.chevalley import structure_constants
 from flagdomains.cli import main as cli_main
 from flagdomains.concavity import check_pseudoconcavity
-from flagdomains.exact import exp_nilpotent, product
+from flagdomains.exact import combo, exp_nilpotent, product
 from flagdomains.matrixrep import (
     MatrixRealization,
     WeylElement,
@@ -54,6 +57,7 @@ from flagdomains.rootsys import (
     from_cartan_matrix,
     grading,
     root,
+    root_string,
 )
 
 REP_SYSTEMS = CLASSICAL
@@ -103,6 +107,58 @@ def test_bracket_relations_exact(key, systems, reps):
                 assert np.linalg.norm(comm - c * x[plus(a, b)]) < 1e-12
             else:
                 assert np.linalg.norm(comm) < 1e-12
+
+
+@pytest.mark.parametrize("key", ORACLE_SYSTEMS, ids=lambda k: f"{k[0]}{k[1]}")
+def test_root_vector_brackets_match_the_table_exactly(key):
+    # [x^a, x^b] = c(a, b) x^{a+b} on the int matrices: the realization and
+    # the table are built apart, each from the extraspecial pairs of rs.steps
+    rs = build_root_system(LieType(*key))
+    x, table, add = fundamental_rep(rs).x, structure_constants(rs).table, rs.add
+    for i, j in itertools.product(range(len(rs.roots)), repeat=2):
+        if i == rs.neg[j]:
+            continue
+        bracket = combo((1, product(x[i], x[j])), (-1, product(x[j], x[i])))
+        k = add[i][j]
+        assert bracket == (combo((table[i][j], x[k])) if k >= 0 else {}), (i, j)
+        assert (k >= 0) == bool(bracket)
+
+
+@pytest.mark.parametrize(
+    "key", [("A", 6), ("B", 6), ("C", 6), ("D", 6)], ids=lambda k: f"{k[0]}{k[1]}"
+)
+def test_the_realization_reads_one_string_per_step_and_no_constants_table(monkeypatch, key):
+    rs = build_root_system(LieType(*key))
+    strings = []
+
+    def counting(*args):
+        strings.append(args)
+        return root_string(*args)
+
+    def refused(*args):
+        raise AssertionError("the realization built a constants table")
+
+    monkeypatch.setattr(matrixrep, "root_string", counting)
+    monkeypatch.setattr(chevalley, "structure_constants", refused)
+    fundamental_rep.__wrapped__(rs)
+    assert strings == [(rs, rs.simple[s], p) for _, p, s in rs.steps]
+    assert len(strings) == rs.half - rs.rank
+
+
+@pytest.mark.parametrize(
+    "suite", [["prop33"], ["fixed-point", "--grading", "0,1,0,0,0,0"]], ids=lambda s: s[0]
+)
+def test_prop33_and_fixed_point_build_no_constants_table(monkeypatch, capsys, suite):
+    calls = []
+    original = chevalley.structure_constants
+    monkeypatch.setattr(chevalley, "structure_constants", lambda rs: calls.append(rs) or original(rs))
+    # past the realization cache, which may hold B6 from an earlier test
+    monkeypatch.setattr(cli, "fundamental_rep", fundamental_rep.__wrapped__)
+    assert cli_main(["verify", "--family", "B", "--rank", "6", "--suite", *suite]) == 0
+    assert capsys.readouterr().out and calls == []
+    # the counter sees the chevalley suite, so the empty list above is not vacuous
+    assert cli_main(["verify", "--family", "C", "--rank", "2", "--suite", "chevalley"]) == 0
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("key", REP_SYSTEMS)
@@ -595,10 +651,21 @@ def test_rep_requires_detected_family():
 
 @pytest.mark.parametrize("key", ORACLE_SYSTEMS, ids=lambda k: f"{k[0]}{k[1]}")
 def test_eligible_pairs_match_root_arithmetic(key):
-    # one line per ordered pair with a (0,1)/(0,2) string, in root order
+    # one line per ordered pair with a (0,1)/(0,2) string, in root order. The
+    # pairs come from the Euclidean model, not from rs.roots or a string walk:
+    # r - q = <a, b^v> (Humphreys 8.4), so r = 0 when a - b is no root, and
+    # then q = -<a, b^v>
     rs = build_root_system(LieType(*key))
-    claims = [chk["claim"] for chk in verify_cayley_conjugation(fundamental_rep(rs))]
-    assert claims == [f"cayley-conjugation a={a} b={b}" for a, b in reference_eligible_pairs(rs)]
+    euclid = euclid_roots(*key)
+    vectors = [to_euclid(*key, a.coeffs) for a in rs.roots]
+    pairs = [
+        f"cayley-conjugation a={rs.roots[i]} b={rs.roots[j]}"
+        for (i, a), (j, b) in itertools.product(enumerate(vectors), repeat=2)
+        if any(x + y for x, y in zip(a, b))
+        and tuple(x - y for x, y in zip(a, b)) not in euclid
+        and -euclid_cartan_integer(a, b) in (1, 2)
+    ]
+    assert [chk["claim"] for chk in verify_cayley_conjugation(fundamental_rep(rs))] == pairs
 
 
 @pytest.mark.parametrize("key", ORACLE_SYSTEMS, ids=lambda k: f"{k[0]}{k[1]}")

@@ -18,6 +18,7 @@ from conftest import (
     RELABELLED_B4,
     relabelled_cartan,
 )
+from corpus import CARTANS
 from lie_oracles import (
     cartan_integer,
     euclid_cartan_integer,
@@ -32,10 +33,10 @@ from lie_oracles import (
     reference_string,
     root_index,
     simple_roots,
+    special_pairs,
     to_euclid,
 )
 
-from flagdomains.chevalley import structure_constants
 from flagdomains.exact import exact_int
 from flagdomains.realform import classify_roots
 from flagdomains.rootsys import (
@@ -228,6 +229,20 @@ def test_steps_build_each_positive_root_from_a_lower_one(cartan):
         assert rs.roots[k].coeffs == tuple(map(sum, zip(rs.roots[p].coeffs, unit)))
 
 
+STEPS_SYSTEMS = {f"{f}{r}": standard_cartan(LieType(f, r)) for f, r in ORACLE_SYSTEMS}
+STEPS_SYSTEMS.update(
+    (name, CARTANS[name]) for name in ("G2", "G2_TRANSPOSED", "F4", "E6", "A1xA1", "B2xA1")
+)
+
+
+@pytest.mark.parametrize("name", STEPS_SYSTEMS)
+def test_each_step_is_the_extraspecial_pair(name):
+    # the constants table and the matrix realization both read the pair here
+    rs = from_cartan_matrix(STEPS_SYSTEMS[name])
+    for k, p, s in rs.steps:
+        assert special_pairs(rs, rs.roots[k])[0] == (rs.roots[rs.simple[s]], rs.roots[p])
+
+
 @st.composite
 def graded_table_systems(draw):
     """A system of TABLE_CARTANS and a grading of any sign on it."""
@@ -266,20 +281,16 @@ def test_index_is_built_on_first_use():
 
 def test_caches_stay_bounded():
     size = _build_cached.cache_info().maxsize
-    assert size >= 32 and structure_constants.cache_info().maxsize >= 32
-    # distinct relabellings of A5, more of them than either cache keeps
+    assert size >= 32
+    # distinct relabellings of A5, more of them than the cache keeps
     a5 = LieType("A", 5)
     matrices = {
         tuple(map(tuple, relabelled_cartan(a5, p))) for p in islice(permutations(range(5)), 200)
     }
     assert len(matrices) > size + 8
     for m in sorted(matrices)[: size + 8]:
-        structure_constants(from_cartan_matrix(m))
+        from_cartan_matrix(m)
     assert _build_cached.cache_info().currsize <= size
-    assert (
-        structure_constants.cache_info().currsize
-        <= structure_constants.cache_info().maxsize
-    )
 
 
 def test_graded_pieces_a1():
