@@ -273,9 +273,9 @@ def _iter_verify_checks(args):
     if len(eps_values) > MAX_EPS:
         raise OutOfBoundsError(f"{len(eps_values)} eps values exceed the bound {MAX_EPS}")
     check_eps(eps_values)
-    if system and suite in ("all", "prop33"):
+    if system and suite == "all":
         # prop33 needs the realization, so a system without one is refused
-        # before any suite runs
+        # before any suite runs; under prop33 alone the suite's own call is the first work
         fundamental_rep(system)
     if suite in ("all", "chevalley"):
         for rs in _systems(system, _DEFAULT_CHEVALLEY):

@@ -26,7 +26,6 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple
 
 from .exact import combo, exp_nilpotent, make_check, product, shear_product
@@ -153,12 +152,12 @@ _BUILDERS = {
 }
 
 
-@lru_cache(maxsize=32)  # one verify request asks up to 3 times: refusal, prop33, fixed-point
 def fundamental_rep(rs: RootSystem) -> MatrixRealization:
     """Defining representation in a Chevalley basis with extraspecial signs.
 
     Each bracket along an extraspecial pair (s, a) of rs.steps is divided by
     r + 1 for the a-string through s; ArithmeticError when it does not divide.
+    Every call builds a new realization; none is kept between calls.
     """
     t = rs.lie_type
     if t is None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from operator import mul
 from typing import NamedTuple
 
@@ -246,15 +246,9 @@ def from_cartan_matrix(cartan) -> RootSystem:
     equals a standard one.
     """
     try:
-        normalized = tuple(tuple(exact_int(x) for x in row) for row in cartan)
+        cartan = tuple(tuple(exact_int(x) for x in row) for row in cartan)
     except (TypeError, ValueError) as exc:
         raise ValueError("Cartan matrix must be a list of integer rows") from exc
-    return _build_cached(normalized)
-
-
-# 32 systems: every classical system up to rank 6, with room to spare
-@lru_cache(maxsize=32)
-def _build_cached(cartan: tuple[tuple[int, ...], ...]) -> RootSystem:
     _validate_cartan(cartan)
     lengths = _symmetrizer(cartan)
     if not _positive_definite(cartan, lengths):

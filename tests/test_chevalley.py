@@ -1,5 +1,6 @@
 """Structure constants: sign normalization, magnitudes, Jacobi, string brackets."""
 
+import itertools
 import re
 
 import pytest
@@ -166,6 +167,31 @@ def test_jacobi_matches_the_scan_on_a_broken_table(family, rank, mode):
         found = jacobi_violations(broken)
         assert found, key
         assert found == jacobi_scan(broken), key
+
+
+@pytest.mark.parametrize("name,products", [("B6", 25_624), ("G2", 464)])
+def test_jacobi_makes_one_product_per_double_bracket_term(monkeypatch, name, products):
+    rs = build_root_system(LieType("B", 6)) if name == "B6" else from_cartan_matrix(CARTANS[name])
+    rows = chevalley._bracket_rows(structure_constants(rs))
+    made = []
+
+    class Counted(int):
+        def __mul__(self, other):
+            made.append(None)
+            return int.__mul__(self, other)
+
+    def terms(a, b, c):
+        # [[e_a, e_b], e_c]: one product per term of [e_a, e_b] and term of [e_m, e_c]
+        return sum(len(rows[m][c]) for m, _ in rows[a][b])
+
+    expected = sum(
+        terms(i, j, k) + terms(j, k, i) + terms(k, i, j)
+        for i, j, k in itertools.combinations(range(len(rows)), 3)
+    )
+    counted = [[tuple((m, Counted(v)) for m, v in cell) for cell in row] for row in rows]
+    monkeypatch.setattr(chevalley, "_bracket_rows", lambda cc: counted)
+    assert jacobi_violations(structure_constants(rs)) == []
+    assert len(made) == expected == products
 
 
 def _assert_matches_root_arithmetic(rs):

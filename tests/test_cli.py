@@ -20,7 +20,6 @@ from conftest import RELABELLED_B4
 import flagdomains
 from flagdomains.cli import EXIT_CLOSED_STDOUT, main
 from flagdomains.leviform import DefiningFunction
-from flagdomains.matrixrep import fundamental_rep
 from flagdomains.rootsys import LieType, from_cartan_matrix, standard_cartan
 
 SRC = str(Path(flagdomains.__file__).resolve().parents[1])
@@ -112,19 +111,30 @@ def test_verify_fixed_point_suite(capsys):
     assert all(line["pass"] for line in lines)
 
 
+B6_GRADING = ["--grading", "0,1,0,0,0,0"]
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [["verify"], ["verify", "--family", "C", "--rank", "2", "--grading", "1,0", "--eps", "0.5"]],
-    ids=["defaults", "given-system"],
+    "argv,realizations",
+    [
+        (["--suite", "prop33"], 1),
+        (["--suite", "fixed-point", *B6_GRADING], 1),
+        # suite all realizes it for the up-front refusal, prop33 and fixed-point
+        (B6_GRADING, 3),
+    ],
+    ids=["prop33", "fixed-point", "all"],
 )
-def test_verify_shares_one_realization_between_suites(capsys, monkeypatch, argv):
-    # prop33 and the fixed-point suite both realize A2 and C2 at the
-    # defaults, and the given system under --grading
-    rs = from_cartan_matrix(standard_cartan(LieType("C", 2)))
-    assert fundamental_rep(rs) is fundamental_rep(rs)
-    shared = run_cli(capsys, *argv)
-    monkeypatch.setattr(flagdomains.cli, "fundamental_rep", fundamental_rep.__wrapped__)
-    assert run_cli(capsys, *argv) == shared and shared[0] == 0
+def test_verify_builds_the_system_once_and_realizes_it_per_suite(
+    capsys, monkeypatch, argv, realizations
+):
+    calls = collections.Counter()
+    for name in ("build_root_system", "from_cartan_matrix", "fundamental_rep"):
+        original = getattr(flagdomains.cli, name)
+        monkeypatch.setattr(
+            flagdomains.cli, name, lambda *a, f=original, n=name: calls.update([n]) or f(*a)
+        )
+    assert run_cli(capsys, "verify", "--family", "B", "--rank", "6", *argv)[0] == 0
+    assert calls == {"build_root_system": 1, "fundamental_rep": realizations}
 
 
 def test_verify_all_without_a_grading_notes_the_skipped_fixed_point_suite(capsys):
@@ -673,6 +683,8 @@ NOT_CLASSICAL = (
          "grading coefficients must be nonnegative"),
         (["--cartan", G2_CARTAN], 2, NOT_CLASSICAL),
         (["--cartan", G2_CARTAN, "--grading", "1,0"], 2, NOT_CLASSICAL),
+        # refused by the suite's own realization, the first work under prop33
+        (["--suite", "prop33", "--cartan", G2_CARTAN], 2, NOT_CLASSICAL),
         (["--suite", "lemma41", "--eps", "x"], 2, "--eps must be a comma separated number list"),
         (["--suite", "chevalley", "--family", "A", "--rank", "2", "--grading", "1,99"], 4,
          "grading coefficients must stay within 16"),
@@ -691,6 +703,7 @@ NOT_CLASSICAL = (
     ],
     ids=["eps", "grading-length", "grading-bound", "eps-range-all", "eps-range-fixed-point",
          "grading-trivial", "grading-negative", "g2-realization", "g2-realization-graded",
+         "g2-prop33",
          "eps-lemma41", "grading-bound-chevalley", "eps-range-no-witness",
          "eps-range-lemma41", "eps-count", "g2-fixed-point-no-witness",
          "relabelled-fixed-point-no-witness"],

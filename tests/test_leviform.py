@@ -2,6 +2,7 @@
 
 import math
 import typing
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -334,3 +335,92 @@ def test_an_exact_zero_eigenvalue_prints_as_zero(terms):
     report = levi_analyze(DefiningFunction.from_polynomial(3, z0, terms))
     negative, zero = report["eigenvalues"]
     assert negative < 0 and zero == 0.0 and report["negatives"] == 1
+
+
+def _times(x, y):
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _exact_power(z, a):
+    """z**a for a complex float z, exactly, as a pair of dyadic Fractions
+    (rational ones for a < 0)."""
+    out, base = (Fraction(1), Fraction(0)), (Fraction(z.real), Fraction(z.imag))
+    for bit in bin(abs(a))[2:]:
+        out = _times(out, out)
+        if bit == "1":
+            out = _times(out, base)
+    if a < 0:
+        norm = out[0] ** 2 + out[1] ** 2
+        out = out[0] / norm, -out[1] / norm
+    return out
+
+
+def _exact_derivatives(f):
+    """The gradient and Hessian that _derivatives rounds, as exact pairs."""
+    zero, half = (Fraction(0), Fraction(0)), Fraction(1, 2)
+
+    def monomial(c, m, e, fb):
+        if not m:
+            return zero
+        out = (Fraction(c.real) * m, Fraction(c.imag) * m)
+        for zk, a, b in zip(f.z0, e, fb):
+            out = _times(_times(out, _exact_power(zk, a)), _exact_power(zk.conjugate(), b))
+        return out
+
+    def add(x, y):
+        return x[0] + y[0], x[1] + y[1]
+
+    def mean(x, y):
+        # (x + conj y) / 2
+        return half * (x[0] + y[0]), half * (x[1] - y[1])
+
+    def lowered(e, k):
+        return e[:k] + (e[k] - 1,) + e[k + 1 :]
+
+    n = f.n
+    dz, dzb = [zero] * n, [zero] * n
+    mixed = [[zero] * n for _ in range(n)]
+    for c, e, fb in f.terms:
+        for k in range(n):
+            dz[k] = add(dz[k], monomial(c, e[k], lowered(e, k), fb))
+            dzb[k] = add(dzb[k], monomial(c, fb[k], e, lowered(fb, k)))
+            for ell in range(n):
+                v = monomial(c, e[k] * fb[ell], lowered(e, k), lowered(fb, ell))
+                mixed[k][ell] = add(mixed[k][ell], v)
+    grad = [mean(a, b) for a, b in zip(dz, dzb)]
+    hess = [[mean(mixed[k][ell], mixed[ell][k]) for ell in range(n)] for k in range(n)]
+    return grad, hess
+
+
+def _squared_error(computed, exact):
+    return sum((Fraction(v.real) - x) ** 2 + (Fraction(v.imag) - y) ** 2
+               for v, (x, y) in zip(computed, exact))
+
+
+@pytest.mark.parametrize(
+    "z0,terms",
+    [
+        # z**164 errs by about 5.0 |164| u here, the most a search of 10^5 points found
+        ([[-71.37507356689315, -0.13345141157463644]], [{"z": [165]}]),
+        ([[-0.017738298328237975, -2.185550527734008e-06]], [{"z": [-163]}]),
+        ([[-8.656337937505103, -0.0048966768176913]], [{"z": [300]}]),
+        ([[-34.536609610856324, -0.029596539772919584]], [{"z": [165], "zbar": [1]}]),
+        ([[-34.536609610856324, -0.029596539772919584]], [{"z": [1], "zbar": [165]}]),
+        ([[-34.536609610856324, -0.029596539772919584], [-1.0, 1e-3]],
+         [{"z": [165, 200], "zbar": [0, 1]}]),
+    ],
+    ids=["z165", "z-163", "z300", "z165-zbar", "zbar165", "two-coordinates"],
+)
+def test_rounding_bounds_hold_for_powers_above_100(z0, terms):
+    # above exponent 100 CPython raises a complex to an integer power through
+    # hypot, pow and atan2, not a chain of products. With hypot and atan2
+    # correctly rounded, |z|^a errs by about |a| u and the phase a atan2(y, x)
+    # by up to (2 + pi)|a| u near arg z = pi, so by about 5.2 |a| u in all,
+    # within the 6 per degree of the bound. Each point sits near arg pi with
+    # |z0|^degree near the float limit, 1e303 for z165
+    f = DefiningFunction.from_polynomial(len(z0), z0, terms)
+    grad, hess, gerr, herr = leviform._derivatives(f)
+    exact_grad, exact_hess = _exact_derivatives(f)
+    assert _squared_error(grad, exact_grad) <= Fraction(gerr) ** 2
+    flat = [v for row in exact_hess for v in row]
+    assert _squared_error([v for row in hess for v in row], flat) <= Fraction(herr) ** 2

@@ -39,7 +39,7 @@ from matrix_oracle import (
     weyl_dense,
 )
 
-from flagdomains import chevalley, cli, matrixrep
+from flagdomains import chevalley, matrixrep
 from flagdomains.chevalley import structure_constants
 from flagdomains.cli import main as cli_main
 from flagdomains.concavity import check_pseudoconcavity
@@ -140,7 +140,7 @@ def test_the_realization_reads_one_string_per_step_and_no_constants_table(monkey
 
     monkeypatch.setattr(matrixrep, "root_string", counting)
     monkeypatch.setattr(chevalley, "structure_constants", refused)
-    fundamental_rep.__wrapped__(rs)
+    fundamental_rep(rs)
     assert strings == [(rs, rs.simple[s], p) for _, p, s in rs.steps]
     assert len(strings) == rs.half - rs.rank
 
@@ -152,8 +152,6 @@ def test_prop33_and_fixed_point_build_no_constants_table(monkeypatch, capsys, su
     calls = []
     original = chevalley.structure_constants
     monkeypatch.setattr(chevalley, "structure_constants", lambda rs: calls.append(rs) or original(rs))
-    # past the realization cache, which may hold B6 from an earlier test
-    monkeypatch.setattr(cli, "fundamental_rep", fundamental_rep.__wrapped__)
     assert cli_main(["verify", "--family", "B", "--rank", "6", "--suite", *suite]) == 0
     assert capsys.readouterr().out and calls == []
     # the counter sees the chevalley suite, so the empty list above is not vacuous
@@ -761,7 +759,7 @@ def test_a_bracket_its_constant_does_not_divide_is_refused(monkeypatch):
 
     monkeypatch.setitem(matrixrep._BUILDERS, "B", off_lattice)
     with pytest.raises(ArithmeticError, match="is not a multiple of 2"):
-        fundamental_rep.__wrapped__(build_root_system(LieType("B", 3)))
+        fundamental_rep(build_root_system(LieType("B", 3)))
 
 
 @pytest.mark.parametrize(
