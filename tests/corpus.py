@@ -74,6 +74,10 @@ FIXED_POINT_EPS = [
     (["--family", "B", "--rank", "6", "--grading", "0,1,0,0,0,0"], SIXTEEN_EPS),
 ]
 
+# suite all on a given system, with a grading that has a witness; each
+# system also runs without one, where the fixed-point suite is skipped
+SUITE_ALL_GRADINGS = {"A": "1,0,1", "B": "0,1,0", "C": "1,0,0", "D": "0,1,1"}
+
 REFUSALS = [
     ["describe"],
     ["describe", "--family", "E", "--rank", "6"],
@@ -109,6 +113,8 @@ REFUSALS = [
     ["verify", "--suite", "lemma41", "--eps", ",".join(["0.5"] * 17)],
     ["verify", "--suite", "all", "--family", "A", "--rank", "2", "--grading", "1,1", "--eps", "2"],
     ["verify", "--suite", "fixed-point", "--family", "A", "--rank", "2", "--grading", "0,0"],
+    ["verify", "--family", "A", "--rank", "2", "--grading", "0,0"],
+    ["verify", "--suite", "fixed-point", "--cartan", json.dumps(CARTANS["G2"])],
     # suite all on a system without a matrix realization
     ["verify", "--cartan", json.dumps(CARTANS["G2"])],
     ["verify", "--cartan", json.dumps(CARTANS["E6"]), "--grading", "1,0,0,0,0,0"],
@@ -174,6 +180,12 @@ def requests() -> list[list[str]]:
             out.append(["period", "--weight", str(weight), "--h", h])
             out.append(["period", "--weight", str(weight), "--h", h, "--pretty"])
     out += [["verify"], ["verify", "--pretty"]]
+    for family, g in SUITE_ALL_GRADINGS.items():
+        system = ["--family", family, "--rank", "3"]
+        out += [["verify", *system], ["verify", *system, "--grading", g]]
+    # only the fixed-point suite sweeps the grading, so the others take a trivial one
+    for suite in ("chevalley", "prop33"):
+        out.append(["verify", "--suite", suite, "--family", "A", "--rank", "2", "--grading", "0,0"])
     for cartan in CARTANS.values():
         system = ["--cartan", json.dumps(cartan)]
         rank = len(cartan)
