@@ -273,32 +273,32 @@ def _iter_verify_checks(args):
     if len(eps_values) > MAX_EPS:
         raise OutOfBoundsError(f"{len(eps_values)} eps values exceed the bound {MAX_EPS}")
     check_eps(eps_values)
-    if system and suite == "all":
-        # prop33 needs the realization, so a system without one is refused
-        # before any suite runs; under prop33 alone the suite's own call is the first work
-        fundamental_rep(system)
-    if suite in ("all", "chevalley"):
-        for rs in _systems(system, _DEFAULT_CHEVALLEY):
-            yield from chevalley_checks(rs)
-    if suite in ("all", "prop33"):
-        for rs in _systems(system, _DEFAULT_CONJUGATION):
-            yield from verify_cayley_conjugation(fundamental_rep(rs))
-    if suite in ("all", "lemma41"):
+    # each suite's systems are listed, realized and swept before the first suite runs
+    runs = VERIFY_SUITES if suite == "all" else (suite,)
+    chevalley = _systems(system, _DEFAULT_CHEVALLEY) if "chevalley" in runs else []
+    conjugation = _systems(system, _DEFAULT_CONJUGATION) if "prop33" in runs else []
+    targets = []
+    if "fixed-point" in runs and not system:
+        targets = [(build_root_system(LieType(*t)), grading(g)) for t, g in _DEFAULT_FIXED_POINT]
+    elif "fixed-point" in runs and e is not None:
+        targets = [(system, e)]
+    elif suite == "fixed-point":
+        raise ValueError("missing --grading")
+    # each distinct system is realized once, here, where one without a realization is refused
+    realized = dict.fromkeys(conjugation + [rs for rs, _ in targets])
+    reps = {rs: fundamental_rep(rs) for rs in realized}
+    sweeps = [(rs, check_pseudoconcavity(rs, e)) for rs, e in targets]
+    if suite == "all" and not targets:
+        print("note: fixed-point suite skipped: no --grading", file=sys.stderr)
+    for rs in chevalley:
+        yield from chevalley_checks(rs)
+    for rs in conjugation:
+        yield from verify_cayley_conjugation(reps[rs])
+    if "lemma41" in runs:
         for kind in ("I", "II"):
             yield from sl2_cayley_checks(kind)
-    if suite in ("all", "fixed-point"):
-        if not system:
-            targets = [(build_root_system(LieType(*t)), grading(g)) for t, g in _DEFAULT_FIXED_POINT]
-        elif e is not None:
-            targets = [(system, e)]
-        elif suite == "all":
-            print("note: fixed-point suite skipped: no --grading", file=sys.stderr)
-            targets = []
-        else:
-            raise ValueError("missing --grading")
-        for rs, e in targets:
-            # a system without a matrix realization is refused whatever the grading
-            yield from verify_fixed_point(fundamental_rep(rs), check_pseudoconcavity(rs, e), eps_values)
+    for rs, report in sweeps:
+        yield from verify_fixed_point(reps[rs], report, eps_values)
 
 
 def _cmd_verify(args) -> int:

@@ -111,21 +111,28 @@ def test_verify_fixed_point_suite(capsys):
     assert all(line["pass"] for line in lines)
 
 
+B6 = ["--family", "B", "--rank", "6"]
 B6_GRADING = ["--grading", "0,1,0,0,0,0"]
 
 
 @pytest.mark.parametrize(
-    "argv,realizations",
+    "argv,builds,realizations",
     [
-        (["--suite", "prop33"], 1),
-        (["--suite", "fixed-point", *B6_GRADING], 1),
-        # suite all realizes it for the up-front refusal, prop33 and fixed-point
-        (B6_GRADING, 3),
+        ([*B6, "--suite", "prop33"], 1, 1),
+        ([*B6, "--suite", "fixed-point", *B6_GRADING], 1, 1),
+        # prop33 and fixed-point share the one realization of the one system
+        ([*B6, *B6_GRADING], 1, 1),
+        ([*B6], 1, 1),
+        ([*B6, "--suite", "chevalley"], 1, 0),
+        ([*B6, "--suite", "lemma41"], 1, 0),
+        # 6 chevalley, 4 prop33 and 2 fixed-point systems; the fixed-point A2
+        # and C2 equal prop33's, so only A2, A3, B2 and C2 are realized
+        ([], 12, 4),
     ],
-    ids=["prop33", "fixed-point", "all"],
+    ids=["prop33", "fixed-point", "all", "all-no-grading", "chevalley", "lemma41", "defaults"],
 )
 def test_verify_builds_the_system_once_and_realizes_it_per_suite(
-    capsys, monkeypatch, argv, realizations
+    capsys, monkeypatch, argv, builds, realizations
 ):
     calls = collections.Counter()
     for name in ("build_root_system", "from_cartan_matrix", "fundamental_rep"):
@@ -133,8 +140,8 @@ def test_verify_builds_the_system_once_and_realizes_it_per_suite(
         monkeypatch.setattr(
             flagdomains.cli, name, lambda *a, f=original, n=name: calls.update([n]) or f(*a)
         )
-    assert run_cli(capsys, "verify", "--family", "B", "--rank", "6", *argv)[0] == 0
-    assert calls == {"build_root_system": 1, "fundamental_rep": realizations}
+    assert run_cli(capsys, "verify", *argv)[0] == 0
+    assert calls == collections.Counter(build_root_system=builds, fundamental_rep=realizations)
 
 
 def test_verify_all_without_a_grading_notes_the_skipped_fixed_point_suite(capsys):
@@ -683,7 +690,7 @@ NOT_CLASSICAL = (
          "grading coefficients must be nonnegative"),
         (["--cartan", G2_CARTAN], 2, NOT_CLASSICAL),
         (["--cartan", G2_CARTAN, "--grading", "1,0"], 2, NOT_CLASSICAL),
-        # refused by the suite's own realization, the first work under prop33
+        # refused by the one realization step, as under suite all
         (["--suite", "prop33", "--cartan", G2_CARTAN], 2, NOT_CLASSICAL),
         (["--suite", "lemma41", "--eps", "x"], 2, "--eps must be a comma separated number list"),
         (["--suite", "chevalley", "--family", "A", "--rank", "2", "--grading", "1,99"], 4,
@@ -695,8 +702,8 @@ NOT_CLASSICAL = (
         # each eps costs a fixed-point certificate per witness, so the list is bounded
         (["--suite", "lemma41", "--eps", ",".join(["0.5"] * 17)], 4,
          "17 eps values exceed the bound 16"),
-        # no witness, but no realization to certify one with either: refused
-        # up front, as the gradings with a witness are
+        # no witness, but no realization to certify one with either: the
+        # system is realized, and refused, before its grading is swept
         (["--suite", "fixed-point", "--cartan", G2_CARTAN, "--grading", "1,0"], 2, NOT_CLASSICAL),
         (["--suite", "fixed-point", "--cartan", json.dumps(RELABELLED_B4),
           "--grading", "0,1,0,0"], 2, NOT_CLASSICAL),
@@ -725,25 +732,49 @@ E6_CARTAN = json.dumps([
 ])
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [["--cartan", E6_CARTAN, "--grading", "1,0,0,0,0,0"], ["--cartan", G2_CARTAN]],
-    ids=["e6-graded", "g2"],
-)
-def test_verify_refuses_an_unrealized_system_before_any_suite_runs(capsys, monkeypatch, argv):
-    # suite all would otherwise compute the whole chevalley suite before
-    # prop33 found no realization
+@pytest.fixture
+def chevalley_calls(capsys, monkeypatch):
+    """The chevalley suite's structure_constants and jacobi_violations
+    calls, in order; the teardown checks that the counters see the suite,
+    so an empty list in a test is not vacuous."""
     calls = []
     for name in ("structure_constants", "jacobi_violations"):
         original = getattr(flagdomains.chevalley, name)
         monkeypatch.setattr(
             flagdomains.chevalley, name, lambda *a, f=original, n=name: calls.append(n) or f(*a)
         )
-    assert run_cli(capsys, "verify", *argv) == (2, "", f"error: {NOT_CLASSICAL}\n")
-    assert calls == []
-    # the counters see the chevalley suite, so the empty list above is not vacuous
+    yield calls
+    calls.clear()
     assert run_cli(capsys, "verify", "--suite", "chevalley", "--cartan", G2_CARTAN)[0] == 0
     assert calls == ["structure_constants", "jacobi_violations"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--cartan", E6_CARTAN, "--grading", "1,0,0,0,0,0"], ["--cartan", G2_CARTAN]],
+    ids=["e6-graded", "g2"],
+)
+def test_verify_refuses_an_unrealized_system_before_any_suite_runs(capsys, chevalley_calls, argv):
+    # suite all would otherwise compute the whole chevalley suite before
+    # prop33 found no realization
+    assert run_cli(capsys, "verify", *argv) == (2, "", f"error: {NOT_CLASSICAL}\n")
+    assert chevalley_calls == []
+
+
+@pytest.mark.parametrize(
+    "grading,message",
+    [("0,0", "trivial grading defines no proper parabolic"),
+     ("1,-1", "grading coefficients must be nonnegative")],
+    ids=["trivial", "negative"],
+)
+def test_verify_refuses_an_unsweepable_grading_before_any_suite_runs(
+    capsys, chevalley_calls, grading, message
+):
+    # the fixed-point sweep refuses the grading, and under suite all it runs
+    # before the chevalley, prop33 and lemma41 suites are computed
+    argv = ["verify", "--family", "A", "--rank", "2", "--grading", grading]
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+    assert chevalley_calls == []
 
 
 @pytest.mark.parametrize("eps", ["0", "-0", "1e-400", "0.5,0.0"])
