@@ -132,8 +132,13 @@ class RootSystem:
     by one addition per root. The s-th simple root is the one of lowest
     index that fits, so (simple[s], p) is the extraspecial pair of roots[k]
     (Carter, Simple Groups of Lie Type, 4.1-4.2).
-    Root strings are read off ``add`` by index: ``root_string(rs, i, j)``
-    gives the (r, q, top) of the roots[j]-string through roots[i].
+    ``strings[j][i]`` is the (r, q, top) of the roots[j]-string through
+    roots[i], and None when i == j or i == neg[j]; it is built off ``add``
+    in one pass, chain by chain: each string of two or more roots up a
+    positive root, walked from its bottom, gives every member's cell in
+    that root's row and, read backwards, in its negative's row, and a root
+    alone in its string is (0, 0, itself) in both. Equal cells are one
+    tuple, and ``root_string(rs, i, j)`` reads one cell.
     Equality and hashing see the Cartan matrix only, which determines the
     rest. Attributes cannot be assigned.
     """
@@ -187,6 +192,35 @@ class RootSystem:
             s, p = next((s, add[k][d]) for s, d in down if add[k][d] >= 0)
             steps.append((k, p, s))
         return tuple(steps)
+
+    @cached_property
+    def strings(self) -> tuple[tuple[tuple[int, int, int] | None, ...], ...]:
+        # a root alone in its b-string is (0, 0, itself) in the rows of b
+        # and -b; a longer chain up b, walked from the bottom of its string,
+        # is the (-b)-string read backwards; equal cells share one tuple
+        add, neg, n = self.add, self.neg, len(self.roots)
+        alone = [(0, 0, i) for i in range(n)]
+        rows = [alone[:] for _ in range(n)]
+        cells: dict[tuple[int, int, int], tuple[int, int, int]] = {}
+        for j in range(self.half, n):
+            down = neg[j]
+            row, mirror = rows[j], rows[down]
+            row[j] = row[down] = mirror[j] = mirror[down] = None
+            up, back = [a[j] for a in add], [a[down] for a in add]
+            for i, k in enumerate(up):
+                if k < 0 or back[i] >= 0:
+                    continue
+                chain = [i]
+                while k >= 0:
+                    chain.append(k)
+                    k = up[k]
+                last, top = len(chain) - 1, chain[-1]
+                for pos, m in enumerate(chain):
+                    cell = pos, last - pos, top
+                    row[m] = cells.setdefault(cell, cell)
+                    cell = last - pos, pos, i
+                    mirror[m] = cells.setdefault(cell, cell)
+        return tuple(map(tuple, rows))
 
     def to_json_dict(self) -> dict:
         return {
@@ -385,20 +419,10 @@ def root_string(rs: RootSystem, i: int, j: int) -> tuple[int, int, int]:
     """(r, q, top) of the roots[j]-string through roots[i]: the unbroken
     progression roots[i] + n roots[j] inside the root set, -r <= n <= q,
     and the index top of its last member roots[i] + q roots[j]."""
-    add, neg = rs.add, rs.neg
-    if i == j or i == neg[j]:
+    s = rs.strings[j][i]
+    if s is None:
         raise ValueError("a root string needs i != j and i != neg[j]")
-    down, r = neg[j], 0
-    k = add[i][down]
-    while k >= 0:
-        r += 1
-        k = add[k][down]
-    q, top = 0, i
-    k = add[i][j]
-    while k >= 0:
-        q += 1
-        top, k = k, add[k][j]
-    return r, q, top
+    return s
 
 
 def coroot_coefficients(rs: RootSystem, i: int) -> tuple[int, ...]:

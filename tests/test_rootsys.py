@@ -37,6 +37,7 @@ from lie_oracles import (
     to_euclid,
 )
 
+from flagdomains.concavity import check_pseudoconcavity
 from flagdomains.exact import exact_int
 from flagdomains.realform import classify_roots
 from flagdomains.rootsys import (
@@ -259,7 +260,7 @@ def test_values_along_the_steps_equal_the_dot_products(case):
 
 def test_root_strings_match_root_arithmetic_on_the_table_cartans():
     # the tests above cover the classical systems and RELABELLED_B4
-    for cartan in ([[2, -1], [-3, 2]], F4_CARTAN, E6_CARTAN, B3_A2_CARTAN):
+    for cartan in TABLE_CARTANS[TABLE_CARTANS.index(RELABELLED_B4) + 1:]:
         _assert_strings_match_root_arithmetic(from_cartan_matrix(cartan))
 
 
@@ -267,13 +268,57 @@ def test_index_is_built_on_first_use():
     rs = from_cartan_matrix(relabelled_cartan(LieType("C", 3), (1, 2, 0)))
     # the norms come with the roots, from the same reflection orbit
     assert "norms" in vars(rs) and len(rs.norms) == len(rs.roots)
-    assert not {"simple", "add", "neg", "steps"} & set(vars(rs))
+    assert not {"simple", "add", "neg", "steps", "strings"} & set(vars(rs))
     root_string(rs, *rs.simple[:2])
-    assert {"simple", "add", "neg"} <= set(vars(rs))
+    assert {"simple", "add", "neg", "strings"} <= set(vars(rs))
     # a root string needs no steps; grading the roots builds them
     assert "steps" not in vars(rs)
-    classify_roots(rs, grading((1, 0, 1)))
+    e = grading((1, 0, 1))
+    classify_roots(rs, e)
     assert "steps" in vars(rs)
+    # a sweep of a system it has swept before builds nothing new
+    check_pseudoconcavity(rs, e)
+    built = dict(vars(rs))
+    check_pseudoconcavity(rs, e)
+    assert vars(rs).keys() == built.keys()
+    assert all(vars(rs)[name] is table for name, table in built.items())
+
+
+class _Unread:
+    """Stands in for a table that must not be read."""
+
+    def __getitem__(self, index):
+        raise AssertionError("a root string read add or neg after the string table was built")
+
+
+def test_root_strings_read_only_the_string_table():
+    rs = build_root_system(LieType("B", 4))
+    e = grading((0, 1, 0, 0))
+    n = len(rs.roots)
+    proportional = {(i, j) for j in range(n) for i in (j, rs.neg[j])}
+    pairs = [(i, j) for i in range(n) for j in range(n) if (i, j) not in proportional]
+    expected = [root_string(rs, i, j) for i, j in pairs]
+    report = check_pseudoconcavity(rs, e)
+    vars(rs).update(add=_Unread(), neg=_Unread())
+    assert [root_string(rs, i, j) for i, j in pairs] == expected
+    for i, j in proportional:
+        with pytest.raises(ValueError, match="needs i != j"):
+            root_string(rs, i, j)
+    # the sweep reads its strings and the steps, which are built already
+    assert check_pseudoconcavity(rs, e) == report
+
+
+@pytest.mark.parametrize("cartan", TABLE_CARTANS)
+def test_string_table_shares_equal_cells(cartan):
+    # one tuple per distinct (r, q, top): with r + q <= 3 there are at most
+    # ten shapes per top, so the table holds at most 10 |Phi| triples
+    rs = from_cartan_matrix(cartan)
+    n = len(rs.roots)
+    for j, row in enumerate(rs.strings):
+        assert len(row) == n
+        assert [i for i, s in enumerate(row) if s is None] == sorted({j, rs.neg[j]})
+    cells = [s for row in rs.strings for s in row if s is not None]
+    assert len({id(s) for s in cells}) == len(set(cells)) <= 10 * n
 
 
 def test_graded_pieces_a1():
